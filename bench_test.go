@@ -321,8 +321,8 @@ func BenchmarkCoreBaseline(b *testing.B) {
 		remote.TruncateWriter(w, n-missing)
 	}
 
-	// Digest wire size on a persistent gob stream: with bounded vector
-	// windows this is flat in total update count.
+	// Digest wire size: with bounded vector windows this is flat in
+	// total update count.
 	sizer := wire.NewSizer()
 	digest := wire.GossipDigest{File: "bench", Origin: 1, Round: 1, TTL: 3, VV: rep.Vector().Trimmed(8)}
 	digestBytes := sizer.Size(wire.Envelope{From: 1, To: 2, Msg: digest})

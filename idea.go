@@ -374,12 +374,9 @@ type LiveNodeConfig struct {
 	// WalDir enables the durability journal: replica updates are written
 	// to per-file logs under this directory, replayed on restart, and
 	// fsynced periodically (see core.Options.Journal). Empty keeps the
-	// store memory-only.
+	// store memory-only. Records reach the OS in groups of 8, the
+	// benchmarked setting (see store.WAL.SetGroupCommit).
 	WalDir string
-	// WalGroupCommit is how many journal records may accumulate before
-	// being pushed to the OS (see store.WAL.SetGroupCommit). Zero means
-	// 8 — the benchmarked default; set 1 to flush every append.
-	WalGroupCommit int
 	// Logger receives transport diagnostics (nil = silent).
 	Logger *log.Logger
 }
@@ -415,11 +412,7 @@ func NewLiveNode(cfg LiveNodeConfig) (*LiveNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		gc := cfg.WalGroupCommit
-		if gc == 0 {
-			gc = 8
-		}
-		wal.SetGroupCommit(gc)
+		wal.SetGroupCommit(8)
 		opts.Journal = wal
 	}
 	if cfg.Swim || cfg.Join != "" {

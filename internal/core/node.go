@@ -254,7 +254,7 @@ type Node struct {
 	// Durability (nil/zero without Options.Journal).
 	wal     *store.WAL
 	walSync time.Duration
-	walErrs []string // recovery problems, logged once at Start
+	walErr  error // logs crash recovery skipped, logged once at Start
 
 	// Health engine + flight recorder (never nil; see Options.Health).
 	health *health.Engine
@@ -329,27 +329,8 @@ func NewNode(self id.NodeID, opts Options) *Node {
 		if n.walSync = opts.WalSync; n.walSync <= 0 {
 			n.walSync = 500 * time.Millisecond
 		}
-		// Crash recovery: replay the journal into the store before the
-		// hooks attach, so recovered updates are not re-journaled. A
-		// corrupt log is skipped loudly — its file re-syncs through
-		// anti-entropy like any lagging replica.
-		names, err := n.wal.Files()
-		if err != nil {
-			n.walErrs = append(n.walErrs, fmt.Sprintf("wal scan: %v", err))
-		}
-		for _, name := range names {
-			log, err := n.wal.Recover(id.FileID(name))
-			if err != nil {
-				n.walErrs = append(n.walErrs, fmt.Sprintf("wal recover %s: %v", name, err))
-				continue
-			}
-			if len(log) == 0 {
-				continue
-			}
-			n.st.Open(log[0].File).ApplyAll(log)
-		}
 		n.wal.AttachMetrics(n.reg)
-		n.st.SetJournal(n.wal)
+		n.walErr = n.wal.Replay(n.st)
 	}
 	n.quant = opts.Quant
 	if n.quant == nil {
@@ -659,10 +640,10 @@ func (n *Node) Start(e env.Env) {
 		e.After(0, keyShardStart, i)
 	}
 	if n.wal != nil {
-		for _, msg := range n.walErrs {
-			e.Logf("core: %s", msg)
+		if n.walErr != nil {
+			e.Logf("core: journal replay: %v", n.walErr)
+			n.walErr = nil
 		}
-		n.walErrs = nil
 		e.After(n.walSync, keyWalSync, nil)
 	}
 	n.health.Recorder().Record(e.Now(), health.FKNodeStart, "", n.self, int64(n.nshards), "")

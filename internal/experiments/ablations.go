@@ -11,14 +11,13 @@ import (
 	"idea/internal/overlay"
 	"idea/internal/quantify"
 	"idea/internal/simnet"
-	"idea/internal/trace"
 )
 
 // RunParallelPhase2 quantifies the §6.2 suggestion that phase 2 can be
 // parallelized: sequential phase-2 delay grows linearly with the top
 // layer while the parallel variant stays near one round trip.
 func RunParallelPhase2(seed int64) Report {
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	seq := rec.Series("sequential (ms)")
 	par := rec.Series("parallel (ms)")
 	rows := make([][]string, 0, 5)
@@ -35,7 +34,7 @@ func RunParallelPhase2(seed int64) Report {
 	rec.SetScalar("sequential @10 ms", seq.Points[len(seq.Points)-1].V)
 	rec.SetScalar("parallel @10 ms", par.Points[len(par.Points)-1].V)
 	out := section("Ablation: sequential vs parallel phase 2 (§6.2 optimization)") +
-		trace.Table("", []string{"top-layer n", "sequential phase 2", "parallel phase 2"}, rows) +
+		Table("", []string{"top-layer n", "sequential phase 2", "parallel phase 2"}, rows) +
 		"\nsequential grows linearly (simplicity); parallel stays ≈1 RTT (scalability)\n"
 	return Report{Name: "ParallelPhase2", Rec: rec, Rendered: out}
 }
@@ -44,7 +43,7 @@ func RunParallelPhase2(seed int64) Report {
 // TTL-bounding the bottom-layer sweep: higher TTL finds bottom-only
 // conflicts sooner and more reliably, at higher gossip traffic.
 func RunTTLTradeoff(seed int64) Report {
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	rows := make([][]string, 0, 4)
 	for _, ttl := range []int{1, 2, 4, 6} {
 		cl := NewCluster(ClusterConfig{
@@ -91,14 +90,14 @@ func RunTTLTradeoff(seed int64) Report {
 		})
 	}
 	out := section("Ablation: bottom-layer TTL — accuracy vs responsiveness vs cost (§4.4.2)") +
-		trace.Table("", []string{"TTL", "bottom conflict found", "detection delay", "gossip digests"}, rows)
+		Table("", []string{"TTL", "bottom conflict found", "detection delay", "gossip digests"}, rows)
 	return Report{Name: "TTL", Rec: rec, Rendered: out}
 }
 
 // RunRefSelectors compares the reference-consistent-state choices §4.4.1
 // sketches: highest-ID (the paper's), most-updates, and merged-dominating.
 func RunRefSelectors(seed int64) Report {
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	rows := make([][]string, 0, 3)
 	for _, sel := range []struct {
 		name string
@@ -115,7 +114,7 @@ func RunRefSelectors(seed int64) Report {
 		}
 		cl.Warmup()
 		cl.ScheduleUniformWrites(5*time.Second, 50*time.Second)
-		rec2 := trace.NewRecorder()
+		rec2 := NewRecorder()
 		cl.RunSampling(rec2, "worst", "avg", 5*time.Second, 55*time.Second)
 		rows = append(rows, []string{
 			sel.name,
@@ -125,7 +124,7 @@ func RunRefSelectors(seed int64) Report {
 		rec.SetScalar(sel.name+" worst", rec2.Series("worst").Min())
 	}
 	out := section("Ablation: reference consistent state selection (§4.4.1)") +
-		trace.Table("", []string{"selector", "lowest level", "mean level"}, rows) +
+		Table("", []string{"selector", "lowest level", "mean level"}, rows) +
 		"\nmerged references judge every replica behind (no free winner); highest-id matches the paper\n"
 	return Report{Name: "RefSel", Rec: rec, Rendered: out}
 }
@@ -134,13 +133,13 @@ func RunRefSelectors(seed int64) Report {
 // absorb clock skew, so levels drift only once skew approaches the
 // staleness maximum.
 func RunSkewSensitivity(seed int64) Report {
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	rows := make([][]string, 0, 4)
 	for _, skew := range []time.Duration{0, time.Second, 5 * time.Second, 20 * time.Second} {
 		cl := newSkewCluster(seed, skew)
 		cl.Warmup()
 		cl.ScheduleUniformWrites(5*time.Second, 50*time.Second)
-		rec2 := trace.NewRecorder()
+		rec2 := NewRecorder()
 		cl.RunSampling(rec2, "worst", "avg", 5*time.Second, 55*time.Second)
 		rows = append(rows, []string{
 			skew.String(),
@@ -150,7 +149,7 @@ func RunSkewSensitivity(seed int64) Report {
 		rec.SetScalar(fmt.Sprintf("skew %v worst", skew), rec2.Series("worst").Min())
 	}
 	out := section("Ablation: clock-skew sensitivity (NTP assumption, §4.4.1)") +
-		trace.Table("", []string{"max skew", "lowest level", "mean level"}, rows) +
+		Table("", []string{"max skew", "lowest level", "mean level"}, rows) +
 		"\nlevels stay stable while skew ≪ staleness maximum — the paper's 'within seconds' bound suffices\n"
 	return Report{Name: "Skew", Rec: rec, Rendered: out}
 }

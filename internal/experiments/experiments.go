@@ -24,7 +24,6 @@ import (
 	"idea/internal/overlay"
 	"idea/internal/quantify"
 	"idea/internal/simnet"
-	"idea/internal/trace"
 	"idea/internal/vv"
 )
 
@@ -34,7 +33,7 @@ const SharedFile = id.FileID("whiteboard")
 // Report is one experiment's output.
 type Report struct {
 	Name     string
-	Rec      *trace.Recorder
+	Rec      *Recorder
 	Rendered string // the table/figure text the harness prints
 }
 
@@ -168,7 +167,7 @@ func (cl *Cluster) SampleLevels() (worst, avg float64) {
 // RunSampling advances the cluster to end, sampling worst/average levels
 // into the recorder every sampleEvery (offset by half a period so samples
 // fall between write rounds, like the paper's 5-second sampling).
-func (cl *Cluster) RunSampling(rec *trace.Recorder, worstName, avgName string, sampleEvery, end time.Duration) {
+func (cl *Cluster) RunSampling(rec *Recorder, worstName, avgName string, sampleEvery, end time.Duration) {
 	for t := sampleEvery / 2; t <= end; t += sampleEvery {
 		cl.C.RunUntil(t)
 		w, a := cl.SampleLevels()

@@ -8,7 +8,6 @@ import (
 	"idea/internal/env"
 	"idea/internal/gossip"
 	"idea/internal/id"
-	"idea/internal/trace"
 )
 
 // RunTopLayerCapture quantifies the §4.3 claim that the top layer catches
@@ -61,13 +60,13 @@ func RunTopLayerCapture(seed int64, bottomShare float64) Report {
 		alerts += nd.AlertsTotal()
 	}
 
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	rec.SetScalar("capture rate", capture)
 	rec.SetScalar("bottom-only writes", float64(bottomWrites))
 	rec.SetScalar("gossip reports", float64(gossipReports))
 	rec.SetScalar("alerts", float64(alerts))
 	out := section("Top-layer capture (§4.3 claim: >95%)") +
-		trace.Table("", []string{"metric", "value"}, [][]string{
+		Table("", []string{"metric", "value"}, [][]string{
 			{"conflicting writes (top layer)", fmt.Sprintf("%d", topWrites)},
 			{"conflicting writes (bottom only)", fmt.Sprintf("%d", bottomWrites)},
 			{"capture rate", fmt.Sprintf("%.2f%%", capture*100)},
@@ -138,7 +137,7 @@ func RunRollback(seed int64) Report {
 	})
 	cl.C.RunFor(120 * time.Second)
 
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	rows := [][]string{}
 	if alert != nil {
 		delay := alertAt - verdictAt
@@ -154,7 +153,7 @@ func RunRollback(seed int64) Report {
 		rows = append(rows, []string{"rollback", "NOT TRIGGERED"})
 	}
 	out := section("Rollback on top/bottom discrepancy (§4.4.2)") +
-		trace.Table("", []string{"metric", "value"}, rows)
+		Table("", []string{"metric", "value"}, rows)
 	return Report{Name: "Rollback", Rec: rec, Rendered: out}
 }
 
@@ -177,7 +176,7 @@ func RunBoundsLearning(seed int64) Report {
 	cl.C.RunFor(time.Second)
 	initial := cl.Nodes[w1].BackgroundFreq(SharedFile)
 
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	series := rec.Series("background period (s)")
 	series.Add(cl.C.Elapsed(), initial.Seconds())
 
@@ -200,7 +199,7 @@ func RunBoundsLearning(seed int64) Report {
 	rec.SetScalar("learned hi s", hi.Seconds())
 
 	out := section("Frequency bounds learning (§5.2)") +
-		trace.Table("", []string{"metric", "value"}, [][]string{
+		Table("", []string{"metric", "value"}, [][]string{
 			{"initial period (Formula 4)", fmt.Sprintf("%.2f s", initial.Seconds())},
 			{"after 2 oversells + 1 undersell", fmt.Sprintf("%.2f s", final.Seconds())},
 			{"learned floor (undersell)", fmt.Sprintf("%.2f s", lo.Seconds())},

@@ -10,7 +10,6 @@ import (
 	"idea/internal/id"
 	"idea/internal/overlay"
 	"idea/internal/simnet"
-	"idea/internal/trace"
 	"idea/internal/vv"
 )
 
@@ -47,7 +46,7 @@ func (c AutoConfig) withDefaults() AutoConfig {
 // AutoResult is one automatic run's outcome.
 type AutoResult struct {
 	Freq       time.Duration
-	Rec        *trace.Recorder
+	Rec        *Recorder
 	Messages   int // resolution protocol messages (Table 3's overhead)
 	AllTraffic int
 	Rounds     int
@@ -122,7 +121,7 @@ func RunAutomatic(cfg AutoConfig) AutoResult {
 		}
 	}
 
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	quant := nodes[servers[0]].Quantifier()
 	for t := cfg.Sample / 2; t <= cfg.Duration+cfg.Sample; t += cfg.Sample {
 		c.RunUntil(t)
@@ -166,7 +165,7 @@ func RunFig10Table3(seed int64) Report {
 	r20 := RunAutomatic(AutoConfig{Seed: seed, Freq: 20 * time.Second})
 	r40 := RunAutomatic(AutoConfig{Seed: seed + 1, Freq: 40 * time.Second})
 
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	s20 := rec.Series("freq 20 s")
 	for _, p := range r20.Rec.Series("consistency level").Points {
 		s20.Add(p.T, p.V)
@@ -200,9 +199,9 @@ func RunFig10Table3(seed int64) Report {
 	rec.SetScalar("optimal rate (rounds/s)", optimalRate)
 
 	out := section("Fig 10: automatic booking system, consistency level vs background frequency") +
-		trace.SeriesTable("", s20, s40) +
+		SeriesTable("", s20, s40) +
 		section("Table 3: overhead (resolution messages over the 100 s run)") +
-		trace.Table("", []string{"frequency", "overhead (# msgs)", "rounds", "mean level"}, [][]string{
+		Table("", []string{"frequency", "overhead (# msgs)", "rounds", "mean level"}, [][]string{
 			{"20 seconds", fmt.Sprintf("%d", r20.Messages), fmt.Sprintf("%d", r20.Rounds), fmt.Sprintf("%.4f", s20.Mean())},
 			{"40 seconds", fmt.Sprintf("%d", r40.Messages), fmt.Sprintf("%d", r40.Rounds), fmt.Sprintf("%.4f", s40.Mean())},
 		}) +

@@ -9,7 +9,6 @@ import (
 	"idea/internal/env"
 	"idea/internal/id"
 	"idea/internal/simnet"
-	"idea/internal/trace"
 	"idea/internal/vv"
 )
 
@@ -43,7 +42,7 @@ func RunFig2Tradeoff(seed int64) Report {
 	opt := runOptimisticArm(seed + 1)
 	strong := runStrongArm(seed + 2)
 
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	rows := make([][]string, 0, 3)
 	for _, r := range []TradeoffResult{opt, idea, strong} {
 		rec.SetScalar(r.System+" messages", float64(r.Messages))
@@ -59,7 +58,7 @@ func RunFig2Tradeoff(seed int64) Report {
 		})
 	}
 	out := section("Fig 2 (measured): consistency guarantee vs overhead across control schemes") +
-		trace.Table("", []string{"system", "detection delay", "messages", "bytes", "mean level", "write latency"}, rows) +
+		Table("", []string{"system", "detection delay", "messages", "bytes", "mean level", "write latency"}, rows) +
 		"\nexpected ordering: optimistic < IDEA < strong on overhead; strong < IDEA < optimistic on detection delay\n"
 	return Report{Name: "Fig2", Rec: rec, Rendered: out}
 }
@@ -85,7 +84,7 @@ func runIdeaArm(seed int64) TradeoffResult {
 		})
 	}
 	cl.ScheduleUniformWrites(tradeoffInterval, tradeoffRounds*tradeoffInterval)
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	cl.RunSampling(rec, "worst", "avg", tradeoffInterval, tradeoffRounds*tradeoffInterval+tradeoffInterval)
 	return TradeoffResult{
 		System:      "IDEA (hint 95%)",

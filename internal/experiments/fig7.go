@@ -6,7 +6,6 @@ import (
 
 	"idea/internal/env"
 	"idea/internal/id"
-	"idea/internal/trace"
 )
 
 // HintConfig parameterizes the §6.1 adaptive-interface experiments.
@@ -76,7 +75,7 @@ func RunHint(cfg HintConfig) Report {
 	}
 	cl.ScheduleUniformWrites(cfg.Interval, cfg.Duration)
 
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	cl.RunSampling(rec, "view from the user", "system average", cfg.Sample, cfg.Duration+cfg.Sample)
 
 	resolutions := 0
@@ -101,7 +100,7 @@ func RunHint(cfg HintConfig) Report {
 	title := fmt.Sprintf("Consistency level over time (hint %.0f%%, %d writers / %d nodes, write every %v)",
 		cfg.Hint*100, cfg.Writers, cfg.Nodes, cfg.Interval)
 	out := section(title) +
-		trace.SeriesTable("", rec.Series("view from the user"), rec.Series("system average")) +
+		SeriesTable("", rec.Series("view from the user"), rec.Series("system average")) +
 		fmt.Sprintf("\nlowest user-perceived level: %.4f   active resolutions: %d\n",
 			worst.Min(), resolutions)
 	return Report{Name: name, Rec: rec, Rendered: out}

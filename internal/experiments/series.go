@@ -1,8 +1,8 @@
-// Package trace is the experiment recorder behind every regenerated table
-// and figure: named time series sampled under virtual time, simple
-// statistics, and fixed-width renderers that print the same rows/series
-// the paper reports.
-package trace
+package experiments
+
+// The recorder behind every regenerated table and figure: named time
+// series sampled under virtual time, simple statistics, and fixed-width
+// renderers that print the same rows/series the paper reports.
 
 import (
 	"fmt"
@@ -95,7 +95,6 @@ func (s *Series) MinBetween(from, to time.Duration) float64 {
 type Recorder struct {
 	series  map[string]*Series
 	scalars map[string]float64
-	order   []string
 }
 
 // NewRecorder returns an empty Recorder.
@@ -109,29 +108,15 @@ func (r *Recorder) Series(name string) *Series {
 	if !ok {
 		s = &Series{Name: name}
 		r.series[name] = s
-		r.order = append(r.order, name)
 	}
 	return s
 }
-
-// SeriesNames returns the recorded series names in creation order.
-func (r *Recorder) SeriesNames() []string { return append([]string(nil), r.order...) }
 
 // SetScalar records a named scalar result.
 func (r *Recorder) SetScalar(name string, v float64) { r.scalars[name] = v }
 
 // Scalar returns a named scalar result.
 func (r *Recorder) Scalar(name string) float64 { return r.scalars[name] }
-
-// Scalars returns all scalar results sorted by name.
-func (r *Recorder) Scalars() []string {
-	names := make([]string, 0, len(r.scalars))
-	for n := range r.scalars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // ---- Rendering ----
 
@@ -209,22 +194,4 @@ func SeriesTable(title string, series ...*Series) string {
 		rows = append(rows, row)
 	}
 	return Table(title, headers, rows)
-}
-
-// Sparkline renders a compact one-line view of a series for quick scans.
-func Sparkline(s *Series) string {
-	if len(s.Points) == 0 {
-		return "(empty)"
-	}
-	glyphs := []rune("▁▂▃▄▅▆▇█")
-	lo, hi := s.Min(), s.Max()
-	var b strings.Builder
-	for _, p := range s.Points {
-		i := 0
-		if hi > lo {
-			i = int((p.V - lo) / (hi - lo) * float64(len(glyphs)-1))
-		}
-		b.WriteRune(glyphs[i])
-	}
-	return b.String()
 }

@@ -1,4 +1,4 @@
-package trace
+package experiments
 
 import (
 	"math"
@@ -52,19 +52,12 @@ func TestRecorderSeriesAndScalars(t *testing.T) {
 	r.Series("a").Add(time.Second, 1)
 	r.Series("b").Add(time.Second, 2)
 	r.Series("a").Add(2*time.Second, 3)
-	names := r.SeriesNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
-	}
 	if len(r.Series("a").Points) != 2 {
 		t.Fatal("series not shared by name")
 	}
 	r.SetScalar("x", 7)
 	if r.Scalar("x") != 7 {
 		t.Fatal("scalar lost")
-	}
-	if got := r.Scalars(); len(got) != 1 || got[0] != "x" {
-		t.Fatalf("scalars = %v", got)
 	}
 }
 
@@ -95,23 +88,5 @@ func TestSeriesTableMergesTimestamps(t *testing.T) {
 	}
 	if !strings.Contains(out, "1.0000") || !strings.Contains(out, "2.0000") {
 		t.Fatalf("missing values:\n%s", out)
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	if got := Sparkline(&Series{}); got != "(empty)" {
-		t.Fatalf("empty sparkline = %q", got)
-	}
-	s := sampleSeries()
-	spark := Sparkline(s)
-	if len([]rune(spark)) != len(s.Points) {
-		t.Fatalf("sparkline %q has wrong width", spark)
-	}
-	// Flat series should not panic (hi == lo).
-	flat := &Series{}
-	flat.Add(time.Second, 5)
-	flat.Add(2*time.Second, 5)
-	if got := Sparkline(flat); len([]rune(got)) != 2 {
-		t.Fatalf("flat sparkline = %q", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"idea/internal/env"
 	"idea/internal/id"
 	"idea/internal/resolve"
-	"idea/internal/trace"
 )
 
 // PhaseConfig parameterizes the §6.2 response-time experiments.
@@ -101,7 +100,7 @@ func RunTable2(seed int64) Report {
 	fast := RunPhaseBreakdown(PhaseConfig{Seed: seed})
 	strict := RunPhaseBreakdown(PhaseConfig{Seed: seed + 1, Strict: true})
 
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	rec.SetScalar("phase1 ms (fast)", float64(fast.Phase1)/1e6)
 	rec.SetScalar("phase2 ms (fast)", float64(fast.Phase2)/1e6)
 	rec.SetScalar("phase1 ms (strict)", float64(strict.Phase1)/1e6)
@@ -116,7 +115,7 @@ func RunTable2(seed int64) Report {
 		{"Phase 2 (strict ablation)", fmtDur(strict.Phase2)},
 	}
 	out := section("Table 2: delay breakdown of one round of active resolution (top layer = 4)") +
-		trace.Table("", []string{"phase", "delay"}, rows) +
+		Table("", []string{"phase", "delay"}, rows) +
 		fmt.Sprintf("\nper-member sequential cost: %s (paper: 104.747 ms)\n", fmtDur(perMember))
 	return Report{Name: "Table2", Rec: rec, Rendered: out}
 }
@@ -139,7 +138,7 @@ func RunFig9(seed int64) Report {
 	base := RunPhaseBreakdown(PhaseConfig{Seed: seed})
 	perMember := base.Phase2 / time.Duration(base.Writers-1)
 
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	measured := rec.Series("measured total (ms)")
 	extrap := rec.Series("formula 2 (ms)")
 	bg := rec.Series("formula 3 background (ms)")
@@ -160,7 +159,7 @@ func RunFig9(seed int64) Report {
 	}
 	rec.SetScalar("delay at n=10 ms", measured.Points[len(measured.Points)-1].V)
 	out := section("Fig 9: scalability of active resolution (measured vs Formula 2/3)") +
-		trace.Table("", []string{"top-layer n", "measured", "formula 2", "formula 3 (background)"}, rows) +
+		Table("", []string{"top-layer n", "measured", "formula 2", "formula 3 (background)"}, rows) +
 		"\nsub-second at n=10, linear in n: matches the paper's conclusion\n"
 	return Report{Name: "Fig9", Rec: rec, Rendered: out}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"idea/internal/env"
-	"idea/internal/trace"
 	"idea/internal/workload"
 )
 
@@ -38,7 +37,7 @@ func RunWorkloadSensitivity(seed int64) Report {
 		}},
 	}
 
-	rec := trace.NewRecorder()
+	rec := NewRecorder()
 	rows := make([][]string, 0, len(schedules))
 	for _, sc := range schedules {
 		cl := NewCluster(ClusterConfig{Seed: seed, Nodes: 12, Writers: 4})
@@ -56,7 +55,7 @@ func RunWorkloadSensitivity(seed int64) Report {
 				cl.WriteAt(at, w)
 			}
 		}
-		r2 := trace.NewRecorder()
+		r2 := NewRecorder()
 		cl.RunSampling(r2, "worst", "avg", 5*time.Second, duration+5*time.Second)
 		resolutions := 0
 		for _, w := range cl.Writers {
@@ -72,7 +71,7 @@ func RunWorkloadSensitivity(seed int64) Report {
 		})
 	}
 	out := section("Ablation: workload sensitivity (uniform vs Poisson vs burst, hint 95%)") +
-		trace.Table("", []string{"schedule", "floor", "mean level", "resolutions"}, rows) +
+		Table("", []string{"schedule", "floor", "mean level", "resolutions"}, rows) +
 		"\nthe hint floor holds within a few points across schedules — the uniform assumption is not load-bearing\n"
 	return Report{Name: "Workload", Rec: rec, Rendered: out}
 }

@@ -12,12 +12,11 @@ package health
 // recorded: the ring must stay off the hot path.
 
 import (
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"idea/internal/id"
+	"idea/internal/telemetry"
 )
 
 // Flight-event kinds. Low-rate by construction.
@@ -69,16 +68,6 @@ func chattyKind(kind string) bool {
 	return kind == FKResolved || kind == FKAlert
 }
 
-// flightRing is one stripe: a fixed buffer overwritten circularly, with
-// padding to keep neighbouring stripes off each other's cache line.
-type flightRing struct {
-	mu   sync.Mutex
-	buf  []FlightEvent
-	next uint64
-	drop uint64
-	_    [64]byte
-}
-
 // Recorder is a node's always-on flight ring. Safe for concurrent use
 // and on a nil receiver. Stripes are assigned round-robin within each
 // kind class — unlike the per-P pool idiom of the hot-path journals,
@@ -86,10 +75,9 @@ type flightRing struct {
 // always uses the class's full capacity, and picks stripes
 // deterministically under simnet's single-threaded scheduler.
 type Recorder struct {
-	seq        atomic.Uint64
 	rareNext   atomic.Uint64
 	chattyNext atomic.Uint64
-	rings      [flightStripes]flightRing
+	ring       *telemetry.Ring[FlightEvent]
 }
 
 // NewRecorder returns a recorder with the given per-stripe capacity
@@ -99,11 +87,8 @@ func NewRecorder(perStripe int) *Recorder {
 	if perStripe <= 0 {
 		perStripe = defaultPerStripe
 	}
-	r := &Recorder{}
-	for i := range r.rings {
-		r.rings[i].buf = make([]FlightEvent, 0, perStripe)
-	}
-	return r
+	return &Recorder{ring: telemetry.NewRing(flightStripes, perStripe,
+		func(ev *FlightEvent) *uint64 { return &ev.Seq })}
 }
 
 // Record appends one event. The caller stamps the time (env.Now() in
@@ -112,31 +97,20 @@ func (r *Recorder) Record(at time.Time, kind string, file id.FileID, node id.Nod
 	if r == nil {
 		return
 	}
-	ev := FlightEvent{
-		Seq:  r.seq.Add(1),
-		At:   at.UnixNano(),
-		Kind: kind,
-		File: file,
-		Node: node,
-		Arg:  arg,
-		Note: note,
-	}
 	var idx int
 	if chattyKind(kind) {
 		idx = classStripes + int(r.chattyNext.Add(1)%classStripes)
 	} else {
 		idx = int(r.rareNext.Add(1) % classStripes)
 	}
-	ring := &r.rings[idx]
-	ring.mu.Lock()
-	if len(ring.buf) < cap(ring.buf) {
-		ring.buf = append(ring.buf, ev)
-	} else {
-		ring.buf[ring.next%uint64(len(ring.buf))] = ev
-		ring.drop++
-	}
-	ring.next++
-	ring.mu.Unlock()
+	r.ring.Append(idx, FlightEvent{
+		At:   at.UnixNano(),
+		Kind: kind,
+		File: file,
+		Node: node,
+		Arg:  arg,
+		Note: note,
+	})
 }
 
 // Events returns every retained event ordered by append sequence (the
@@ -145,15 +119,7 @@ func (r *Recorder) Events() []FlightEvent {
 	if r == nil {
 		return nil
 	}
-	var out []FlightEvent
-	for i := range r.rings {
-		ring := &r.rings[i]
-		ring.mu.Lock()
-		out = append(out, ring.buf...)
-		ring.mu.Unlock()
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out
+	return r.ring.Events()
 }
 
 // Dropped returns how many events have been overwritten before export.
@@ -161,14 +127,7 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	var n uint64
-	for i := range r.rings {
-		ring := &r.rings[i]
-		ring.mu.Lock()
-		n += ring.drop
-		ring.mu.Unlock()
-	}
-	return n
+	return r.ring.Dropped()
 }
 
 // FlightDump is the export shape shared by /debug/flight, the SIGQUIT

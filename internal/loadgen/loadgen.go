@@ -11,6 +11,7 @@ package loadgen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -281,8 +282,11 @@ func (rec *recorder) report(elapsed time.Duration) *Report {
 	return rep
 }
 
+// secondsToDuration rounds to the nearest nanosecond: a histogram sum is
+// striped, so its last bit depends on which stripes the observations hit,
+// and truncation would turn that into a whole nanosecond in a report.
 func secondsToDuration(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
+	return time.Duration(math.Round(s * float64(time.Second)))
 }
 
 // String renders the report as the table cmd/idea-load prints.

@@ -7,7 +7,6 @@ import (
 
 	"idea/internal/env"
 	"idea/internal/id"
-	"idea/internal/wire"
 )
 
 type ping struct{ N int }
@@ -30,14 +29,6 @@ func (h *echoHandler) Recv(e env.Env, from id.NodeID, m env.Message) {
 }
 func (h *echoHandler) Timer(e env.Env, key string, data any) {
 	h.timers = append(h.timers, key)
-}
-
-func init() { wireRegisterPing() }
-
-func wireRegisterPing() {
-	// ping must be gob-encodable for the Sizer; register via a throwaway
-	// envelope encode (gob.Register needs the concrete type).
-	wire.Register()
 }
 
 func newPair(t *testing.T, cfg Config) (*Cluster, *echoHandler, *echoHandler) {

@@ -9,8 +9,8 @@ import (
 
 // Stats accumulates per-kind message counts and byte volumes — the
 // communication-overhead metric of the paper's §6.3 ("measured in number
-// of protocol messages"). Byte volumes are charged from a persistent gob
-// stream so they approximate long-lived-connection wire costs.
+// of protocol messages"). Byte volumes are the wire codec's encoded frame
+// sizes (wire.Sizer), the bytes a live connection would carry.
 type Stats struct {
 	mu      sync.Mutex
 	counts  map[string]int

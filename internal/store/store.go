@@ -515,10 +515,10 @@ func (r *Replica) AdoptImage(adoptVec *vv.Vector, updates []wire.Update, invalid
 // shipped by MissingFrom — by the frontier's construction no correct peer
 // still needs them.
 //
-// Compaction is in-memory only: a PersistentStore's WAL keeps the full
-// journal (and restart replays it in full, with logBase reset to 0), so
-// do not enable frontier compaction on WAL-backed replicas until the
-// journal learns compaction markers.
+// Compaction is in-memory only: a WAL keeps the full journal (and
+// restart replays it in full, with logBase reset to 0), so do not enable
+// frontier compaction on WAL-backed replicas until the journal learns
+// compaction markers.
 func (r *Replica) CompactBelow(stable map[id.NodeID]int) int {
 	limit := len(r.log)
 	for _, cp := range r.checkpoints {

@@ -1,11 +1,11 @@
 package store
 
 import (
-	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
+	"hash/crc32"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,26 +16,40 @@ import (
 
 	"idea/internal/id"
 	"idea/internal/telemetry"
-	"idea/internal/vv"
 	"idea/internal/wire"
 )
 
-// WAL persists a replica's update log as an append-only file of gob
-// records, giving the "general distributed file system" substrate crash
+// WAL persists a replica's update log as one append-only file per file
+// ID, giving the "general distributed file system" substrate crash
 // durability: on restart a node replays its logs and rejoins with the
 // state it had, letting IDEA's detection/resolution reconcile whatever it
 // missed while down.
 //
-// Records are framed by gob's own stream format; a truncated tail (torn
-// write at crash) is detected and discarded on recovery.
+// On-disk format: an 8-byte header (walMagic: "IDEAWAL" and a version
+// byte) followed by self-delimiting records,
 //
-// Appends are buffered and group-committed: records accumulate in a
-// per-file buffer and reach the OS in one write per commit group instead
-// of one (or more) syscalls per update. The default group size of 1
-// keeps the historical append-per-op behaviour; a hot node raises it
-// with SetGroupCommit and pays one write per N updates, trading a
-// bounded tail-loss window (which recovery's torn-tail handling already
-// absorbs) for an order of magnitude fewer journal syscalls. Sync and
+//	[u32 len][u32 crc32c][kind][payload]
+//
+// little-endian, where len counts kind+payload and the CRC (Castagnoli)
+// covers the same bytes. Kind 'u' carries one update in the wire codec's
+// own encoding (wire.AppendUpdate: the journal has no field list of its
+// own); kind 'r' carries the uvarint log length that survived a rollback.
+//
+// Recovery contract: a record that is short or fails its CRC and has no
+// intact record after it is a torn tail (the crash interrupted its
+// write) and is discarded, and the file is cut back to the last intact
+// record boundary so later appends follow intact data. The same damage
+// with an intact record after it is corruption: recovery returns an
+// error naming the byte offset, never a silently shorter log. A file
+// that does not start with the header (such as a log written by the
+// earlier gob format) is rejected the same way.
+//
+// Appends are group-committed: records are encoded into a per-file
+// buffer and reach the OS in one write per commit group instead of one
+// syscall per update. The default group size of 1 writes every append
+// through; a hot node raises it with SetGroupCommit and pays one write
+// per N updates, trading a bounded tail-loss window (which anti-entropy
+// re-ships) for an order of magnitude fewer journal syscalls. Sync and
 // Close always flush first.
 //
 // The WAL is safe for concurrent use: the file table is guarded by a
@@ -45,18 +59,13 @@ import (
 // contend, and a periodic SyncAll sweep never races an append.
 type WAL struct {
 	dir string
-	// mu guards the file table and the configuration fields below it.
-	// Appends take only the read side; opening a new log takes the write
-	// side.
+	// mu guards the file table and fsyncMS. Appends take only the read
+	// side; opening a new log takes the write side.
 	mu    sync.RWMutex
 	files map[id.FileID]*walFile
 	// groupCommit is how many records may accumulate before the buffer
-	// is pushed to the OS; 1 = flush every append.
-	groupCommit int
-	// onAppend observes every update append that carries a sampled trace
-	// context — the "wal.append" span of the causal timeline. Only
-	// sampled updates reach it, so the hook costs nothing at rest.
-	onAppend func(u wire.Update)
+	// is pushed to the OS; anything below 2 flushes every append.
+	groupCommit atomic.Int64
 	// fsyncMS observes each Sync's flush+fsync latency in milliseconds;
 	// nil (no registry attached) is a no-op.
 	fsyncMS *telemetry.Histogram
@@ -75,23 +84,98 @@ type WAL struct {
 	syncDelayNS atomic.Int64
 }
 
+const (
+	walMagic  = "IDEAWAL\x01"
+	recHeader = 8 // u32 len + u32 crc32c
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 type walFile struct {
-	// mu serializes this log's encoder, buffer, and fsync: appends from
-	// the file's shard and sync sweeps from the timer shard never
+	// mu serializes this log's encode buffer, writes and fsync: appends
+	// from the file's shard and sync sweeps from the timer shard never
 	// interleave mid-record.
-	mu        sync.Mutex
-	f         *os.File
-	bw        *bufio.Writer
-	enc       *gob.Encoder
+	mu sync.Mutex
+	f  *os.File
+	// buf holds the encoded records of the open commit group (and, for a
+	// new log, the header), written to f in one piece by flush.
+	buf       []byte
 	unflushed int
+	// err latches the first failed write: it may have left a partial
+	// record on disk, and nothing is written behind one.
+	err error
 }
 
-// walRecord is one persisted entry. Kind distinguishes appends from
-// rollback markers so recovery replays exactly the surviving state.
-type walRecord struct {
-	Kind   byte // 'u' update, 'r' rollback-to-length
-	Update wire.Update
-	Keep   int // for 'r': surviving log length
+// appendRecord appends one framed record to b: kind 'u' carries u, kind
+// 'r' (rollback marker) the surviving log length keep.
+func appendRecord(b []byte, kind byte, u wire.Update, keep int) []byte {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0, kind)
+	if kind == 'u' {
+		b = wire.AppendUpdate(b, u)
+	} else {
+		b = binary.AppendUvarint(b, uint64(keep))
+	}
+	body := b[start+recHeader:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(body, castagnoli))
+	return b
+}
+
+// frameLen inspects the record frame at the start of b. n is the frame's
+// length, or 0 when b cannot start with a frame at all (too short, an
+// unknown kind, a length that overruns b); intact reports that its
+// checksum matches too.
+func frameLen(b []byte) (n int, intact bool) {
+	if len(b) <= recHeader || (b[recHeader] != 'u' && b[recHeader] != 'r') {
+		return 0, false
+	}
+	size := binary.LittleEndian.Uint32(b)
+	if size == 0 || uint64(size) > uint64(len(b)-recHeader) {
+		return 0, false
+	}
+	n = recHeader + int(size)
+	return n, crc32.Checksum(b[recHeader:n], castagnoli) == binary.LittleEndian.Uint32(b[4:])
+}
+
+// scanLog walks a log image, handing the body of every intact record to
+// visit (which may be nil), and returns the offset just past the last
+// intact record. Damage with nothing intact behind it is a torn tail and
+// ends the walk without error; damage followed by an intact record is
+// corruption.
+func scanLog(data []byte, visit func(body []byte) error) (end int, err error) {
+	n := min(len(data), len(walMagic))
+	if string(data[:n]) != walMagic[:n] {
+		return 0, errors.New("not an IDEA journal (no header; logs of the earlier gob format are not read)")
+	}
+	if n < len(walMagic) {
+		return 0, nil // empty, or torn while the header was being written
+	}
+	off := len(walMagic)
+	for off < len(data) {
+		n, intact := frameLen(data[off:])
+		if !intact {
+			// Torn or corrupt? Look for an intact record behind the damage.
+			// The search gives up (and says corrupt, the answer that loses
+			// nothing silently) once it has checksummed 4x the log, which
+			// only payload bytes crafted to look like frames can cost.
+			work := 0
+			for p := off + 1; p < len(data); p++ {
+				m, found := frameLen(data[p:])
+				if work += m; found || work > 4*len(data) {
+					return off, fmt.Errorf("corrupt record at byte offset %d (more than a torn tail follows it)", off)
+				}
+			}
+			return off, nil
+		}
+		if visit != nil {
+			if err := visit(data[off+recHeader : off+n]); err != nil {
+				return off, fmt.Errorf("record at byte offset %d: %w", off, err)
+			}
+		}
+		off += n
+	}
+	return off, nil
 }
 
 // OpenWAL opens (creating if needed) a write-ahead log directory.
@@ -99,22 +183,15 @@ func OpenWAL(dir string) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: wal dir: %w", err)
 	}
-	return &WAL{dir: dir, files: make(map[id.FileID]*walFile), groupCommit: 1}, nil
+	return &WAL{dir: dir, files: make(map[id.FileID]*walFile)}, nil
 }
 
 // SetGroupCommit sets how many appended records may sit in the in-memory
 // buffer before it is pushed to the OS (minimum 1 = flush per append).
-// Records held in the buffer are lost on crash; recovery treats them as
-// a torn tail and anti-entropy re-ships them, so raising the group size
-// costs at most a re-sync window, never correctness.
-func (w *WAL) SetGroupCommit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	w.mu.Lock()
-	w.groupCommit = n
-	w.mu.Unlock()
-}
+// Records held in the buffer are lost on crash and anti-entropy re-ships
+// them, so raising the group size costs at most a re-sync window, never
+// correctness.
+func (w *WAL) SetGroupCommit(n int) { w.groupCommit.Store(int64(n)) }
 
 // AttachMetrics exports the journal's fsync latency as the
 // store.wal_fsync_ms histogram. Call it before the node starts handling
@@ -131,91 +208,103 @@ func (w *WAL) AttachMetrics(reg *telemetry.Registry) {
 	w.errMu.Unlock()
 }
 
-// path maps a file ID to a filesystem-safe log name.
+const walExt = ".wal"
+
+// path maps a file ID to its log name. The escape is reversible (Files
+// maps names back) and leaves no path separator, so distinct IDs never
+// share a log and none leaves the directory.
 func (w *WAL) path(file id.FileID) string {
-	safe := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			return r
-		}
-		return '_'
-	}, string(file))
-	return filepath.Join(w.dir, safe+".wal")
+	return filepath.Join(w.dir, url.PathEscape(string(file))+walExt)
 }
 
-// appender returns the file's open log (creating it on first append)
-// along with the commit-group size and trace hook read under the same
-// lock, so one acquisition serves the whole append.
-func (w *WAL) appender(file id.FileID) (wf *walFile, groupCommit int, onAppend func(wire.Update), err error) {
+// appender returns the file's open log, opening it on first append.
+func (w *WAL) appender(file id.FileID) (*walFile, error) {
 	w.mu.RLock()
-	wf, groupCommit, onAppend = w.files[file], w.groupCommit, w.onAppend
+	wf := w.files[file]
 	w.mu.RUnlock()
 	if wf != nil {
-		return wf, groupCommit, onAppend, nil
+		return wf, nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if wf = w.files[file]; wf != nil {
-		return wf, w.groupCommit, w.onAppend, nil
+		return wf, nil
 	}
-	f, err := os.OpenFile(w.path(file), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	wf, err := openLog(w.path(file))
 	if err != nil {
-		return nil, 0, nil, fmt.Errorf("store: wal open: %w", err)
+		return nil, fmt.Errorf("store: wal open: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 64<<10)
-	wf = &walFile{f: f, bw: bw, enc: gob.NewEncoder(bw)}
 	w.files[file] = wf
-	return wf, w.groupCommit, w.onAppend, nil
+	return wf, nil
 }
 
-// append encodes one record and flushes the buffer once the commit group
-// is full.
-func (w *WAL) append(file id.FileID, rec walRecord, groupCommit int, wf *walFile) error {
+// openLog opens a log for append at its last intact record boundary: a
+// torn tail is cut off first, so nothing is ever appended behind bytes
+// recovery stops at. A log recovery rejects (corrupt, or not this format)
+// is set aside as <log>.corrupt and a new one started, because its replica
+// restarts empty and rollback markers count from the applied log.
+func openLog(path string) (*walFile, error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	end, err := scanLog(data, nil)
+	if err != nil {
+		if err := os.Rename(path, path+".corrupt"); err != nil {
+			return nil, err
+		}
+		data, end = nil, 0
+	}
+	if end < len(data) {
+		if err := os.Truncate(path, int64(end)); err != nil {
+			return nil, err
+		}
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	wf := &walFile{f: f}
+	if end == 0 {
+		wf.buf = append(wf.buf, walMagic...)
+	}
+	return wf, nil
+}
+
+// append encodes one record into the file's commit group and writes the
+// group out once it is full.
+func (w *WAL) append(file id.FileID, kind byte, u wire.Update, keep int) error {
+	wf, err := w.appender(file)
+	if err != nil {
+		return err
+	}
 	wf.mu.Lock()
 	defer wf.mu.Unlock()
-	if err := wf.enc.Encode(rec); err != nil {
-		return fmt.Errorf("store: wal append: %w", err)
-	}
-	wf.unflushed++
-	if wf.unflushed >= groupCommit {
-		wf.unflushed = 0
-		if err := wf.bw.Flush(); err != nil {
-			return fmt.Errorf("store: wal flush: %w", err)
-		}
+	wf.buf = appendRecord(wf.buf, kind, u, keep)
+	if wf.unflushed++; wf.unflushed >= int(w.groupCommit.Load()) {
+		return wf.flush()
 	}
 	return nil
 }
 
-// SetTraceHook installs the observer invoked for every appended update
-// whose trace context is sampled (the WAL has no clock of its own, so
-// the owner stamps the span).
-func (w *WAL) SetTraceHook(f func(u wire.Update)) {
-	w.mu.Lock()
-	w.onAppend = f
-	w.mu.Unlock()
+// flush writes the open commit group to the OS. Callers hold wf.mu.
+func (wf *walFile) flush() error {
+	if wf.err == nil && len(wf.buf) > 0 {
+		if _, err := wf.f.Write(wf.buf); err != nil {
+			wf.err = fmt.Errorf("store: wal write: %w", err)
+		}
+	}
+	wf.buf, wf.unflushed = wf.buf[:0], 0
+	return wf.err
 }
 
 // AppendUpdate records one applied update (reaching the OS by the next
 // group-commit flush).
-func (w *WAL) AppendUpdate(u wire.Update) error {
-	wf, gc, hook, err := w.appender(u.File)
-	if err != nil {
-		return err
-	}
-	if hook != nil && u.TC.Sampled() {
-		hook(u)
-	}
-	return w.append(u.File, walRecord{Kind: 'u', Update: u}, gc, wf)
-}
+func (w *WAL) AppendUpdate(u wire.Update) error { return w.append(u.File, 'u', u, 0) }
 
 // AppendRollback records that the replica rolled back to keep updates.
 func (w *WAL) AppendRollback(file id.FileID, keep int) error {
-	wf, gc, _, err := w.appender(file)
-	if err != nil {
-		return err
-	}
-	return w.append(file, walRecord{Kind: 'r', Keep: keep}, gc, wf)
+	return w.append(file, 'r', wire.Update{}, keep)
 }
 
 // ---- store.Journal hooks ----
@@ -275,20 +364,6 @@ func (w *WAL) InjectSyncDelay(d time.Duration) {
 	w.syncDelayNS.Store(int64(d))
 }
 
-// Flush pushes a file's buffered records to the OS without fsync.
-func (w *WAL) Flush(file id.FileID) error {
-	w.mu.RLock()
-	wf := w.files[file]
-	w.mu.RUnlock()
-	if wf == nil {
-		return nil
-	}
-	wf.mu.Lock()
-	defer wf.mu.Unlock()
-	wf.unflushed = 0
-	return wf.bw.Flush()
-}
-
 // Sync flushes a file's log to stable storage, recording the latency in
 // the store.wal_fsync_ms histogram when metrics are attached.
 func (w *WAL) Sync(file id.FileID) error {
@@ -306,8 +381,7 @@ func (w *WAL) syncFile(wf *walFile, hist *telemetry.Histogram) error {
 	defer wf.mu.Unlock()
 	//idealint:allow determinism measures real disk fsync latency at the durability boundary, never replayed
 	start := time.Now()
-	wf.unflushed = 0
-	if err := wf.bw.Flush(); err != nil {
+	if err := wf.flush(); err != nil {
 		w.noteErr(err)
 		return err
 	}
@@ -357,7 +431,7 @@ func (w *WAL) Close() error {
 	var first error
 	for _, wf := range files {
 		wf.mu.Lock()
-		if err := wf.bw.Flush(); err != nil && first == nil {
+		if err := wf.flush(); err != nil && first == nil {
 			first = err
 		}
 		if err := wf.f.Close(); err != nil && first == nil {
@@ -368,139 +442,93 @@ func (w *WAL) Close() error {
 	return first
 }
 
-// Recover replays a file's log, returning the surviving updates in
-// application order. A torn tail record is silently discarded; any
-// earlier corruption is an error.
+// Recover reads a file's log and returns the surviving updates in
+// application order, under the recovery contract in the WAL doc: a torn
+// tail is discarded and cut from the file, corruption before the last
+// record is an error. A file with no log recovers as empty.
 func (w *WAL) Recover(file id.FileID) ([]wire.Update, error) {
-	f, err := os.Open(w.path(file))
+	// Holding the table lock keeps a first append from opening the log
+	// between the scan and the cut.
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	path := w.path(file)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: wal recover: %w", err)
 	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
 	var log []wire.Update
-	for {
-		var rec walRecord
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return log, nil // clean end or torn tail
+	end, err := scanLog(data, func(body []byte) error {
+		if body[0] == 'u' {
+			u, err := wire.DecodeUpdate(body[1:])
+			if err == nil {
+				log = append(log, u)
 			}
-			// gob reports torn frames as various decode errors once
-			// the stream is mid-record; treat anything after at
-			// least one good record as a torn tail.
-			if len(log) > 0 {
-				return log, nil
-			}
-			return nil, fmt.Errorf("store: wal corrupt: %w", err)
+			return err
 		}
-		switch rec.Kind {
-		case 'u':
-			log = append(log, rec.Update)
-		case 'r':
-			if rec.Keep >= 0 && rec.Keep <= len(log) {
-				log = log[:rec.Keep]
-			}
-		default:
-			return nil, fmt.Errorf("store: wal unknown record kind %q", rec.Kind)
+		keep, n := binary.Uvarint(body[1:])
+		if n <= 0 || n != len(body)-1 {
+			return errors.New("bad rollback marker")
+		}
+		if keep <= uint64(len(log)) {
+			log = log[:keep]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("store: wal recover %s: %w", path, err)
+	}
+	// A log already open for append was cut when it was opened; a short
+	// record seen now is an append in flight, not a tear.
+	if end < len(data) && w.files[file] == nil {
+		if err := os.Truncate(path, int64(end)); err != nil {
+			return nil, fmt.Errorf("store: wal recover: %w", err)
 		}
 	}
+	return log, nil
 }
 
-// Files lists the file IDs with logs present on disk (by log name).
-func (w *WAL) Files() ([]string, error) {
+// Files lists the file IDs with logs present on disk.
+func (w *WAL) Files() ([]id.FileID, error) {
 	ents, err := os.ReadDir(w.dir)
 	if err != nil {
 		return nil, err
 	}
-	var out []string
+	var out []id.FileID
 	for _, e := range ents {
-		if name := e.Name(); strings.HasSuffix(name, ".wal") {
-			out = append(out, strings.TrimSuffix(name, ".wal"))
+		name, ok := strings.CutSuffix(e.Name(), walExt)
+		if !ok {
+			continue
+		}
+		if file, err := url.PathUnescape(name); err == nil {
+			out = append(out, id.FileID(file))
 		}
 	}
 	return out, nil
 }
 
-// ---- Store integration ----
-
-// PersistentStore wraps a Store with a WAL through the store's journal
-// hooks: every applied update and rollback is journaled automatically —
-// whatever path it arrives by (local write, remote apply, drain,
-// resolution adoption) — and NewPersistentStore replays existing logs.
-type PersistentStore struct {
-	*Store
-	wal *WAL
-}
-
-// NewPersistentStore opens (or recovers) a durable store rooted at dir.
-// Replay happens before the journal hooks attach, so recovered updates
-// are not re-journaled.
-func NewPersistentStore(owner id.NodeID, dir string) (*PersistentStore, error) {
-	wal, err := OpenWAL(dir)
+// Replay is crash recovery: it applies every log on disk to st, then
+// attaches w as st's journal (after, so replayed updates are not
+// journaled again). A log that cannot be recovered is skipped and
+// reported in the returned error; its file re-syncs through anti-entropy
+// like any lagging replica.
+func (w *WAL) Replay(st *Store) error {
+	files, err := w.Files()
 	if err != nil {
-		return nil, err
+		err = fmt.Errorf("store: wal scan: %w", err)
 	}
-	ps := &PersistentStore{Store: New(owner), wal: wal}
-	names, err := wal.Files()
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range names {
-		log, err := wal.Recover(id.FileID(n))
-		if err != nil {
-			return nil, err
-		}
-		if len(log) == 0 {
+	for _, file := range files {
+		log, rerr := w.Recover(file)
+		if rerr != nil {
+			err = errors.Join(err, rerr)
 			continue
 		}
-		rep := ps.Store.Open(log[0].File)
-		rep.ApplyAll(log)
-		// Restore the owner's write cursor.
-		rep.nextSeq = rep.vec.Count(owner)
+		if len(log) > 0 {
+			st.Open(file).ApplyAll(log)
+		}
 	}
-	ps.Store.SetJournal(wal)
-	return ps, nil
+	st.SetJournal(w)
+	return err
 }
-
-// WAL returns the underlying journal (for trace hooks or direct sync).
-func (ps *PersistentStore) WAL() *WAL { return ps.wal }
-
-// WriteLocal applies a local write; the journal hook records whatever
-// the replica actually applied, in applied order — a local write can
-// also drain buffered updates of the owner (e.g. re-shipped own writes
-// that arrived gapped after a rollback). The returned error is the
-// journal's sticky error, surfaced here so callers see append failures
-// at the write that followed them.
-func (ps *PersistentStore) WriteLocal(file id.FileID, at vv.Stamp, op string, data []byte, meta float64) (wire.Update, error) {
-	u := ps.Store.Open(file).WriteLocal(at, op, data, meta)
-	return u, ps.wal.Err()
-}
-
-// Apply integrates a remote update; duplicates are not re-journaled,
-// and a gapped arrival that was merely buffered is not yet durable
-// (anti-entropy re-ships it) — the journal hook records exactly what the
-// replica *applied*, in applied order, so recovery replay and rollback
-// markers always line up with the applied log.
-func (ps *PersistentStore) Apply(u wire.Update) (bool, error) {
-	ok := ps.Store.Open(u.File).Apply(u)
-	return ok, ps.wal.Err()
-}
-
-// RollbackTo is retained for compatibility: the journal hook already
-// records a marker when Replica.Rollback (or an invalidating adoption)
-// runs, so this only surfaces the journal's sticky error.
-func (ps *PersistentStore) RollbackTo(id.FileID, int) error { return ps.wal.Err() }
-
-// SetGroupCommit raises the journal's group-commit window (see
-// WAL.SetGroupCommit): one OS write per n journaled records instead of
-// one per record.
-func (ps *PersistentStore) SetGroupCommit(n int) { ps.wal.SetGroupCommit(n) }
-
-// Sync flushes one file's journal.
-func (ps *PersistentStore) Sync(file id.FileID) error { return ps.wal.Sync(file) }
-
-// Close closes the journal.
-func (ps *PersistentStore) Close() error { return ps.wal.Close() }

@@ -102,7 +102,7 @@ func Collect(client *http.Client, bases []string, withSLO bool) ClusterSample {
 		cs.UnackedCritical += ns.Health.UnackedCritical()
 	}
 	if len(dumps) > 0 {
-		cs.VisibilityP99Ms, cs.ResolutionP99Ms, cs.Traces = sloEstimate(dumps)
+		cs.VisibilityP99Ms, cs.ResolutionP99Ms, cs.Traces = SLOFromDumps(dumps)
 	}
 	return cs
 }
@@ -126,12 +126,6 @@ func getJSON(client *http.Client, url string, into any) error {
 // gathered any other way (soak artifacts, the scenario-plan runner's
 // emulated tracers).
 func SLOFromDumps(dumps []tracing.Dump) (visP99, resP99 float64, traces int) {
-	return sloEstimate(dumps)
-}
-
-// sloEstimate merges the per-node journals and takes the p99 of every
-// completed trace's visibility and resolution latency.
-func sloEstimate(dumps []tracing.Dump) (visP99, resP99 float64, traces int) {
 	var vis, res []time.Duration
 	for _, tl := range tracing.Merge(dumps) {
 		traces++

@@ -1,9 +1,8 @@
 // Package tracing is the causal tracing layer: sampled per-op trace
 // contexts minted at write inject, carried inside wire messages, and
 // recorded as span events in a striped ring-buffer journal on every node
-// the op touches. It is distinct from internal/trace (the experiment
-// recorder behind regenerated tables): tracing answers "why did THIS
-// write take 900ms to become visible on n3", not "what was the p95".
+// the op touches. Tracing answers "why did THIS write take 900ms to
+// become visible on n3", not "what was the p95".
 //
 // Design constraints, in order:
 //
@@ -24,12 +23,12 @@
 package tracing
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"idea/internal/id"
+	"idea/internal/telemetry"
 )
 
 // Span event names. One vocabulary across every layer so the merge tool
@@ -122,84 +121,10 @@ func stripe() int {
 	return s
 }
 
-// ring is one journal stripe: a fixed buffer overwritten circularly.
-// Sampled events take the stripe mutex (only ~1% of ops at production
-// sampling, and contention is already spread across stripes); the padding
-// keeps neighbouring stripes' hot words out of each other's cache line.
-type ring struct {
-	mu   sync.Mutex
-	buf  []Event
-	next uint64 // total events ever appended to this stripe
-	drop uint64 // events overwritten before being read
-	_    [64]byte
-}
-
-// Journal is a node's striped span-event ring buffer.
-type Journal struct {
-	seq   atomic.Uint64 // global append order across stripes
-	rings [journalStripes]ring
-}
-
-// NewJournal returns a journal with the given per-stripe capacity
-// (default 1024).
-func NewJournal(perStripe int) *Journal {
-	if perStripe <= 0 {
-		perStripe = defaultPerStripe
-	}
-	j := &Journal{}
-	for i := range j.rings {
-		j.rings[i].buf = make([]Event, 0, perStripe)
-	}
-	return j
-}
-
-// record appends one event. Callers guarantee ev.Trace != 0.
-func (j *Journal) record(ev Event) {
-	ev.Seq = j.seq.Add(1)
-	r := &j.rings[stripe()]
-	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
-	} else {
-		r.buf[r.next%uint64(len(r.buf))] = ev
-		r.drop++
-	}
-	r.next++
-	r.mu.Unlock()
-}
-
-// Events returns every retained event ordered by append sequence (which
-// under simnet is the deterministic schedule order; on a live node it is
-// a consistent total order across stripes).
-func (j *Journal) Events() []Event {
-	if j == nil {
-		return nil
-	}
-	var out []Event
-	for i := range j.rings {
-		r := &j.rings[i]
-		r.mu.Lock()
-		out = append(out, r.buf...)
-		r.mu.Unlock()
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
-	return out
-}
-
-// Dropped returns how many events have been overwritten before export.
-func (j *Journal) Dropped() uint64 {
-	if j == nil {
-		return 0
-	}
-	var n uint64
-	for i := range j.rings {
-		r := &j.rings[i]
-		r.mu.Lock()
-		n += r.drop
-		r.mu.Unlock()
-	}
-	return n
-}
+// Journal is a node's striped span-event ring buffer. Sampled events
+// take a stripe mutex (only ~1% of ops at production sampling, and
+// contention is already spread across stripes).
+type Journal = telemetry.Ring[Event]
 
 // Tracer is a node's handle into the tracing layer: it owns the sampling
 // decision, mints trace/span IDs, and appends to the node's journal. All
@@ -221,11 +146,15 @@ func New(node id.NodeID, cfg Config) *Tracer {
 	if !cfg.Enabled() {
 		return nil
 	}
+	perStripe := cfg.BufferPerStripe
+	if perStripe <= 0 {
+		perStripe = defaultPerStripe
+	}
 	return &Tracer{
 		node:  node,
 		salt:  nodeSalt(node),
 		every: int64(cfg.SampleEvery),
-		j:     NewJournal(cfg.BufferPerStripe),
+		j:     telemetry.NewRing(journalStripes, perStripe, func(ev *Event) *uint64 { return &ev.Seq }),
 	}
 }
 
@@ -298,7 +227,7 @@ func (t *Tracer) Event(at time.Time, ctx Context, name string, file id.FileID, p
 		return ctx
 	}
 	span := t.salt ^ t.spans.Add(1)
-	t.j.record(Event{
+	t.j.Append(stripe(), Event{
 		At:     at.UnixNano(),
 		Trace:  ctx.Trace,
 		Span:   span,

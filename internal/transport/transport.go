@@ -259,7 +259,6 @@ func Listen(nid id.NodeID, addr string, h env.Handler, logger *log.Logger) (*Nod
 
 // ListenOpts is Listen with explicit queue sizing.
 func ListenOpts(nid id.NodeID, addr string, h env.Handler, logger *log.Logger, opts Opts) (*Node, error) {
-	wire.Register()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)

@@ -3,7 +3,7 @@
 // encoder, type descriptors, and reflection state for every frame,
 // which put a floor of dozens of allocations under every message the
 // transport ships. This codec is append-only into a caller-supplied
-// buffer (AppendTo / AppendEnvelope), has a pooled-frame front end
+// buffer (AppendTo), has a pooled-frame front end
 // (EncodeFrame / Frame.Release) for the transport, and decodes with a
 // single bounds-checked pass that copies all byte payloads — a decoded
 // envelope never aliases the input buffer, so read buffers can be
@@ -162,9 +162,6 @@ func (e Envelope) AppendTo(buf []byte) ([]byte, error) {
 	return b, err
 }
 
-// AppendEnvelope is the package-level form of Envelope.AppendTo.
-func AppendEnvelope(buf []byte, e Envelope) ([]byte, error) { return e.AppendTo(buf) }
-
 // Encode encodes an envelope into a fresh buffer. It remains for
 // compatibility and tests; hot paths use EncodeFrame or AppendTo, which
 // reuse buffers instead of allocating one per frame.
@@ -297,7 +294,10 @@ func appendCountMap(b []byte, m map[id.NodeID]int, st *encState) []byte {
 	return b
 }
 
-func appendUpdate(b []byte, u Update) []byte {
+// AppendUpdate appends u's encoding to b: the one field list for an
+// update, shared by every message that carries one and by the store's
+// on-disk journal.
+func AppendUpdate(b []byte, u Update) []byte {
 	b = appendFile(b, u.File)
 	b = appendNode(b, u.Writer)
 	b = appendInt(b, u.Seq)
@@ -311,7 +311,7 @@ func appendUpdate(b []byte, u Update) []byte {
 func appendUpdates(b []byte, us []Update) []byte {
 	b = appendUvarint(b, uint64(len(us)))
 	for _, u := range us {
-		b = appendUpdate(b, u)
+		b = AppendUpdate(b, u)
 	}
 	return b
 }
@@ -451,11 +451,11 @@ func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
 	case StrongWrite:
 		b = append(b, kindStrongWrite)
 		b = appendFile(b, m.File)
-		b = appendUpdate(b, m.Update)
+		b = AppendUpdate(b, m.Update)
 	case StrongReplicate:
 		b = append(b, kindStrongReplicate)
 		b = appendFile(b, m.File)
-		b = appendUpdate(b, m.Update)
+		b = AppendUpdate(b, m.Update)
 		b = appendInt(b, m.Commit)
 	case StrongAck:
 		b = append(b, kindStrongAck)
@@ -464,7 +464,7 @@ func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
 	case StrongCommitted:
 		b = append(b, kindStrongCommitted)
 		b = appendFile(b, m.File)
-		b = appendUpdate(b, m.Update)
+		b = AppendUpdate(b, m.Update)
 	case SwimPing:
 		b = append(b, kindSwimPing)
 		b = appendVarint(b, m.Seq)
@@ -763,6 +763,20 @@ func (r *reader) update() Update {
 		Data:   r.blob(),
 		TC:     r.tc(),
 	}
+}
+
+// DecodeUpdate decodes exactly one AppendUpdate encoding. Like Decode,
+// the result shares no memory with b.
+func DecodeUpdate(b []byte) (Update, error) {
+	r := reader{b: b}
+	u := r.update()
+	if r.err == nil && r.off != len(b) {
+		r.fail("trailing bytes")
+	}
+	if r.err != nil {
+		return Update{}, fmt.Errorf("wire: decode update: %w", r.err)
+	}
+	return u, nil
 }
 
 func (r *reader) updates() []Update {

@@ -521,12 +521,6 @@ func (FSReadReply) Kind() string { return "fs.read_reply" }
 
 // ---- Codec ----
 
-// Register is a no-op kept for compatibility: the original gob codec
-// required every message type to be registered before use, and callers
-// (the transport, tools) still invoke it at start-up. The binary codec
-// in codec.go enumerates the message set statically.
-func Register() {}
-
 // RoutingFile returns the per-file serialization key of a protocol
 // message: the file whose shard must process it under the env.Sharded
 // contract. Node-global protocol families return ok=false and run on
