@@ -21,16 +21,15 @@ import (
 	"time"
 
 	"idea"
+	"idea/internal/cluster"
 	"idea/internal/core"
 	"idea/internal/env"
 	"idea/internal/experiments"
 	"idea/internal/health"
 	"idea/internal/id"
-	"idea/internal/overlay"
 	"idea/internal/store"
 	"idea/internal/telemetry"
 	"idea/internal/tracing"
-	"idea/internal/transport"
 	"idea/internal/vv"
 	"idea/internal/wire"
 )
@@ -58,7 +57,7 @@ func linearMissingFrom(log []wire.Update, remote *vv.Vector) []wire.Update {
 // write scenarios (bench and contention regression test) share: a
 // sharded core node with gossip/ransub off behind a real TCP transport
 // with metrics attached.
-func newBurstNode(tb testing.TB, shards int) (*core.Node, *transport.Node) {
+func newBurstNode(tb testing.TB, shards int) *idea.LiveNode {
 	return newTracedBurstNode(tb, shards, tracing.Config{})
 }
 
@@ -67,31 +66,25 @@ func newBurstNode(tb testing.TB, shards int) (*core.Node, *transport.Node) {
 // runs with a group-commit-8 WAL attached — durability is the benchmarked
 // default, not an unmeasured option. Mutators adjust the remaining
 // options (the health-overhead burst turns the engine off this way).
-func newTracedBurstNode(tb testing.TB, shards int, tc tracing.Config, mut ...func(*core.Options)) (*core.Node, *transport.Node) {
-	wal, err := store.OpenWAL(tb.TempDir())
+func newTracedBurstNode(tb testing.TB, shards int, tc tracing.Config, mut ...func(*core.Options)) *idea.LiveNode {
+	ln, err := cluster.Listen(cluster.Topology{
+		Nodes:     []id.NodeID{1},
+		TopLayers: map[id.FileID][]id.NodeID{},
+		Shards:    shards,
+		WalDir:    tb.TempDir(),
+		Hook: func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.DisableGossip = true
+			o.Tracing = tc
+			for _, m := range mut {
+				m(o)
+			}
+			return nil
+		},
+	}, cluster.Endpoint{Self: 1, Listen: "127.0.0.1:0"})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	wal.SetGroupCommit(8)
-	opts := core.Options{
-		Membership:    overlay.NewStatic([]id.NodeID{1}, nil),
-		Shards:        shards,
-		DisableGossip: true,
-		DisableRansub: true,
-		Tracing:       tc,
-		Journal:       wal,
-	}
-	for _, m := range mut {
-		m(&opts)
-	}
-	n := core.NewNode(1, opts)
-	tn, err := transport.Listen(1, "127.0.0.1:0", n, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tn.AttachMetrics(n.Metrics())
-	tn.Start()
-	return n, tn
+	return ln
 }
 
 // parallelWriteOps drives the multi-file parallel-writer scenario through
@@ -102,9 +95,9 @@ func newTracedBurstNode(tb testing.TB, shards int, tc tracing.Config, mut ...fun
 // the historical single-event-loop node — the baseline the sharded
 // executor is measured against.
 func parallelWriteOps(b testing.TB, shards, files, writers, opsPerWriter int) float64 {
-	n, tn := newBurstNode(b, shards)
-	defer tn.Close()
-	return burstWrites(b, n, tn, files, writers, opsPerWriter)
+	ln := newBurstNode(b, shards)
+	defer ln.Close()
+	return burstWrites(b, ln, files, writers, opsPerWriter)
 }
 
 // burstWrites issues the write burst against an already running node and
@@ -112,7 +105,7 @@ func parallelWriteOps(b testing.TB, shards, files, writers, opsPerWriter int) fl
 // counter instead of a WaitGroup: a shared wg counter would put one
 // contended atomic back on every op and measure the harness, not the
 // runtime.
-func burstWrites(_ testing.TB, n *core.Node, tn *transport.Node, files, writers, opsPerWriter int) float64 {
+func burstWrites(_ testing.TB, ln *idea.LiveNode, files, writers, opsPerWriter int) float64 {
 	fileIDs := make([]id.FileID, files)
 	for i := range fileIDs {
 		fileIDs[i] = id.FileID(fmt.Sprintf("bench-%03d", i))
@@ -128,8 +121,8 @@ func burstWrites(_ testing.TB, n *core.Node, tn *transport.Node, files, writers,
 			defer issuers.Done()
 			for i := 0; i < opsPerWriter; i++ {
 				f := fileIDs[(i*writers+w)%len(fileIDs)]
-				tn.InjectFile(f, func(e env.Env) {
-					n.Write(e, f, "bench", payload, 0)
+				ln.InjectFile(f, func(e env.Env) {
+					ln.N.Write(e, f, "bench", payload, 0)
 					done.Inc()
 				})
 			}
@@ -373,19 +366,19 @@ func BenchmarkCoreBaseline(b *testing.B) {
 	// Tracing overhead headline: the same 4-shard burst with 1% write
 	// sampling, against the tracing-off run just measured. A ratio near
 	// 1.0 backs the "near-zero cost" claim; the gate holds it.
-	tn2, ttn2 := newTracedBurstNode(b, headlineShards, tracing.Config{SampleEvery: 100})
-	opsTraced := burstWrites(b, tn2, ttn2, benchFiles, benchWriters, opsPerWriter)
-	ttn2.Close()
+	traced1pc := newTracedBurstNode(b, headlineShards, tracing.Config{SampleEvery: 100})
+	opsTraced := burstWrites(b, traced1pc, benchFiles, benchWriters, opsPerWriter)
+	traced1pc.Close()
 	tracingRatio := opsTraced / opsHeadline
 
 	// Health overhead headline: the headline burst already runs with the
 	// health engine on (its zero-value default); measure the same burst
 	// with evaluation disabled and hold the on/off ratio near 1.0 — the
 	// always-on claim is only honest if always-on is near-free.
-	hn, htn := newTracedBurstNode(b, headlineShards, tracing.Config{},
+	healthOff := newTracedBurstNode(b, headlineShards, tracing.Config{},
 		func(o *core.Options) { o.Health = health.Config{Disable: true} })
-	opsHealthOff := burstWrites(b, hn, htn, benchFiles, benchWriters, opsPerWriter)
-	htn.Close()
+	opsHealthOff := burstWrites(b, healthOff, benchFiles, benchWriters, opsPerWriter)
+	healthOff.Close()
 	healthRatio := opsHeadline / opsHealthOff
 
 	// Visibility SLO headline: merged-timeline write-visibility and

@@ -27,9 +27,10 @@ func TestShardQueueWaitBoundedUnderBurst(t *testing.T) {
 		writers      = 8
 		opsPerWriter = 4_000
 	)
-	n, tn := newBurstNode(t, shards)
-	defer tn.Close()
-	opsPerSec := burstWrites(t, n, tn, files, writers, opsPerWriter)
+	ln := newBurstNode(t, shards)
+	defer ln.Close()
+	n := ln.N
+	opsPerSec := burstWrites(t, ln, files, writers, opsPerWriter)
 	t.Logf("burst: %.0f ops/sec over %d shards", opsPerSec, shards)
 
 	snap := n.Metrics().Snapshot()

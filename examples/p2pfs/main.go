@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"time"
 
-	"idea/internal/core"
+	"idea/internal/cluster"
 	"idea/internal/env"
 	"idea/internal/id"
 	"idea/internal/p2pfs"
@@ -20,19 +20,9 @@ import (
 )
 
 func main() {
-	nodes := make([]id.NodeID, 12)
-	for i := range nodes {
-		nodes[i] = id.NodeID(i + 1)
-	}
+	nodes := cluster.IDs(12)
 	ring := p2pfs.NewRing(nodes, 16)
-	c := simnet.New(simnet.Config{Seed: 99, Latency: simnet.WAN{}})
-	fss := make(map[id.NodeID]*p2pfs.FS, len(nodes))
-	for _, nid := range nodes {
-		f := p2pfs.New(nid, ring, 3, core.Options{DisableGossip: true})
-		fss[nid] = f
-		c.Add(nid, f)
-	}
-	c.Start()
+	c, fss := p2pfs.NewCluster(ring, 3, simnet.Config{Seed: 99, Latency: simnet.WAN{}})
 
 	const file = id.FileID("/music/album.txt")
 	rs := ring.ReplicaSet(file, 3)

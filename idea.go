@@ -27,25 +27,20 @@ package idea
 
 import (
 	"log"
-	"net/http"
 	"time"
 
+	"idea/internal/cluster"
 	"idea/internal/core"
 	"idea/internal/detect"
 	"idea/internal/env"
-	"idea/internal/gossip"
 	"idea/internal/health"
 	"idea/internal/id"
 	"idea/internal/membership"
-	"idea/internal/overlay"
 	"idea/internal/quantify"
-	"idea/internal/ransub"
 	"idea/internal/resolve"
 	"idea/internal/simnet"
-	"idea/internal/store"
 	"idea/internal/telemetry"
 	"idea/internal/tracing"
-	"idea/internal/transport"
 	"idea/internal/vv"
 	"idea/internal/wire"
 )
@@ -129,14 +124,6 @@ type MetricsRegistry = telemetry.Registry
 // on /metrics by the admin endpoint.
 type MetricsSnapshot = telemetry.Snapshot
 
-// ServeMetrics starts an admin HTTP listener on addr serving the
-// registry's snapshot on /metrics (JSON, or Prometheus text with
-// ?format=prom), a liveness probe on /healthz, and pprof profiles on
-// /debug/pprof/. Close the returned server to stop it.
-func ServeMetrics(addr string, reg *MetricsRegistry) (*telemetry.AdminServer, error) {
-	return telemetry.ServeAdmin(addr, reg)
-}
-
 // ---- Tracing ----
 
 // TracingConfig enables sampled causal tracing on a node (see
@@ -181,29 +168,22 @@ type FlightDump = health.FlightDump
 // the soak harness.
 func FlightDumpOf(n *Node) FlightDump { return health.DumpOf(n.ID(), n.Flight()) }
 
-// ServeNodeAdmin starts the full admin surface for a node: everything
-// ServeMetrics serves, plus the node's span journal on /trace
-// (filterable with ?trace= and ?file=), its health verdict on /health
-// (POST ?ack=<detector> acknowledges an active anomaly), and the flight
-// recorder on /debug/flight. The default /healthz liveness probe is
-// replaced by one wired to the health engine: a critical verdict turns
-// it into a 503. Close the returned server to stop it.
+// ServeNodeAdmin starts the admin HTTP surface for a node on addr: the
+// registry's snapshot on /metrics (JSON, or Prometheus text with
+// ?format=prom), pprof profiles on /debug/pprof/, the node's span journal
+// on /trace (filterable with ?trace= and ?file=), its health verdict on
+// /health (POST ?ack=<detector> acknowledges an active anomaly), and the
+// flight recorder on /debug/flight. The /healthz liveness probe is wired
+// to the health engine: a critical verdict turns it into a 503. Close the
+// returned server to stop it.
 func ServeNodeAdmin(addr string, n *Node) (*telemetry.AdminServer, error) {
-	return telemetry.ServeAdminWith(addr, n.Metrics(), map[string]http.Handler{
-		"/trace":        tracing.Handler(n.Tracer()),
-		"/health":       health.Handler(n.Health()),
-		"/debug/flight": health.FlightHandler(n.ID(), n.Flight()),
-		"/healthz":      health.LivenessHandler(n.Health()),
-	})
+	return cluster.ServeAdmin(addr, n)
 }
-
-// NewNode constructs a bare IDEA node; most callers use
-// NewEmulatedCluster or NewLiveNode instead.
-func NewNode(self NodeID, opts Options) *Node { return core.NewNode(self, opts) }
 
 // ---- Emulated deployment (the PlanetLab substitute) ----
 
-// EmulatedClusterConfig configures an in-process WAN-emulated cluster.
+// EmulatedClusterConfig configures an in-process WAN-emulated cluster
+// (round trips of ~105 ms, the paper's PlanetLab testbed scale).
 type EmulatedClusterConfig struct {
 	// Seed makes the run deterministic.
 	Seed int64
@@ -217,9 +197,6 @@ type EmulatedClusterConfig struct {
 	// TopLayers optionally pins the per-file top layers; when nil the
 	// RanSub temperature overlay elects them dynamically.
 	TopLayers map[FileID][]NodeID
-	// MeanRTT sets the emulated WAN round trip; zero means ~105 ms
-	// (the paper's PlanetLab testbed scale).
-	MeanRTT time.Duration
 	// Loss is the message-drop probability.
 	Loss float64
 	// GossipEvery sets the bottom-layer sweep period; zero means 10 s.
@@ -242,39 +219,27 @@ type EmulatedClusterConfig struct {
 type EmulatedCluster struct {
 	sim   *simnet.Cluster
 	nodes map[NodeID]*Node
-	ids   []NodeID
 }
 
 // NewEmulatedCluster builds and starts an emulated deployment.
 func NewEmulatedCluster(cfg EmulatedClusterConfig) *EmulatedCluster {
-	var lat simnet.LatencyModel
-	if cfg.MeanRTT > 0 {
-		lat = simnet.WAN{Median: cfg.MeanRTT / 2}
+	s, err := cluster.NewSim(cluster.Topology{
+		Nodes:     cfg.Nodes,
+		TopLayers: cfg.TopLayers,
+		Shards:    cfg.Shards,
+		Hook: func(_ NodeID, o *Options) func(*Node) env.Handler {
+			o.DisableGossip = cfg.DisableGossip
+			o.Gossip.Interval = cfg.GossipEvery
+			o.Tracing = cfg.Tracing
+			o.Health = cfg.Health
+			return nil
+		},
+	}, simnet.Config{Seed: cfg.Seed, Loss: cfg.Loss})
+	if err != nil {
+		// Only opening a journal can fail, and an emulated cluster has none.
+		panic(err)
 	}
-	sim := simnet.New(simnet.Config{Seed: cfg.Seed, Latency: lat, Loss: cfg.Loss})
-	ec := &EmulatedCluster{sim: sim, nodes: make(map[NodeID]*Node), ids: append([]NodeID(nil), cfg.Nodes...)}
-	var mem overlay.Membership
-	if cfg.TopLayers != nil {
-		mem = overlay.NewStatic(cfg.Nodes, cfg.TopLayers)
-	}
-	for _, nid := range cfg.Nodes {
-		opts := Options{
-			Membership:    mem,
-			All:           cfg.Nodes,
-			Shards:        cfg.Shards,
-			DisableGossip: cfg.DisableGossip,
-			DisableRansub: cfg.TopLayers != nil,
-			Gossip:        gossip.Config{Interval: cfg.GossipEvery},
-			Ransub:        ransub.Config{},
-			Tracing:       cfg.Tracing,
-			Health:        cfg.Health,
-		}
-		n := core.NewNode(nid, opts)
-		ec.nodes[nid] = n
-		sim.Add(nid, n)
-	}
-	sim.Start()
-	return ec
+	return &EmulatedCluster{sim: s.C, nodes: s.Nodes}
 }
 
 // Node returns the node with the given ID.
@@ -282,7 +247,7 @@ func (ec *EmulatedCluster) Node(nid NodeID) *Node { return ec.nodes[nid] }
 
 // Nodes returns every node in ID order.
 func (ec *EmulatedCluster) Nodes() []*Node {
-	out := make([]*Node, 0, len(ec.ids))
+	out := make([]*Node, 0, len(ec.nodes))
 	for _, nid := range ec.sim.Nodes() {
 		out = append(out, ec.nodes[nid])
 	}
@@ -294,14 +259,14 @@ func (ec *EmulatedCluster) Nodes() []*Node {
 // actions. With Shards > 1, per-file operations must use CallFile so they
 // run in the file's serialization domain.
 func (ec *EmulatedCluster) Call(after time.Duration, nid NodeID, fn func(Env)) {
-	ec.sim.CallAt(ec.sim.Elapsed()+after, nid, func(e env.Env) { fn(e) })
+	ec.sim.CallAt(ec.sim.Elapsed()+after, nid, fn)
 }
 
 // CallFile schedules fn inside the serialization domain owning file on
 // node nid — the injection point for writes and user actions against one
 // file.
 func (ec *EmulatedCluster) CallFile(after time.Duration, nid NodeID, file FileID, fn func(Env)) {
-	ec.sim.CallAtFile(ec.sim.Elapsed()+after, nid, file, func(e env.Env) { fn(e) })
+	ec.sim.CallAtFile(ec.sim.Elapsed()+after, nid, file, fn)
 }
 
 // Run advances virtual time by d, delivering every due message and timer.
@@ -359,12 +324,6 @@ type LiveNodeConfig struct {
 	// bootstraps its store via snapshot transfer. All/Peers/TopLayers
 	// may be left empty.
 	Join string
-	// ShardQueue/SendQueue size the transport's per-shard inbound event
-	// queues and per-peer outbound frame queues (0 = defaults). Inbound
-	// buffering is per serialization domain, so total capacity — and
-	// backpressure — scales with Shards.
-	ShardQueue int
-	SendQueue  int
 	// Tracing enables sampled causal tracing (journal served on /trace
 	// when the admin endpoint is up; zero disables).
 	Tracing TracingConfig
@@ -383,167 +342,32 @@ type LiveNodeConfig struct {
 
 // LiveNode is an IDEA node running over real TCP: the same protocol code
 // as the emulation, behind sockets.
-type LiveNode struct {
-	N  *Node
-	tn *transport.Node
-}
+type LiveNode = cluster.LiveNode
 
 // NewLiveNode builds and starts a live node.
 func NewLiveNode(cfg LiveNodeConfig) (*LiveNode, error) {
-	var mem overlay.Membership
-	if cfg.TopLayers != nil {
-		mem = overlay.NewStatic(cfg.All, cfg.TopLayers)
+	t := cluster.Topology{
+		Nodes:     cfg.All,
+		TopLayers: cfg.TopLayers,
+		Shards:    cfg.Shards,
+		WalDir:    cfg.WalDir,
+		Hook: func(_ NodeID, o *Options) func(*Node) env.Handler {
+			o.CompactStableLogs = cfg.CompactLogs
+			o.Tracing = cfg.Tracing
+			o.Health = cfg.Health
+			return nil
+		},
 	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = core.NumShardsAuto
-	}
-	opts := Options{
-		Membership:        mem,
-		All:               cfg.All,
-		Shards:            shards,
-		DisableRansub:     cfg.TopLayers != nil,
-		CompactStableLogs: cfg.CompactLogs,
-		Tracing:           cfg.Tracing,
-		Health:            cfg.Health,
-	}
-	if cfg.WalDir != "" {
-		wal, err := store.OpenWAL(cfg.WalDir)
-		if err != nil {
-			return nil, err
-		}
-		wal.SetGroupCommit(8)
-		opts.Journal = wal
+	if t.Shards == 0 {
+		t.Shards = core.NumShardsAuto
 	}
 	if cfg.Swim || cfg.Join != "" {
-		sc := membership.Config{}
-		if cfg.SwimConfig != nil {
-			sc = *cfg.SwimConfig
+		t.Swim = cfg.SwimConfig
+		if t.Swim == nil {
+			t.Swim = &membership.Config{}
 		}
-		sc.Addrs = cfg.Peers
-		if cfg.Join != "" {
-			// The seed's ID is unknown until it answers; JoinRequests go
-			// to the reserved alias, which the transport resolves to the
-			// configured address.
-			sc.Join = membership.SeedAlias
-		}
-		opts.Swim = &sc
 	}
-	n := core.NewNode(cfg.Self, opts)
-	tn, err := transport.ListenOpts(cfg.Self, cfg.Listen, n, cfg.Logger,
-		transport.Opts{ShardQueue: cfg.ShardQueue, SendQueue: cfg.SendQueue})
-	if err != nil {
-		return nil, err
-	}
-	tn.AttachMetrics(n.Metrics())
-	// Peer-link churn lands in the flight recorder: when an anomaly dumps
-	// the ring, connection flaps around the event are right there. (A live
-	// node may read the wall clock — only simnet-driven protocol code is
-	// bound to the virtual one.)
-	flight := n.Flight()
-	tn.SetPeerEventHook(func(event string, peer NodeID) {
-		kind := map[string]string{
-			"add":    health.FKPeerAdd,
-			"remove": health.FKPeerRemove,
-			"up":     health.FKPeerUp,
-			"down":   health.FKPeerDown,
-		}[event]
-		if kind != "" {
-			flight.Record(time.Now(), kind, "", peer, 0, "")
-		}
+	return cluster.Listen(t, cluster.Endpoint{
+		Self: cfg.Self, Listen: cfg.Listen, Peers: cfg.Peers, Join: cfg.Join, Logger: cfg.Logger,
 	})
-	for nid, addr := range cfg.Peers {
-		tn.AddPeer(nid, addr)
-	}
-	if opts.Swim != nil {
-		// The listener is bound: the agent can now advertise a dialable
-		// address, and membership events drive the transport's peer
-		// table — a learned address becomes dialable before any reply
-		// flows, and a confirmed-dead peer's redial loop is torn down.
-		n.SetAdvertiseAddr(tn.Addr())
-		if cfg.Join != "" {
-			tn.AddPeer(membership.SeedAlias, cfg.Join)
-			// Once the seed's real identity is known the alias link has
-			// served its purpose; retiring it also stops it from
-			// redialing the seed's old address forever if the seed later
-			// dies.
-			n.SetOnJoined(func(Env, NodeID) { tn.RemovePeer(membership.SeedAlias) })
-		}
-		n.SetOnMember(func(_ Env, ev membership.Event) {
-			switch {
-			case ev.Status == membership.Dead:
-				tn.RemovePeer(ev.Node)
-			case ev.Addr != "" && ev.Node != cfg.Self:
-				tn.AddPeer(ev.Node, ev.Addr)
-			}
-		})
-		// A probe from a node this one declared dead (whose link was
-		// therefore torn down) re-registers its address so the reply —
-		// and the record it needs to refute — can be delivered.
-		n.SwimAgent().OnContact(func(_ Env, nid NodeID, addr string) {
-			tn.AddPeer(nid, addr)
-		})
-	}
-	tn.Start()
-	return &LiveNode{N: n, tn: tn}, nil
 }
-
-// Addr returns the bound listen address.
-func (ln *LiveNode) Addr() string { return ln.tn.Addr() }
-
-// Metrics returns the node's telemetry registry (transport included).
-func (ln *LiveNode) Metrics() *MetricsRegistry { return ln.N.Metrics() }
-
-// AddPeer registers a peer address.
-func (ln *LiveNode) AddPeer(nid NodeID, addr string) { ln.tn.AddPeer(nid, addr) }
-
-// Inject runs fn inside the node's shard-0 event loop (serialized with
-// message handling) — use it for node-global actions. Per-file operations
-// (writes, hints, per-file reads) must use InjectFile so they execute in
-// the file's serialization domain.
-func (ln *LiveNode) Inject(fn func(Env)) { ln.tn.Inject(func(e env.Env) { fn(e) }) }
-
-// InjectFile runs fn inside the event loop of the shard owning file —
-// the injection point for writes and user actions against one file.
-func (ln *LiveNode) InjectFile(file FileID, fn func(Env)) {
-	ln.tn.InjectFile(file, func(e env.Env) { fn(e) })
-}
-
-// NumShards returns how many serialization domains (live executors) the
-// node runs.
-func (ln *LiveNode) NumShards() int { return ln.tn.NumShards() }
-
-// Members returns the node's live membership view (nil without Swim/Join):
-// every known node with its believed status and incarnation.
-func (ln *LiveNode) Members() []MemberRecord {
-	if a := ln.N.SwimAgent(); a != nil {
-		return a.Members()
-	}
-	return nil
-}
-
-// JoinCatchup reports how long the snapshot bootstrap took; ok is false
-// while it is still running or when the node did not join via a seed.
-func (ln *LiveNode) JoinCatchup() (time.Duration, bool) { return ln.N.JoinCatchup() }
-
-// Leave announces voluntary departure to the cluster (dynamic membership
-// only; a no-op otherwise) and waits — bounded by timeout — for the
-// announcement to be issued, leaving a short flush window for the frames.
-// Call it before Close for a graceful shutdown.
-func (ln *LiveNode) Leave(timeout time.Duration) {
-	done := make(chan struct{})
-	ln.tn.Inject(func(e env.Env) {
-		ln.N.Leave(e)
-		close(done)
-	})
-	select {
-	case <-done:
-		// The leave frames sit in per-peer queues; give the writers a
-		// moment before the caller tears the sockets down.
-		time.Sleep(50 * time.Millisecond)
-	case <-time.After(timeout):
-	}
-}
-
-// Close shuts the node down.
-func (ln *LiveNode) Close() error { return ln.tn.Close() }

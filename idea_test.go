@@ -118,7 +118,7 @@ func TestFacadeLiveTCP(t *testing.T) {
 	n1.AddPeer(2, n2.Addr())
 
 	done := make(chan idea.Update, 1)
-	n1.Inject(func(e idea.Env) {
+	n1.InjectFile(board, func(e idea.Env) {
 		done <- n1.N.Write(e, board, "text", []byte("over tcp"), 0)
 	})
 	u := <-done
@@ -126,7 +126,7 @@ func TestFacadeLiveTCP(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		got := make(chan int, 1)
-		n2.Inject(func(e idea.Env) {
+		n2.InjectFile(board, func(e idea.Env) {
 			n2.N.DemandActiveResolution(e, board)
 			got <- len(n2.N.Read(board))
 		})

@@ -4,10 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"idea/internal/cluster"
 	"idea/internal/core"
 	"idea/internal/env"
 	"idea/internal/id"
-	"idea/internal/overlay"
 	"idea/internal/simnet"
 )
 
@@ -21,29 +21,27 @@ type fixture struct {
 
 func build(t *testing.T, n, inventory int, seed int64) *fixture {
 	t.Helper()
-	ids := make([]id.NodeID, n)
-	for i := range ids {
-		ids[i] = id.NodeID(i + 1)
+	ids := cluster.IDs(n)
+	sim, err := cluster.NewSim(cluster.Topology{
+		Nodes:     ids,
+		TopLayers: map[id.FileID][]id.NodeID{flight: ids},
+		Hook: func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.DisableGossip = true
+			return nil
+		},
+	}, simnet.Config{Seed: seed, Latency: simnet.Constant(40 * time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mem := overlay.NewStatic(ids, map[id.FileID][]id.NodeID{flight: ids})
-	c := simnet.New(simnet.Config{Seed: seed, Latency: simnet.Constant(40 * time.Millisecond)})
 	servers := make(map[id.NodeID]*Server, n)
-	for _, nid := range ids {
-		node := core.NewNode(nid, core.Options{
-			Membership:    mem,
-			All:           ids,
-			DisableGossip: true,
-			DisableRansub: true,
-		})
+	for nid, node := range sim.Nodes {
 		s, err := New(node, flight, inventory, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		servers[nid] = s
-		c.Add(nid, node)
 	}
-	c.Start()
-	return &fixture{c: c, servers: servers, ids: ids}
+	return &fixture{c: sim.C, servers: servers, ids: ids}
 }
 
 func TestBookWithinInventory(t *testing.T) {

@@ -4,10 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"idea/internal/cluster"
 	"idea/internal/core"
 	"idea/internal/env"
 	"idea/internal/id"
-	"idea/internal/overlay"
 	"idea/internal/simnet"
 )
 
@@ -21,29 +21,27 @@ type fixture struct {
 
 func build(t *testing.T, n int, seed int64) *fixture {
 	t.Helper()
-	ids := make([]id.NodeID, n)
-	for i := range ids {
-		ids[i] = id.NodeID(i + 1)
+	ids := cluster.IDs(n)
+	sim, err := cluster.NewSim(cluster.Topology{
+		Nodes:     ids,
+		TopLayers: map[id.FileID][]id.NodeID{boardFile: ids},
+		Hook: func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.DisableGossip = true
+			return nil
+		},
+	}, simnet.Config{Seed: seed, Latency: simnet.Constant(40 * time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mem := overlay.NewStatic(ids, map[id.FileID][]id.NodeID{boardFile: ids})
-	c := simnet.New(simnet.Config{Seed: seed, Latency: simnet.Constant(40 * time.Millisecond)})
 	boards := make(map[id.NodeID]*Board, n)
-	for _, nid := range ids {
-		node := core.NewNode(nid, core.Options{
-			Membership:    mem,
-			All:           ids,
-			DisableGossip: true,
-			DisableRansub: true,
-		})
+	for nid, node := range sim.Nodes {
 		b, err := New(node, boardFile)
 		if err != nil {
 			t.Fatal(err)
 		}
 		boards[nid] = b
-		c.Add(nid, node)
 	}
-	c.Start()
-	return &fixture{c: c, boards: boards, ids: ids}
+	return &fixture{c: sim.C, boards: boards, ids: ids}
 }
 
 func TestOpRoundTrip(t *testing.T) {

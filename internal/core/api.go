@@ -90,7 +90,7 @@ func (n *Node) Hint(file id.FileID) float64 { return n.file(file).hint }
 func (n *Node) DemandActiveResolution(e env.Env, file id.FileID) {
 	fs := n.file(file)
 	if fs.mode == OnDemand {
-		bump := fs.last + n.opts.HintDelta
+		bump := fs.last + hintDelta
 		if bump > 0.99 {
 			bump = 0.99
 		}

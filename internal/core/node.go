@@ -104,9 +104,6 @@ type Options struct {
 	// DisableRansub turns off dynamic overlay maintenance (use with a
 	// static Membership).
 	DisableRansub bool
-	// HintDelta is Δ, the bump applied when a user complains; zero
-	// means 0.02.
-	HintDelta float64
 	// DisableRollback turns off the §4.4.2 rollback reaction to
 	// bottom-layer discrepancies (alerts still fire).
 	DisableRollback bool
@@ -134,16 +131,11 @@ type Options struct {
 	// Journal attaches a durability journal to the replica store: on
 	// boot the node replays the journal's logs (crash recovery), then
 	// every applied update and rollback is journaled via the store's
-	// hooks and fsynced every WalSync by a periodic sweep. Nil (the
-	// default) keeps the store memory-only. The node takes ownership of
-	// the journal's lifecycle hooks; configure group commit
+	// hooks and fsynced every 500 ms by a periodic sweep (walSync). Nil
+	// (the default) keeps the store memory-only. The node takes ownership
+	// of the journal's lifecycle hooks; configure group commit
 	// (WAL.SetGroupCommit) before passing it in.
 	Journal *store.WAL
-	// WalSync is the fsync-sweep period when Journal is set; zero means
-	// 500ms. Updates newer than the last sweep ride the group-commit
-	// buffer/page cache and can be lost to a crash — recovery treats
-	// them as a torn tail and anti-entropy re-ships them.
-	WalSync time.Duration
 	// Tracing enables the causal tracing layer: one write in every
 	// Tracing.SampleEvery mints a trace context that is piggybacked
 	// through detection, gossip, and resolution, with every hop recorded
@@ -161,6 +153,14 @@ type Options struct {
 
 // NumShardsAuto selects one shard per available CPU (GOMAXPROCS).
 const NumShardsAuto = -1
+
+// hintDelta is Δ, the bump applied when a user complains (§4.6).
+const hintDelta = 0.02
+
+// walSync is the journal's fsync-sweep period. Updates newer than the last
+// sweep ride the group-commit buffer/page cache and can be lost to a crash
+// — recovery treats them as a torn tail and anti-entropy re-ships them.
+const walSync = 500 * time.Millisecond
 
 // fileState is the controller state IDEA keeps per shared file.
 type fileState struct {
@@ -252,9 +252,8 @@ type Node struct {
 	snapSizer *wire.Sizer
 
 	// Durability (nil/zero without Options.Journal).
-	wal     *store.WAL
-	walSync time.Duration
-	walErr  error // logs crash recovery skipped, logged once at Start
+	wal    *store.WAL
+	walErr error // logs crash recovery skipped, logged once at Start
 
 	// Health engine + flight recorder (never nil; see Options.Health).
 	health *health.Engine
@@ -312,9 +311,6 @@ func NewNode(self id.NodeID, opts Options) *Node {
 		n.reg = telemetry.NewRegistry()
 	}
 	n.tr = tracing.New(self, opts.Tracing)
-	if opts.HintDelta == 0 {
-		n.opts.HintDelta = 0.02
-	}
 	n.met = coreMetrics{
 		writes:     n.reg.Counter("core.writes_total"),
 		reads:      n.reg.Counter("core.reads_total"),
@@ -326,9 +322,6 @@ func NewNode(self id.NodeID, opts Options) *Node {
 	n.st.AttachMetrics(n.reg)
 	if opts.Journal != nil {
 		n.wal = opts.Journal
-		if n.walSync = opts.WalSync; n.walSync <= 0 {
-			n.walSync = 500 * time.Millisecond
-		}
 		n.wal.AttachMetrics(n.reg)
 		n.walErr = n.wal.Replay(n.st)
 	}
@@ -477,23 +470,13 @@ func (n *Node) ID() id.NodeID { return n.self }
 func (n *Node) Store() *store.Store { return n.st }
 
 // Detector exposes shard 0's detection framework — with the default
-// single shard, the node's only one. Multi-shard callers use
-// ShardDetector or the aggregated telemetry registry instead.
+// single shard, the node's only one. Multi-shard callers use the
+// aggregated telemetry registry instead.
 func (n *Node) Detector() *detect.Detector { return n.shards[0].det }
-
-// ShardDetector exposes the detector of the shard owning file.
-func (n *Node) ShardDetector(file id.FileID) *detect.Detector {
-	return n.shardOf(file).det
-}
 
 // Resolver exposes shard 0's resolution machinery — with the default
 // single shard, the node's only one.
 func (n *Node) Resolver() *resolve.Resolver { return n.shards[0].res }
-
-// ShardResolver exposes the resolver of the shard owning file.
-func (n *Node) ShardResolver(file id.FileID) *resolve.Resolver {
-	return n.shardOf(file).res
-}
 
 // Membership exposes the two-layer view.
 func (n *Node) Membership() overlay.Membership { return n.mem }
@@ -644,7 +627,7 @@ func (n *Node) Start(e env.Env) {
 			e.Logf("core: journal replay: %v", n.walErr)
 			n.walErr = nil
 		}
-		e.After(n.walSync, keyWalSync, nil)
+		e.After(walSync, keyWalSync, nil)
 	}
 	n.health.Recorder().Record(e.Now(), health.FKNodeStart, "", n.self, int64(n.nshards), "")
 	if n.health.Enabled() {
@@ -718,7 +701,7 @@ func (n *Node) Timer(e env.Env, key string, data any) {
 				e.Logf("core: wal sync: %v", err)
 				n.health.Recorder().Record(e.Now(), health.FKWALError, "", n.self, 0, err.Error())
 			}
-			e.After(n.walSync, keyWalSync, nil)
+			e.After(walSync, keyWalSync, nil)
 		}
 	case key == keyHealthTick:
 		n.healthTick(e)
@@ -928,8 +911,8 @@ func (n *Node) Complain(e env.Env, file id.FileID, newWeights *quantify.Weights)
 	if newWeights != nil {
 		n.quant.SetWeights(*newWeights)
 	}
-	bump := fs.last + n.opts.HintDelta
-	if h := fs.hint + n.opts.HintDelta; h > bump {
+	bump := fs.last + hintDelta
+	if h := fs.hint + hintDelta; h > bump {
 		bump = h
 	}
 	if bump > 0.99 {

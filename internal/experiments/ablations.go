@@ -8,9 +8,7 @@ import (
 	"idea/internal/env"
 	"idea/internal/gossip"
 	"idea/internal/id"
-	"idea/internal/overlay"
 	"idea/internal/quantify"
-	"idea/internal/simnet"
 )
 
 // RunParallelPhase2 quantifies the §6.2 suggestion that phase 2 can be
@@ -136,7 +134,7 @@ func RunSkewSensitivity(seed int64) Report {
 	rec := NewRecorder()
 	rows := make([][]string, 0, 4)
 	for _, skew := range []time.Duration{0, time.Second, 5 * time.Second, 20 * time.Second} {
-		cl := newSkewCluster(seed, skew)
+		cl := NewCluster(ClusterConfig{Seed: seed, Nodes: 8, Writers: 4, MaxSkew: skew})
 		cl.Warmup()
 		cl.ScheduleUniformWrites(5*time.Second, 50*time.Second)
 		rec2 := NewRecorder()
@@ -152,37 +150,4 @@ func RunSkewSensitivity(seed int64) Report {
 		Table("", []string{"max skew", "lowest level", "mean level"}, rows) +
 		"\nlevels stay stable while skew ≪ staleness maximum — the paper's 'within seconds' bound suffices\n"
 	return Report{Name: "Skew", Rec: rec, Rendered: out}
-}
-
-func newSkewCluster(seed int64, skew time.Duration) *Cluster {
-	// Rebuild NewCluster with a skewed simnet.
-	cfg := ClusterConfig{Seed: seed, Nodes: 8, Writers: 4}
-	all := make([]id.NodeID, cfg.Nodes)
-	for i := range all {
-		all[i] = id.NodeID(i + 1)
-	}
-	writers := all[:cfg.Writers]
-	mem := overlay.NewStatic(all, map[id.FileID][]id.NodeID{SharedFile: writers})
-	c := simnet.New(simnet.Config{Seed: seed, Latency: simnet.WAN{}, MaxSkew: skew})
-	nodes := make(map[id.NodeID]*core.Node, cfg.Nodes)
-	var quant *quantify.Quantifier
-	for _, nid := range all {
-		nd := core.NewNode(nid, core.Options{
-			Membership:    mem,
-			All:           all,
-			DisableGossip: true,
-			DisableRansub: true,
-		})
-		num, ord, stale := CalibratedMaxima()
-		if err := nd.SetConsistencyMetric(num, ord, stale, nil); err != nil {
-			panic(err)
-		}
-		nodes[nid] = nd
-		if quant == nil {
-			quant = nd.Quantifier()
-		}
-		c.Add(nid, nd)
-	}
-	c.Start()
-	return &Cluster{C: c, Nodes: nodes, All: all, Writers: append([]id.NodeID(nil), writers...), Quant: quant}
 }

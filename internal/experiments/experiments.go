@@ -18,10 +18,10 @@ import (
 	"strings"
 	"time"
 
+	"idea/internal/cluster"
 	"idea/internal/core"
 	"idea/internal/env"
 	"idea/internal/id"
-	"idea/internal/overlay"
 	"idea/internal/quantify"
 	"idea/internal/simnet"
 	"idea/internal/vv"
@@ -42,7 +42,10 @@ type ClusterConfig struct {
 	Seed    int64
 	Nodes   int // total nodes (paper: 40)
 	Writers int // concurrent writers forming the top layer (paper: 4)
-	Latency simnet.LatencyModel
+	// File is the file the writers contend on; empty means SharedFile.
+	File id.FileID
+	// MaxSkew bounds per-node clock skew (the NTP assumption of §4.4.1).
+	MaxSkew time.Duration
 	// Gossip enables the bottom-layer sweep (the paper's evaluation ran
 	// without the rollback path; default off to match).
 	Gossip bool
@@ -56,6 +59,7 @@ type Cluster struct {
 	Nodes   map[id.NodeID]*core.Node
 	All     []id.NodeID
 	Writers []id.NodeID
+	File    id.FileID
 	Quant   *quantify.Quantifier
 }
 
@@ -63,9 +67,9 @@ type Cluster struct {
 func CalibratedMaxima() (num, ord, stale float64) { return 30, 66, 300 }
 
 // NewCluster builds the paper topology: cfg.Nodes nodes spanning a WAN,
-// with the first cfg.Writers node IDs pinned as the shared file's top
+// with the first cfg.Writers node IDs pinned as the contended file's top
 // layer (the "after warming up, the four writers form a top layer"
-// configuration of §6.1).
+// configuration of §6.1), every node scoring with the calibrated maxima.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 40
@@ -73,61 +77,71 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Writers == 0 {
 		cfg.Writers = 4
 	}
-	if cfg.Latency == nil {
-		cfg.Latency = simnet.WAN{}
+	if cfg.File == "" {
+		cfg.File = SharedFile
 	}
-	all := make([]id.NodeID, cfg.Nodes)
-	for i := range all {
-		all[i] = id.NodeID(i + 1)
+	all := cluster.IDs(cfg.Nodes)
+	writers := all[:cfg.Writers:cfg.Writers]
+	s, err := cluster.NewSim(cluster.Topology{
+		Nodes:     all,
+		TopLayers: map[id.FileID][]id.NodeID{cfg.File: writers},
+		Hook: func(nid id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.DisableGossip = !cfg.Gossip
+			if cfg.Mutate != nil {
+				cfg.Mutate(nid, o)
+			}
+			return nil
+		},
+	}, simnet.Config{Seed: cfg.Seed, Latency: simnet.WAN{}, MaxSkew: cfg.MaxSkew})
+	if err != nil {
+		// Only opening a journal can fail, and experiments run without one.
+		panic(err)
 	}
-	writers := all[:cfg.Writers]
-	mem := overlay.NewStatic(all, map[id.FileID][]id.NodeID{SharedFile: writers})
-	c := simnet.New(simnet.Config{Seed: cfg.Seed, Latency: cfg.Latency})
-	nodes := make(map[id.NodeID]*core.Node, cfg.Nodes)
-	var quant *quantify.Quantifier
-	for _, nid := range all {
-		opts := core.Options{
-			Membership:    mem,
-			All:           all,
-			DisableGossip: !cfg.Gossip,
-			DisableRansub: true,
-		}
-		if cfg.Mutate != nil {
-			cfg.Mutate(nid, &opts)
-		}
-		nd := core.NewNode(nid, opts)
-		num, ord, stale := CalibratedMaxima()
+	num, ord, stale := CalibratedMaxima()
+	for _, nd := range s.Nodes {
 		if err := nd.SetConsistencyMetric(num, ord, stale, nil); err != nil {
 			panic(err)
 		}
-		nodes[nid] = nd
-		if quant == nil {
-			quant = nd.Quantifier()
-		}
-		c.Add(nid, nd)
 	}
-	c.Start()
-	return &Cluster{C: c, Nodes: nodes, All: all, Writers: append([]id.NodeID(nil), writers...), Quant: quant}
+	return &Cluster{C: s.C, Nodes: s.Nodes, All: all, Writers: writers, File: cfg.File, Quant: s.Nodes[all[0]].Quantifier()}
 }
 
-// Warmup gives every writer a shared first update so the replicas have a
-// common consistent prefix (staleness then measures divergence age, not
-// time since the epoch).
-func (cl *Cluster) Warmup() {
+// ScheduleWarmup gives every writer a shared first update at 100 ms so the
+// replicas have a common consistent prefix (staleness then measures
+// divergence age, not time since the epoch).
+func (cl *Cluster) ScheduleWarmup() {
 	w0 := cl.Writers[0]
-	cl.C.CallAtFile(100*time.Millisecond, w0, SharedFile, func(e env.Env) {
-		u := cl.Nodes[w0].Store().Open(SharedFile).WriteLocal(e.Stamp(), "init", nil, 0)
+	cl.C.CallAtFile(100*time.Millisecond, w0, cl.File, func(e env.Env) {
+		u := cl.Nodes[w0].Store().Open(cl.File).WriteLocal(e.Stamp(), "init", nil, 0)
 		for _, w := range cl.Writers[1:] {
-			cl.Nodes[w].Store().Open(SharedFile).Apply(u)
+			cl.Nodes[w].Store().Open(cl.File).Apply(u)
 		}
 	})
+}
+
+// Warmup schedules the warm-up and runs the cluster past it.
+func (cl *Cluster) Warmup() {
+	cl.ScheduleWarmup()
 	cl.C.RunFor(200 * time.Millisecond)
+}
+
+// HintAt makes every writer declare the hint level at virtual time at,
+// inside the file's serialization domain.
+func (cl *Cluster) HintAt(at time.Duration, level float64) {
+	for _, w := range cl.Writers {
+		w := w
+		cl.C.CallAtFile(at, w, cl.File, func(env.Env) {
+			if err := cl.Nodes[w].SetHint(cl.File, level); err != nil {
+				panic(err)
+			}
+		})
+	}
 }
 
 // WriteAt schedules a paper-style update by writer w at virtual time at.
 func (cl *Cluster) WriteAt(at time.Duration, w id.NodeID) {
-	cl.C.CallAtFile(at, w, SharedFile, func(e env.Env) {
-		cl.Nodes[w].Write(e, SharedFile, "draw", []byte("op"), 0)
+	cl.C.CallAtFile(at, w, cl.File, func(e env.Env) {
+		cl.Nodes[w].Write(e, cl.File, "draw", []byte("op"), 0)
 	})
 }
 
@@ -149,7 +163,7 @@ func (cl *Cluster) ScheduleUniformWrites(interval, end time.Duration) {
 func (cl *Cluster) SampleLevels() (worst, avg float64) {
 	cands := make(map[id.NodeID]*vv.Vector, len(cl.Writers))
 	for _, w := range cl.Writers {
-		cands[w] = cl.Nodes[w].Store().Open(SharedFile).Vector()
+		cands[w] = cl.Nodes[w].Store().Open(cl.File).Vector()
 	}
 	_, ref := cl.Quant.RefSel(cands)
 	worst = 1.0

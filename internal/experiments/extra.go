@@ -90,14 +90,7 @@ func RunRollback(seed int64) Report {
 			o.Gossip = gossip.Config{Interval: 5 * time.Second, Fanout: 3, TTL: 4}
 		},
 	})
-	for _, w := range cl.Writers {
-		w := w
-		cl.C.CallAtFile(0, w, SharedFile, func(e env.Env) {
-			if err := cl.Nodes[w].SetHint(SharedFile, 0.9); err != nil {
-				panic(err)
-			}
-		})
-	}
+	cl.HintAt(0, 0.9)
 	cl.Warmup()
 
 	// The stray bottom-layer conflict.

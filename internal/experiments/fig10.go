@@ -8,9 +8,6 @@ import (
 	"idea/internal/core"
 	"idea/internal/env"
 	"idea/internal/id"
-	"idea/internal/overlay"
-	"idea/internal/simnet"
-	"idea/internal/vv"
 )
 
 // AutoConfig parameterizes the §6.3 automatic booking experiments.
@@ -60,33 +57,17 @@ const flightFile = id.FileID("flight")
 // resolution at the given frequency.
 func RunAutomatic(cfg AutoConfig) AutoResult {
 	cfg = cfg.withDefaults()
-	all := make([]id.NodeID, cfg.Nodes)
-	for i := range all {
-		all[i] = id.NodeID(i + 1)
-	}
-	servers := all[:cfg.Servers]
-	mem := overlay.NewStatic(all, map[id.FileID][]id.NodeID{flightFile: servers})
-	c := simnet.New(simnet.Config{Seed: cfg.Seed, Latency: simnet.WAN{}})
-	nodes := make(map[id.NodeID]*core.Node, cfg.Nodes)
+	cl := NewCluster(ClusterConfig{Seed: cfg.Seed, Nodes: cfg.Nodes, Writers: cfg.Servers, File: flightFile})
+	c, nodes, servers := cl.C, cl.Nodes, cl.Writers
 	books := make(map[id.NodeID]*booking.Server, cfg.Servers)
 	var bookList []*booking.Server
-	for _, nid := range all {
-		nd := core.NewNode(nid, core.Options{
-			Membership:    mem,
-			All:           all,
-			DisableGossip: true,
-			DisableRansub: true,
-		})
-		nodes[nid] = nd
-		c.Add(nid, nd)
-	}
 	for _, nid := range servers {
 		s, err := booking.New(nodes[nid], flightFile, 1<<30, 100)
 		if err != nil {
 			panic(err)
 		}
 		// Booking casts its own metric; align the maxima with the
-		// calibrated experiment-wide values.
+		// calibrated experiment-wide values again.
 		num, ord, stale := CalibratedMaxima()
 		if err := nodes[nid].SetConsistencyMetric(num, ord, stale, nil); err != nil {
 			panic(err)
@@ -94,7 +75,6 @@ func RunAutomatic(cfg AutoConfig) AutoResult {
 		books[nid] = s
 		bookList = append(bookList, s)
 	}
-	c.Start()
 
 	// Arm fixed-frequency background resolution on every server.
 	for _, nid := range servers {
@@ -104,14 +84,7 @@ func RunAutomatic(cfg AutoConfig) AutoResult {
 			nodes[nid].SetBackgroundFreq(e, flightFile, cfg.Freq)
 		})
 	}
-	// Warm-up shared prefix.
-	w0 := servers[0]
-	c.CallAtFile(100*time.Millisecond, w0, flightFile, func(e env.Env) {
-		u := nodes[w0].Store().Open(flightFile).WriteLocal(e.Stamp(), "init", nil, 0)
-		for _, s := range servers[1:] {
-			nodes[s].Store().Open(flightFile).Apply(u)
-		}
-	})
+	cl.ScheduleWarmup()
 
 	// Bookings every Interval at every server.
 	for t := cfg.Interval; t <= cfg.Duration; t += cfg.Interval {
@@ -121,22 +94,12 @@ func RunAutomatic(cfg AutoConfig) AutoResult {
 		}
 	}
 
+	// Top-layer perceived consistency (the Fig. 10 series).
 	rec := NewRecorder()
-	quant := nodes[servers[0]].Quantifier()
 	for t := cfg.Sample / 2; t <= cfg.Duration+cfg.Sample; t += cfg.Sample {
 		c.RunUntil(t)
-		// Top-layer perceived consistency (the Fig. 10 series).
-		cands := make(map[id.NodeID]*vv.Vector, len(servers))
-		for _, nid := range servers {
-			cands[nid] = nodes[nid].Store().Open(flightFile).Vector()
-		}
-		_, ref := quant.RefSel(cands)
-		sum := 0.0
-		for _, nid := range servers {
-			_, level := quant.Score(cands[nid], ref)
-			sum += level
-		}
-		rec.Series("consistency level").Add(t, sum/float64(len(servers)))
+		_, avg := cl.SampleLevels()
+		rec.Series("consistency level").Add(t, avg)
 	}
 	c.RunUntil(cfg.Duration + cfg.Sample)
 

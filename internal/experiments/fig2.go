@@ -8,6 +8,7 @@ import (
 	"idea/internal/detect"
 	"idea/internal/env"
 	"idea/internal/id"
+	"idea/internal/quantify"
 	"idea/internal/simnet"
 	"idea/internal/vv"
 )
@@ -65,14 +66,7 @@ func RunFig2Tradeoff(seed int64) Report {
 
 func runIdeaArm(seed int64) TradeoffResult {
 	cl := NewCluster(ClusterConfig{Seed: seed, Nodes: 8, Writers: 4})
-	for _, w := range cl.Writers {
-		w := w
-		cl.C.CallAtFile(0, w, SharedFile, func(e env.Env) {
-			if err := cl.Nodes[w].SetHint(SharedFile, 0.95); err != nil {
-				panic(err)
-			}
-		})
-	}
+	cl.HintAt(0, 0.95)
 	cl.Warmup()
 	var delays []time.Duration
 	for _, w := range cl.Writers {
@@ -125,8 +119,8 @@ func runOptimisticArm(seed int64) TradeoffResult {
 		}
 	}
 	// Sample levels with the calibrated quantifier.
-	cl := NewCluster(ClusterConfig{Seed: seed, Nodes: 1, Writers: 1}) // for the quantifier only
-	quant := cl.Quant
+	num, ord, stale := CalibratedMaxima()
+	quant := quantify.New(quantify.Maxima{Numerical: num, Order: ord, Staleness: stale}, quantify.EqualWeights())
 	levels := 0.0
 	samples := 0
 	for t := tradeoffInterval / 2; t <= tradeoffRounds*tradeoffInterval+tradeoffInterval; t += tradeoffInterval {

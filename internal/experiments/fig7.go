@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"idea/internal/env"
 	"idea/internal/id"
 )
 
@@ -50,28 +49,14 @@ func (c HintConfig) withDefaults() HintConfig {
 func RunHint(cfg HintConfig) Report {
 	cfg = cfg.withDefaults()
 	cl := NewCluster(ClusterConfig{Seed: cfg.Seed, Nodes: cfg.Nodes, Writers: cfg.Writers})
-	for _, w := range cl.Writers {
-		w := w
-		cl.C.CallAtFile(0, w, SharedFile, func(e env.Env) {
-			if err := cl.Nodes[w].SetHint(SharedFile, cfg.Hint); err != nil {
-				panic(err)
-			}
-		})
-	}
+	cl.HintAt(0, cfg.Hint)
 	cl.Warmup()
 	if cfg.ResetHintTo > 0 {
 		at := cfg.ResetAt
 		if at == 0 {
 			at = cfg.Duration / 2
 		}
-		for _, w := range cl.Writers {
-			w := w
-			cl.C.CallAtFile(at, w, SharedFile, func(e env.Env) {
-				if err := cl.Nodes[w].SetHint(SharedFile, cfg.ResetHintTo); err != nil {
-					panic(err)
-				}
-			})
-		}
+		cl.HintAt(at, cfg.ResetHintTo)
 	}
 	cl.ScheduleUniformWrites(cfg.Interval, cfg.Duration)
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"idea/internal/env"
 	"idea/internal/workload"
 )
 
@@ -41,14 +40,7 @@ func RunWorkloadSensitivity(seed int64) Report {
 	rows := make([][]string, 0, len(schedules))
 	for _, sc := range schedules {
 		cl := NewCluster(ClusterConfig{Seed: seed, Nodes: 12, Writers: 4})
-		for _, w := range cl.Writers {
-			w := w
-			cl.C.CallAtFile(0, w, SharedFile, func(e env.Env) {
-				if err := cl.Nodes[w].SetHint(SharedFile, 0.95); err != nil {
-					panic(err)
-				}
-			})
-		}
+		cl.HintAt(0, 0.95)
 		cl.Warmup()
 		for i, w := range cl.Writers {
 			for _, at := range sc.times(i) {

@@ -42,14 +42,6 @@ type Config struct {
 	// hops of the origin's round, so a few rounds suffice; eviction
 	// keeps the dedup map bounded on long-running nodes.
 	SeenRounds int
-	// DisableBatch turns off per-round digest batching. By default the
-	// agent groups one round's digests by destination peer and ships
-	// each group as a single wire.DigestBatch frame — a shard sweeping
-	// F files costs one envelope per peer per round instead of F.
-	// Fan-out selection, dedup, TTL, and per-digest accounting are
-	// identical either way; runtimes split batches back into per-file
-	// digests on arrival.
-	DisableBatch bool
 }
 
 func (c Config) withDefaults() Config {
@@ -290,11 +282,7 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 				}
 			}
 			a.measureDigest(d)
-			if a.cfg.DisableBatch {
-				a.emit(e, d)
-			} else {
-				a.batch(e, d)
-			}
+			a.batch(e, d)
 		}
 	}
 	a.flushBatch(e)
@@ -368,7 +356,9 @@ func (a *Agent) emit(e env.Env, d wire.GossipDigest, exclude ...id.NodeID) {
 }
 
 // batch stages one origin digest for the round's per-peer batches, using
-// the same permutation-walk fan-out selection as emit.
+// the same permutation-walk fan-out selection as emit: a shard sweeping F
+// files costs one wire.DigestBatch envelope per peer per round instead of
+// F, and runtimes split batches back into per-file digests on arrival.
 func (a *Agent) batch(e env.Env, d wire.GossipDigest) {
 	peers := a.peersNow()
 	if len(peers) == 0 {

@@ -230,9 +230,6 @@ type Config struct {
 	Interval time.Duration
 	// History is how many transitions /health retains (default 64).
 	History int
-	// FlightPerStripe sizes each flight-recorder ring stripe (default
-	// 512, i.e. 4096 events per node before overwrite).
-	FlightPerStripe int
 
 	// ConvergenceStallAfter is how long the stability frontier may sit
 	// still while writes flow before the stall raises (default 45s).
@@ -363,7 +360,7 @@ func NewEngine(self id.NodeID, cfg Config, reg *telemetry.Registry) *Engine {
 	en := &Engine{
 		self:     self,
 		cfg:      cfg,
-		rec:      NewRecorder(cfg.FlightPerStripe),
+		rec:      NewRecorder(defaultPerStripe),
 		fsync:    reg.Histogram("store.wal_fsync_ms"),
 		verdictG: reg.Gauge("health.verdict"),
 		activeG:  reg.Gauge("health.active_anomalies"),

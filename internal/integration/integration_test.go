@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"idea/internal/apps/whiteboard"
+	"idea/internal/cluster"
 	"idea/internal/core"
 	"idea/internal/env"
 	"idea/internal/gossip"
@@ -29,23 +30,18 @@ type deployment struct {
 // deploy builds an n-node full-stack cluster: dynamic overlay, gossip on.
 func deploy(t *testing.T, n int, seed int64, loss float64) *deployment {
 	t.Helper()
-	all := make([]id.NodeID, n)
-	for i := range all {
-		all[i] = id.NodeID(i + 1)
+	s, err := cluster.NewSim(cluster.Topology{
+		Nodes: cluster.IDs(n),
+		Hook: func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.Ransub = ransub.Config{Epoch: 5 * time.Second}
+			o.Gossip = gossip.Config{Interval: 10 * time.Second, Fanout: 2, TTL: 3}
+			return nil
+		},
+	}, simnet.Config{Seed: seed, Latency: simnet.WAN{}, Loss: loss})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := simnet.New(simnet.Config{Seed: seed, Latency: simnet.WAN{}, Loss: loss})
-	nodes := make(map[id.NodeID]*core.Node, n)
-	for _, nid := range all {
-		nd := core.NewNode(nid, core.Options{
-			All:    all,
-			Ransub: ransub.Config{Epoch: 5 * time.Second},
-			Gossip: gossip.Config{Interval: 10 * time.Second, Fanout: 2, TTL: 3},
-		})
-		nodes[nid] = nd
-		c.Add(nid, nd)
-	}
-	c.Start()
-	return &deployment{c: c, nodes: nodes, all: all}
+	return &deployment{c: s.C, nodes: s.Nodes, all: cluster.IDs(n)}
 }
 
 func (d *deployment) write(at time.Duration, nid id.NodeID) {

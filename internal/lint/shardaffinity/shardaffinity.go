@@ -9,7 +9,11 @@
 //     literal passed to Inject/Call/CallAt (on the transport node, the
 //     simnet cluster, core, or the facade) that mentions an id.FileID
 //     value runs on shard 0 regardless of the file it touches — use
-//     InjectFile/CallFile/CallAtFile so the runtime routes it;
+//     InjectFile/CallFile/CallAtFile so the runtime routes it. Test
+//     files are held to this rule too where the injector is a live one
+//     (transport.Node, cluster.LiveNode alias idea.LiveNode): their
+//     shards are real goroutines, so the misuse is a data race, not just
+//     a misrouted event. simnet Call/CallAt in tests stay exempt;
 //  2. per-file protocol packages (those exporting a TimerFile or
 //     TimerShard router) must arm routable timers: every key passed to
 //     env.Env.After must be a compile-time constant the package's
@@ -43,12 +47,15 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // injectorPkgs are the package-path bases whose Inject/Call methods are
-// node-global entry points with per-file siblings.
+// node-global entry points with per-file siblings. True marks the live
+// ones, whose shards run as parallel goroutines: rule 1 binds their
+// callers in test files as well.
 var injectorPkgs = map[string]bool{
 	"transport": true,
-	"simnet":    true,
-	"core":      true,
-	"idea":      true,
+	"cluster":   true,
+	"simnet":    false,
+	"core":      false,
+	"idea":      false,
 }
 
 // fileSibling maps a node-global entry point to its file-routed form.
@@ -64,25 +71,29 @@ func run(pass *analysis.Pass) (any, error) {
 	routed := routedTimerKeys(pass)
 
 	insp.Preorder([]ast.Node{(*ast.CallExpr)(nil), (*ast.AssignStmt)(nil)}, func(n ast.Node) {
-		if lintutil.InTestFile(pass.Fset, n.Pos()) {
-			return
-		}
+		inTest := lintutil.InTestFile(pass.Fset, n.Pos())
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			checkInject(pass, rep, n)
+			checkInject(pass, rep, n, inTest)
+			if inTest {
+				return
+			}
 			if routed != nil {
 				checkAfter(pass, rep, n, routed)
 			}
 		case *ast.AssignStmt:
-			checkHookWrite(pass, rep, n)
+			if !inTest {
+				checkHookWrite(pass, rep, n)
+			}
 		}
 	})
 	return nil, nil
 }
 
 // checkInject flags node-global Inject/Call/CallAt invocations whose
-// function-literal argument mentions an id.FileID value.
-func checkInject(pass *analysis.Pass, rep *lintutil.Reporter, call *ast.CallExpr) {
+// function-literal argument mentions an id.FileID value. In test files
+// only the live injectors are checked.
+func checkInject(pass *analysis.Pass, rep *lintutil.Reporter, call *ast.CallExpr, inTest bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -92,7 +103,10 @@ func checkInject(pass *analysis.Pass, rep *lintutil.Reporter, call *ast.CallExpr
 		return
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || !injectorPkgs[lintutil.PathBase(fn.Pkg().Path())] {
+	if !ok || fn.Pkg() == nil {
+		return
+	}
+	if live, ok := injectorPkgs[lintutil.PathBase(fn.Pkg().Path())]; !ok || inTest && !live {
 		return
 	}
 	sig, ok := fn.Type().(*types.Signature)

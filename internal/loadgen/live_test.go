@@ -4,66 +4,48 @@ import (
 	"testing"
 	"time"
 
+	"idea/internal/cluster"
 	"idea/internal/core"
-	"idea/internal/detect"
+	"idea/internal/env"
 	"idea/internal/id"
-	"idea/internal/overlay"
-	"idea/internal/transport"
 )
 
-// liveCluster starts n real-TCP nodes on loopback with a pinned top
-// layer over file "f", mirroring idea.NewLiveNode's wiring.
-func liveCluster(t *testing.T, count int) ([]*core.Node, []*transport.Node) {
+// liveTopology is count nodes with a pinned top layer over file "f",
+// gossip off, and the given detect timeout (zero keeps the default).
+func liveTopology(count int, detectTimeout time.Duration) cluster.Topology {
+	all := cluster.IDs(count)
+	return cluster.Topology{
+		Nodes:     all,
+		TopLayers: map[id.FileID][]id.NodeID{"f": all},
+		Hook: func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.DisableGossip = true
+			o.Detect.Timeout = detectTimeout
+			return nil
+		},
+	}
+}
+
+// liveCluster starts count real-TCP nodes on loopback, meshed.
+func liveCluster(t *testing.T, topo cluster.Topology) *cluster.Loopback {
 	t.Helper()
-	all := make([]id.NodeID, count)
-	for i := range all {
-		all[i] = id.NodeID(i + 1)
+	lb, err := cluster.NewLoopback(topo)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mem := overlay.NewStatic(all, map[id.FileID][]id.NodeID{"f": all})
-	cores := make([]*core.Node, count)
-	tns := make([]*transport.Node, count)
-	for i, nid := range all {
-		n := core.NewNode(nid, core.Options{
-			Membership:    mem,
-			All:           all,
-			DisableRansub: true,
-			DisableGossip: true,
-		})
-		tn, err := transport.Listen(nid, "127.0.0.1:0", n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tn.AttachMetrics(n.Metrics())
-		cores[i] = n
-		tns[i] = tn
-	}
-	for i, tn := range tns {
-		for j, peer := range tns {
-			if i != j {
-				tn.AddPeer(all[j], peer.Addr())
-			}
-		}
-	}
-	for _, tn := range tns {
-		tn.Start()
-	}
-	t.Cleanup(func() {
-		for _, tn := range tns {
-			tn.Close()
-		}
-	})
-	return cores, tns
+	t.Cleanup(lb.Close)
+	return lb
 }
 
 func TestRunLiveClosedLoop(t *testing.T) {
-	cores, tns := liveCluster(t, 3)
+	lb := liveCluster(t, liveTopology(3, 0))
+	driver := lb.Node(1)
 	rep := RunLive(Config{
 		Seed:     1,
 		Duration: 1500 * time.Millisecond,
 		Workers:  2,
 		Mix:      Mix{Write: 8, Read: 2},
 		Files:    []id.FileID{"f"},
-	}, cores[0], tns[0], cores[0].Metrics())
+	}, driver.N, driver, driver.Metrics())
 
 	w := rep.PerOp["write"]
 	if w.Count == 0 {
@@ -77,7 +59,7 @@ func TestRunLiveClosedLoop(t *testing.T) {
 	}
 	// The driver node's registry must now hold both the loadgen
 	// histograms and the detection round-trip the writes triggered.
-	snap := cores[0].Metrics().Snapshot()
+	snap := driver.Metrics().Snapshot()
 	if snap.Histograms["loadgen.write_seconds"].Count == 0 {
 		t.Error("loadgen.write_seconds missing from node registry")
 	}
@@ -85,21 +67,21 @@ func TestRunLiveClosedLoop(t *testing.T) {
 		t.Error("detect.roundtrip_seconds never observed on driver node")
 	}
 	// Peer nodes answered detect requests over real TCP.
-	peerSnap := cores[1].Metrics().Snapshot()
+	peerSnap := lb.Node(2).Metrics().Snapshot()
 	if peerSnap.Counters["detect.peer_requests_total"] == 0 {
 		t.Error("peer never served a detect request")
 	}
 }
 
 func TestRunLiveOpenLoopWithRamp(t *testing.T) {
-	cores, tns := liveCluster(t, 2)
+	driver := liveCluster(t, liveTopology(2, 0)).Node(1)
 	rep := RunLive(Config{
 		Seed:     2,
 		Duration: 1200 * time.Millisecond,
 		Rate:     200,
 		RampUp:   400 * time.Millisecond,
 		Files:    []id.FileID{"f"},
-	}, cores[0], tns[0], nil)
+	}, driver.N, driver, nil)
 	w := rep.PerOp["write"]
 	if w.Count == 0 {
 		t.Fatalf("no writes completed: %+v", rep)
@@ -119,72 +101,28 @@ func TestRunLiveOpenLoopWithRamp(t *testing.T) {
 // 2 s of the measured window; the report must carry the churn summary
 // (steady/dip/recovery) and the per-second timeline feeding it.
 func TestRunLiveChurnScenario(t *testing.T) {
-	all := []id.NodeID{1, 2, 3}
-	mem := overlay.NewStatic(all, map[id.FileID][]id.NodeID{"f": all})
-	cores := make([]*core.Node, len(all))
-	tns := make([]*transport.Node, len(all))
-	for i, nid := range all {
-		n := core.NewNode(nid, core.Options{
-			Membership:    mem,
-			All:           all,
-			DisableRansub: true,
-			DisableGossip: true,
-			Detect:        detect.Config{Timeout: 250 * time.Millisecond},
-		})
-		tn, err := transport.Listen(nid, "127.0.0.1:0", n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tn.AttachMetrics(n.Metrics())
-		cores[i] = n
-		tns[i] = tn
-	}
-	addrs := make([]string, len(all))
-	for i, tn := range tns {
-		addrs[i] = tn.Addr()
-	}
-	for i, tn := range tns {
-		for j := range tns {
-			if i != j {
-				tn.AddPeer(all[j], addrs[j])
-			}
-		}
-	}
-	for _, tn := range tns {
-		tn.Start()
-	}
-	t.Cleanup(func() {
-		for _, tn := range tns {
-			tn.Close()
-		}
-	})
+	topo := liveTopology(3, 250*time.Millisecond)
+	lb := liveCluster(t, topo)
+	driver := lb.Node(1)
 
 	// The churn victim is node 3: kill closes its transport, restart
 	// re-listens on the same address with a fresh protocol stack (the
 	// peers' writer loops redial it automatically).
+	victim := lb.Node(3)
+	t.Cleanup(func() { victim.Close() })
 	churn := func(round int) (restart func()) {
-		victim := tns[2]
 		addr := victim.Addr()
 		victim.Close()
 		return func() {
-			n := core.NewNode(3, core.Options{
-				Membership:    mem,
-				All:           all,
-				DisableRansub: true,
-				DisableGossip: true,
-				Detect:        detect.Config{Timeout: 250 * time.Millisecond},
+			ln, err := cluster.Listen(topo, cluster.Endpoint{
+				Self: 3, Listen: addr,
+				Peers: map[id.NodeID]string{1: driver.Addr(), 2: lb.Node(2).Addr()},
 			})
-			tn, err := transport.Listen(3, addr, n, nil)
 			if err != nil {
 				t.Logf("churn restart: %v", err)
 				return
 			}
-			tn.AttachMetrics(n.Metrics())
-			for j, peer := range all[:2] {
-				tn.AddPeer(peer, addrs[j])
-			}
-			tn.Start()
-			tns[2] = tn
+			victim = ln
 		}
 	}
 
@@ -196,7 +134,7 @@ func TestRunLiveChurnScenario(t *testing.T) {
 		Files:      []id.FileID{"f"},
 		ChurnEvery: 2 * time.Second,
 		Churn:      churn,
-	}, cores[0], tns[0], nil)
+	}, driver.N, driver, nil)
 
 	if rep.Churn == nil {
 		t.Fatal("churn run produced no churn report")
@@ -223,7 +161,7 @@ func TestRunLiveChurnScenario(t *testing.T) {
 // Config.Stop ends the run well before its configured duration and the
 // report covers what completed.
 func TestRunLiveStopEndsEarly(t *testing.T) {
-	cores, tns := liveCluster(t, 2)
+	driver := liveCluster(t, liveTopology(2, 0)).Node(1)
 	stop := make(chan struct{})
 	go func() {
 		time.Sleep(500 * time.Millisecond)
@@ -236,7 +174,7 @@ func TestRunLiveStopEndsEarly(t *testing.T) {
 		Workers:  2,
 		Files:    []id.FileID{"f"},
 		Stop:     stop,
-	}, cores[0], tns[0], nil)
+	}, driver.N, driver, nil)
 	if el := time.Since(start); el > 10*time.Second {
 		t.Fatalf("stop ignored: run took %v", el)
 	}

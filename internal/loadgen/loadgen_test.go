@@ -7,9 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"idea/internal/cluster"
 	"idea/internal/core"
+	"idea/internal/env"
 	"idea/internal/id"
-	"idea/internal/overlay"
 	"idea/internal/simnet"
 )
 
@@ -64,35 +65,37 @@ func TestFilePickerZipfSkew(t *testing.T) {
 	}
 }
 
-// emulatedCluster builds a started 4-node WAN-emulated deployment with a
-// pinned top layer over the given files.
-func emulatedCluster(t *testing.T, seed int64, files []id.FileID) (*simnet.Cluster, map[id.NodeID]*core.Node) {
+// emulatedCluster builds a started n-node emulated deployment with a
+// pinned top layer over the given files and the gossip layer off.
+func emulatedCluster(t *testing.T, n int, files []id.FileID, net simnet.Config) (*simnet.Cluster, map[id.NodeID]*core.Node) {
 	t.Helper()
-	all := []id.NodeID{1, 2, 3, 4}
+	all := cluster.IDs(n)
 	tops := map[id.FileID][]id.NodeID{}
 	for _, f := range files {
 		tops[f] = all
 	}
-	mem := overlay.NewStatic(all, tops)
-	sim := simnet.New(simnet.Config{Seed: seed, Latency: simnet.WAN{Median: 50 * time.Millisecond}})
-	nodes := map[id.NodeID]*core.Node{}
-	for _, nid := range all {
-		n := core.NewNode(nid, core.Options{
-			Membership:    mem,
-			All:           all,
-			DisableRansub: true,
-			DisableGossip: true,
-		})
-		nodes[nid] = n
-		sim.Add(nid, n)
+	s, err := cluster.NewSim(cluster.Topology{
+		Nodes:     all,
+		TopLayers: tops,
+		Hook: func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.DisableGossip = true
+			return nil
+		},
+	}, net)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sim.Start()
-	return sim, nodes
+	return s.C, s.Nodes
+}
+
+// wan is the 4-node fixtures' network: a ~100 ms-RTT WAN.
+func wan(seed int64) simnet.Config {
+	return simnet.Config{Seed: seed, Latency: simnet.WAN{Median: 50 * time.Millisecond}}
 }
 
 func TestRunEmulatedReportsThroughputAndLatency(t *testing.T) {
 	files := []id.FileID{"a", "b"}
-	sim, nodes := emulatedCluster(t, 1, files)
+	sim, nodes := emulatedCluster(t, 4, files, wan(1))
 	rep := RunEmulated(Config{
 		Seed:     1,
 		Duration: 60 * time.Second,
@@ -140,7 +143,7 @@ func TestRunEmulatedReportsThroughputAndLatency(t *testing.T) {
 
 func TestRunEmulatedResolveSessions(t *testing.T) {
 	files := []id.FileID{"f"}
-	sim, nodes := emulatedCluster(t, 2, files)
+	sim, nodes := emulatedCluster(t, 4, files, wan(2))
 	rep := RunEmulated(Config{
 		Seed:     2,
 		Duration: 60 * time.Second,
@@ -162,18 +165,14 @@ func TestRunEmulatedResolveSessions(t *testing.T) {
 // inside WriteTracked, before the issuing closure marks its token; such
 // writes must still be recorded, not counted as timeouts.
 func TestRunEmulatedLoneWriter(t *testing.T) {
-	all := []id.NodeID{1}
-	mem := overlay.NewStatic(all, map[id.FileID][]id.NodeID{"f": all})
-	sim := simnet.New(simnet.Config{Seed: 9})
-	n := core.NewNode(1, core.Options{Membership: mem, All: all, DisableRansub: true, DisableGossip: true})
-	sim.Add(1, n)
-	sim.Start()
+	files := []id.FileID{"f"}
+	sim, nodes := emulatedCluster(t, 1, files, simnet.Config{Seed: 9})
 	rep := RunEmulated(Config{
 		Seed:     9,
 		Duration: 10 * time.Second,
 		Rate:     5,
-		Files:    []id.FileID{"f"},
-	}, sim, map[id.NodeID]*core.Node{1: n}, nil)
+		Files:    files,
+	}, sim, nodes, nil)
 	if rep.Timeouts != 0 {
 		t.Fatalf("timeouts = %d, want 0 (early verdicts lost)", rep.Timeouts)
 	}
@@ -184,7 +183,7 @@ func TestRunEmulatedLoneWriter(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	files := []id.FileID{"f"}
-	sim, nodes := emulatedCluster(t, 3, files)
+	sim, nodes := emulatedCluster(t, 4, files, wan(3))
 	rep := RunEmulated(Config{Seed: 3, Duration: 20 * time.Second, Rate: 5, Files: files}, sim, nodes, nil)
 	s := rep.String()
 	for _, want := range []string{"ops/sec", "p50", "p95", "p99", "write"} {

@@ -71,6 +71,15 @@ func (s Status) String() string {
 // the seed's true ID in the envelope, after which the alias is unused.
 const SeedAlias = id.NodeID(-1)
 
+const (
+	// indirectProbes is K, the relays asked to probe an unresponsive
+	// member.
+	indirectProbes = 2
+	// retransmit is how many times one record is piggybacked before it
+	// stops spreading from this node.
+	retransmit = 6
+)
+
 // Config parameterizes the agent.
 type Config struct {
 	// ProbeInterval is the failure-detection period; zero means 1 s.
@@ -79,18 +88,12 @@ type Config struct {
 	// zero means 500 ms. Direct + indirect probing takes 2×ProbeTimeout
 	// before a member turns suspect.
 	ProbeTimeout time.Duration
-	// IndirectProbes is K, the relays asked to probe an unresponsive
-	// member; zero means 2.
-	IndirectProbes int
 	// SuspectTimeout is the confirm window: how long a suspect has to
 	// refute before it is declared dead; zero means 3×ProbeInterval.
 	SuspectTimeout time.Duration
 	// Piggyback bounds the membership records attached per protocol
 	// message; zero means 8.
 	Piggyback int
-	// Retransmit is how many times one record is piggybacked before it
-	// stops spreading from this node; zero means 6.
-	Retransmit int
 	// JoinRetry is the JoinRequest retransmission period while joining;
 	// zero means 2 s.
 	JoinRetry time.Duration
@@ -114,17 +117,11 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout == 0 {
 		c.ProbeTimeout = 500 * time.Millisecond
 	}
-	if c.IndirectProbes == 0 {
-		c.IndirectProbes = 2
-	}
 	if c.SuspectTimeout == 0 {
 		c.SuspectTimeout = 3 * c.ProbeInterval
 	}
 	if c.Piggyback == 0 {
 		c.Piggyback = 8
-	}
-	if c.Retransmit == 0 {
-		c.Retransmit = 6
 	}
 	if c.JoinRetry == 0 {
 		c.JoinRetry = 2 * time.Second
@@ -523,8 +520,8 @@ func (a *Agent) ackTimeout(e env.Env, pd probeData) {
 		}
 	}
 	e.Rand().Shuffle(len(relays), func(i, j int) { relays[i], relays[j] = relays[j], relays[i] })
-	if len(relays) > a.cfg.IndirectProbes {
-		relays = relays[:a.cfg.IndirectProbes]
+	if len(relays) > indirectProbes {
+		relays = relays[:indirectProbes]
 	}
 	req := wire.SwimPingReq{Seq: pd.seq, Target: pd.target, Piggyback: a.takePiggyback()}
 	a.mu.Unlock()
@@ -740,11 +737,11 @@ func (a *Agent) handleJoinReply(e env.Env, from id.NodeID, m wire.JoinReply) {
 func (a *Agent) enqueue(rec wire.MemberRecord) {
 	for i := range a.queue {
 		if a.queue[i].rec.Node == rec.Node {
-			a.queue[i] = outbound{rec: rec, left: a.cfg.Retransmit}
+			a.queue[i] = outbound{rec: rec, left: retransmit}
 			return
 		}
 	}
-	a.queue = append(a.queue, outbound{rec: rec, left: a.cfg.Retransmit})
+	a.queue = append(a.queue, outbound{rec: rec, left: retransmit})
 }
 
 // takePiggyback drains up to Piggyback records from the retransmission

@@ -12,10 +12,12 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"idea/internal/cluster"
 	"idea/internal/core"
 	"idea/internal/env"
 	"idea/internal/id"
 	"idea/internal/overlay"
+	"idea/internal/simnet"
 	"idea/internal/wire"
 )
 
@@ -137,15 +139,30 @@ type FS struct {
 	ServedWrites int
 }
 
-// New builds an FS node over the ring with k replicas per file. Extra
-// options (gossip etc.) follow the supplied base options; membership is
-// always the ring's.
-func New(self id.NodeID, ring *Ring, k int, base core.Options) *FS {
+// NewCluster builds and starts an emulated file system: one FS node per
+// ring member over a simulator configured by net, k replicas per file.
+// The ring defines every top layer, so RanSub is off; so is the gossip
+// bottom layer, as in the paper's evaluation (§6).
+func NewCluster(ring *Ring, k int, net simnet.Config) (*simnet.Cluster, map[id.NodeID]*FS) {
 	mem := Membership{Ring: ring, K: k}
-	base.Membership = mem
-	base.All = mem.All()
-	base.DisableRansub = true // the ring defines the top layers
-	return &FS{self: self, mem: mem, node: core.NewNode(self, base)}
+	fss := make(map[id.NodeID]*FS, len(ring.nodes))
+	s, err := cluster.NewSim(cluster.Topology{
+		Nodes: ring.nodes,
+		Hook: func(self id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.Membership = mem
+			o.DisableRansub = true
+			o.DisableGossip = true
+			return func(n *core.Node) env.Handler {
+				fss[self] = &FS{self: self, mem: mem, node: n}
+				return fss[self]
+			}
+		},
+	}, net)
+	if err != nil {
+		// Only opening a journal can fail, and none is configured.
+		panic(err)
+	}
+	return s.C, fss
 }
 
 // Node exposes the underlying IDEA node.

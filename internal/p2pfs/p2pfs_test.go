@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"idea/internal/core"
 	"idea/internal/env"
 	"idea/internal/id"
 	"idea/internal/simnet"
@@ -90,14 +89,7 @@ func buildFS(t *testing.T, n, k int, seed int64) *fsCluster {
 	t.Helper()
 	ids := nodeIDs(n)
 	ring := NewRing(ids, 16)
-	c := simnet.New(simnet.Config{Seed: seed, Latency: simnet.Constant(30 * time.Millisecond)})
-	fss := make(map[id.NodeID]*FS, n)
-	for _, nid := range ids {
-		f := New(nid, ring, k, core.Options{DisableGossip: true})
-		fss[nid] = f
-		c.Add(nid, f)
-	}
-	c.Start()
+	c, fss := NewCluster(ring, k, simnet.Config{Seed: seed, Latency: simnet.Constant(30 * time.Millisecond)})
 	return &fsCluster{c: c, fs: fss, ids: ids}
 }
 

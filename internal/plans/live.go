@@ -9,7 +9,9 @@ import (
 	"sync"
 	"time"
 
-	"idea"
+	"idea/internal/cluster"
+	"idea/internal/core"
+	"idea/internal/env"
 	"idea/internal/health"
 	"idea/internal/id"
 	"idea/internal/loadgen"
@@ -96,97 +98,51 @@ func RunLive(p Plan, seed int64, duration time.Duration, out string) (*Timeline,
 	}
 	start := time.Now()
 
-	all := p.NodeIDs()
+	all := cluster.IDs(p.Topology.Nodes)
 	files := p.FileIDs()
-	top := make(map[idea.FileID][]idea.NodeID, len(files))
-	for _, f := range files {
-		top[idea.FileID(f)] = all
-	}
-	shards := p.Topology.Shards
-	if shards == 0 {
-		shards = 1
-	}
-	traceCfg := idea.TracingConfig{SampleEvery: p.Topology.TraceSampleEvery, BufferPerStripe: 8192}
-	healthCfg := idea.HealthConfig{
-		Interval:              p.Topology.HealthEvery.D(),
-		ConvergenceStallAfter: p.Topology.StallAfter.D(),
-		History:               256,
-	}
-
-	// nodes is swapped under mu by the churn callback; every reader goes
-	// through node().
-	var mu sync.Mutex
-	nodes := make(map[idea.NodeID]*idea.LiveNode, len(all))
-	node := func(nid idea.NodeID) *idea.LiveNode {
-		mu.Lock()
-		defer mu.Unlock()
-		return nodes[nid]
-	}
-	walDir := func() string {
-		if !p.Topology.Wal {
-			return ""
-		}
-		d, err := os.MkdirTemp("", "idea-plan-wal-")
-		if err != nil {
-			return ""
-		}
-		return d
-	}
-	var walScratch []string
-	defer func() {
-		for _, d := range walScratch {
-			os.RemoveAll(d)
-		}
-	}()
-	mkWal := func() string {
-		d := walDir()
-		if d != "" {
-			walScratch = append(walScratch, d)
-		}
-		return d
-	}
-
-	for _, nid := range all {
-		ln, err := idea.NewLiveNode(idea.LiveNodeConfig{
-			Self:       nid,
-			Listen:     "127.0.0.1:0",
-			All:        all,
-			TopLayers:  top,
-			Shards:     shards,
-			Swim:       p.Topology.Swim,
-			SwimConfig: liveSwim(),
-			Tracing:    traceCfg,
-			Health:     healthCfg,
-			WalDir:     mkWal(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		nodes[nid] = ln
-	}
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, ln := range nodes {
-			ln.Close()
-		}
-	}()
-	addrs := make(map[idea.NodeID]string, len(all))
-	for _, nid := range all {
-		addrs[nid] = nodes[nid].Addr()
-	}
-	for _, nid := range all {
-		for _, peer := range all {
-			if nid != peer {
-				nodes[nid].AddPeer(peer, addrs[peer])
+	topo := cluster.Topology{
+		Nodes:     all,
+		TopLayers: make(map[id.FileID][]id.NodeID, len(files)),
+		Shards:    p.Topology.Shards,
+		Hook: func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.Tracing = tracing.Config{SampleEvery: p.Topology.TraceSampleEvery, BufferPerStripe: 8192}
+			o.Health = health.Config{
+				Interval:              p.Topology.HealthEvery.D(),
+				ConvergenceStallAfter: p.Topology.StallAfter.D(),
+				History:               256,
 			}
-		}
+			return nil
+		},
 	}
+	for _, f := range files {
+		topo.TopLayers[f] = all
+	}
+	if p.Topology.Swim {
+		topo.Swim = liveSwim()
+	}
+	if p.Topology.Wal {
+		dir, err := os.MkdirTemp("", "idea-plan-wal-")
+		if err != nil {
+			return nil, fmt.Errorf("plans: %s: journal scratch: %w", p.Name, err)
+		}
+		defer os.RemoveAll(dir)
+		topo.WalDir = dir
+	}
+	lb, err := cluster.NewLoopback(topo)
+	if err != nil {
+		return nil, fmt.Errorf("plans: %s: %w", p.Name, err)
+	}
+	defer lb.Close()
+	node := lb.Node
+
+	// mu guards the admin handles, the health timeline and the rejoin
+	// failures, all touched by the churn callback and the collector.
+	var mu sync.Mutex
 
 	// Admin surface plus the idea-top-style collector.
-	admins := make(map[idea.NodeID]*adminHandle, len(all))
-	serveAdmin := func(nid idea.NodeID) error {
-		srv, err := idea.ServeNodeAdmin("127.0.0.1:0", node(nid).N)
+	admins := make(map[id.NodeID]*adminHandle, len(all))
+	serveAdmin := func(nid id.NodeID) error {
+		srv, err := cluster.ServeAdmin("127.0.0.1:0", node(nid).N)
 		if err != nil {
 			return err
 		}
@@ -243,7 +199,7 @@ func RunLive(p Plan, seed int64, duration time.Duration, out string) (*Timeline,
 
 	tl := &Timeline{Plan: p.Name, Seed: seed, Mode: "live"}
 	var evMu sync.Mutex
-	event := func(nid idea.NodeID, kind, detail string) {
+	event := func(nid id.NodeID, kind, detail string) {
 		ev := TimelineEvent{AtMs: time.Since(start).Milliseconds(), Kind: kind, Detail: detail}
 		if nid != 0 {
 			ev.Node = nid.String()
@@ -267,29 +223,15 @@ func RunLive(p Plan, seed int64, duration time.Duration, out string) (*Timeline,
 			admins[victim].close()
 			mu.Unlock()
 			return func() {
-				rejoined, err := idea.NewLiveNode(idea.LiveNodeConfig{
-					Self:       victim,
-					Listen:     "127.0.0.1:0",
-					TopLayers:  top,
-					Shards:     shards,
-					SwimConfig: liveSwim(),
-					Join:       node(all[0]).Addr(),
-					Tracing:    traceCfg,
-					Health:     healthCfg,
-					WalDir:     mkWal(),
-				})
-				if err != nil {
-					// Leaving the closed node in the map would silently drop
-					// callbacks and hang the convergence phase — record and
-					// judge after the workload.
+				if _, err := lb.Rejoin(victim); err != nil {
+					// The closed node stays current, which would silently
+					// drop callbacks and hang the convergence phase —
+					// record and judge after the workload.
 					mu.Lock()
 					rejoinFailures = append(rejoinFailures, fmt.Sprintf("round %d: %v", round+1, err))
 					mu.Unlock()
 					return
 				}
-				mu.Lock()
-				nodes[victim] = rejoined
-				mu.Unlock()
 				event(victim, "restart", fmt.Sprintf("churn round %d", round+1))
 				if err := serveAdmin(victim); err != nil {
 					mu.Lock()
@@ -309,7 +251,7 @@ func RunLive(p Plan, seed int64, duration time.Duration, out string) (*Timeline,
 	defer close(stopCrowd)
 	for _, f := range p.Faults {
 		f := f
-		nid := idea.NodeID(f.Node)
+		nid := id.NodeID(f.Node)
 		switch f.Kind {
 		case FaultWalTorn:
 			msg := f.Msg
@@ -346,7 +288,7 @@ func RunLive(p Plan, seed int64, duration time.Duration, out string) (*Timeline,
 					case <-tick.C:
 						src := all[i%len(all)]
 						ln := node(src)
-						ln.InjectFile(idea.FileID(hot), func(e idea.Env) {
+						ln.InjectFile(hot, func(e env.Env) {
 							ln.N.Write(e, hot, "crowd", payload, 0)
 						})
 					}
@@ -459,7 +401,7 @@ func RunLive(p Plan, seed int64, duration time.Duration, out string) (*Timeline,
 			if tr := ln.N.Tracer(); tr != nil {
 				writeArtifact(out, fmt.Sprintf("trace-node%d.json", nid), tracing.DumpOf(tr, 0, ""))
 			}
-			writeArtifact(out, fmt.Sprintf("flight-node%d.json", nid), idea.FlightDumpOf(ln.N))
+			writeArtifact(out, fmt.Sprintf("flight-node%d.json", nid), health.DumpOf(ln.N.ID(), ln.N.Flight()))
 		}
 	}
 	return tl, nil
@@ -484,9 +426,9 @@ func (a *adminHandle) close() {
 
 // liveVector reads one node's vector for f inside the owning shard,
 // time-bounded: a dead node must fail the read, not hang the run.
-func liveVector(ln *idea.LiveNode, f id.FileID) *vv.Vector {
+func liveVector(ln *cluster.LiveNode, f id.FileID) *vv.Vector {
 	ch := make(chan *vv.Vector, 1)
-	ln.InjectFile(idea.FileID(f), func(e idea.Env) {
+	ln.InjectFile(f, func(e env.Env) {
 		ch <- ln.N.Store().Open(f).Vector()
 	})
 	select {
@@ -499,14 +441,14 @@ func liveVector(ln *idea.LiveNode, f id.FileID) *vv.Vector {
 
 // liveConverge demands resolution sweeps from the first node and polls
 // for vector equality across every node on every file.
-func liveConverge(node func(idea.NodeID) *idea.LiveNode, all []id.NodeID, files []id.FileID, grace time.Duration) bool {
+func liveConverge(node func(id.NodeID) *cluster.LiveNode, all []id.NodeID, files []id.FileID, grace time.Duration) bool {
 	deadline := time.Now().Add(grace)
 	for {
 		driver := node(all[0])
 		for _, f := range files {
 			f := f
 			done := make(chan struct{})
-			driver.InjectFile(idea.FileID(f), func(e idea.Env) {
+			driver.InjectFile(f, func(e env.Env) {
 				driver.N.DemandActiveResolution(e, f)
 				close(done)
 			})

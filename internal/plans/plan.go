@@ -275,15 +275,6 @@ func (p Plan) FileIDs() []id.FileID {
 	return files
 }
 
-// NodeIDs returns 1..Nodes.
-func (p Plan) NodeIDs() []id.NodeID {
-	all := make([]id.NodeID, p.Topology.Nodes)
-	for i := range all {
-		all[i] = id.NodeID(i + 1)
-	}
-	return all
-}
-
 // ChurnSpec extracts the plan's churn fault resolved against duration:
 // the victim and the kill period (Every zero derives the soak cadence,
 // duration/8 floored at 10 seconds). ok is false when the script has no

@@ -5,21 +5,18 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
+	"idea/internal/cluster"
 	"idea/internal/core"
 	"idea/internal/env"
-	"idea/internal/gossip"
 	"idea/internal/health"
 	"idea/internal/id"
 	"idea/internal/loadgen"
 	"idea/internal/membership"
-	"idea/internal/overlay"
 	"idea/internal/resolve"
 	"idea/internal/simnet"
-	"idea/internal/store"
 	"idea/internal/topview"
 	"idea/internal/tracing"
 	"idea/internal/vv"
@@ -89,32 +86,27 @@ func RunSim(p Plan, seed int64, scratch string) (*Timeline, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	if p.Topology.Wal && scratch == "" {
-		dir, err := os.MkdirTemp("", "idea-plan-")
-		if err != nil {
-			return nil, err
+	topo := cluster.Topology{Nodes: cluster.IDs(p.Topology.Nodes), Shards: p.Topology.Shards}
+	if p.Topology.Wal {
+		if scratch == "" {
+			dir, err := os.MkdirTemp("", "idea-plan-")
+			if err != nil {
+				return nil, fmt.Errorf("plans: %s: journal scratch: %w", p.Name, err)
+			}
+			defer os.RemoveAll(dir)
+			scratch = dir
 		}
-		defer os.RemoveAll(dir)
-		scratch = dir
+		topo.WalDir = scratch
 	}
-
-	lat, err := p.Topology.latencyModel()
-	if err != nil {
-		return nil, err
+	all, files := topo.Nodes, p.FileIDs()
+	if p.Topology.Swim {
+		topo.Swim = &membership.Config{}
+	} else {
+		topo.TopLayers = make(map[id.FileID][]id.NodeID, len(files))
+		for _, f := range files {
+			topo.TopLayers[f] = all
+		}
 	}
-	var trace bytes.Buffer
-	c := simnet.New(simnet.Config{
-		Seed:       seed,
-		Latency:    lat,
-		Loss:       p.Topology.Loss,
-		EventTrace: &trace,
-	})
-	origin := c.VirtualNow()
-
-	all := p.NodeIDs()
-	files := p.FileIDs()
-	shards := p.Topology.Shards
-	gossipCfg := gossip.Config{Interval: p.Topology.GossipEvery.D()}
 	healthCfg := health.Config{
 		Interval:              p.Topology.HealthEvery.D(),
 		ConvergenceStallAfter: p.Topology.StallAfter.D(),
@@ -128,69 +120,31 @@ func RunSim(p Plan, seed int64, scratch string) (*Timeline, error) {
 		// deterministic assertion surface.
 		healthCfg.FsyncSpikeMs = 1e9
 	}
-	traceCfg := tracing.Config{SampleEvery: p.Topology.TraceSampleEvery}
+	topo.Hook = func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+		o.Gossip.Interval = p.Topology.GossipEvery.D()
+		o.Health = healthCfg
+		o.Tracing.SampleEvery = p.Topology.TraceSampleEvery
+		o.Resolve.Policy = resolve.MergeAll
+		return nil
+	}
 
-	var (
-		cores   = make(map[id.NodeID]*core.Node, len(all))
-		wals    = make(map[id.NodeID]*store.WAL, len(all))
-		incarn  = make(map[id.NodeID]int, len(all))
-		runErrs []string
-		er      *loadgen.EmulatedRun
-	)
-	var staticMem *overlay.Static
-	if !p.Topology.Swim {
-		tops := make(map[id.FileID][]id.NodeID, len(files))
-		for _, f := range files {
-			tops[f] = all
-		}
-		staticMem = overlay.NewStatic(all, tops)
+	lat, err := p.Topology.latencyModel()
+	if err != nil {
+		return nil, err
 	}
-	// mkNode builds one incarnation of nid. Fresh incarnations (restart,
-	// join) bootstrap via the seed node with zero static configuration
-	// and a fresh journal directory, exactly like a replaced process.
-	mkNode := func(nid id.NodeID, initial bool) func() env.Handler {
-		return func() env.Handler {
-			opts := core.Options{
-				Shards:  shards,
-				Gossip:  gossipCfg,
-				Health:  healthCfg,
-				Tracing: traceCfg,
-				Resolve: resolve.Config{Policy: resolve.MergeAll},
-			}
-			if p.Topology.Swim {
-				if initial {
-					opts.All = all
-					opts.Swim = &membership.Config{}
-				} else {
-					opts.Swim = &membership.Config{Join: all[0]}
-				}
-			} else {
-				opts.Membership = staticMem
-				opts.All = all
-				opts.DisableRansub = true
-			}
-			if p.Topology.Wal {
-				incarn[nid]++
-				w, err := store.OpenWAL(filepath.Join(scratch, fmt.Sprintf("n%d-i%d", nid, incarn[nid])))
-				if err != nil {
-					runErrs = append(runErrs, fmt.Sprintf("wal for %v: %v", nid, err))
-				} else {
-					opts.Journal = w
-					wals[nid] = w
-				}
-			}
-			n := core.NewNode(nid, opts)
-			cores[nid] = n
-			if er != nil {
-				er.Attach(nid)
-			}
-			return n
-		}
+	var trace bytes.Buffer
+	sim, err := cluster.NewSim(topo, simnet.Config{
+		Seed:       seed,
+		Latency:    lat,
+		Loss:       p.Topology.Loss,
+		EventTrace: &trace,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("plans: %s: %w", p.Name, err)
 	}
-	for _, nid := range all {
-		c.Add(nid, mkNode(nid, true)())
-	}
-	c.Start()
+	defer sim.Close()
+	c, cores := sim.C, sim.Nodes
+	origin := c.VirtualNow()
 
 	if h := p.Workload.PreHint; h > 0 {
 		for _, nid := range all {
@@ -203,7 +157,23 @@ func RunSim(p Plan, seed int64, scratch string) (*Timeline, error) {
 	}
 
 	cfg := p.LoadgenConfig(seed, 0)
-	er = loadgen.BeginEmulated(cfg, c, cores, nil)
+	er := loadgen.BeginEmulated(cfg, c, cores, nil)
+	// rebootAt schedules a fresh incarnation of nid — bootstrapping via the
+	// seed node with zero static configuration and a fresh journal
+	// directory, exactly like a replaced process — and re-attaches the
+	// session's verdict hooks to it.
+	rebootAt := func(at time.Duration, nid id.NodeID) error {
+		mk, err := sim.Factory(nid)
+		if err != nil {
+			return fmt.Errorf("plans: %s: %w", p.Name, err)
+		}
+		c.AddAt(at, nid, func() env.Handler {
+			h := mk()
+			er.Attach(nid)
+			return h
+		})
+		return nil
+	}
 
 	// Script the faults. Node-scoped faults ride the event queue
 	// (CrashAt / AddAt / CallAt); partition and heal mutate cluster link
@@ -253,19 +223,23 @@ func RunSim(p Plan, seed int64, scratch string) (*Timeline, error) {
 			alive[nid] = false
 			disturbances = append(disturbances, int(at/time.Second))
 			event(at, nid, f.Kind, "")
-		case FaultRestart:
-			c.AddAt(at, nid, mkNode(nid, false))
+		case FaultRestart, FaultJoin:
+			if err := rebootAt(at, nid); err != nil {
+				return nil, err
+			}
 			alive[nid] = true
-			event(at, nid, f.Kind, "rejoin via seed")
-		case FaultJoin:
-			c.AddAt(at, nid, mkNode(nid, false))
-			alive[nid] = true
-			event(at, nid, f.Kind, "bootstrap via seed")
+			detail := "rejoin via seed"
+			if f.Kind == FaultJoin {
+				detail = "bootstrap via seed"
+			}
+			event(at, nid, f.Kind, detail)
 		case FaultChurn:
 			_, every, _ := p.ChurnSpec(cfg.Duration)
 			for k := every; k+every/2 < cfg.Duration; k += every {
 				c.CrashAt(k, nid)
-				c.AddAt(k+every/2, nid, mkNode(nid, false))
+				if err := rebootAt(k+every/2, nid); err != nil {
+					return nil, err
+				}
 				churnRounds++
 				disturbances = append(disturbances, int(k/time.Second))
 				event(k, nid, "crash", fmt.Sprintf("churn round %d", churnRounds))
@@ -295,7 +269,7 @@ func RunSim(p Plan, seed int64, scratch string) (*Timeline, error) {
 				msg = p.Name
 			}
 			c.CallAt(at, nid, func(e env.Env) {
-				if w := wals[nid]; w != nil {
+				if w := cores[nid].Journal(); w != nil {
 					w.InjectError(msg)
 				}
 			})
@@ -303,7 +277,7 @@ func RunSim(p Plan, seed int64, scratch string) (*Timeline, error) {
 		case FaultWalSlow:
 			brake := f.Dur.D()
 			c.CallAt(at, nid, func(e env.Env) {
-				if w := wals[nid]; w != nil {
+				if w := cores[nid].Journal(); w != nil {
 					w.InjectSyncDelay(brake)
 				}
 			})
@@ -365,10 +339,6 @@ func RunSim(p Plan, seed int64, scratch string) (*Timeline, error) {
 	}
 	c.RunUntil(sweep + 10*time.Second)
 
-	if len(runErrs) > 0 {
-		return nil, fmt.Errorf("plans: %s: %v", p.Name, runErrs)
-	}
-
 	// Collect the outcome: vectors, health, traces — all virtual-time.
 	o := Outcome{
 		Report:       report,
@@ -411,10 +381,6 @@ func RunSim(p Plan, seed int64, scratch string) (*Timeline, error) {
 		tl.VisibilityP99Ms = o.VisibilityP99Ms
 		_, tl.ResolutionP99Ms, tl.Traces = topview.SLOFromDumps(dumps)
 	}
-	for _, w := range wals {
-		w.Close()
-	}
-
 	sort.SliceStable(tl.Events, func(i, j int) bool {
 		a, b := tl.Events[i], tl.Events[j]
 		if a.AtMs != b.AtMs {

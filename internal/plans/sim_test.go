@@ -3,6 +3,8 @@ package plans
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -85,6 +87,61 @@ func TestTimelineDeterministic(t *testing.T) {
 					i, cut(b1), cut(b2))
 			}
 		})
+	}
+}
+
+// TestGoldenSchedules pins the cluster builder under RunSim to the
+// hand-wired mkNode closure it replaced: the schedule hashes were recorded
+// at the parent commit for every catalog plan at its own seed, with the
+// topology forced to 1 and to 4 shards.
+func TestGoldenSchedules(t *testing.T) {
+	golden := map[string][2]string{
+		"churn-kill-rejoin":    {"b7a6604e275fcdc8", "d7ae465d2f896f1a"},
+		"flash-crowd-hotkey":   {"752743f64c65cedb", "475ecfbeb9814d2b"},
+		"join-under-load":      {"00970359737fc790", "662b83fa819d1a83"},
+		"partition-heal-stall": {"9c66ebe3863520a9", "249ef8ccfe538840"},
+		"wal-torn-log":         {"260bffa85ae359af", "5b3bdadf904e8048"},
+	}
+	for _, p := range All() {
+		p := p
+		want, ok := golden[p.Name]
+		if !ok {
+			continue // a plan newer than the recording has no parent hash
+		}
+		t.Run(p.Name, func(t *testing.T) {
+			t.Parallel()
+			for i, shards := range []int{1, 4} {
+				p.Topology.Shards = shards
+				tl, err := RunSim(p, 0, t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tl.ScheduleHash != want[i] {
+					t.Errorf("%d shards: schedule hash %s, parent recorded %s", shards, tl.ScheduleHash, want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestWalPlanFailsWithoutJournal: a plan that asks for a WAL gets one or
+// the run fails up front — here the scratch directory sits under a
+// regular file, so no journal can be created — instead of running
+// memory-only.
+func TestWalPlanFailsWithoutJournal(t *testing.T) {
+	notADir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p := MustGet("wal-torn-log")
+	if tl, err := RunSim(p, 0, filepath.Join(notADir, "scratch")); err == nil {
+		t.Fatalf("emulated wal plan ran without a journal (pass=%v)", tl.Pass)
+	}
+	// The live rig takes its scratch from the OS temp directory.
+	t.Setenv("TMPDIR", notADir)
+	p.Tags = append([]string{"live"}, p.Tags...)
+	if tl, err := RunLive(p, 0, 0, ""); err == nil {
+		t.Fatalf("live wal plan ran without a journal (pass=%v)", tl.Pass)
 	}
 }
 

@@ -28,19 +28,22 @@ type Config struct {
 	// SampleSize bounds the random subset carried per message; zero
 	// means 8.
 	SampleSize int
-	// HotThreshold is the temperature at or above which a node counts
-	// as an active writer; zero means 0.5.
-	HotThreshold float64
-	// Decay multiplies temperatures once per epoch; zero means 0.5.
-	// Recency therefore dominates: a writer that stops updating cools
-	// below threshold within a couple of epochs.
-	Decay float64
-	// TTLEpochs is how many epochs a learned candidate survives without
-	// a fresher advertisement from its origin; zero means 8. It must
-	// comfortably exceed the tree depth, since collect waves climb one
-	// level per epoch and a candidate's origin epoch ages in transit.
-	TTLEpochs int
 }
+
+const (
+	// hotThreshold is the temperature at or above which a node counts as
+	// an active writer.
+	hotThreshold = 0.5
+	// decay multiplies temperatures once per epoch. Recency therefore
+	// dominates: a writer that stops updating cools below threshold
+	// within a couple of epochs.
+	decay = 0.5
+	// ttlEpochs is how many epochs a learned candidate survives without a
+	// fresher advertisement from its origin. It must comfortably exceed
+	// the tree depth, since collect waves climb one level per epoch and a
+	// candidate's origin epoch ages in transit.
+	ttlEpochs = 8
+)
 
 func (c Config) withDefaults() Config {
 	if c.Epoch == 0 {
@@ -48,15 +51,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleSize == 0 {
 		c.SampleSize = 8
-	}
-	if c.HotThreshold == 0 {
-		c.HotThreshold = 0.5
-	}
-	if c.Decay == 0 {
-		c.Decay = 0.5
-	}
-	if c.TTLEpochs == 0 {
-		c.TTLEpochs = 8
 	}
 	return c
 }
@@ -183,10 +177,10 @@ func (a *Agent) Hot(file id.FileID, n id.NodeID) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if n == a.self {
-		return a.temps[file] >= a.cfg.HotThreshold
+		return a.temps[file] >= hotThreshold
 	}
 	l, ok := a.known[file][n]
-	return ok && l.temp >= a.cfg.HotThreshold
+	return ok && l.temp >= hotThreshold
 }
 
 // HotSet returns the sorted set of nodes this agent believes form the
@@ -196,11 +190,11 @@ func (a *Agent) HotSet(file id.FileID) []id.NodeID {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var out []id.NodeID
-	if a.temps[file] >= a.cfg.HotThreshold {
+	if a.temps[file] >= hotThreshold {
 		out = append(out, a.self)
 	}
 	for n, l := range a.known[file] {
-		if n != a.self && l.temp >= a.cfg.HotThreshold {
+		if n != a.self && l.temp >= hotThreshold {
 			out = append(out, n)
 		}
 	}
@@ -257,7 +251,7 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 func (a *Agent) expire() {
 	for f, m := range a.known {
 		for n, l := range m {
-			if a.epoch-l.epoch > a.cfg.TTLEpochs {
+			if a.epoch-l.epoch > ttlEpochs {
 				delete(m, n)
 			}
 		}
@@ -269,7 +263,7 @@ func (a *Agent) expire() {
 
 func (a *Agent) decay() {
 	for f, t := range a.temps {
-		t *= a.cfg.Decay
+		t *= decay
 		if t < 0.01 {
 			delete(a.temps, f)
 		} else {

@@ -93,9 +93,6 @@ type Config struct {
 	Phase1 Phase1Mode
 	// Priorities maps nodes to priorities for PriorityBased.
 	Priorities map[id.NodeID]id.Priority
-	// BackoffMin/Max bound the randomized retry delay of §4.5.2; zero
-	// means 200 ms / 1 s.
-	BackoffMin, BackoffMax time.Duration
 	// VisitTimeout bounds one sequential collect visit; an unresponsive
 	// member is skipped. Zero means 3 s.
 	VisitTimeout time.Duration
@@ -110,12 +107,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Policy == 0 {
 		c.Policy = HighestID
-	}
-	if c.BackoffMin == 0 {
-		c.BackoffMin = 200 * time.Millisecond
-	}
-	if c.BackoffMax <= c.BackoffMin {
-		c.BackoffMax = c.BackoffMin + 800*time.Millisecond
 	}
 	if c.VisitTimeout == 0 {
 		c.VisitTimeout = 3 * time.Second
@@ -154,6 +145,9 @@ const (
 	timerVisit      = "resolve.visit"
 	timerBack       = "resolve.background"
 	maxBackoffTries = 6
+	// backoffMin/backoffMax bound the randomized retry delay of §4.5.2.
+	backoffMin = 200 * time.Millisecond
+	backoffMax = time.Second
 )
 
 // CFADispatchCost models the initiator-local cost of framing one
@@ -310,8 +304,7 @@ func (r *Resolver) scheduleRetry(e env.Env, file id.FileID, tc tracing.Context) 
 		return
 	}
 	st.tries++
-	span := int64(r.cfg.BackoffMax - r.cfg.BackoffMin)
-	d := r.cfg.BackoffMin + time.Duration(e.Rand().Int63n(span))
+	d := backoffMin + time.Duration(e.Rand().Int63n(int64(backoffMax-backoffMin)))
 	e.After(d, timerRetry, file)
 }
 

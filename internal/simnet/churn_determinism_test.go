@@ -1,4 +1,4 @@
-package simnet
+package simnet_test
 
 // The churn determinism regression: scripted join/crash/restart events
 // sit in the same seeded event queue as protocol traffic, so a run with
@@ -12,16 +12,20 @@ package simnet
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"idea/internal/cluster"
 	"idea/internal/core"
 	"idea/internal/env"
 	"idea/internal/id"
 	"idea/internal/membership"
 	"idea/internal/resolve"
+	"idea/internal/simnet"
 	"idea/internal/vv"
 )
 
@@ -41,29 +45,42 @@ type churnResult struct {
 func runChurn(t *testing.T, seed int64) churnResult {
 	t.Helper()
 	var buf bytes.Buffer
-	c := New(Config{Seed: seed, EventTrace: &buf, Latency: Constant(25 * time.Millisecond)})
+	// Every incarnation journals into its own directory under walDir, so
+	// the restarted node 3 must come back on an empty store and recover
+	// its history from its peers, not from its predecessor's log.
+	walDir := t.TempDir()
+	base := []id.NodeID{1, 2, 3}
+	s, err := cluster.NewSim(cluster.Topology{
+		Nodes:  base,
+		Shards: 2,
+		Swim:   &membership.Config{},
+		WalDir: walDir,
+		Hook: func(nid id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.Resolve.Policy = resolve.MergeAll
+			if nid == 4 {
+				// A single shard, so per-file calls can be scheduled
+				// against the joiner before it exists.
+				o.Shards = 1
+			}
+			return nil
+		},
+	}, simnet.Config{Seed: seed, EventTrace: &buf, Latency: simnet.Constant(25 * time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, cores := s.C, s.Nodes
+	// rebootAt schedules nid's next incarnation through the builder's
+	// factory: no member list, no top layers, only seed 1.
+	rebootAt := func(at time.Duration, nid id.NodeID) {
+		mk, err := s.Factory(nid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.AddAt(at, nid, mk)
+	}
 
 	files := []id.FileID{"alpha", "beta"}
-	cores := make(map[id.NodeID]*core.Node)
-	mk := func(nid id.NodeID, all []id.NodeID, join id.NodeID, shards int) func() env.Handler {
-		return func() env.Handler {
-			n := core.NewNode(nid, core.Options{
-				All:     all,
-				Shards:  shards,
-				Swim:    &membership.Config{Join: join},
-				Resolve: resolve.Config{Policy: resolve.MergeAll},
-			})
-			cores[nid] = n
-			return n
-		}
-	}
-
-	base := []id.NodeID{1, 2, 3}
-	for _, nid := range base {
-		c.Add(nid, mk(nid, base, 0, 2)())
-	}
-	c.Start()
-
 	// Load: every node writes both files across the first 35 s.
 	for round := 0; round < 6; round++ {
 		at := time.Duration(round+1) * 5 * time.Second
@@ -84,10 +101,8 @@ func runChurn(t *testing.T, seed int64) churnResult {
 		})
 	}
 
-	// t=20s: node 4 joins knowing only seed 1 — no member list, no top
-	// layers, a single shard (so per-file calls can be scheduled before
-	// it exists).
-	c.AddAt(20*time.Second, 4, mk(4, nil, 1, 1))
+	// t=20s: node 4 joins knowing only seed 1.
+	rebootAt(20*time.Second, 4)
 
 	// t=40s: node 3 crashes. t=55s: sample node 1's view (probe 1 s +
 	// 2×500 ms timeouts + 3 s confirm leaves ample margin).
@@ -98,7 +113,7 @@ func runChurn(t *testing.T, seed int64) churnResult {
 	})
 
 	// t=60s: node 3 restarts from scratch and rejoins via the seed.
-	c.AddAt(60*time.Second, 3, mk(3, nil, 1, 2))
+	rebootAt(60*time.Second, 3)
 
 	// More load after the churn settles.
 	for round := 0; round < 3; round++ {
@@ -120,6 +135,12 @@ func runChurn(t *testing.T, seed int64) churnResult {
 	}
 	c.RunUntil(110 * time.Second)
 
+	for _, dir := range []string{"n3-i1", "n3-i2", "n4-i1"} {
+		if logs, err := os.ReadDir(filepath.Join(walDir, dir)); err != nil || len(logs) == 0 {
+			t.Fatalf("seed %d: incarnation journal %s holds %d logs (%v), want its own", seed, dir, len(logs), err)
+		}
+	}
+
 	res := churnResult{trace: buf.Bytes(), vectors: make(map[string]string)}
 	ids := make([]string, 0, len(view1))
 	for _, n := range view1 {
@@ -136,10 +157,12 @@ func runChurn(t *testing.T, seed int64) churnResult {
 	// structurally.
 	for _, f := range files {
 		v1 := cores[1].Store().Open(f).Vector()
-		v4 := cores[4].Store().Open(f).Vector()
-		if got := vv.Compare(v4, v1); got != vv.Equal {
-			t.Fatalf("seed %d: joiner's %s vector %v vs seed's %v: %v, want Equal",
-				seed, f, v4, v1, got)
+		for _, nid := range []id.NodeID{3, 4} {
+			v := cores[nid].Store().Open(f).Vector()
+			if got := vv.Compare(v, v1); got != vv.Equal {
+				t.Fatalf("seed %d: node %v's %s vector %v vs seed's %v: %v, want Equal",
+					seed, nid, f, v, v1, got)
+			}
 		}
 	}
 	return res

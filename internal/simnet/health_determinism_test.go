@@ -1,4 +1,4 @@
-package simnet
+package simnet_test
 
 // The health engine must behave like protocol code under the
 // deterministic scheduler: ticks ride virtual time, detectors read only
@@ -17,12 +17,12 @@ import (
 	"testing"
 	"time"
 
+	"idea/internal/cluster"
 	"idea/internal/core"
 	"idea/internal/env"
-	"idea/internal/gossip"
 	"idea/internal/health"
 	"idea/internal/id"
-	"idea/internal/overlay"
+	"idea/internal/simnet"
 )
 
 // runHealthPartition drives 3 nodes sharing one file: node 1 writes every
@@ -35,24 +35,21 @@ func runHealthPartition(t *testing.T, seed int64) (schedule, statuses, flights [
 	nodes := []id.NodeID{1, 2, 3}
 	file := id.FileID("f")
 	tops := map[id.FileID][]id.NodeID{file: nodes}
-	c := New(Config{Seed: seed, EventTrace: &buf})
-	mem := overlay.NewStatic(nodes, tops)
-	cores := make(map[id.NodeID]*core.Node, len(nodes))
-	for _, nid := range nodes {
-		n := core.NewNode(nid, core.Options{
-			Membership:    mem,
-			All:           nodes,
-			DisableRansub: true,
-			Gossip:        gossip.Config{Interval: 2 * time.Second},
-			Health: health.Config{
+	s, err := cluster.NewSim(cluster.Topology{
+		Nodes: nodes, TopLayers: tops,
+		Hook: func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.Gossip.Interval = 2 * time.Second
+			o.Health = health.Config{
 				Interval:              time.Second,
 				ConvergenceStallAfter: 6 * time.Second,
-			},
-		})
-		cores[nid] = n
-		c.Add(nid, n)
+			}
+			return nil
+		},
+	}, simnet.Config{Seed: seed, EventTrace: &buf})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.Start()
+	c, cores := s.C, s.Nodes
 	// Hints make detection trigger resolution sessions, which is how
 	// update bodies reach the peers — without them only digests flow, the
 	// peers' writer counts never move, and the frontier can't advance.

@@ -1,4 +1,4 @@
-package simnet
+package simnet_test
 
 // The multi-shard determinism regression: sharded handlers are scheduled
 // by a seeded stable tie-break, so two runs from the same seed must
@@ -11,10 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"idea/internal/core"
+	"idea/internal/cluster"
 	"idea/internal/env"
 	"idea/internal/id"
-	"idea/internal/overlay"
+	"idea/internal/simnet"
 )
 
 // runShardedTrace builds a 4-node cluster of sharded core nodes, drives
@@ -30,20 +30,12 @@ func runShardedTrace(t *testing.T, seed int64, shards int) (trace []byte, state 
 		files[i] = id.FileID(fmt.Sprintf("file-%d", i))
 		tops[files[i]] = nodes
 	}
-	c := New(Config{Seed: seed, EventTrace: &buf})
-	mem := overlay.NewStatic(nodes, tops)
-	cores := make(map[id.NodeID]*core.Node, len(nodes))
-	for _, nid := range nodes {
-		n := core.NewNode(nid, core.Options{
-			Membership:    mem,
-			All:           nodes,
-			Shards:        shards,
-			DisableRansub: true,
-		})
-		cores[nid] = n
-		c.Add(nid, n)
+	s, err := cluster.NewSim(cluster.Topology{Nodes: nodes, TopLayers: tops, Shards: shards},
+		simnet.Config{Seed: seed, EventTrace: &buf})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.Start()
+	c, cores := s.C, s.Nodes
 	// Concurrent writers across every file, plus a demanded resolution,
 	// so detection, gossip, and the two-phase resolution protocol all
 	// contribute events.

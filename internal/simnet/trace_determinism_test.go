@@ -1,4 +1,4 @@
-package simnet
+package simnet_test
 
 // Causal tracing must be invisible to the deterministic scheduler: the
 // sampling decision is a per-node counter (never env.Rand), span IDs are
@@ -14,10 +14,11 @@ import (
 	"testing"
 	"time"
 
+	"idea/internal/cluster"
 	"idea/internal/core"
 	"idea/internal/env"
 	"idea/internal/id"
-	"idea/internal/overlay"
+	"idea/internal/simnet"
 	"idea/internal/tracing"
 )
 
@@ -34,21 +35,17 @@ func runTracedCluster(t *testing.T, seed int64, shards int, tc tracing.Config) (
 		files[i] = id.FileID(fmt.Sprintf("file-%d", i))
 		tops[files[i]] = nodes
 	}
-	c := New(Config{Seed: seed, EventTrace: &buf})
-	mem := overlay.NewStatic(nodes, tops)
-	cores := make(map[id.NodeID]*core.Node, len(nodes))
-	for _, nid := range nodes {
-		n := core.NewNode(nid, core.Options{
-			Membership:    mem,
-			All:           nodes,
-			Shards:        shards,
-			DisableRansub: true,
-			Tracing:       tc,
-		})
-		cores[nid] = n
-		c.Add(nid, n)
+	s, err := cluster.NewSim(cluster.Topology{
+		Nodes: nodes, TopLayers: tops, Shards: shards,
+		Hook: func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.Tracing = tc
+			return nil
+		},
+	}, simnet.Config{Seed: seed, EventTrace: &buf})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c.Start()
+	c, cores := s.C, s.Nodes
 	// Hints make detection verdicts below the desired level trigger
 	// resolution sessions, which continue the write's trace — the chain
 	// the layer-coverage test asserts end to end.

@@ -14,44 +14,38 @@ import (
 	"testing"
 	"time"
 
-	"idea"
+	"idea/internal/cluster"
+	"idea/internal/core"
+	"idea/internal/env"
 	"idea/internal/health"
+	"idea/internal/id"
 	"idea/internal/topview"
 )
 
-const board = idea.FileID("board")
+const board = id.FileID("board")
 
 func TestLiveClusterHealthAndWALFailure(t *testing.T) {
-	all := []idea.NodeID{1, 2, 3}
-	tops := map[idea.FileID][]idea.NodeID{board: all}
-	walDir := filepath.Join(t.TempDir(), "wal")
-	fast := idea.HealthConfig{Interval: 50 * time.Millisecond}
-
-	nodes := make(map[idea.NodeID]*idea.LiveNode, len(all))
+	all := cluster.IDs(3)
+	walDir := t.TempDir()
+	lb, err := cluster.NewLoopback(cluster.Topology{
+		Nodes:     all,
+		TopLayers: map[id.FileID][]id.NodeID{board: all},
+		Shards:    core.NumShardsAuto,
+		WalDir:    walDir,
+		Hook: func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.Health = health.Config{Interval: 50 * time.Millisecond}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+	nodes := make(map[id.NodeID]*cluster.LiveNode, len(all))
 	bases := make([]string, 0, len(all))
-	peers := map[idea.NodeID]string{}
 	for _, nid := range all {
-		cfg := idea.LiveNodeConfig{
-			Self: nid, Listen: "127.0.0.1:0", Peers: peers,
-			All: all, TopLayers: tops, Health: fast,
-		}
-		if nid == 1 {
-			cfg.WalDir = walDir
-		}
-		ln, err := idea.NewLiveNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ln.Close()
-		nodes[nid] = ln
-		for prev, p := range nodes {
-			if prev != nid {
-				p.AddPeer(nid, ln.Addr())
-			}
-		}
-		peers[nid] = ln.Addr()
-
-		admin, err := idea.ServeNodeAdmin("127.0.0.1:0", ln.N)
+		nodes[nid] = lb.Node(nid)
+		admin, err := cluster.ServeAdmin("127.0.0.1:0", nodes[nid].N)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +58,7 @@ func TestLiveClusterHealthAndWALFailure(t *testing.T) {
 	for _, nid := range all {
 		ln := nodes[nid]
 		done := make(chan struct{})
-		ln.InjectFile(board, func(e idea.Env) {
+		ln.InjectFile(board, func(e env.Env) {
 			for i := 0; i < 10; i++ {
 				ln.N.Write(e, board, "w", []byte(fmt.Sprintf("n%d-%d", nid, i)), 0)
 			}
@@ -85,11 +79,11 @@ func TestLiveClusterHealthAndWALFailure(t *testing.T) {
 	// Pull the WAL directory out from under node 1 and force a fresh log
 	// file: appends to already-open logs still hit their unlinked fds, so
 	// only a new file trips the journal's sticky error.
-	if err := os.RemoveAll(walDir); err != nil {
+	if err := os.RemoveAll(filepath.Join(walDir, "n1-i1")); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
-	nodes[1].InjectFile("fresh", func(e idea.Env) {
+	nodes[1].InjectFile("fresh", func(e env.Env) {
 		nodes[1].N.Write(e, "fresh", "w", []byte("x"), 0)
 		close(done)
 	})

@@ -1,4 +1,4 @@
-package transport
+package transport_test
 
 // Live sharded-runtime stress: a 3-node TCP cluster of multi-shard core
 // nodes under concurrent writes to many files from several goroutines per
@@ -12,10 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"idea/internal/cluster"
 	"idea/internal/core"
 	"idea/internal/env"
 	"idea/internal/id"
-	"idea/internal/overlay"
 )
 
 func TestShardedClusterStress(t *testing.T) {
@@ -33,39 +33,19 @@ func TestShardedClusterStress(t *testing.T) {
 		tops[files[i]] = nodeIDs
 	}
 
+	lb, err := cluster.NewLoopback(cluster.Topology{Nodes: nodeIDs, TopLayers: tops, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
 	cores := make(map[id.NodeID]*core.Node, len(nodeIDs))
-	trans := make(map[id.NodeID]*Node, len(nodeIDs))
+	trans := make(map[id.NodeID]*cluster.LiveNode, len(nodeIDs))
 	for _, nid := range nodeIDs {
-		n := core.NewNode(nid, core.Options{
-			Membership:    overlay.NewStatic(nodeIDs, tops),
-			All:           nodeIDs,
-			Shards:        shards,
-			DisableRansub: true,
-		})
-		tn, err := Listen(nid, "127.0.0.1:0", n, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tn.AttachMetrics(n.Metrics())
-		cores[nid], trans[nid] = n, tn
-	}
-	defer func() {
-		for _, tn := range trans {
-			tn.Close()
-		}
-	}()
-	for _, a := range nodeIDs {
-		for _, b := range nodeIDs {
-			if a != b {
-				trans[a].AddPeer(b, trans[b].Addr())
-			}
-		}
-	}
-	for _, nid := range nodeIDs {
+		trans[nid] = lb.Node(nid)
+		cores[nid] = trans[nid].N
 		if got := trans[nid].NumShards(); got != shards {
 			t.Fatalf("node %v runs %d shards, want %d", nid, got, shards)
 		}
-		trans[nid].Start()
 	}
 
 	// Every node: `writers` goroutines spraying writes across all files,

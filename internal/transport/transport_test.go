@@ -78,7 +78,7 @@ func startPair(t *testing.T) (*Node, *Node, *collector, *collector) {
 
 func TestSendAcrossTCP(t *testing.T) {
 	n1, _, _, h2 := startPair(t)
-	n1.Inject(func(e env.Env) {
+	n1.InjectFile("f", func(e env.Env) {
 		e.Send(2, wire.CollectRequest{File: "f", Token: 42})
 	})
 	msgs := h2.waitMsgs(t, 1)
@@ -103,7 +103,7 @@ func TestBidirectionalAndFromField(t *testing.T) {
 
 func TestComplexPayloadRoundTrip(t *testing.T) {
 	n1, _, _, h2 := startPair(t)
-	n1.Inject(func(e env.Env) {
+	n1.InjectFile("board", func(e env.Env) {
 		v := newVectorForTest(e)
 		e.Send(2, wire.DetectRequest{File: "board", Token: 7, VV: v})
 	})
@@ -142,7 +142,7 @@ func TestManyMessagesAllArrive(t *testing.T) {
 	const total = 200
 	for i := 0; i < total; i++ {
 		tok := int64(i)
-		n1.Inject(func(e env.Env) { e.Send(2, wire.CollectRequest{File: "f", Token: tok}) })
+		n1.InjectFile("f", func(e env.Env) { e.Send(2, wire.CollectRequest{File: "f", Token: tok}) })
 	}
 	msgs := h2.waitMsgs(t, total)
 	seen := make(map[int64]bool)
@@ -236,7 +236,7 @@ func TestReconnectToLateStartingPeer(t *testing.T) {
 
 	// Send while peer 2 is down: the frame queues and the writer
 	// starts its dial/backoff loop.
-	n1.Inject(func(e env.Env) { e.Send(2, wire.CollectRequest{File: "f", Token: 7}) })
+	n1.InjectFile("f", func(e env.Env) { e.Send(2, wire.CollectRequest{File: "f", Token: 7}) })
 	time.Sleep(150 * time.Millisecond) // let at least one dial fail
 
 	h2 := &collector{}
@@ -281,7 +281,7 @@ func TestRemovePeerStopsRedial(t *testing.T) {
 	t.Cleanup(func() { n1.Close() })
 
 	// Queue a frame: the writer starts its dial/backoff loop.
-	n1.Inject(func(e env.Env) { e.Send(2, wire.CollectRequest{File: "f", Token: 1}) })
+	n1.InjectFile("f", func(e env.Env) { e.Send(2, wire.CollectRequest{File: "f", Token: 1}) })
 	retriesAt := func() int64 { return reg.Snapshot().Counters["transport.dial_retries_total"] }
 	deadline := time.Now().Add(5 * time.Second)
 	for retriesAt() == 0 && time.Now().Before(deadline) {
@@ -311,7 +311,7 @@ func TestRemovePeerStopsRedial(t *testing.T) {
 	}
 
 	// Sending to the removed peer is a no-op, not a panic or a new link.
-	n1.Inject(func(e env.Env) { e.Send(2, wire.CollectRequest{File: "f", Token: 2}) })
+	n1.InjectFile("f", func(e env.Env) { e.Send(2, wire.CollectRequest{File: "f", Token: 2}) })
 	time.Sleep(50 * time.Millisecond)
 	if n1.QueueDepth(2) != 0 {
 		t.Fatal("send to removed peer recreated a link")

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"idea"
+	"idea/internal/cluster"
 	"idea/internal/id"
 	"idea/internal/loadgen"
 	"idea/internal/membership"
@@ -41,31 +42,19 @@ func vectorOf(ln *idea.LiveNode) *vv.Vector {
 
 func TestLiveJoinConvergesAndDeadNodeEvicted(t *testing.T) {
 	all := []idea.NodeID{1, 2, 3}
-	nodes := make(map[idea.NodeID]*idea.LiveNode)
-	addrs := make(map[idea.NodeID]string)
-	for _, nid := range all {
-		ln, err := idea.NewLiveNode(idea.LiveNodeConfig{
-			Self:       nid,
-			Listen:     "127.0.0.1:0",
-			All:        all,
-			TopLayers:  map[idea.FileID][]idea.NodeID{liveFile: all},
-			Shards:     2,
-			Swim:       true,
-			SwimConfig: fastSwim(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[nid] = ln
-		addrs[nid] = ln.Addr()
-		defer ln.Close()
+	lb, err := cluster.NewLoopback(cluster.Topology{
+		Nodes:     all,
+		TopLayers: map[idea.FileID][]idea.NodeID{liveFile: all},
+		Shards:    2,
+		Swim:      fastSwim(),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer lb.Close()
+	nodes := make(map[idea.NodeID]*idea.LiveNode)
 	for _, nid := range all {
-		for _, peer := range all {
-			if nid != peer {
-				nodes[nid].AddPeer(peer, addrs[peer])
-			}
-		}
+		nodes[nid] = lb.Node(nid)
 	}
 
 	// Drive load at the seed while the 4th node joins mid-run.
@@ -83,7 +72,7 @@ func TestLiveJoinConvergesAndDeadNodeEvicted(t *testing.T) {
 	joiner, err := idea.NewLiveNode(idea.LiveNodeConfig{
 		Self:       4,
 		Listen:     "127.0.0.1:0",
-		Join:       addrs[1], // the only configuration the joiner gets
+		Join:       nodes[1].Addr(), // the only configuration the joiner gets
 		SwimConfig: fastSwim(),
 	})
 	if err != nil {
