@@ -24,6 +24,7 @@ import (
 	"idea/internal/id"
 	"idea/internal/quantify"
 	"idea/internal/vv"
+	"idea/internal/wire"
 )
 
 // Server is one booking server bound to an IDEA node.
@@ -117,14 +118,14 @@ func (s *Server) Level() float64 { return s.Node.Level(s.File) }
 // GlobalSold sums distinct booked seats across a set of servers' logs —
 // the omniscient measure the oversell experiments use.
 func GlobalSold(servers []*Server) int {
-	seen := make(map[string]bool)
+	seen := make(map[wire.UpdateID]bool)
 	total := 0
 	for _, s := range servers {
 		for _, u := range s.Node.Read(s.File) {
-			if u.Op != "book" || seen[u.Key()] {
+			if u.Op != "book" || seen[u.ID()] {
 				continue
 			}
-			seen[u.Key()] = true
+			seen[u.ID()] = true
 			total += int(binary.BigEndian.Uint64(u.Data))
 		}
 	}

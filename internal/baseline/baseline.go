@@ -188,7 +188,7 @@ type Strong struct {
 	pending   map[int]*pendingCommit
 
 	// writer state
-	issued map[string]time.Time
+	issued map[wire.UpdateID]time.Time
 
 	// OnCommit fires at the writer when its write is fully replicated.
 	OnCommit func(e env.Env, n CommitNotice)
@@ -211,7 +211,7 @@ func NewStrong(cfg StrongConfig, self id.NodeID) *Strong {
 		self:    self,
 		st:      store.New(self),
 		pending: make(map[int]*pendingCommit),
-		issued:  make(map[string]time.Time),
+		issued:  make(map[wire.UpdateID]time.Time),
 	}
 }
 
@@ -230,7 +230,7 @@ func (s *Strong) Write(e env.Env, file id.FileID, op string, data []byte, meta f
 		Op:     op,
 		Data:   data,
 	}
-	s.issued[u.Key()] = e.Now()
+	s.issued[u.ID()] = e.Now()
 	e.Send(s.cfg.Primary, wire.StrongWrite{File: file, Update: u})
 	return u
 }
@@ -268,11 +268,11 @@ func (s *Strong) Recv(e env.Env, from id.NodeID, msg env.Message) {
 			e.Send(p.origin, wire.StrongCommitted{File: m.File, Update: p.update})
 		}
 	case wire.StrongCommitted:
-		issuedAt, ok := s.issued[m.Update.Key()]
+		issuedAt, ok := s.issued[m.Update.ID()]
 		if !ok {
 			return
 		}
-		delete(s.issued, m.Update.Key())
+		delete(s.issued, m.Update.ID())
 		if s.OnCommit != nil {
 			s.OnCommit(e, CommitNotice{File: m.File, Update: m.Update, Latency: e.Now().Sub(issuedAt)})
 		}

@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"idea/internal/env"
 	"idea/internal/id"
 	"idea/internal/simnet"
+	"idea/internal/wire"
 )
 
 // noGossip is the hook of the paper's §6 configuration: bottom layer off.
@@ -209,5 +212,84 @@ func TestLoopbackMeshResolvesAndCloses(t *testing.T) {
 	time.Sleep(500 * time.Millisecond)
 	if after := retries(); after != before {
 		t.Fatalf("dial retries still advancing after Close: %d -> %d", before, after)
+	}
+}
+
+// TestReadViewsSurviveRemoteWrites: a client goroutine keeps walking
+// Node.Read results outside the node's shard while that shard applies
+// remote writes and adopts resolution images (two conflicting writers, so
+// images also invalidate). Every view must read the same as when it was
+// returned, and under -race no element a view covers may be written.
+func TestReadViewsSurviveRemoteWrites(t *testing.T) {
+	const file = id.FileID("f")
+	all := cluster.IDs(3)
+	lb, err := cluster.NewLoopback(cluster.Topology{
+		Nodes:     all,
+		TopLayers: map[id.FileID][]id.NodeID{file: all},
+		Shards:    2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lb.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, nid := range []id.NodeID{1, 3} {
+		ln := lb.Node(nid)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				done := make(chan struct{})
+				ln.InjectFile(file, func(e env.Env) {
+					ln.N.Write(e, file, "w", []byte{byte(i)}, float64(i))
+					if i%4 == 0 {
+						ln.N.DemandActiveResolution(e, file)
+					}
+					close(done)
+				})
+				<-done
+				time.Sleep(time.Millisecond)
+			}
+		}()
+	}
+	defer func() { close(stop); wg.Wait() }()
+
+	reader := lb.Node(2)
+	read := func() []wire.Update {
+		got := make(chan []wire.Update, 1)
+		reader.InjectFile(file, func(env.Env) { got <- reader.N.Read(file) })
+		return <-got
+	}
+	// The first view lives through the whole run; the latest few are
+	// re-walked on every pass.
+	type held struct{ view, copy []wire.Update }
+	var first held
+	var recent []held
+	lens := make(map[int]bool)
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		v := read()
+		h := held{v, append([]wire.Update(nil), v...)}
+		if first.view == nil && len(v) > 0 {
+			first = h
+		}
+		lens[len(v)] = true
+		if recent = append(recent, h); len(recent) > 8 {
+			recent = recent[1:]
+		}
+		for _, h := range append(recent, first) {
+			if !reflect.DeepEqual(h.view, h.copy) {
+				t.Fatalf("a Read view changed after return: len %d", len(h.view))
+			}
+		}
+	}
+	if len(lens) < 3 {
+		t.Fatalf("node 2's log took %d distinct lengths; remote writes never reached it", len(lens))
 	}
 }

@@ -764,7 +764,11 @@ func (n *Node) WriteTracked(e env.Env, file id.FileID, op string, data []byte, m
 }
 
 // Read returns the local replica's log without triggering IDEA — the
-// "file is locally updated frequently" fast path of Fig. 3.
+// "file is locally updated frequently" fast path of Fig. 3. The log is a
+// view, not a copy (see store.Replica.Log): read-only, it never changes
+// after return, so a client may walk it off the file's shard; appending
+// to it is safe, writing an element corrupts the replica. ReadChecked and
+// ReadAuto return the same kind of view.
 func (n *Node) Read(file id.FileID) []wire.Update {
 	n.met.reads.Inc()
 	return n.st.Open(file).Log()

@@ -10,7 +10,6 @@
 package gossip
 
 import (
-	"fmt"
 	"time"
 
 	"idea/internal/env"
@@ -142,7 +141,7 @@ type Agent struct {
 
 	shard int // serialization-domain label carried in round-timer data
 	round int
-	seen  map[string]int // digest dedup key (origin/round/file) → local round inserted
+	seen  map[digestKey]int // digest dedup key → local round inserted
 
 	// outBatch accumulates one round's origin digests per destination
 	// peer (reused across rounds; flushed in deterministic peer order).
@@ -206,7 +205,7 @@ func New(cfg Config, self id.NodeID, peers []id.NodeID, state State, q *quantify
 		state:        state,
 		quant:        q,
 		sink:         sink,
-		seen:         make(map[string]int),
+		seen:         make(map[digestKey]int),
 		heard:        make(map[id.FileID]map[id.NodeID]*originView),
 		lastFrontier: make(map[id.FileID]map[id.NodeID]int),
 	}
@@ -414,8 +413,11 @@ func (a *Agent) flushBatch(e env.Env) {
 	}
 }
 
-func digestKey(d wire.GossipDigest) string {
-	return fmt.Sprintf("%v/%v/%d", d.File, d.Origin, d.Round)
+// digestKey identifies one origin digest for relay dedup.
+type digestKey struct {
+	file   id.FileID
+	origin id.NodeID
+	round  int
 }
 
 // HandleDigest compares the digest with the local replica, reports a
@@ -423,7 +425,7 @@ func digestKey(d wire.GossipDigest) string {
 // excluding the node it came from.
 func (a *Agent) HandleDigest(e env.Env, from id.NodeID, d wire.GossipDigest) {
 	a.met.received.Inc()
-	k := digestKey(d)
+	k := digestKey{d.File, d.Origin, d.Round}
 	if _, dup := a.seen[k]; dup {
 		return
 	}

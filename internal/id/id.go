@@ -4,7 +4,7 @@
 // the version-vector, wire, and runtime layers.
 package id
 
-import "fmt"
+import "strconv"
 
 // NodeID identifies a replica/participant. The paper assigns each node a
 // randomly chosen ID (e.g. a hash of its IP address) so that the
@@ -14,8 +14,16 @@ type NodeID int64
 // Nil is the zero NodeID, used to mean "no node".
 const Nil NodeID = 0
 
-// String implements fmt.Stringer.
-func (n NodeID) String() string { return fmt.Sprintf("n%d", int64(n)) }
+// String implements fmt.Stringer: "n" followed by the decimal ID.
+func (n NodeID) String() string {
+	var buf [24]byte
+	return string(n.Append(buf[:0]))
+}
+
+// Append appends the String form of n to b.
+func (n NodeID) Append(b []byte) []byte {
+	return strconv.AppendInt(append(b, 'n'), int64(n), 10)
+}
 
 // FileID names a shared file/object. Each file has its own independent
 // top layer ("temperature overlay", §4.1); a virtual white board is one

@@ -1,6 +1,9 @@
 package id
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func TestNodeIDString(t *testing.T) {
 	if got := NodeID(42).String(); got != "n42" {
@@ -8,6 +11,11 @@ func TestNodeIDString(t *testing.T) {
 	}
 	if got := Nil.String(); got != "n0" {
 		t.Fatalf("Nil.String = %q", got)
+	}
+	for _, n := range []NodeID{-1, -1 << 63, 1<<63 - 1} {
+		if got, want := n.String(), fmt.Sprintf("n%d", int64(n)); got != want {
+			t.Fatalf("String = %q, want %q", got, want)
+		}
 	}
 }
 

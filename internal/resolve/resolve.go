@@ -21,6 +21,7 @@ package resolve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -159,15 +160,19 @@ const (
 const CFADispatchCost = 156 * time.Microsecond
 
 type session struct {
-	token    int64
-	file     id.FileID
-	active   bool
-	members  []id.NodeID
-	next     int
-	skipped  int
-	acks     map[id.NodeID]bool
-	vecs     map[id.NodeID]*vv.Vector
-	pool     map[string]wire.Update
+	token   int64
+	file    id.FileID
+	active  bool
+	members []id.NodeID
+	next    int
+	skipped int
+	acks    map[id.NodeID]bool
+	vecs    map[id.NodeID]*vv.Vector
+	// view is the initiator's per-writer index as of phase 2; pool holds
+	// only the updates members sent back. Together they are every update
+	// the session can ship, at a cost independent of log depth.
+	view     store.View
+	pool     map[wire.UpdateID]wire.Update
 	p1start  time.Time
 	p1dur    time.Duration
 	p2start  time.Time
@@ -351,7 +356,7 @@ func (r *Resolver) start(e env.Env, file id.FileID, active bool, tc tracing.Cont
 		members: members,
 		acks:    make(map[id.NodeID]bool),
 		vecs:    make(map[id.NodeID]*vv.Vector),
-		pool:    make(map[string]wire.Update),
+		pool:    make(map[wire.UpdateID]wire.Update),
 		p1start: e.Now(),
 		tc:      r.tr.Event(e.Now(), tc, tracing.EvResolveStart, file, id.Nil, activeArg),
 	}
@@ -393,12 +398,10 @@ func (r *Resolver) traceApplies(e env.Env, v *vv.Vector, updates []wire.Update, 
 func (r *Resolver) enterPhase2(e env.Env, s *session) {
 	s.inPhase2 = true
 	s.p2start = e.Now()
-	// Seed the pool and candidate set with the local replica.
+	// Seed the candidate set with the local replica.
 	local := r.st.Open(s.file)
 	s.vecs[r.self] = local.Vector()
-	for _, u := range local.Log() {
-		s.pool[u.Key()] = u
-	}
+	s.view = local.View()
 	if r.cfg.ParallelCollect {
 		if len(s.members) == 0 {
 			r.finish(e, s)
@@ -460,9 +463,7 @@ func (r *Resolver) HandleCollectReply(e env.Env, from id.NodeID, m wire.CollectR
 			return
 		}
 		s.vecs[from] = m.VV
-		for _, u := range m.Updates {
-			s.pool[u.Key()] = u
-		}
+		s.collect(m.Updates)
 		s.next++
 		if s.next >= len(s.members) {
 			r.finish(e, s)
@@ -473,15 +474,22 @@ func (r *Resolver) HandleCollectReply(e env.Env, from id.NodeID, m wire.CollectR
 		return // stale or out-of-order reply
 	}
 	s.vecs[from] = m.VV
-	for _, u := range m.Updates {
-		s.pool[u.Key()] = u
-	}
+	s.collect(m.Updates)
 	s.next++
 	r.visitNext(e, s)
 }
 
+// collect adds a member's updates to the pool; a later copy of the same
+// (writer, seq) replaces an earlier one.
+func (s *session) collect(us []wire.Update) {
+	for _, u := range us {
+		s.pool[u.ID()] = u
+	}
+}
+
 func (r *Resolver) finish(e env.Env, s *session) {
 	winner, winVec := r.chooseWinner(s)
+	img := newImage(s, winVec)
 	// Inform every member in parallel with exactly the updates it lacks.
 	// The traversal follows the sorted member slice — not the vecs map —
 	// so the send order (and with it every seeded emulation schedule) is
@@ -489,23 +497,20 @@ func (r *Resolver) finish(e env.Env, s *session) {
 	// best-effort inform; lacking their vector, ship the whole winning
 	// image.
 	for _, m := range s.members {
-		mv := s.vecs[m] // nil when the member timed out
 		e.Send(m, wire.Inform{
 			File:    s.file,
 			Token:   s.token,
 			Winner:  winner,
 			VV:      winVec,
-			Updates: r.imageUpdates(s, winVec, mv),
+			Updates: img.missingFrom(s.vecs[m]), // nil vector: the member timed out
 			TC:      s.tc,
 		})
 	}
 	// Adopt locally.
-	localMissing := r.imageUpdates(s, winVec, s.vecs[r.self])
+	localMissing := img.missingFrom(s.vecs[r.self])
 	local := r.st.Open(s.file)
 	r.traceApplies(e, local.Vector(), localMissing, s.file)
-	applied, invalidated := local.AdoptImage(winVec, localMissing, r.invalidates())
-	_ = applied
-	_ = invalidated
+	local.AdoptImage(winVec, localMissing, r.invalidates())
 	p2 := e.Now().Sub(s.p2start)
 	r.tr.Event(e.Now(), s.tc, tracing.EvVerdict, s.file, winner, int64(len(s.members)))
 
@@ -634,21 +639,69 @@ func commonPrefix(vecs map[id.NodeID]*vv.Vector) *vv.Vector {
 	return out
 }
 
-// imageUpdates returns the pooled updates belonging to the winning image
-// that the holder of target is missing.
-func (r *Resolver) imageUpdates(s *session, winVec, target *vv.Vector) []wire.Update {
-	var out []wire.Update
+// image is the winning replica as a finished session can ship it: the
+// initiator's phase-2 view plus the pooled member updates, capped by the
+// winning vector.
+type image struct {
+	view    store.View
+	win     *vv.Vector
+	writers []id.NodeID   // every writer in the view or the pool, ascending
+	pooled  []wire.Update // the pool, ordered by (writer, seq)
+}
+
+func newImage(s *session, win *vv.Vector) image {
+	img := image{view: s.view, win: win, writers: s.view.Writers()}
+	img.pooled = make([]wire.Update, 0, len(s.pool))
 	for _, u := range s.pool {
-		if u.Seq <= winVec.Count(u.Writer) && (target == nil || u.Seq > target.Count(u.Writer)) {
+		img.pooled = append(img.pooled, u)
+		img.writers = append(img.writers, u.Writer)
+	}
+	sort.Slice(img.pooled, func(i, j int) bool {
+		a, b := img.pooled[i], img.pooled[j]
+		return a.Writer < b.Writer || (a.Writer == b.Writer && a.Seq < b.Seq)
+	})
+	slices.Sort(img.writers)
+	img.writers = slices.Compact(img.writers)
+	return img
+}
+
+// missingFrom returns the image's updates the holder of target lacks —
+// all of them when target is nil — ordered by (writer, seq). It costs
+// what target is missing plus the pool, not the initiator's log depth.
+// Where a member sent an update the view also holds, the member's copy
+// wins.
+func (img image) missingFrom(target *vv.Vector) []wire.Update {
+	var out []wire.Update
+	pooled := img.pooled
+	for _, w := range img.writers {
+		after, upTo := 0, img.win.Count(w)
+		if target != nil {
+			after = target.Count(w)
+		}
+		n := 0
+		for n < len(pooled) && pooled[n].Writer == w {
+			n++
+		}
+		extra := pooled[:n]
+		pooled = pooled[n:]
+		for len(extra) > 0 && extra[0].Seq <= after {
+			extra = extra[1:]
+		}
+		for len(extra) > 0 && extra[len(extra)-1].Seq > upTo {
+			extra = extra[:len(extra)-1]
+		}
+		for _, u := range img.view.Range(w, after, upTo) {
+			for len(extra) > 0 && extra[0].Seq < u.Seq {
+				out = append(out, extra[0])
+				extra = extra[1:]
+			}
+			if len(extra) > 0 && extra[0].Seq == u.Seq {
+				continue
+			}
 			out = append(out, u)
 		}
+		out = append(out, extra...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Writer != out[j].Writer {
-			return out[i].Writer < out[j].Writer
-		}
-		return out[i].Seq < out[j].Seq
-	})
 	return out
 }
 

@@ -20,14 +20,25 @@ type resNode struct {
 	res      *Resolver
 	outcomes []Outcome
 	applied  int
+	// around, when set, wraps every delivery to the resolver (msg is nil
+	// for timers), so a test can watch the resolver from outside.
+	around func(e env.Env, from id.NodeID, msg env.Message, deliver func(env.Env))
 }
 
 func (n *resNode) Start(e env.Env) {}
 func (n *resNode) Recv(e env.Env, from id.NodeID, m env.Message) {
-	n.res.Recv(e, from, m)
+	n.deliver(e, from, m, func(e env.Env) { n.res.Recv(e, from, m) })
 }
 func (n *resNode) Timer(e env.Env, key string, data any) {
-	n.res.Timer(e, key, data)
+	n.deliver(e, id.Nil, nil, func(e env.Env) { n.res.Timer(e, key, data) })
+}
+
+func (n *resNode) deliver(e env.Env, from id.NodeID, m env.Message, fn func(env.Env)) {
+	if n.around != nil {
+		n.around(e, from, m, fn)
+		return
+	}
+	fn(e)
 }
 
 type fixture struct {
@@ -36,7 +47,7 @@ type fixture struct {
 	ids   []id.NodeID
 }
 
-func build(t *testing.T, n int, cfg Config, seed int64) *fixture {
+func build(t testing.TB, n int, cfg Config, seed int64) *fixture {
 	t.Helper()
 	ids := make([]id.NodeID, n)
 	for i := range ids {

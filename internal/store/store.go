@@ -156,9 +156,87 @@ func (r *Replica) Pending() int {
 // live log by CompactBelow.
 func (r *Replica) Compacted() int { return r.logBase }
 
-// Log returns a copy of the live applied update log in application
-// order (entries compacted below the stability frontier are gone).
-func (r *Replica) Log() []wire.Update { return append([]wire.Update(nil), r.log...) }
+// Log returns the live applied update log in application order (entries
+// compacted below the stability frontier are gone). It is a view, not a
+// copy: read-only, and it never changes after return — the replica never
+// rewrites an element it has handed out — so once passed to another
+// goroutine (over a channel, say) it may be read there while the replica
+// keeps mutating. Appending to it is safe (its capacity is capped, so
+// append reallocates); writing an element corrupts the replica.
+func (r *Replica) Log() []wire.Update { return r.log[:len(r.log):len(r.log)] }
+
+// View is an immutable snapshot of a replica's per-writer index: each
+// writer's live updates and its compaction base. Taking one costs
+// O(writers) — it copies slice headers, not updates — and, like Log, it
+// never changes afterwards, whatever the replica applies, rolls back,
+// invalidates or compacts.
+type View struct {
+	byWriter map[id.NodeID][]wire.Update
+	wBase    map[id.NodeID]int
+}
+
+// View returns a snapshot of the replica's per-writer index.
+func (r *Replica) View() View {
+	v := View{
+		byWriter: make(map[id.NodeID][]wire.Update, len(r.byWriter)),
+		wBase:    make(map[id.NodeID]int, len(r.byWriter)),
+	}
+	for w, us := range r.byWriter {
+		if len(us) > 0 {
+			v.byWriter[w] = us[:len(us):len(us)]
+			v.wBase[w] = r.wBase[w]
+		}
+	}
+	return v
+}
+
+// Writers returns the writers with live updates in the view, ascending.
+func (v View) Writers() []id.NodeID {
+	ws := make([]id.NodeID, 0, len(v.byWriter))
+	for w := range v.byWriter {
+		ws = append(ws, w)
+	}
+	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
+	return ws
+}
+
+// Range returns writer w's live updates with after < Seq <= upTo in
+// sequence order, as a read-only slice of the view (no copy). Updates
+// compacted below the writer's base are not in it.
+func (v View) Range(w id.NodeID, after, upTo int) []wire.Update {
+	us, base := v.byWriter[w], v.wBase[w]
+	lo, hi := after-base, upTo-base
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > len(us) {
+		hi = len(us)
+	}
+	if lo >= hi {
+		return nil
+	}
+	return us[lo:hi:hi]
+}
+
+// keepIf returns the updates of us that keep accepts, in order. The
+// accepted prefix is shared with us; anything after the first rejected
+// update goes to a fresh array, so no element a Log or View handed out
+// earlier is ever overwritten.
+func keepIf(us []wire.Update, keep func(wire.Update) bool) []wire.Update {
+	for i, u := range us {
+		if keep(u) {
+			continue
+		}
+		kept := us[:i:i]
+		for _, u := range us[i+1:] {
+			if keep(u) {
+				kept = append(kept, u)
+			}
+		}
+		return kept
+	}
+	return us
+}
 
 // WriteLocal appends a local write by the owner: it assigns the next
 // per-writer sequence number, stamps it, ticks the version vector, and
@@ -347,29 +425,19 @@ func (r *Replica) Rollback(token int64) ([]wire.Update, error) {
 		if cp.token != token {
 			continue
 		}
-		kept := r.log[:0]
 		var undone []wire.Update
-		for _, u := range r.log {
+		r.log = keepIf(r.log, func(u wire.Update) bool {
 			if u.Seq > cp.vec.Count(u.Writer) {
 				undone = append(undone, u)
-			} else {
-				kept = append(kept, u)
+				return false
 			}
-		}
-		r.log = kept
+			return true
+		})
 		// Newest first, per the contract.
 		for a, b := 0, len(undone)-1; a < b; a, b = a+1, b-1 {
 			undone[a], undone[b] = undone[b], undone[a]
 		}
-		for w, us := range r.byWriter {
-			keepN := cp.vec.Count(w) - r.wBase[w]
-			if keepN < 0 {
-				keepN = 0
-			}
-			if keepN < len(us) {
-				r.byWriter[w] = us[:keepN]
-			}
-		}
+		r.truncateIndex(cp.vec.Count)
 		gaugeBefore := r.vec.WindowStamps()
 		r.vec = cp.vec.Clone()
 		// An invalidation since the checkpoint may have removed entries
@@ -395,6 +463,22 @@ func (r *Replica) Rollback(token int64) ([]wire.Update, error) {
 		return undone, nil
 	}
 	return nil, fmt.Errorf("store: unknown checkpoint %d for %v", token, r.File)
+}
+
+// truncateIndex cuts each writer's index down to count(w) updates (never
+// into its compacted prefix). A cut slice has its capacity capped, so the
+// next append reallocates instead of overwriting elements a Log or View
+// may still hold.
+func (r *Replica) truncateIndex(count func(id.NodeID) int) {
+	for w, us := range r.byWriter {
+		keepN := count(w) - r.wBase[w]
+		if keepN < 0 {
+			keepN = 0
+		}
+		if keepN < len(us) {
+			r.byWriter[w] = us[:keepN:keepN]
+		}
+	}
 }
 
 // DropCheckpoint discards a checkpoint without rolling back (the
@@ -446,15 +530,20 @@ func (r *Replica) AdoptImage(adoptVec *vv.Vector, updates []wire.Update, invalid
 				delete(r.pending, w)
 			}
 		}
-		kept := r.log[:0]
-		for _, u := range r.log {
-			if u.Seq <= adoptCount(u.Writer) {
-				kept = append(kept, u)
-			} else {
-				invalidated++
+		// The per-writer index tells in O(writers) whether anything goes;
+		// only then is the arrival log walked.
+		for w, us := range r.byWriter {
+			if r.wBase[w]+len(us) > adoptCount(w) {
+				r.log = keepIf(r.log, func(u wire.Update) bool {
+					if u.Seq <= adoptCount(u.Writer) {
+						return true
+					}
+					invalidated++
+					return false
+				})
+				break
 			}
 		}
-		r.log = kept
 		r.met.logEntries.Add(-int64(invalidated))
 		r.met.invalidated.Add(int64(invalidated))
 		if invalidated > 0 {
@@ -462,14 +551,10 @@ func (r *Replica) AdoptImage(adoptVec *vv.Vector, updates []wire.Update, invalid
 			// adopted image; the compacted prefix (and its window
 			// bookkeeping) stays intact.
 			before := r.vec.WindowStamps()
-			for w, us := range r.byWriter {
-				keepN := adoptCount(w) - r.wBase[w]
-				if keepN < 0 {
-					keepN = 0
-				}
-				if keepN < len(us) {
-					r.byWriter[w] = us[:keepN]
-					r.vec.TruncateWriter(w, adoptCount(w))
+			r.truncateIndex(adoptCount)
+			for w := range r.byWriter {
+				if c := adoptCount(w); r.vec.Count(w) > c {
+					r.vec.TruncateWriter(w, c)
 				}
 			}
 			r.met.windowStamps.Add(int64(r.vec.WindowStamps() - before))
@@ -567,8 +652,9 @@ func (r *Replica) CompactBelow(stable map[id.NodeID]int) int {
 // the version vector, the per-writer compaction base (updates below it
 // were pruned here and are covered by the vector alone), the
 // critical-metadata value as of that base, and the live log tail in
-// arrival order. The receiver installs it with InstallSnapshot — one
-// transfer instead of replaying total history through anti-entropy.
+// arrival order (a Log view, not a copy). The receiver installs it with
+// InstallSnapshot — one transfer instead of replaying total history
+// through anti-entropy.
 func (r *Replica) Snapshot() (vec *vv.Vector, base map[id.NodeID]int, prefixMeta float64, updates []wire.Update) {
 	base = make(map[id.NodeID]int)
 	for w, b := range r.wBase {

@@ -9,7 +9,7 @@
 package wire
 
 import (
-	"fmt"
+	"strconv"
 
 	"idea/internal/env"
 	"idea/internal/id"
@@ -41,8 +41,25 @@ type Update struct {
 	TC tracing.Context
 }
 
-// Key uniquely identifies an update.
-func (u Update) Key() string { return fmt.Sprintf("%v/%v#%d", u.File, u.Writer, u.Seq) }
+// Key uniquely identifies an update as text: "file/writer#seq".
+func (u Update) Key() string {
+	var buf [64]byte
+	b := append(buf[:0], u.File...)
+	b = u.Writer.Append(append(b, '/'))
+	b = strconv.AppendInt(append(b, '#'), int64(u.Seq), 10)
+	return string(b)
+}
+
+// UpdateID is an update's identity as a comparable value — what Key
+// spells out, for maps that need identity rather than text.
+type UpdateID struct {
+	File   id.FileID
+	Writer id.NodeID
+	Seq    int
+}
+
+// ID returns the update's identity.
+func (u Update) ID() UpdateID { return UpdateID{u.File, u.Writer, u.Seq} }
 
 // ---- Detection (§4.3) ----
 

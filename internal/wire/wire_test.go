@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"testing"
 
 	"idea/internal/id"
@@ -125,8 +126,22 @@ func TestUpdateKey(t *testing.T) {
 		t.Fatalf("key = %q", got)
 	}
 	v := Update{File: "board", Writer: 3, Seq: 8}
-	if u.Key() == v.Key() {
+	if u.Key() == v.Key() || u.ID() == v.ID() {
 		t.Fatal("distinct updates share a key")
+	}
+	if u.ID() != (Update{File: "board", Writer: 3, Seq: 7, Op: "other"}).ID() {
+		t.Fatal("ID depends on more than file, writer and seq")
+	}
+	// Key is built without fmt; it must spell exactly what the fmt form
+	// always did, long names and negative IDs included.
+	for _, w := range []Update{
+		{},
+		{File: "a/b", Writer: -12, Seq: 0},
+		{File: id.FileID(make([]byte, 100)), Writer: 1<<62 + 5, Seq: 1<<40 + 3},
+	} {
+		if got, want := w.Key(), fmt.Sprintf("%v/%v#%d", w.File, w.Writer, w.Seq); got != want {
+			t.Fatalf("key = %q, want %q", got, want)
+		}
 	}
 }
 
