@@ -713,15 +713,16 @@ func (n *Node) Timer(e env.Env, key string, data any) {
 }
 
 // healthTick runs one health-engine evaluation on shard 0: it assembles
-// the probe (a metrics snapshot plus the signals a snapshot can't carry —
-// the WAL's sticky error and the join-bootstrap phase) and re-arms. The
-// tick sends no messages and draws no randomness, so seeded simnet runs
-// stay byte-for-byte reproducible with health enabled.
+// the probe (the few counters and gauges the detectors read, plus the
+// signals a registry can't carry — the WAL's sticky error and the
+// join-bootstrap phase) and re-arms. The tick sends no messages and draws
+// no randomness, so seeded simnet runs stay byte-for-byte reproducible
+// with health enabled.
 func (n *Node) healthTick(e env.Env) {
 	if !n.health.Enabled() {
 		return
 	}
-	p := health.Probe{Snap: n.reg.Snapshot(), Join: n.joinStatus(e.Now())}
+	p := health.Probe{Snap: health.ProbeSnapshot(n.reg), Join: n.joinStatus(e.Now())}
 	if n.wal != nil {
 		if err := n.wal.Err(); err != nil {
 			p.WALErr = err.Error()

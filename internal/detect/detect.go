@@ -256,7 +256,7 @@ func (d *Detector) HandleRequest(e env.Env, from id.NodeID, m wire.DetectRequest
 	lv := local.Vector()
 	cmp := vv.Compare(lv, m.VV)
 	tc := d.tr.Event(e.Now(), m.TC, tracing.EvDetectPeer, m.File, from, m.Token)
-	rep := wire.DetectReply{File: m.File, Token: m.Token, VV: lv, TC: tc}
+	rep := wire.DetectReply{File: m.File, Token: m.Token, TC: tc}
 	if cmp != vv.Equal {
 		refID, ref := d.quant.RefSel(map[id.NodeID]*vv.Vector{d.self: lv, from: m.VV})
 		triple, level := d.quant.Score(m.VV, ref)

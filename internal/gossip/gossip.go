@@ -260,9 +260,10 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 		if v := a.state.LocalVector(f); v != nil {
 			if k := a.cfg.DigestStamps; k > 0 {
 				// Bounded digest encoding: counts stay exact, only the
-				// stamp window is cut down. LocalVector hands us a
-				// private clone, so trimming in place avoids a second
-				// deep copy per file per round.
+				// stamp window is cut down. LocalVector's clone has its
+				// own entry map and Compact writes cut windows to fresh
+				// arrays, so trimming it in place leaves the replica's
+				// vector untouched.
 				v.Compact(k)
 			}
 			d := wire.GossipDigest{
@@ -447,7 +448,6 @@ func (a *Agent) HandleDigest(e env.Env, from id.NodeID, d wire.GossipDigest) {
 				Reporter: a.self,
 				Level:    level,
 				Triple:   triple,
-				VV:       local,
 				TC:       a.tr.Event(e.Now(), tc, tracing.EvReportOut, d.File, d.Origin, int64(level*1000)),
 			})
 		}

@@ -210,10 +210,31 @@ type JoinStatus struct {
 	Running time.Duration
 }
 
-// Probe is everything one evaluation reads: a registry snapshot, the
-// journal's sticky error (empty when healthy), and the join state. The
-// owning node assembles it on the tick so the engine itself never
-// touches subsystem internals.
+// The registry counters and queue-depth gauge families the detectors
+// read from a Probe.
+const (
+	ctrGossipRounds     = "gossip.rounds_total"
+	ctrFrontiers        = "gossip.frontiers_learned_total"
+	ctrWrites           = "core.writes_total"
+	ctrApplied          = "store.updates_applied_total"
+	ctrWALErrors        = "store.wal_errors_total"
+	gaugeShardQueue     = "core.shard_queue_depth."
+	gaugeTransportQueue = "transport.queue_depth."
+)
+
+// ProbeSnapshot reads from reg all a Probe's snapshot needs to carry: the
+// counters and queue-depth gauges the detectors evaluate, and no
+// histogram (the fsync window reads the engine's own handle).
+func ProbeSnapshot(reg *telemetry.Registry) telemetry.Snapshot {
+	return reg.Scalars(
+		[]string{ctrGossipRounds, ctrFrontiers, ctrWrites, ctrApplied, ctrWALErrors},
+		[]string{gaugeShardQueue, gaugeTransportQueue})
+}
+
+// Probe is everything one evaluation reads: a ProbeSnapshot of the
+// registry, the journal's sticky error (empty when healthy), and the join
+// state. The owning node assembles it on the tick so the engine itself
+// never touches subsystem internals.
 type Probe struct {
 	Snap   telemetry.Snapshot
 	WALErr string
@@ -630,14 +651,14 @@ func (en *Engine) transition(now time.Time, det string, raised bool, sev Severit
 // ---- detectors ----
 
 func (en *Engine) checkConvergence(now time.Time, p Probe, out *[]Event) {
-	if p.Snap.Counters["gossip.rounds_total"] == 0 {
+	if p.Snap.Counters[ctrGossipRounds] == 0 {
 		// Gossip off or not started: no frontier to watch.
 		en.convSeen = false
 		en.clear(now, DetConvergenceStall, nil, "gossip idle", out)
 		return
 	}
-	frontiers := p.Snap.Counters["gossip.frontiers_learned_total"]
-	writes := p.Snap.Counters["core.writes_total"] + p.Snap.Counters["store.updates_applied_total"]
+	frontiers := p.Snap.Counters[ctrFrontiers]
+	writes := p.Snap.Counters[ctrWrites] + p.Snap.Counters[ctrApplied]
 	if !en.convSeen || frontiers > en.lastFrontiers {
 		en.convSeen = true
 		en.lastFrontiers = frontiers
@@ -662,8 +683,7 @@ func (en *Engine) checkConvergence(now time.Time, p Probe, out *[]Event) {
 func (en *Engine) checkQueues(now time.Time, p Probe, out *[]Event) {
 	var maxDepth int64
 	for name, v := range p.Snap.Gauges {
-		if strings.HasPrefix(name, "core.shard_queue_depth.") ||
-			strings.HasPrefix(name, "transport.queue_depth.") {
+		if strings.HasPrefix(name, gaugeShardQueue) || strings.HasPrefix(name, gaugeTransportQueue) {
 			if v > maxDepth {
 				maxDepth = v
 			}
@@ -697,7 +717,7 @@ func (en *Engine) checkQueues(now time.Time, p Probe, out *[]Event) {
 func (en *Engine) checkWAL(now time.Time, p Probe, out *[]Event) {
 	if p.WALErr != "" {
 		en.raise(now, DetWALFsync, SevCritical, map[string]float64{
-			"wal_errors": float64(p.Snap.Counters["store.wal_errors_total"]),
+			"wal_errors": float64(p.Snap.Counters[ctrWALErrors]),
 		}, "journal failed (log must be treated as torn): "+p.WALErr, out)
 		return
 	}

@@ -378,6 +378,30 @@ func TestStatusJSONDeterministic(t *testing.T) {
 	}
 }
 
+// TestProbeSnapshotCarriesWhatDetectorsRead: a probe read from a live
+// registry carries the counters and queue gauges the detectors evaluate,
+// and they trip exactly as from a full snapshot.
+func TestProbeSnapshotCarriesWhatDetectorsRead(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	en := NewEngine(1, Config{QueueSaturationDepth: 100, QueueSaturationTicks: 1}, reg)
+	reg.Gauge("transport.queue_depth.n7").Set(500)
+	reg.Gauge("gossip.seen_entries").Set(9000)
+	reg.Counter("store.wal_errors_total").Add(2)
+	reg.Counter("gossip.rounds_total").Inc()
+	reg.Histogram("detect.roundtrip_seconds").Observe(1)
+	p := Probe{Snap: ProbeSnapshot(reg), WALErr: "torn"}
+	if len(p.Snap.Histograms) != 0 || p.Snap.Gauges["gossip.seen_entries"] != 0 {
+		t.Fatalf("probe read more than the detectors evaluate: %+v", p.Snap)
+	}
+	evs := en.Tick(at(0), p)
+	if ev := findEvent(evs, DetQueueSaturation, true); ev == nil || ev.Evidence["max_queue_depth"] != 500 {
+		t.Fatalf("queue saturation not raised from the probe: %v", evs)
+	}
+	if ev := findEvent(evs, DetWALFsync, true); ev == nil || ev.Evidence["wal_errors"] != 2 {
+		t.Fatalf("WAL error evidence missing from the probe: %v", evs)
+	}
+}
+
 func TestGaugesTrackVerdict(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	en := NewEngine(1, Config{}, reg)

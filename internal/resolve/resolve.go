@@ -398,9 +398,11 @@ func (r *Resolver) traceApplies(e env.Env, v *vv.Vector, updates []wire.Update, 
 func (r *Resolver) enterPhase2(e env.Env, s *session) {
 	s.inPhase2 = true
 	s.p2start = e.Now()
-	// Seed the candidate set with the local replica.
+	// Seed the candidate set with the local replica. Every vector a
+	// session holds, sends or adopts is read for counts only, so it
+	// carries no stamp windows.
 	local := r.st.Open(s.file)
-	s.vecs[r.self] = local.Vector()
+	s.vecs[r.self] = local.Counts()
 	s.view = local.View()
 	if r.cfg.ParallelCollect {
 		if len(s.members) == 0 {
@@ -766,8 +768,8 @@ func (r *Resolver) HandleCFACancel(_ env.Env, m wire.CFACancel) {
 	}
 }
 
-// HandleCollectRequest returns the member's vector plus every update the
-// initiator is missing.
+// HandleCollectRequest returns the member's vector, as counts, plus every
+// update the initiator is missing.
 func (r *Resolver) HandleCollectRequest(e env.Env, from id.NodeID, m wire.CollectRequest) {
 	rep := r.st.Open(m.File)
 	var missing []wire.Update
@@ -777,7 +779,7 @@ func (r *Resolver) HandleCollectRequest(e env.Env, from id.NodeID, m wire.Collec
 		missing = rep.Log()
 	}
 	tc := r.tr.Event(e.Now(), m.TC, tracing.EvCollect, m.File, from, m.Token)
-	e.Send(from, wire.CollectReply{File: m.File, Token: m.Token, VV: rep.Vector(), Updates: missing, TC: tc})
+	e.Send(from, wire.CollectReply{File: m.File, Token: m.Token, VV: rep.Counts(), Updates: missing, TC: tc})
 }
 
 // HandleInform adopts the consistent image and acknowledges.

@@ -132,9 +132,15 @@ func NewReplica(file id.FileID, owner id.NodeID) *Replica {
 	}
 }
 
-// Vector returns a snapshot (deep copy) of the replica's extended version
-// vector; callers may ship it over the wire freely.
+// Vector returns a snapshot of the replica's extended version vector, at
+// O(writers) cost (see vv.Vector.Clone); later writes never show through
+// it, and callers may ship it over the wire freely.
 func (r *Replica) Vector() *vv.Vector { return r.vec.Clone() }
+
+// Counts returns the replica's vector without stamp windows (see
+// vv.Vector.Counts): what a message needs when its receiver only reads
+// counts.
+func (r *Replica) Counts() *vv.Vector { return r.vec.Counts() }
 
 // Meta returns the current critical-metadata value.
 func (r *Replica) Meta() float64 { return r.vec.Meta }

@@ -21,6 +21,7 @@ package telemetry
 import (
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -454,6 +455,34 @@ type Snapshot struct {
 	Counters   map[string]int64         `json:"counters"`
 	Gauges     map[string]int64         `json:"gauges"`
 	Histograms map[string]HistogramSnap `json:"histograms"`
+}
+
+// Scalars exports the named counters that exist and every gauge whose
+// name starts with one of gaugePrefixes, leaving Histograms nil: a
+// partial Snapshot for readers that evaluate a few scalars on a cadence
+// (the health engine) and should not pay for every metric's export. A
+// nil registry exports empty maps.
+func (r *Registry) Scalars(counters, gaugePrefixes []string) Snapshot {
+	s := Snapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}}
+	if r == nil {
+		return s
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, n := range counters {
+		if c, ok := r.counts[n]; ok {
+			s.Counters[n] = c.Value()
+		}
+	}
+	for n, g := range r.gauges {
+		for _, p := range gaugePrefixes {
+			if strings.HasPrefix(n, p) {
+				s.Gauges[n] = g.Value()
+				break
+			}
+		}
+	}
+	return s
 }
 
 // Snapshot exports every metric. A nil registry exports empty maps.

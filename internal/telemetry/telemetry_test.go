@@ -30,6 +30,35 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
+// TestScalarsReadsOnlyWhatItIsAsked: the named counters that exist, the
+// gauges under the prefixes, no histograms, and nothing created.
+func TestScalarsReadsOnlyWhatItIsAsked(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a.total").Add(3)
+	r.Counter("b.total").Add(4)
+	r.Gauge("q.depth.1").Set(5)
+	r.Gauge("q.depth.2").Set(6)
+	r.Gauge("other").Set(7)
+	r.Histogram("lat").Observe(1)
+	s := r.Scalars([]string{"a.total", "missing.total"}, []string{"q.depth."})
+	if len(s.Counters) != 1 || s.Counters["a.total"] != 3 {
+		t.Fatalf("counters = %v, want only a.total=3", s.Counters)
+	}
+	if len(s.Gauges) != 2 || s.Gauges["q.depth.1"] != 5 || s.Gauges["q.depth.2"] != 6 {
+		t.Fatalf("gauges = %v, want the two q.depth. gauges", s.Gauges)
+	}
+	if s.Histograms != nil {
+		t.Fatalf("histograms = %v, want none", s.Histograms)
+	}
+	if _, ok := r.Snapshot().Counters["missing.total"]; ok {
+		t.Fatal("Scalars created a counter it was asked for")
+	}
+	var nilReg *Registry
+	if s := nilReg.Scalars([]string{"a.total"}, []string{""}); len(s.Counters)+len(s.Gauges) != 0 {
+		t.Fatal("nil registry scalars must be empty")
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")

@@ -1,6 +1,7 @@
 package vv
 
 import (
+	"slices"
 	"testing"
 
 	"idea/internal/id"
@@ -47,6 +48,101 @@ func FuzzVectorOps(f *testing.F) {
 		tr := TripleAgainst(u, v)
 		if tr.Order < 0 || tr.Staleness < 0 || tr.Numerical < 0 {
 			t.Fatalf("negative triple %v", tr)
+		}
+	})
+}
+
+// deepCopy copies v into fresh stamp arrays: a vector that shares nothing.
+func deepCopy(v *Vector) *Vector {
+	out := v.Clone()
+	for n, e := range out.Entries {
+		e.Stamps = append([]Stamp(nil), e.Stamps...)
+		out.Entries[n] = e
+	}
+	return out
+}
+
+// sameVector reports whether u and v hold the same counts, windows,
+// watermarks, metadata, triple and stamp window setting.
+func sameVector(u, v *Vector) bool {
+	if u.Meta != v.Meta || u.Err != v.Err || u.window != v.window || len(u.Entries) != len(v.Entries) {
+		return false
+	}
+	for n, a := range u.Entries {
+		b, ok := v.Entries[n]
+		if !ok || a.Count != b.Count || a.Base != b.Base || a.Watermark != b.Watermark || !slices.Equal(a.Stamps, b.Stamps) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzCloneIsolation checks what lets Clone share stamp windows: a script
+// of Tick, Compact, TruncateWriter, Prefix, Merge, Counts and Clone runs on
+// an original and on the vectors derived from it, and after every step
+// each vector must equal its oracle — a vector that got the same
+// operations but never shared memory with anything. A clone that kept
+// spare capacity on a shared window would let one vector's Tick overwrite
+// another's newest stamp.
+func FuzzCloneIsolation(f *testing.F) {
+	// Three ticks leave spare capacity; clone; tick both.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 1})
+	f.Add([]byte{0, 0, 8, 0, 16, 0, 7, 0, 2, 1, 0, 1, 5, 0, 3, 2, 4, 1, 6, 0, 1, 3})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		const maxVecs = 8
+		vecs := []*Vector{NewWindowed(3)}
+		oracles := []*Vector{NewWindowed(3)}
+		add := func(v, oracle *Vector) {
+			if len(vecs) < maxVecs {
+				vecs, oracles = append(vecs, v), append(oracles, deepCopy(oracle))
+			}
+		}
+		at := Stamp(0)
+		for i := 0; i+1 < len(script); i += 2 {
+			op, hi := script[i]%8, int(script[i]/8)
+			k := int(script[i+1]) % len(vecs)
+			v, o := vecs[k], oracles[k]
+			w := id.NodeID(hi%3 + 1)
+			switch op {
+			case 0, 1:
+				at += Stamp(hi + 1)
+				v.Tick(w, at, float64(at))
+				o.Tick(w, at, float64(at))
+			case 2:
+				v.Compact(hi%4 + 1)
+				o.Compact(hi%4 + 1)
+			case 3:
+				n := v.Count(w) - hi%4
+				v.TruncateWriter(w, n)
+				o.TruncateWriter(w, n)
+			case 4:
+				// Cut every writer by 0..2 updates; a cut of 0 takes
+				// Prefix's clone path.
+				cut := func(x *Vector) *Vector {
+					out := x.Clone()
+					for n, e := range out.Entries {
+						out.Entries[n] = e.Prefix(e.Count - (hi+int(n))%3)
+					}
+					return out
+				}
+				add(cut(v), cut(o))
+			case 5:
+				j := hi % len(vecs)
+				add(Merge(v, vecs[j]), Merge(o, oracles[j]))
+			case 6:
+				add(v.Counts(), o.Counts())
+			case 7:
+				add(v.Clone(), o)
+			}
+			for j := range vecs {
+				if err := vecs[j].Validate(); err != nil {
+					t.Fatalf("step %d: vector %d: %v", i/2, j, err)
+				}
+				if !sameVector(vecs[j], oracles[j]) {
+					t.Fatalf("step %d: vector %d = %v, oracle %v", i/2, j, vecs[j], oracles[j])
+				}
+			}
 		}
 	})
 }

@@ -67,6 +67,12 @@ const DefaultWindow = 64
 // Base+1..Count (1-based); the Base older stamps have been compacted away
 // behind Watermark, the stamp of update #Base (the newest compacted one,
 // zero while Base is 0). Count == Base + len(Stamps) always holds.
+//
+// Stamps is append-only: no code writes an element that is already in the
+// window. Tick appends at index len, and compact, Prefix and the wire
+// decoder always build a fresh array. That is what lets clones share the
+// window: a clone holds the slice capped at its length, so it never sees a
+// later append to the original, and its own appends reallocate.
 type Entry struct {
 	Count     int
 	Base      int
@@ -74,12 +80,10 @@ type Entry struct {
 	Stamps    []Stamp
 }
 
+// clone returns e sharing its stamp window, capped at its length.
 func (e Entry) clone() Entry {
-	out := Entry{Count: e.Count, Base: e.Base, Watermark: e.Watermark}
-	if len(e.Stamps) > 0 {
-		out.Stamps = append([]Stamp(nil), e.Stamps...)
-	}
-	return out
+	e.Stamps = e.Stamps[:len(e.Stamps):len(e.Stamps)]
+	return e
 }
 
 // Last returns the stamp of the writer's most recent update (zero when the
@@ -210,7 +214,10 @@ func (v *Vector) Window() int {
 	return v.window
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy that costs O(writers): the entry map is new, but
+// each entry shares its stamp window with v (see Entry). Either vector
+// may then Tick, Compact, TruncateWriter or Merge without the other
+// seeing it.
 func (v *Vector) Clone() *Vector {
 	out := &Vector{
 		Entries: make(map[id.NodeID]Entry, len(v.Entries)),
@@ -220,6 +227,24 @@ func (v *Vector) Clone() *Vector {
 	}
 	for n, e := range v.Entries {
 		out.Entries[n] = e.clone()
+	}
+	return out
+}
+
+// Counts returns v without its stamp windows: every entry keeps its Count
+// and its newest stamp (as the watermark), with Base == Count. It is a
+// fully compacted vector, so Compare, Merge, CountDiff and every count
+// read answer exactly as on v; only staleness scoring needs the windows.
+// Resolution ships vectors in this form.
+func (v *Vector) Counts() *Vector {
+	out := &Vector{
+		Entries: make(map[id.NodeID]Entry, len(v.Entries)),
+		Meta:    v.Meta,
+		Err:     v.Err,
+		window:  v.window,
+	}
+	for n, e := range v.Entries {
+		out.Entries[n] = Entry{Count: e.Count, Base: e.Count, Watermark: e.Last()}
 	}
 	return out
 }
@@ -267,7 +292,7 @@ func (v *Vector) Compact(window int) {
 	}
 }
 
-// Trimmed returns a deep copy with each entry's window cut to at most k
+// Trimmed returns a copy with each entry's window cut to at most k
 // stamps — the bounded digest encoding gossip ships. Counts (and thus
 // Compare) are untouched; only staleness resolution is coarsened.
 func (v *Vector) Trimmed(k int) *Vector {

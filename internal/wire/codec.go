@@ -37,9 +37,11 @@ import (
 	"idea/internal/vv"
 )
 
+// codecVersion changes with any layout change, so a peer speaking another
+// layout is rejected at the version byte instead of being misparsed.
 const (
 	codecMagic   byte = 0xE7
-	codecVersion byte = 1
+	codecVersion byte = 2
 )
 
 // Message kind codes. These are wire-stable: append new kinds at the
@@ -369,7 +371,6 @@ func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
 		b = appendFloat(b, m.Level)
 		b = appendTriple(b, m.Triple)
 		b = appendNode(b, m.Ref)
-		b = appendVector(b, m.VV, st)
 		b = appendTC(b, m.TC)
 	case GossipDigest:
 		b = append(b, kindGossipDigest)
@@ -387,7 +388,6 @@ func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
 		b = appendNode(b, m.Reporter)
 		b = appendFloat(b, m.Level)
 		b = appendTriple(b, m.Triple)
-		b = appendVector(b, m.VV, st)
 		b = appendTC(b, m.TC)
 	case RansubCollect:
 		b = append(b, kindRansubCollect)
@@ -842,7 +842,7 @@ func decodeMsg(r *reader, kind byte) Message {
 		return DetectRequest{File: r.file(), Token: r.varint(), VV: r.vector(), TC: r.tc()}
 	case kindDetectReply:
 		return DetectReply{File: r.file(), Token: r.varint(), Conflict: r.bool(),
-			Level: r.float(), Triple: r.triple(), Ref: r.node(), VV: r.vector(), TC: r.tc()}
+			Level: r.float(), Triple: r.triple(), Ref: r.node(), TC: r.tc()}
 	case kindGossipDigest:
 		return r.digest()
 	case kindDigestBatch:
@@ -857,7 +857,7 @@ func decodeMsg(r *reader, kind byte) Message {
 		return DigestBatch{Digests: ds}
 	case kindGossipReport:
 		return GossipReport{File: r.file(), Origin: r.node(), Reporter: r.node(),
-			Level: r.float(), Triple: r.triple(), VV: r.vector(), TC: r.tc()}
+			Level: r.float(), Triple: r.triple(), TC: r.tc()}
 	case kindRansubCollect:
 		return RansubCollect{File: r.file(), Epoch: r.int(), Sample: r.candidates()}
 	case kindRansubDistribute:

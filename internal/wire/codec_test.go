@@ -210,6 +210,37 @@ func TestDecodeRejectsInvalidVectorEntry(t *testing.T) {
 	}
 }
 
+// TestCountsVectorDecodesWithoutStamps: a counts-only vector (what
+// resolution messages carry) round-trips exactly, and decoding it makes no
+// stamp allocation — the whole vector costs exactly one more allocation
+// per writer, its window.
+func TestCountsVectorDecodesWithoutStamps(t *testing.T) {
+	const writers = 8
+	v := vv.New()
+	for i := 0; i < 200; i++ {
+		v.Tick(id.NodeID(i%writers+1), vv.Stamp(i+1)*1e6, float64(i))
+	}
+	decode := func(b []byte) *vv.Vector {
+		r := reader{b: b}
+		out := r.vector()
+		if r.err != nil || r.off != len(b) {
+			t.Fatalf("decode: err %v, %d of %d bytes", r.err, r.off, len(b))
+		}
+		return out
+	}
+	var st encState
+	counts := appendVector(nil, v.Counts(), &st)
+	whole := appendVector(nil, v, &st)
+	if got := decode(counts); !reflect.DeepEqual(got, v.Counts()) {
+		t.Fatalf("counts vector changed in the round trip:\n in: %v\nout: %v", v.Counts(), got)
+	}
+	countsAllocs := testing.AllocsPerRun(100, func() { decode(counts) })
+	wholeAllocs := testing.AllocsPerRun(100, func() { decode(whole) })
+	if wholeAllocs-countsAllocs != writers {
+		t.Fatalf("decode allocs: whole %v, counts %v; want exactly %d stamp windows between them", wholeAllocs, countsAllocs, writers)
+	}
+}
+
 // TestVectorDeltaStampFidelity round-trips a vector with a compacted
 // window and widely spaced stamps through the delta encoding.
 func TestVectorDeltaStampFidelity(t *testing.T) {

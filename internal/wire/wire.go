@@ -64,9 +64,11 @@ func (u Update) ID() UpdateID { return UpdateID{u.File, u.Writer, u.Seq} }
 // ---- Detection (§4.3) ----
 
 // DetectRequest carries the writer's extended version vector to a top-layer
-// peer; the peer compares it with its own replica's vector. Vectors are
-// window-bounded (see internal/vv), so detect probes — like every other
-// vector-carrying message — have wire cost independent of update history.
+// peer; the peer compares it with its own replica's vector and scores the
+// difference with Formula 1, which reads stamps. It is therefore one of
+// the few messages that ship stamp windows (with GossipDigest and snapshot
+// chunks); resolution messages ship counts only. Windows are bounded (see
+// internal/vv), so a probe's wire cost is independent of update history.
 type DetectRequest struct {
 	File  id.FileID
 	Token int64 // correlates replies with one detect(update) call
@@ -87,7 +89,6 @@ type DetectReply struct {
 	Level    float64
 	Triple   vv.Triple
 	Ref      id.NodeID // node whose replica was used as reference state
-	VV       *vv.Vector
 	TC       tracing.Context
 }
 
@@ -154,7 +155,6 @@ type GossipReport struct {
 	Reporter id.NodeID
 	Level    float64
 	Triple   vv.Triple
-	VV       *vv.Vector
 	TC       tracing.Context
 }
 
@@ -233,7 +233,8 @@ func (CFACancel) Kind() string { return "resolve.cfa_cancel" }
 
 // CollectRequest is phase two: the initiator sequentially visits each
 // member to collect its version information and updates. It carries the
-// initiator's vector so the member only ships updates the initiator lacks.
+// initiator's vector, as counts (vv.Vector.Counts), so the member only
+// ships updates the initiator lacks.
 type CollectRequest struct {
 	File  id.FileID
 	Token int64
@@ -244,7 +245,8 @@ type CollectRequest struct {
 // Kind implements Message.
 func (CollectRequest) Kind() string { return "resolve.collect" }
 
-// CollectReply returns a member's vector and the updates it holds.
+// CollectReply returns a member's vector, as counts, and the updates the
+// initiator lacks.
 type CollectReply struct {
 	File    id.FileID
 	Token   int64
@@ -256,9 +258,9 @@ type CollectReply struct {
 // Kind implements Message.
 func (CollectReply) Kind() string { return "resolve.collect_rep" }
 
-// Inform announces the new consistent replica image: the winning vector
-// and any updates a member may be missing; members apply them and clear
-// their inconsistency state.
+// Inform announces the new consistent replica image: the winning vector,
+// as counts, and any updates a member may be missing; members apply them
+// and clear their inconsistency state.
 type Inform struct {
 	File    id.FileID
 	Token   int64

@@ -20,24 +20,25 @@ func sampleVector() *vv.Vector {
 func allMessages() []Message {
 	u := Update{File: "f", Writer: 1, Seq: 1, At: 1e9, Meta: 5, Op: "draw", Data: []byte("x")}
 	v := sampleVector()
+	c := v.Counts() // resolution messages ship counts only
 	mr := MemberRecord{Node: 3, Addr: "127.0.0.1:9", Status: MemberSuspect, Inc: 2}
 	return []Message{
 		DetectRequest{File: "f", Token: 1, VV: v},
-		DetectReply{File: "f", Token: 1, Conflict: true, Level: 0.9, Triple: v.Err, Ref: 2, VV: v},
+		DetectReply{File: "f", Token: 1, Conflict: true, Level: 0.9, Triple: v.Err, Ref: 2},
 		GossipDigest{File: "f", Origin: 1, Round: 2, TTL: 3, VV: v, Stable: map[id.NodeID]int{1: 1, 2: 1}},
 		DigestBatch{Digests: []GossipDigest{
 			{File: "f", Origin: 1, Round: 2, TTL: 3, VV: v},
 			{File: "g", Origin: 1, Round: 2, TTL: 3, VV: v, Stable: map[id.NodeID]int{2: 1}},
 		}},
-		GossipReport{File: "f", Origin: 1, Reporter: 9, Level: 0.7, Triple: v.Err, VV: v},
+		GossipReport{File: "f", Origin: 1, Reporter: 9, Level: 0.7, Triple: v.Err},
 		RansubCollect{File: "f", Epoch: 4, Sample: []Candidate{{Node: 1, Temp: 2.5, Epoch: 3}}},
 		RansubDistribute{File: "f", Epoch: 4, Sample: []Candidate{{Node: 2, Temp: 1.5}}},
 		CallForAttention{File: "f", Initiator: 1, Token: 7},
 		CFAAck{File: "f", Token: 7, OK: true},
 		CFACancel{File: "f", Token: 7},
-		CollectRequest{File: "f", Token: 7, VV: v},
-		CollectReply{File: "f", Token: 7, VV: v, Updates: []Update{u}},
-		Inform{File: "f", Token: 7, Winner: 2, VV: v, Updates: []Update{u}},
+		CollectRequest{File: "f", Token: 7, VV: c},
+		CollectReply{File: "f", Token: 7, VV: c, Updates: []Update{u}},
+		Inform{File: "f", Token: 7, Winner: 2, VV: c, Updates: []Update{u}},
 		InformAck{File: "f", Token: 7},
 		AntiEntropyRequest{File: "f", VV: v},
 		AntiEntropyReply{File: "f", VV: v, Updates: []Update{u}},
