@@ -5,19 +5,8 @@
 //	go run ./cmd/idea-bench            # everything
 //	go run ./cmd/idea-bench -only fig7a,table2
 //
-// With -gate it instead acts as the CI bench-regression gate: the fresh
-// BENCH_core.json artifact is diffed against the committed
-// BENCH_baseline.json and any tracked metric more than its tolerance
-// worse than baseline — or a parallel-write speedup below -min-speedup
-// on a machine with enough cores to measure one — exits nonzero.
-//
-//	go test -run '^$' -bench CoreBaseline -benchtime 100x .
-//	go run ./cmd/idea-bench -gate
-//
-// With -diff it renders the same comparison as a benchstat-style
-// markdown table over every numeric key in both artifacts — for CI to
-// upload as a readable perf delta on every PR. -diff never fails the
-// build; only -gate judges.
+// It renders the figures only; performance is measured and gated by
+// `go run ./benchmark` (README "Performance & CI gates").
 package main
 
 import (
@@ -30,31 +19,31 @@ import (
 	"idea/internal/experiments"
 )
 
+// all lists every experiment by its -only key, in print order.
+var all = []struct {
+	key string
+	run func(seed int64) experiments.Report
+}{
+	{"fig7a", experiments.RunFig7a},
+	{"fig7b", experiments.RunFig7b},
+	{"fig8", experiments.RunFig8},
+	{"table2", experiments.RunTable2},
+	{"fig9", experiments.RunFig9},
+	{"fig10", experiments.RunFig10Table3},
+	{"fig2", experiments.RunFig2Tradeoff},
+	{"capture", func(seed int64) experiments.Report { return experiments.RunTopLayerCapture(seed, 0.05) }},
+	{"rollback", experiments.RunRollback},
+	{"bounds", experiments.RunBoundsLearning},
+	{"parallel", experiments.RunParallelPhase2},
+	{"ttl", experiments.RunTTLTradeoff},
+	{"refsel", experiments.RunRefSelectors},
+	{"skew", experiments.RunSkewSensitivity},
+	{"workload", experiments.RunWorkloadSensitivity},
+}
+
 // runExperiments replays the selected experiments (empty = all) and
 // renders them to w, returning how many ran.
 func runExperiments(seed int64, only string, w io.Writer) int {
-	type exp struct {
-		key string
-		run func() experiments.Report
-	}
-	all := []exp{
-		{"fig7a", func() experiments.Report { return experiments.RunFig7a(seed) }},
-		{"fig7b", func() experiments.Report { return experiments.RunFig7b(seed) }},
-		{"fig8", func() experiments.Report { return experiments.RunFig8(seed) }},
-		{"table2", func() experiments.Report { return experiments.RunTable2(seed) }},
-		{"fig9", func() experiments.Report { return experiments.RunFig9(seed) }},
-		{"fig10", func() experiments.Report { return experiments.RunFig10Table3(seed) }},
-		{"fig2", func() experiments.Report { return experiments.RunFig2Tradeoff(seed) }},
-		{"capture", func() experiments.Report { return experiments.RunTopLayerCapture(seed, 0.05) }},
-		{"rollback", func() experiments.Report { return experiments.RunRollback(seed) }},
-		{"bounds", func() experiments.Report { return experiments.RunBoundsLearning(seed) }},
-		{"parallel", func() experiments.Report { return experiments.RunParallelPhase2(seed) }},
-		{"ttl", func() experiments.Report { return experiments.RunTTLTradeoff(seed) }},
-		{"refsel", func() experiments.Report { return experiments.RunRefSelectors(seed) }},
-		{"skew", func() experiments.Report { return experiments.RunSkewSensitivity(seed) }},
-		{"workload", func() experiments.Report { return experiments.RunWorkloadSensitivity(seed) }},
-	}
-
 	want := map[string]bool{}
 	if only != "" {
 		for _, k := range strings.Split(only, ",") {
@@ -69,8 +58,7 @@ func runExperiments(seed int64, only string, w io.Writer) int {
 		if len(want) > 0 && !want[e.key] {
 			continue
 		}
-		r := e.run()
-		fmt.Fprint(w, r.Rendered)
+		fmt.Fprint(w, e.run(seed).Rendered)
 		ran++
 	}
 	return ran
@@ -78,28 +66,12 @@ func runExperiments(seed int64, only string, w io.Writer) int {
 
 func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed for every experiment")
-	only := flag.String("only", "", "comma-separated subset (fig7a,fig7b,fig8,table2,fig9,fig10,fig2,capture,rollback,bounds,parallel,ttl,refsel,skew,workload)")
-	gate := flag.Bool("gate", false, "bench-regression gate: diff -bench against -baseline and exit nonzero on regression")
-	diff := flag.Bool("diff", false, "render -bench vs -baseline as a markdown table on stdout (never fails)")
-	benchFile := flag.String("bench", "BENCH_core.json", "fresh bench artifact (gate mode)")
-	baseFile := flag.String("baseline", "BENCH_baseline.json", "committed baseline (gate mode)")
-	minSpeedup := flag.Float64("min-speedup", 2.0, "required parallel_write_speedup_x when the bench ran with >= 4 cores (gate mode)")
+	keys := make([]string, len(all))
+	for i, e := range all {
+		keys[i] = e.key
+	}
+	only := flag.String("only", "", "comma-separated subset ("+strings.Join(keys, ",")+")")
 	flag.Parse()
-
-	if *gate {
-		if err := runGate(*benchFile, *baseFile, *minSpeedup, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *diff {
-		if err := runDiff(*benchFile, *baseFile, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if runExperiments(*seed, *only, os.Stdout) == 0 {
 		fmt.Fprintln(os.Stderr, "no experiments matched -only")

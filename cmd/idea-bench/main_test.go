@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -29,252 +26,65 @@ func TestExperimentsUnknownKey(t *testing.T) {
 	}
 }
 
-// writeBench writes a bench/baseline JSON fixture.
-func writeBench(t *testing.T, dir, name string, m map[string]any) string {
+// render runs the experiments selected by only at seed 1.
+func render(t *testing.T, only string, want int) string {
 	t.Helper()
-	data, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
+	var buf strings.Builder
+	if ran := runExperiments(1, only, &buf); ran != want {
+		t.Fatalf("-only %q ran %d experiments, want %d", only, ran, want)
 	}
-	p := filepath.Join(dir, name)
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return buf.String()
 }
 
-func goodBench() map[string]any {
-	return map[string]any{
-		"missing_from_speedup_x":              400.0,
-		"missing_from_ns_indexed":             800.0,
-		"digest_encode_bytes":                 735.0,
-		"parallel_write_ops_per_sec_shards_1": 400000.0,
-		"parallel_write_ops_per_sec_shards_4": 410000.0,
-		"parallel_write_speedup_x":            1.02,
-		"join_catchup_seconds":                0.05,
-		"write_visibility_ms_p99":             450.0,
-		"resolve_latency_ms_p99":              300.0,
-		"tracing_sampled_throughput_ratio":    0.99,
-		"health_overhead_throughput_ratio":    0.98,
-		"encode_allocs_per_op":                0.0,
-		"snapshot_mb_per_sec":                 400.0,
-		"gomaxprocs":                          1.0,
-		"num_cpu":                             1.0,
+// Every -only key renders its own report, and the same seed renders the
+// same bytes: `idea-bench -seed 1 | sha256sum` is the "schedules unchanged"
+// check, so it has to hold experiment by experiment.
+func TestEveryKeyRendersItsReport(t *testing.T) {
+	titles := map[string]string{
+		"fig7a":    "Consistency level over time (hint 95%",
+		"fig7b":    "Consistency level over time (hint 85%",
+		"fig8":     "Consistency level over time (hint 95%",
+		"table2":   "Table 2: delay breakdown",
+		"fig9":     "Fig 9: scalability of active resolution",
+		"fig10":    "Table 3: overhead",
+		"fig2":     "Fig 2 (measured)",
+		"capture":  "Top-layer capture",
+		"rollback": "Rollback on top/bottom discrepancy",
+		"bounds":   "Frequency bounds learning",
+		"parallel": "Ablation: sequential vs parallel phase 2",
+		"ttl":      "Ablation: bottom-layer TTL",
+		"refsel":   "Ablation: reference consistent state selection",
+		"skew":     "Ablation: clock-skew sensitivity",
+		"workload": "Ablation: workload sensitivity",
 	}
-}
-
-func TestGatePasses(t *testing.T) {
-	dir := t.TempDir()
-	bench := writeBench(t, dir, "bench.json", goodBench())
-	base := writeBench(t, dir, "base.json", goodBench())
-	var out strings.Builder
-	if err := runGate(bench, base, 2.0, &out); err != nil {
-		t.Fatalf("gate failed on identical bench/baseline: %v\n%s", err, out.String())
+	if len(titles) != len(all) {
+		t.Fatalf("%d titles for %d experiments: a key was added or removed without its title", len(titles), len(all))
 	}
-	// gomaxprocs 1: the speedup floor must be skipped, not violated.
-	if !strings.Contains(out.String(), "speedup floor: skipped") {
-		t.Fatalf("expected skipped speedup floor at gomaxprocs=1:\n%s", out.String())
-	}
-}
-
-func TestGateCatchesRegression(t *testing.T) {
-	dir := t.TempDir()
-	b := goodBench()
-	b["parallel_write_ops_per_sec_shards_4"] = 150000.0 // −63% vs baseline (tol 50%)
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	var out strings.Builder
-	err := runGate(bench, base, 2.0, &out)
-	if err == nil {
-		t.Fatalf("gate passed a 63%% throughput regression:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION") {
-		t.Fatalf("verdict table missing REGRESSION marker:\n%s", out.String())
+	for _, e := range all {
+		t.Run(e.key, func(t *testing.T) {
+			title, ok := titles[e.key]
+			if !ok {
+				t.Fatalf("no title for key %q", e.key)
+			}
+			first := render(t, e.key, 1)
+			if !strings.Contains(first, title) {
+				t.Fatalf("-only %s output lacks %q:\n%s", e.key, title, first)
+			}
+			if again := render(t, e.key, 1); again != first {
+				t.Fatalf("-only %s at seed 1 rendered different bytes on a second run", e.key)
+			}
+		})
 	}
 }
 
-func TestGateCatchesLowerIsBetterRegression(t *testing.T) {
-	dir := t.TempDir()
-	b := goodBench()
-	b["digest_encode_bytes"] = 2000.0 // digests ballooned
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	if err := runGate(bench, base, 2.0, &strings.Builder{}); err == nil {
-		t.Fatal("gate passed a 2.7x digest-size regression")
+// Without -only the command prints every report once, in list order.
+func TestAllIsEveryKeyInOrder(t *testing.T) {
+	const preamble = "IDEA evaluation reproduction (emulated PlanetLab, virtual time)\nseed 1\n"
+	want := preamble
+	for _, e := range all {
+		want += strings.TrimPrefix(render(t, e.key, 1), preamble)
 	}
-}
-
-func TestGateToleratesNoise(t *testing.T) {
-	dir := t.TempDir()
-	b := goodBench()
-	b["parallel_write_ops_per_sec_shards_4"] = 300000.0 // −27%: within its 50% tol
-	b["join_catchup_seconds"] = 0.09                    // +80%: within its 100% tol
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	var out strings.Builder
-	if err := runGate(bench, base, 2.0, &out); err != nil {
-		t.Fatalf("gate flaked on in-tolerance noise: %v\n%s", err, out.String())
-	}
-}
-
-func TestGateEnforcesSpeedupFloorOnMulticore(t *testing.T) {
-	dir := t.TempDir()
-	b := goodBench()
-	b["gomaxprocs"] = 8.0
-	b["num_cpu"] = 8.0
-	b["parallel_write_speedup_x"] = 1.02 // sharding doesn't pay on 8 cores
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	if err := runGate(bench, base, 2.0, &strings.Builder{}); err == nil {
-		t.Fatal("gate passed speedup 1.02x at gomaxprocs=8 with a 2.0x floor")
-	}
-
-	b["parallel_write_speedup_x"] = 2.6
-	bench = writeBench(t, dir, "bench2.json", b)
-	var out strings.Builder
-	if err := runGate(bench, base, 2.0, &out); err != nil {
-		// The baseline still has speedup 1.02 (higher-better, 20% tol):
-		// 2.6 vs 1.02 is an improvement, so only the floor matters.
-		t.Fatalf("gate failed a passing 2.6x speedup: %v\n%s", err, out.String())
-	}
-}
-
-func TestGateCatchesVisibilitySLOViolation(t *testing.T) {
-	dir := t.TempDir()
-	b := goodBench()
-	b["write_visibility_ms_p99"] = 600.0 // +33% vs its 20% tolerance
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	if err := runGate(bench, base, 2.0, &strings.Builder{}); err == nil {
-		t.Fatal("gate passed a 33% write-visibility p99 regression")
-	}
-}
-
-func TestGateCatchesTracingOverheadRegression(t *testing.T) {
-	dir := t.TempDir()
-	b := goodBench()
-	b["tracing_sampled_throughput_ratio"] = 0.60 // tracing now costs 40%
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	if err := runGate(bench, base, 2.0, &strings.Builder{}); err == nil {
-		t.Fatal("gate passed a 40% tracing overhead")
-	}
-}
-
-func TestGateCatchesHealthOverheadRegression(t *testing.T) {
-	dir := t.TempDir()
-	b := goodBench()
-	b["health_overhead_throughput_ratio"] = 0.65 // health engine now costs 35%
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	if err := runGate(bench, base, 2.0, &strings.Builder{}); err == nil {
-		t.Fatal("gate passed a 35% health-engine overhead")
-	}
-}
-
-func TestGateHealthFloorArmsOnMulticore(t *testing.T) {
-	dir := t.TempDir()
-	b := goodBench()
-	b["gomaxprocs"] = 8.0
-	b["num_cpu"] = 8.0
-	b["parallel_write_speedup_x"] = 2.6
-	b["health_overhead_throughput_ratio"] = 0.90 // above the 25% rel tol, below the 0.95 floor
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	if err := runGate(bench, base, 2.0, &strings.Builder{}); err == nil {
-		t.Fatal("gate passed health ratio 0.90 on 8 cores with a 0.95 floor")
-	}
-
-	// On a single effective core the floor is skipped: the on/off runs
-	// contend for the same CPU and the ratio is scheduler noise.
-	b["gomaxprocs"] = 1.0
-	b["num_cpu"] = 1.0
-	bench = writeBench(t, dir, "bench2.json", b)
-	var out strings.Builder
-	if err := runGate(bench, base, 2.0, &out); err != nil {
-		t.Fatalf("gate enforced the health floor on 1 core: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "health floor: skipped") {
-		t.Fatalf("expected skipped health floor at 1 core:\n%s", out.String())
-	}
-}
-
-func TestGateMissingMetricFails(t *testing.T) {
-	dir := t.TempDir()
-	b := goodBench()
-	delete(b, "parallel_write_speedup_x")
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	if err := runGate(bench, base, 2.0, &strings.Builder{}); err == nil {
-		t.Fatal("gate passed a bench artifact missing a tracked metric")
-	}
-}
-
-func TestGateZeroToleranceEncodeAllocs(t *testing.T) {
-	dir := t.TempDir()
-	b := goodBench()
-	b["encode_allocs_per_op"] = 1.0 // any allocation on the hot frame fails
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	if err := runGate(bench, base, 2.0, &strings.Builder{}); err == nil {
-		t.Fatal("gate passed 1 alloc/op on the pooled encode path (tolerance is 0)")
-	}
-}
-
-func TestGateFloorUsesEffectiveCores(t *testing.T) {
-	// GOMAXPROCS=8 on a 1-CPU box: no parallelism actually exists, so the
-	// floor must skip honestly instead of failing the ≈1.0x reading.
-	dir := t.TempDir()
-	b := goodBench()
-	b["gomaxprocs"] = 8.0
-	b["num_cpu"] = 1.0
-	b["parallel_write_speedup_x"] = 1.02
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	var out strings.Builder
-	if err := runGate(bench, base, 2.0, &out); err != nil {
-		t.Fatalf("gate enforced the speedup floor on 1 effective core: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "speedup floor: skipped") {
-		t.Fatalf("expected skipped speedup floor at 1 effective core:\n%s", out.String())
-	}
-}
-
-func TestGateFloorPrefersHeadlineShardKey(t *testing.T) {
-	// When both keys are present the floor reads the explicit 4-shard
-	// ratio, not the legacy alias — a PR can't satisfy the floor with a
-	// stale duplicate key.
-	dir := t.TempDir()
-	b := goodBench()
-	b["gomaxprocs"] = 8.0
-	b["num_cpu"] = 8.0
-	b["parallel_write_speedup_x"] = 2.6
-	b["parallel_write_speedup_x_shards_4"] = 1.1
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	if err := runGate(bench, base, 2.0, &strings.Builder{}); err == nil {
-		t.Fatal("gate read the legacy speedup key over parallel_write_speedup_x_shards_4")
-	}
-}
-
-func TestDiffRendersMarkdown(t *testing.T) {
-	dir := t.TempDir()
-	b := goodBench()
-	b["snapshot_mb_per_sec"] = 800.0 // doubled vs baseline
-	bench := writeBench(t, dir, "bench.json", b)
-	base := writeBench(t, dir, "base.json", goodBench())
-	var out strings.Builder
-	if err := runDiff(bench, base, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	for _, want := range []string{
-		"| metric | baseline | current | delta | gate |",
-		"| snapshot_mb_per_sec | 400 | 800 | +100.0% | ✓ |",
-		"| gomaxprocs | 1 | 1 | ~ |  |",
-	} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("diff output missing %q:\n%s", want, got)
-		}
+	if got := render(t, "", len(all)); got != want {
+		t.Fatal("the full run is not the per-key reports concatenated in list order")
 	}
 }

@@ -1,16 +1,19 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§6) on the simnet PlanetLab substitute, plus the ablations
-// DESIGN.md calls out. Each experiment is a pure function of its
-// parameters and seed, returning a Report with the series/rows the paper
-// plots and the scalar headline numbers.
+// evaluation (§6) on the simnet PlanetLab substitute, plus ablations of
+// the design choices the paper leaves open (phase-1 semantics, parallel
+// phase 2, TTL, reference selection, clock skew, workload). Each
+// experiment is a pure function of its parameters and seed, returning a
+// Report with the series/rows the paper plots and the scalar headline
+// numbers; cmd/idea-bench renders them and the Test*Shape tests assert
+// them.
 //
-// Calibration notes (see DESIGN.md §4 and EXPERIMENTS.md):
+// Calibration notes:
 //   - the WAN latency model is set so one sequential collect visit costs
 //     ≈105 ms, matching Table 2's per-member cost;
-//   - the consistency metric is cast with maxima (30, 66, 300) and equal
-//     weights so one 5-second round of four-writer conflicts costs
-//     ≈1.5 % of the level, reproducing Fig. 7's floors just below the
-//     hint (94 %/84 %).
+//   - the consistency metric is cast with maxima (30, 66, 300;
+//     CalibratedMaxima) and equal weights so one 5-second round of
+//     four-writer conflicts costs ≈1.5 % of the level, reproducing
+//     Fig. 7's floors just below the hint (94 %/84 %).
 package experiments
 
 import (

@@ -67,8 +67,9 @@ type Maxima struct {
 }
 
 // DefaultMaxima is calibrated so that, with equal weights, one missed peer
-// update costs about 1.1 % of the consistency level — reproducing the
-// Fig. 7 floors of 94 % (hint 95 %) and 84 % (hint 85 %). See DESIGN.md §4.
+// update costs about 1.1 % of the consistency level
+// (TestQuickOneMissedUpdateCost). The Fig. 7 reproduction casts its own
+// maxima, experiments.CalibratedMaxima, to land the paper's floors.
 func DefaultMaxima() Maxima { return Maxima{Numerical: 30, Order: 30, Staleness: 30} }
 
 // Validate rejects non-positive maxima.

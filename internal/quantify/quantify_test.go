@@ -201,7 +201,7 @@ func TestQuickLevelMonotoneInError(t *testing.T) {
 
 func TestQuickOneMissedUpdateCost(t *testing.T) {
 	// With default maxima and equal weights, one missed update costs
-	// ~1.1% — the calibration DESIGN.md documents for the Fig. 7 floors.
+	// ~1.1% — the calibration DefaultMaxima documents.
 	q := Default()
 	base := q.Level(vv.Triple{})
 	one := q.Level(vv.Triple{Order: 1})

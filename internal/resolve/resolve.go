@@ -16,7 +16,8 @@
 // sub-millisecond phase-1 measurement (CFAs are dispatched in parallel and
 // the initiator proceeds immediately; competing initiators are suppressed
 // by back-off on the member side), while StrictPhase1 waits for every
-// acknowledgement before phase 2 — the ablation of DESIGN.md §4.
+// acknowledgement before phase 2 — the "strict ablation" rows of Table 2
+// in cmd/idea-bench (experiments.RunTable2).
 package resolve
 
 import (

@@ -78,6 +78,28 @@ func BenchmarkMissingFrom50k(b *testing.B) {
 	}
 }
 
+// TestMissingFromCostIndependentOfDepth holds anti-entropy to O(missing):
+// with the same 16 updates missing, a 100k-deep replica may cost at most
+// 20x a 1k-deep one. The per-writer index reads about 1x; a full log
+// scan reads about 100x.
+func TestMissingFromCostIndependentOfDepth(t *testing.T) {
+	nsPerOp := func(depth int) int64 {
+		r, remote := bigReplica(depth, 4, 4)
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if got := r.MissingFrom(remote); len(got) != 16 {
+					b.Fatalf("missing = %d, want 16", len(got))
+				}
+			}
+		}).NsPerOp()
+	}
+	shallow, deep := nsPerOp(1_000), nsPerOp(100_000)
+	t.Logf("MissingFrom: %d ns/op at depth 1k, %d ns/op at depth 100k", shallow, deep)
+	if deep > 20*shallow {
+		t.Fatalf("MissingFrom at depth 100k costs %d ns/op, more than 20x the %d ns/op at depth 1k", deep, shallow)
+	}
+}
+
 func BenchmarkApplyOutOfOrder(b *testing.B) {
 	// Worst-case reordering: each writer's pair arrives inverted, so every
 	// other update is buffered and drained.

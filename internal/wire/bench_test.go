@@ -61,7 +61,8 @@ func benchDigestBatchEnvelope() Envelope {
 }
 
 // BenchmarkEncodeFrameUpdate measures the pooled encode path for an
-// update-bearing frame. The contract gated in CI: 0 allocs/op.
+// update-bearing frame. The contract, held by TestEncodeFrameAllocFree:
+// 0 allocs/op.
 func BenchmarkEncodeFrameUpdate(b *testing.B) {
 	e := benchUpdateEnvelope()
 	b.ReportAllocs()
@@ -76,7 +77,8 @@ func BenchmarkEncodeFrameUpdate(b *testing.B) {
 }
 
 // BenchmarkEncodeFrameDigestBatch measures the pooled encode path for a
-// gossip digest batch. The contract gated in CI: 0 allocs/op.
+// gossip digest batch. The contract, held by TestEncodeFrameAllocFree:
+// 0 allocs/op.
 func BenchmarkEncodeFrameDigestBatch(b *testing.B) {
 	e := benchDigestBatchEnvelope()
 	b.ReportAllocs()
