@@ -18,6 +18,7 @@
 package detect
 
 import (
+	"maps"
 	"time"
 
 	"idea/internal/env"
@@ -138,6 +139,10 @@ type Detector struct {
 	// topVerdict remembers the last finalized top-layer level per file
 	// for the discrepancy check.
 	topVerdict map[id.FileID]float64
+	// have remembers, per file and peer, the per-writer counts of the
+	// peer's latest DetectReply: lower bounds on its replica that let the
+	// next probe of the file drop the stamps every peer already has.
+	have map[id.FileID]map[id.NodeID]map[id.NodeID]int
 
 	// Detections counts completed detect() calls; Conflicts counts the
 	// ones that returned "fail".
@@ -185,6 +190,7 @@ func New(cfg Config, self id.NodeID, mem overlay.Membership, st *store.Store, q 
 		quant:      q,
 		inflight:   make(map[int64]*probe),
 		topVerdict: make(map[id.FileID]float64),
+		have:       make(map[id.FileID]map[id.NodeID]map[id.NodeID]int),
 	}
 }
 
@@ -210,9 +216,11 @@ func (d *Detector) TopVerdict(file id.FileID) float64 {
 }
 
 // Detect starts a detect(update) probe for file: the writer's current
-// vector travels to every top-layer peer. It returns the probe token; the
-// result arrives via OnResult. With no top-layer peers the probe completes
-// immediately with success (a lone writer cannot conflict).
+// vector travels to every top-layer peer, without the stamps every peer's
+// last reply showed it already has (see floor). It returns the probe
+// token; the result arrives via OnResult. With no top-layer peers the
+// probe completes immediately with success (a lone writer cannot
+// conflict).
 func (d *Detector) Detect(e env.Env, file id.FileID) int64 {
 	return d.DetectTraced(e, file, tracing.Context{})
 }
@@ -238,11 +246,48 @@ func (d *Detector) DetectTraced(e env.Env, file id.FileID, tc tracing.Context) i
 		return token
 	}
 	v := d.st.Open(file).Vector()
+	if floor := d.floor(file, peers); floor != nil {
+		v = v.Above(floor)
+	}
 	for _, peer := range peers {
 		e.Send(peer, wire.DetectRequest{File: file, Token: token, VV: v, TC: p.tc})
 	}
 	e.After(d.cfg.Timeout, timerTimeout, timeoutData{file: file, token: token})
 	return token
+}
+
+// floor returns, per writer, the lowest count any of peers last reported
+// for file — the stamps below it no peer can read — or nil while some
+// peer has not reported, so the probe ships whole windows.
+func (d *Detector) floor(file id.FileID, peers []id.NodeID) map[id.NodeID]int {
+	have := d.have[file]
+	var floor map[id.NodeID]int
+	for i, p := range peers {
+		h, ok := have[p]
+		if !ok {
+			return nil
+		}
+		if i == 0 {
+			floor = h
+			continue
+		}
+		if i == 1 {
+			floor = maps.Clone(floor) // never write a recorded reply
+		}
+		for w, c := range floor {
+			floor[w] = min(c, h[w])
+		}
+	}
+	return floor
+}
+
+// Forget drops every count node reported. Membership calls it when node
+// is declared dead: it may come back with an empty replica, which stale
+// floors would score as missing stamps.
+func (d *Detector) Forget(node id.NodeID) {
+	for _, have := range d.have {
+		delete(have, node)
+	}
 }
 
 // HandleRequest is the peer side: compare the incoming vector against the
@@ -256,7 +301,7 @@ func (d *Detector) HandleRequest(e env.Env, from id.NodeID, m wire.DetectRequest
 	lv := local.Vector()
 	cmp := vv.Compare(lv, m.VV)
 	tc := d.tr.Event(e.Now(), m.TC, tracing.EvDetectPeer, m.File, from, m.Token)
-	rep := wire.DetectReply{File: m.File, Token: m.Token, TC: tc}
+	rep := wire.DetectReply{File: m.File, Token: m.Token, Have: lv.CountMap(), TC: tc}
 	if cmp != vv.Equal {
 		refID, ref := d.quant.RefSel(map[id.NodeID]*vv.Vector{d.self: lv, from: m.VV})
 		triple, level := d.quant.Score(m.VV, ref)
@@ -270,9 +315,17 @@ func (d *Detector) HandleRequest(e env.Env, from id.NodeID, m wire.DetectRequest
 	e.Send(from, rep)
 }
 
-// HandleReply aggregates one peer's verdict into the writer's probe; the
-// probe finalizes when every peer answered (or on timeout).
+// HandleReply records the peer's counts and aggregates its verdict into
+// the writer's probe; the probe finalizes when every peer answered (or on
+// timeout). A late reply still updates the counts: any reply is a lower
+// bound on the peer's replica.
 func (d *Detector) HandleReply(e env.Env, from id.NodeID, m wire.DetectReply) {
+	have := d.have[m.File]
+	if have == nil {
+		have = make(map[id.NodeID]map[id.NodeID]int)
+		d.have[m.File] = have
+	}
+	have[from] = m.Have
 	p, ok := d.inflight[m.Token]
 	if !ok || p.done {
 		return

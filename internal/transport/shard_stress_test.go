@@ -90,16 +90,33 @@ func TestShardedClusterStress(t *testing.T) {
 	}
 	wg.Wait()
 
+	// held counts a node's updates, reading each file in its own domain:
+	// resolution may still be applying to it.
+	held := func(nid id.NodeID) int {
+		var mu sync.Mutex
+		var reads sync.WaitGroup
+		total := 0
+		for _, f := range files {
+			reads.Add(1)
+			trans[nid].InjectFile(f, func(env.Env) {
+				defer reads.Done()
+				n := len(cores[nid].Read(f))
+				mu.Lock()
+				total += n
+				mu.Unlock()
+			})
+		}
+		reads.Wait()
+		return total
+	}
+
 	// Let in-flight detection round-trips and remote applies settle,
 	// then verify no write was lost locally and the sharded queues saw
 	// real traffic.
 	deadline := time.Now().Add(5 * time.Second)
 	for _, nid := range nodeIDs {
 		for {
-			total := 0
-			for _, f := range files {
-				total += len(cores[nid].Read(f))
-			}
+			total := held(nid)
 			if total >= writers*ops || time.Now().After(deadline) {
 				if got, want := total, writers*ops; got < want {
 					t.Fatalf("node %v holds %d updates, want >= %d (own writes)", nid, got, want)

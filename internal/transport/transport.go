@@ -35,6 +35,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -127,8 +128,6 @@ type event struct {
 // transportMetrics are the telemetry handles for the frame hot path;
 // zero-value (nil) handles are no-ops.
 type transportMetrics struct {
-	encode    *telemetry.Histogram // envelope encode duration
-	decode    *telemetry.Histogram // envelope decode duration
 	framesOut *telemetry.Counter
 	bytesOut  *telemetry.Counter
 	framesIn  *telemetry.Counter
@@ -337,8 +336,6 @@ func (n *Node) enqueue(sl *shardLoop, ev event) bool {
 func (n *Node) AttachMetrics(reg *telemetry.Registry) {
 	n.reg = reg
 	n.met = transportMetrics{
-		encode:    reg.Histogram("transport.encode_seconds"),
-		decode:    reg.Histogram("transport.decode_seconds"),
 		framesOut: reg.Counter("transport.frames_sent_total"),
 		bytesOut:  reg.Counter("transport.bytes_sent_total"),
 		framesIn:  reg.Counter("transport.frames_received_total"),
@@ -520,26 +517,27 @@ func (n *Node) readLoop(c net.Conn) {
 		n.mu.Unlock()
 		c.Close()
 	}()
-	// rbuf is this connection's reusable read buffer. wire.Decode copies
+	// br batches the socket reads: a writev of many frames arrives in a
+	// few read calls instead of two per frame (header, then body). rbuf
+	// is this connection's reusable frame buffer. wire.Decode copies
 	// every byte payload out of the frame, so the buffer can be reused
 	// for the next frame immediately — steady-state reads allocate
 	// nothing.
+	br := bufio.NewReaderSize(c, flushBatchBytes)
 	var rbuf []byte
 	for {
-		frame, err := readFrame(c, &rbuf)
+		frame, err := readFrame(br, &rbuf)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !isClosed(err) {
 				n.logf("read: %v", err)
 			}
 			return
 		}
-		t0 := time.Now()
 		envl, err := wire.Decode(frame)
 		if err != nil {
 			n.logf("decode: %v", err)
 			return
 		}
-		n.met.decode.ObserveDuration(time.Since(t0))
 		n.met.framesIn.Inc()
 		n.met.bytesIn.Add(int64(len(frame)) + 4)
 		if mm, ok := envl.Msg.(env.Multi); ok {
@@ -571,7 +569,6 @@ func (n *Node) send(to id.NodeID, msg env.Message) {
 		n.logf("send: message %T is not a wire.Message", msg)
 		return
 	}
-	t0 := time.Now()
 	f, err := wire.EncodeFrame(wire.Envelope{From: n.id, To: to, Msg: wm}, frameHeader)
 	if err != nil {
 		n.logf("send: %v", err)
@@ -585,7 +582,6 @@ func (n *Node) send(to id.NodeID, msg env.Message) {
 		return
 	}
 	binary.BigEndian.PutUint32(b[:frameHeader], uint32(payload))
-	n.met.encode.ObserveDuration(time.Since(t0))
 	l, err := n.link(to)
 	if err != nil {
 		f.Release()

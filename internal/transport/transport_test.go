@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
@@ -315,5 +317,62 @@ func TestRemovePeerStopsRedial(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if n1.QueueDepth(2) != 0 {
 		t.Fatal("send to removed peer recreated a link")
+	}
+}
+
+// countingConn is an inbound connection whose bytes are already queued,
+// as when the kernel coalesced a peer's writev; it counts Read calls.
+type countingConn struct {
+	net.Conn // nil: the read loop only reads and closes
+	r        *bytes.Reader
+	reads    int
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+func (c *countingConn) Close() error { return nil }
+
+// TestReadLoopBuffersFrames: frames that arrive together are read
+// together. Unbuffered, each frame costs two reads (header, then body).
+func TestReadLoopBuffersFrames(t *testing.T) {
+	h := &collector{}
+	n, err := Listen(2, "127.0.0.1:0", h, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	t.Cleanup(func() { n.Close() })
+
+	const frames = 200
+	var batch net.Buffers
+	for i := 0; i < frames; i++ {
+		f, err := wire.EncodeFrame(wire.Envelope{From: 1, To: 2, Msg: wire.CollectRequest{File: "f", Token: int64(i)}}, frameHeader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Release()
+		b := f.Bytes()
+		binary.BigEndian.PutUint32(b[:frameHeader], uint32(len(b)-frameHeader))
+		batch = append(batch, b)
+	}
+	var sent bytes.Buffer
+	if _, err := batch.WriteTo(&sent); err != nil {
+		t.Fatal(err)
+	}
+	c := &countingConn{r: bytes.NewReader(sent.Bytes())}
+	n.wg.Add(1)
+	n.readLoop(c) // returns at EOF
+
+	msgs := h.waitMsgs(t, frames)
+	for i, m := range msgs {
+		if tok := m.(wire.CollectRequest).Token; tok != int64(i) {
+			t.Fatalf("message %d carries token %d: frames reordered or lost", i, tok)
+		}
+	}
+	if c.reads > frames/10 {
+		t.Fatalf("%d frames took %d reads, want at most %d", frames, c.reads, frames/10)
 	}
 }

@@ -249,8 +249,53 @@ func (v *Vector) Counts() *Vector {
 	return out
 }
 
+// Above returns v without the stamps a receiver whose counts are at least
+// floor cannot read: per writer, it keeps the stamps of updates
+// floor[w]-1 (0-based) onward, and always the newest one. It costs
+// O(writers): like Clone, each entry shares its window, suffix-sliced and
+// capped at its length, and the dropped stamps move behind the watermark
+// (Base = keep, Watermark = the newest dropped stamp), so counts, Compare
+// and Last are those of v. Detection ships its probes in this form.
+//
+// It is exact for Formula 1. A receiver with local count lc scoring v's
+// entry (count rc) reads v's stamps at indices min(rc,lc)-1 (the end of
+// the common prefix) and min(rc,lc) (the first divergent update, read
+// only when rc > lc) — see LastConsistentStamp — or, against a merged
+// reference, at rc-1. Whenever floor[w] <= lc, all of these are at least
+// min(floor[w],rc)-1, the first index kept. When floor overstates the
+// receiver (it rolled back or restarted), the missing stamps read as
+// compacted, so staleness is over-reported, never under-reported.
+func (v *Vector) Above(floor map[id.NodeID]int) *Vector {
+	out := &Vector{
+		Entries: make(map[id.NodeID]Entry, len(v.Entries)),
+		Meta:    v.Meta,
+		Err:     v.Err,
+		window:  v.window,
+	}
+	for n, e := range v.Entries {
+		keep := min(floor[n], e.Count) - 1
+		if drop := keep - e.Base; drop > 0 {
+			e.Watermark = e.Stamps[drop-1]
+			e.Base = keep
+			e.Stamps = e.Stamps[drop:]
+		}
+		out.Entries[n] = e.clone()
+	}
+	return out
+}
+
 // Count returns the number of updates recorded for writer w.
 func (v *Vector) Count(w id.NodeID) int { return v.Entries[w].Count }
+
+// CountMap returns every writer's count: what a detection reply reports
+// as the floor of the writer's next probe (see Above).
+func (v *Vector) CountMap() map[id.NodeID]int {
+	out := make(map[id.NodeID]int, len(v.Entries))
+	for n, e := range v.Entries {
+		out[n] = e.Count
+	}
+	return out
+}
 
 // TotalCount returns the total number of updates recorded across writers.
 func (v *Vector) TotalCount() int {

@@ -241,6 +241,31 @@ func TestCountsVectorDecodesWithoutStamps(t *testing.T) {
 	}
 }
 
+// TestDetectReplyHaveRoundTrip: the counts a detection reply reports come
+// back exactly, nil and empty kept apart (nil means "nothing reported",
+// empty a peer whose replica is empty).
+func TestDetectReplyHaveRoundTrip(t *testing.T) {
+	for _, have := range []map[id.NodeID]int{
+		nil,
+		{},
+		{1: 3, 2: 0, -4: 1 << 40, 9: 127},
+	} {
+		in := DetectReply{File: "f", Token: 5, Level: 1, Have: have}
+		frame, err := Encode(Envelope{From: 1, To: 2, Msg: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// DeepEqual tells a nil map from an empty one.
+		if out := got.Msg.(DetectReply).Have; !reflect.DeepEqual(out, have) {
+			t.Fatalf("Have %#v came back as %#v", have, out)
+		}
+	}
+}
+
 // TestVectorDeltaStampFidelity round-trips a vector with a compacted
 // window and widely spaced stamps through the delta encoding.
 func TestVectorDeltaStampFidelity(t *testing.T) {

@@ -66,9 +66,13 @@ func (u Update) ID() UpdateID { return UpdateID{u.File, u.Writer, u.Seq} }
 // DetectRequest carries the writer's extended version vector to a top-layer
 // peer; the peer compares it with its own replica's vector and scores the
 // difference with Formula 1, which reads stamps. It is therefore one of
-// the few messages that ship stamp windows (with GossipDigest and snapshot
-// chunks); resolution messages ship counts only. Windows are bounded (see
-// internal/vv), so a probe's wire cost is independent of update history.
+// the few messages that ship stamps (with GossipDigest and snapshot
+// chunks); resolution messages ship counts only. Once every top-layer
+// peer has replied to an earlier probe of the file, VV is the writer's
+// vector above the lowest counts those replies reported (vv.Vector.Above):
+// per writer, only the stamps from the last one every peer had onward. A
+// probe's wire cost then follows what the peers have not yet seen, not
+// the occupancy of the stamp windows; the first probe ships whole windows.
 type DetectRequest struct {
 	File  id.FileID
 	Token int64 // correlates replies with one detect(update) call
@@ -81,7 +85,10 @@ func (DetectRequest) Kind() string { return "detect.req" }
 
 // DetectReply reports the peer's verdict: Conflict is the "fail" return of
 // the detect(update) API; Level and Triple quantify the inconsistency per
-// Formula 1 against the chosen reference state.
+// Formula 1 against the chosen reference state. Have carries the peer's
+// per-writer counts, the floor below which the writer's next probe of the
+// file drops stamps. It is a plain count map, not a vector: the writer
+// needs nothing else.
 type DetectReply struct {
 	File     id.FileID
 	Token    int64
@@ -89,6 +96,7 @@ type DetectReply struct {
 	Level    float64
 	Triple   vv.Triple
 	Ref      id.NodeID // node whose replica was used as reference state
+	Have     map[id.NodeID]int
 	TC       tracing.Context
 }
 
