@@ -60,7 +60,7 @@ func main() {
 	allFlag := flag.String("all", "", "comma-separated node IDs of the full deployment")
 	top := flag.String("top", "", "comma-separated file=ids top-layer pins, e.g. board=1,2;log=2,3")
 	admin := flag.String("admin", "", "serve /metrics, /health, /healthz, /trace, /debug/flight on this address")
-	shards := flag.Int("shards", 0, "per-file serialization domains / executor goroutines (0 = one per CPU, 1 = classic single loop)")
+	shards := flag.Int("shards", 0, "per-file serialization domains (0 = one per CPU, 1 = classic single loop)")
 	compact := flag.Bool("compact-logs", false, "prune replica logs below the gossip-learned stability frontier (reads then serve only the live suffix)")
 	swim := flag.Bool("swim", false, "dynamic membership: SWIM failure detection + live join/leave")
 	join := flag.String("join", "", "seed address to join a live cluster (implies -swim; -peers/-all not needed)")

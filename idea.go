@@ -301,8 +301,8 @@ type LiveNodeConfig struct {
 	All []NodeID
 	// TopLayers optionally pins per-file top layers (nil → RanSub).
 	TopLayers map[FileID][]NodeID
-	// Shards is the number of per-file serialization domains — and live
-	// executor goroutines — the node runs (see core.Options.Shards).
+	// Shards is the number of per-file serialization domains the node
+	// runs (see core.Options.Shards).
 	// Zero means one per available CPU; set 1 to force the classic
 	// single event loop.
 	Shards int

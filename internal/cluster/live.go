@@ -139,18 +139,20 @@ func (ln *LiveNode) Metrics() *telemetry.Registry { return ln.N.Metrics() }
 // AddPeer registers a peer address.
 func (ln *LiveNode) AddPeer(nid id.NodeID, addr string) { ln.tn.AddPeer(nid, addr) }
 
-// Inject runs fn inside the node's shard-0 event loop (serialized with
-// message handling) — use it for node-global actions. Per-file operations
+// Inject runs fn in the node's shard-0 domain (serialized with message
+// handling) — use it for node-global actions. Per-file operations
 // (writes, hints, per-file reads) must use InjectFile so they execute in
-// the file's serialization domain.
+// the file's serialization domain. fn may run on the caller's goroutine
+// before Inject returns, so the caller must not hold a lock fn takes;
+// hand results back through a buffered channel, a close or a WaitGroup.
 func (ln *LiveNode) Inject(fn func(env.Env)) { ln.tn.Inject(fn) }
 
-// InjectFile runs fn inside the event loop of the shard owning file —
-// the injection point for writes and user actions against one file.
+// InjectFile runs fn in the domain of the shard owning file — the
+// injection point for writes and user actions against one file. As with
+// Inject, fn may run on the caller's goroutine before InjectFile returns.
 func (ln *LiveNode) InjectFile(file id.FileID, fn func(env.Env)) { ln.tn.InjectFile(file, fn) }
 
-// NumShards returns how many serialization domains (live executors) the
-// node runs.
+// NumShards returns how many serialization domains the node runs.
 func (ln *LiveNode) NumShards() int { return ln.tn.NumShards() }
 
 // Members returns the node's live membership view (nil without dynamic

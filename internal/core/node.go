@@ -643,7 +643,7 @@ func (sh *coreShard) start(e env.Env) {
 
 // Recv implements env.Handler, dispatching to the owning shard's
 // subsystems. The runtime already routed the callback to the right
-// executor; recomputing the shard here is what keeps the node correct
+// shard; recomputing the shard here is what keeps the node correct
 // under non-sharded runtimes too (everything then runs on one loop).
 func (n *Node) Recv(e env.Env, from id.NodeID, msg env.Message) {
 	sh := n.shards[n.ShardOfMessage(msg)]

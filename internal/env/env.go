@@ -95,7 +95,7 @@ type Handler interface {
 
 // Sharded is optionally implemented by Handlers that partition their state
 // into independent per-file serialization domains. A runtime that sees it
-// runs Shards() executors for the node and routes every callback through
+// runs Shards() domains for the node and routes every callback through
 // the ShardOf* methods; protocol code then runs lock-free per shard
 // exactly as it used to run lock-free per node.
 //

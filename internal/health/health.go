@@ -41,7 +41,7 @@ const (
 	// for ConvergenceStallAfter while writes kept flowing — anti-entropy
 	// is partitioned, starved, or wedged. Critical.
 	DetConvergenceStall = "convergence_stall"
-	// DetQueueSaturation: some shard executor or peer send queue has sat
+	// DetQueueSaturation: some shard queue or peer send queue has sat
 	// at or above QueueSaturationDepth for QueueSaturationTicks
 	// consecutive evaluations. Warn (critical at 4x the threshold).
 	DetQueueSaturation = "shard_queue_saturation"
@@ -256,8 +256,10 @@ type Config struct {
 	// still while writes flow before the stall raises (default 45s).
 	ConvergenceStallAfter time.Duration
 	// QueueSaturationDepth is the queue depth considered saturated
-	// (default 4096); QueueSaturationTicks is how many consecutive
-	// evaluations must see it before raising (default 3).
+	// (default 1024, a full shard queue at the transport's default size;
+	// critical fires at 4×, a full peer send queue); QueueSaturationTicks
+	// is how many consecutive evaluations must see it before raising
+	// (default 3).
 	QueueSaturationDepth int64
 	QueueSaturationTicks int
 	// FsyncSpikeMs is the journal fsync latency above which an fsync
@@ -285,7 +287,7 @@ func (c Config) withDefaults() Config {
 		c.ConvergenceStallAfter = 45 * time.Second
 	}
 	if c.QueueSaturationDepth <= 0 {
-		c.QueueSaturationDepth = 4096
+		c.QueueSaturationDepth = 1024
 	}
 	if c.QueueSaturationTicks <= 0 {
 		c.QueueSaturationTicks = 3
