@@ -437,7 +437,7 @@ type gossipState struct{ sh *coreShard }
 
 func (g gossipState) LocalVector(f id.FileID) *vv.Vector {
 	if r := g.sh.n.st.Peek(f); r != nil {
-		return r.Vector()
+		return r.LiveVector()
 	}
 	return nil
 }

@@ -245,9 +245,13 @@ func (d *Detector) DetectTraced(e env.Env, file id.FileID, tc tracing.Context) i
 		d.finalize(e, token)
 		return token
 	}
-	v := d.st.Open(file).Vector()
+	// The probe is a copy the peers may hold: Above or, while some peer
+	// has not replied, a Clone of the replica's vector.
+	v := d.st.Open(file).LiveVector()
 	if floor := d.floor(file, peers); floor != nil {
 		v = v.Above(floor)
+	} else {
+		v = v.Clone()
 	}
 	for _, peer := range peers {
 		e.Send(peer, wire.DetectRequest{File: file, Token: token, VV: v, TC: p.tc})
@@ -297,8 +301,8 @@ func (d *Detector) Forget(node id.NodeID) {
 // reference consistent state.
 func (d *Detector) HandleRequest(e env.Env, from id.NodeID, m wire.DetectRequest) {
 	d.met.peerRequests.Inc()
-	local := d.st.Open(m.File)
-	lv := local.Vector()
+	// Read in place: the reply carries only counts and scores.
+	lv := d.st.Open(m.File).LiveVector()
 	cmp := vv.Compare(lv, m.VV)
 	tc := d.tr.Event(e.Now(), m.TC, tracing.EvDetectPeer, m.File, from, m.Token)
 	rep := wire.DetectReply{File: m.File, Token: m.Token, Have: lv.CountMap(), TC: tc}

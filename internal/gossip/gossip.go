@@ -66,7 +66,9 @@ func (c Config) withDefaults() Config {
 // about; the owning node implements it.
 type State interface {
 	// LocalVector returns the replica's vector for file, or nil when
-	// the node holds no replica.
+	// the node holds no replica. The agent reads it in place, in the
+	// file's serialization domain, and never ships, keeps or modifies it
+	// (store.Replica.LiveVector); a digest carries a copy.
 	LocalVector(file id.FileID) *vv.Vector
 	// ActiveFiles lists files worth gossiping about.
 	ActiveFiles() []id.FileID
@@ -258,13 +260,13 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 	a.met.rounds.Inc()
 	for _, f := range a.state.ActiveFiles() {
 		if v := a.state.LocalVector(f); v != nil {
+			// The digest ships a copy of the replica's vector: bounded
+			// (counts stay exact, only the stamp window is cut down) or,
+			// with DigestStamps negative, whole.
 			if k := a.cfg.DigestStamps; k > 0 {
-				// Bounded digest encoding: counts stay exact, only the
-				// stamp window is cut down. LocalVector's clone has its
-				// own entry map and Compact writes cut windows to fresh
-				// arrays, so trimming it in place leaves the replica's
-				// vector untouched.
-				v.Compact(k)
+				v = v.Trimmed(k)
+			} else {
+				v = v.Clone()
 			}
 			d := wire.GossipDigest{
 				File:   f,

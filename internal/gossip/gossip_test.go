@@ -27,7 +27,7 @@ func (n *gossipNode) LocalVector(f id.FileID) *vv.Vector {
 	if r == nil {
 		return nil
 	}
-	return r.Vector()
+	return r.LiveVector()
 }
 func (n *gossipNode) ActiveFiles() []id.FileID { return n.st.Files() }
 

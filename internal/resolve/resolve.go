@@ -382,13 +382,14 @@ func (r *Resolver) start(e env.Env, file id.FileID, active bool, tc tracing.Cont
 }
 
 // traceApplies records the "apply" span for every sampled update in
-// updates that v (the replica's vector before adoption) shows as new
-// here — the moment the write becomes visible on this node. Call before
-// AdoptImage mutates the vector.
-func (r *Resolver) traceApplies(e env.Env, v *vv.Vector, updates []wire.Update, file id.FileID) {
+// updates that rep's vector (before adoption) shows as new here — the
+// moment the write becomes visible on this node. Call before AdoptImage
+// mutates the vector.
+func (r *Resolver) traceApplies(e env.Env, rep *store.Replica, updates []wire.Update, file id.FileID) {
 	if r.tr == nil {
 		return
 	}
+	v := rep.LiveVector()
 	for _, u := range updates {
 		if u.TC.Sampled() && u.Seq > v.Count(u.Writer) {
 			r.tr.Event(e.Now(), u.TC, tracing.EvApply, file, u.Writer, int64(u.Seq))
@@ -512,7 +513,7 @@ func (r *Resolver) finish(e env.Env, s *session) {
 	// Adopt locally.
 	localMissing := img.missingFrom(s.vecs[r.self])
 	local := r.st.Open(s.file)
-	r.traceApplies(e, local.Vector(), localMissing, s.file)
+	r.traceApplies(e, local, localMissing, s.file)
 	local.AdoptImage(winVec, localMissing, r.invalidates())
 	p2 := e.Now().Sub(s.p2start)
 	r.tr.Event(e.Now(), s.tc, tracing.EvVerdict, s.file, winner, int64(len(s.members)))
@@ -788,7 +789,7 @@ func (r *Resolver) HandleInform(e env.Env, from id.NodeID, m wire.Inform) {
 	r.met.informs.Inc()
 	rep := r.st.Open(m.File)
 	r.tr.Event(e.Now(), m.TC, tracing.EvInform, m.File, from, m.Token)
-	r.traceApplies(e, rep.Vector(), m.Updates, m.File)
+	r.traceApplies(e, rep, m.Updates, m.File)
 	rep.AdoptImage(m.VV, m.Updates, r.invalidates())
 	if r.engaged[m.File] == m.Token {
 		delete(r.engaged, m.File)

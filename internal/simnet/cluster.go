@@ -3,6 +3,10 @@
 // event-driven protocol handlers under virtual time; message latencies are
 // drawn from pluggable WAN models; clock skew, loss, and partitions can be
 // injected; and every send is charged to byte-accurate overhead counters.
+// The counters count a message when it is sent but measure its encoded
+// size beside the event loop, in batches (see Stats): totals are exact,
+// and since receivers get the very value that was sent, a message must
+// never be mutated after Send.
 //
 // A "200-second" experiment executes in milliseconds and replays
 // bit-for-bit from its seed, which is what lets the benchmark suite
@@ -68,7 +72,6 @@ type Cluster struct {
 	order  []id.NodeID
 	queue  eventQueue
 	stats  *Stats
-	sizer  *wire.Sizer
 	cut    map[[2]id.NodeID]bool
 	events int
 	// gen counts how many times each node has (re)started, salting the
@@ -176,7 +179,6 @@ func New(cfg Config) *Cluster {
 		base:  base,
 		nodes: make(map[id.NodeID]*node),
 		stats: NewStats(),
-		sizer: wire.NewSizer(),
 		cut:   make(map[[2]id.NodeID]bool),
 		gen:   make(map[id.NodeID]int),
 	}
@@ -453,7 +455,7 @@ func (n *node) Send(to id.NodeID, msg env.Message) {
 	if _, ok := c.nodes[to]; !ok {
 		return // unknown destination: blackhole, like the real network
 	}
-	c.stats.record(msg.Kind(), c.sizer.Size(wire.Envelope{From: n.id, To: to, Msg: msg}))
+	c.stats.record(wire.Envelope{From: n.id, To: to, Msg: msg})
 	if c.cut[[2]id.NodeID{n.id, to}] {
 		c.stats.drop()
 		return

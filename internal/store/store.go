@@ -102,6 +102,11 @@ type Replica struct {
 	// checkpoint support (§4.4.2 rollback)
 	checkpoints    []checkpoint
 	maxCheckpoints int
+	// spare is the vector of the last checkpoint dropped, pruned or
+	// rolled past; the next Checkpoint refills it instead of allocating.
+	// Checkpoint vectors are private to the replica, so nothing else
+	// holds it.
+	spare *vv.Vector
 
 	// lastTC is the trace context of the most recent sampled local write;
 	// gossip digests for this file are tagged with it so the bottom-layer
@@ -136,6 +141,14 @@ func NewReplica(file id.FileID, owner id.NodeID) *Replica {
 // O(writers) cost (see vv.Vector.Clone); later writes never show through
 // it, and callers may ship it over the wire freely.
 func (r *Replica) Vector() *vv.Vector { return r.vec.Clone() }
+
+// LiveVector returns the replica's own vector, not a copy: a read-only
+// look for a handler in the file's serialization domain that needs the
+// vector only until it returns. It changes with every apply, rollback and
+// adoption, so it must never be shipped, retained past the handler or
+// modified. Anything that outlives the handler takes a copy: Vector,
+// Counts, or the vector's Above or Trimmed.
+func (r *Replica) LiveVector() *vv.Vector { return r.vec }
 
 // Counts returns the replica's vector without stamp windows (see
 // vv.Vector.Counts): what a message needs when its receiver only reads
@@ -402,15 +415,21 @@ func (r *Replica) MissingFrom(remote *vv.Vector) []wire.Update {
 // operations since the checkpoint are rolled back (§4.4.2). The oldest
 // checkpoint is pruned when more than the configured maximum would be
 // live — pruning only forfeits the ability to roll that far back.
+//
+// The checkpoint's vector is a Clone of the replica's, refilled into the
+// vector of the checkpoint dropped last (vv.Vector.CloneInto), so a
+// steady checkpoint-per-verdict cycle allocates nothing.
 func (r *Replica) Checkpoint(token int64) {
 	r.checkpoints = append(r.checkpoints, checkpoint{
 		token:  token,
 		logLen: r.logBase + len(r.log),
-		vec:    r.vec.Clone(),
+		vec:    r.vec.CloneInto(r.spare),
 	})
+	r.spare = nil
 	r.met.checkpoints.Add(1)
 	if max := r.maxCheckpoints; max > 0 && len(r.checkpoints) > max {
 		drop := len(r.checkpoints) - max
+		r.spare = r.checkpoints[drop-1].vec
 		r.checkpoints = append(r.checkpoints[:0], r.checkpoints[drop:]...)
 		r.met.checkpoints.Add(-int64(drop))
 	}
@@ -446,6 +465,7 @@ func (r *Replica) Rollback(token int64) ([]wire.Update, error) {
 		r.truncateIndex(cp.vec.Count)
 		gaugeBefore := r.vec.WindowStamps()
 		r.vec = cp.vec.Clone()
+		r.spare = cp.vec
 		// An invalidation since the checkpoint may have removed entries
 		// the checkpoint still counts; the restored vector must never
 		// advertise updates the surviving index cannot ship.
@@ -492,6 +512,7 @@ func (r *Replica) truncateIndex(count func(id.NodeID) int) {
 func (r *Replica) DropCheckpoint(token int64) {
 	for i, cp := range r.checkpoints {
 		if cp.token == token {
+			r.spare = cp.vec
 			r.checkpoints = append(r.checkpoints[:i], r.checkpoints[i+1:]...)
 			r.met.checkpoints.Add(-1)
 			return

@@ -218,17 +218,23 @@ func (v *Vector) Window() int {
 // each entry shares its stamp window with v (see Entry). Either vector
 // may then Tick, Compact, TruncateWriter or Merge without the other
 // seeing it.
-func (v *Vector) Clone() *Vector {
-	out := &Vector{
-		Entries: make(map[id.NodeID]Entry, len(v.Entries)),
-		Meta:    v.Meta,
-		Err:     v.Err,
-		window:  v.window,
+func (v *Vector) Clone() *Vector { return v.CloneInto(nil) }
+
+// CloneInto is Clone refilling dst instead of allocating a new vector:
+// dst's entry map is cleared and reused, so a steady cycle of refills
+// allocates nothing. Whatever dst held before is gone, so nobody else may
+// hold dst. A nil dst allocates, exactly as Clone.
+func (v *Vector) CloneInto(dst *Vector) *Vector {
+	if dst == nil {
+		dst = &Vector{Entries: make(map[id.NodeID]Entry, len(v.Entries))}
+	} else {
+		clear(dst.Entries)
 	}
+	dst.Meta, dst.Err, dst.window = v.Meta, v.Err, v.window
 	for n, e := range v.Entries {
-		out.Entries[n] = e.clone()
+		dst.Entries[n] = e.clone()
 	}
-	return out
+	return dst
 }
 
 // Counts returns v without its stamp windows: every entry keeps its Count
@@ -370,19 +376,30 @@ func (v *Vector) CompactedCount() int {
 // every entry of u is <= the corresponding entry of v (and at least one is
 // smaller); Concurrent when each has updates the other lacks — the conflict
 // IDEA's detection module reports as "fail".
+//
+// It walks u's entries once; v's are walked only when v holds writers u
+// lacks, which the shared-writer count tells without a second lookup.
 func Compare(u, v *Vector) Ordering {
 	uAhead, vAhead := false, false
+	shared := 0
 	for n, e := range u.Entries {
-		switch c := v.Entries[n].Count; {
-		case e.Count > c:
+		f, ok := v.Entries[n]
+		if ok {
+			shared++
+		}
+		switch {
+		case e.Count > f.Count:
 			uAhead = true
-		case e.Count < c:
+		case e.Count < f.Count:
 			vAhead = true
 		}
 	}
-	for n, e := range v.Entries {
-		if _, ok := u.Entries[n]; !ok && e.Count > 0 {
-			vAhead = true
+	if shared < len(v.Entries) {
+		for n, e := range v.Entries {
+			if _, ok := u.Entries[n]; !ok && e.Count > 0 {
+				vAhead = true
+				break
+			}
 		}
 	}
 	switch {
@@ -440,16 +457,27 @@ func Merge(u, v *Vector) *Vector {
 // CountDiff returns how many updates of ref are missing from u and how many
 // extra updates u has beyond ref. The paper's example (§4.4.1): "replica a
 // misses one update and has two extra ones, so the order error is 3" —
-// order error is missing+extra.
+// order error is missing+extra. Like Compare, it walks u's entries only
+// when u holds writers ref lacks.
 func CountDiff(u, ref *Vector) (missing, extra int) {
-	for n, e := range ref.Entries {
-		if d := e.Count - u.Entries[n].Count; d > 0 {
+	shared := 0
+	for n, re := range ref.Entries {
+		ue, ok := u.Entries[n]
+		if ok {
+			shared++
+		}
+		switch d := re.Count - ue.Count; {
+		case d > 0:
 			missing += d
+		case d < 0:
+			extra -= d
 		}
 	}
-	for n, e := range u.Entries {
-		if d := e.Count - ref.Entries[n].Count; d > 0 {
-			extra += d
+	if shared < len(u.Entries) {
+		for n, ue := range u.Entries {
+			if _, ok := ref.Entries[n]; !ok && ue.Count > 0 {
+				extra += ue.Count
+			}
 		}
 	}
 	return missing, extra
@@ -513,20 +541,9 @@ func LastConsistentStamp(u, ref *Vector) Stamp {
 			firstDiv = s
 		}
 	}
-	writers := make(map[id.NodeID]struct{}, len(u.Entries)+len(ref.Entries))
-	for n := range u.Entries {
-		writers[n] = struct{}{}
-	}
-	for n := range ref.Entries {
-		writers[n] = struct{}{}
-	}
 	var common Stamp
-	for n := range writers {
-		ue, re := u.Entries[n], ref.Entries[n]
-		shared := ue.Count
-		if re.Count < shared {
-			shared = re.Count
-		}
+	writer := func(ue, re Entry) {
+		shared := min(ue.Count, re.Count)
 		// Stamps are non-decreasing, so the newest common-prefix stamp
 		// is the one at the end of the shared prefix.
 		if shared > 0 {
@@ -536,6 +553,24 @@ func LastConsistentStamp(u, ref *Vector) Stamp {
 		}
 		consider(ue, shared)
 		consider(re, shared)
+	}
+	// Every writer of either vector once: u's, then (only when ref holds
+	// writers u lacks) ref's others. The result is a max and a min, so
+	// the order does not matter.
+	both := 0
+	for n, ue := range u.Entries {
+		re, ok := ref.Entries[n]
+		if ok {
+			both++
+		}
+		writer(ue, re)
+	}
+	if both < len(ref.Entries) {
+		for n, re := range ref.Entries {
+			if _, ok := u.Entries[n]; !ok {
+				writer(Entry{}, re)
+			}
+		}
 	}
 	if divCompacted {
 		return 0
