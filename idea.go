@@ -316,7 +316,7 @@ type LiveNodeConfig struct {
 	// links), and joiners are admitted at runtime. Implied by Join.
 	Swim bool
 	// SwimConfig optionally tunes the failure detector (probe interval,
-	// suspect timeout, ...); nil uses defaults. Join/SelfAddr/Addrs are
+	// suspect timeout, ...); nil uses defaults. Join and Addrs are
 	// filled in by NewLiveNode.
 	SwimConfig *membership.Config
 	// Join is a seed node's address: the node starts knowing nobody,

@@ -15,6 +15,7 @@
 package baseline
 
 import (
+	"slices"
 	"time"
 
 	"idea/internal/env"
@@ -156,9 +157,6 @@ func (o *Optimistic) noteConflict(e env.Env, file id.FileID, peer id.NodeID, for
 
 // StrongConfig tunes the primary-copy protocol.
 type StrongConfig struct {
-	// Primary is the ordering node; zero means the lowest node ID among
-	// Replicas.
-	Primary id.NodeID
 	// Replicas is the full replica set (primary included).
 	Replicas []id.NodeID
 }
@@ -179,9 +177,10 @@ type pendingCommit struct {
 
 // Strong is one node of the strong-consistency baseline.
 type Strong struct {
-	cfg  StrongConfig
-	self id.NodeID
-	st   *store.Store
+	cfg     StrongConfig
+	self    id.NodeID
+	primary id.NodeID // the ordering node: the lowest replica ID
+	st      *store.Store
 
 	// primary state
 	commitSeq int
@@ -199,16 +198,14 @@ type Strong struct {
 
 // NewStrong creates a strong-baseline node.
 func NewStrong(cfg StrongConfig, self id.NodeID) *Strong {
-	if cfg.Primary == 0 {
-		for _, r := range cfg.Replicas {
-			if cfg.Primary == 0 || r < cfg.Primary {
-				cfg.Primary = r
-			}
-		}
+	var primary id.NodeID
+	if len(cfg.Replicas) > 0 {
+		primary = slices.Min(cfg.Replicas)
 	}
 	return &Strong{
 		cfg:     cfg,
 		self:    self,
+		primary: primary,
 		st:      store.New(self),
 		pending: make(map[int]*pendingCommit),
 		issued:  make(map[wire.UpdateID]time.Time),
@@ -231,7 +228,7 @@ func (s *Strong) Write(e env.Env, file id.FileID, op string, data []byte, meta f
 		Data:   data,
 	}
 	s.issued[u.ID()] = e.Now()
-	e.Send(s.cfg.Primary, wire.StrongWrite{File: file, Update: u})
+	e.Send(s.primary, wire.StrongWrite{File: file, Update: u})
 	return u
 }
 
@@ -245,7 +242,7 @@ func (s *Strong) Timer(env.Env, string, any) {}
 func (s *Strong) Recv(e env.Env, from id.NodeID, msg env.Message) {
 	switch m := msg.(type) {
 	case wire.StrongWrite:
-		if s.self != s.cfg.Primary {
+		if s.self != s.primary {
 			return
 		}
 		s.commitSeq++

@@ -34,7 +34,7 @@ type Topology struct {
 	// core.Options.Shards: zero means 1, core.NumShardsAuto one per CPU.
 	Shards int
 	// Swim enables dynamic membership with this failure-detector tuning
-	// (Join, SelfAddr and Addrs are the builder's to fill); nil keeps the
+	// (Join and Addrs are the builder's to fill); nil keeps the
 	// member list fixed. Under Swim a later incarnation of a node, restart
 	// or join, is told only the seed, Nodes[0], like a replaced process.
 	Swim *membership.Config

@@ -85,8 +85,6 @@ type Options struct {
 	Membership overlay.Membership
 	// All is the full node list, required when Membership is nil.
 	All []id.NodeID
-	// Quant is the consistency-level scorer; nil means paper defaults.
-	Quant *quantify.Quantifier
 	// Detect, Resolve, Gossip, Ransub tune the subsystems.
 	Detect  detect.Config
 	Resolve resolve.Config
@@ -124,10 +122,6 @@ type Options struct {
 	// configuration. Nil (the default) keeps the historical fixed
 	// membership.
 	Swim *membership.Config
-	// Metrics is the telemetry registry every subsystem records into;
-	// nil creates a fresh per-node registry (always available via
-	// Node.Metrics).
-	Metrics *telemetry.Registry
 	// Journal attaches a durability journal to the replica store: on
 	// boot the node replays the journal's logs (crash recovery), then
 	// every applied update and rollback is journaled via the store's
@@ -304,11 +298,9 @@ func NewNode(self id.NodeID, opts Options) *Node {
 		self:    self,
 		opts:    opts,
 		st:      store.New(self),
-		reg:     opts.Metrics,
+		reg:     telemetry.NewRegistry(),
+		quant:   quantify.Default(),
 		nshards: nsh,
-	}
-	if n.reg == nil {
-		n.reg = telemetry.NewRegistry()
 	}
 	n.tr = tracing.New(self, opts.Tracing)
 	n.met = coreMetrics{
@@ -324,10 +316,6 @@ func NewNode(self id.NodeID, opts Options) *Node {
 		n.wal = opts.Journal
 		n.wal.AttachMetrics(n.reg)
 		n.walErr = n.wal.Replay(n.st)
-	}
-	n.quant = opts.Quant
-	if n.quant == nil {
-		n.quant = quantify.Default()
 	}
 	// With dynamic membership the initial node list always contains self
 	// (a joiner starts knowing nobody else).

@@ -37,18 +37,16 @@ type Config struct {
 	// Timeout bounds how long a detect() waits for top-layer replies
 	// before finalizing with whatever arrived; zero means 2 s.
 	Timeout time.Duration
-	// DiscrepancyEps is the §4.4.2 epsilon: a bottom-layer level within
-	// eps of the top-layer one keeps the top verdict intact ("78% vs
-	// 80%" is cited as sufficiently close); zero means 0.05.
-	DiscrepancyEps float64
 }
+
+// discrepancyEps is the §4.4.2 epsilon: a bottom-layer level within eps
+// of the top-layer one keeps the top verdict intact ("78% vs 80%" is
+// cited as sufficiently close).
+const discrepancyEps = 0.05
 
 func (c Config) withDefaults() Config {
 	if c.Timeout == 0 {
 		c.Timeout = 2 * time.Second
-	}
-	if c.DiscrepancyEps == 0 {
-		c.DiscrepancyEps = 0.05
 	}
 	return c
 }
@@ -402,7 +400,7 @@ func (d *Detector) NoteResolved(file id.FileID) { d.topVerdict[file] = 1 }
 func (d *Detector) HandleGossipReport(e env.Env, rep wire.GossipReport) {
 	d.tr.Event(e.Now(), rep.TC, tracing.EvReportRecv, rep.File, rep.Reporter, int64(rep.Level*1000))
 	top := d.TopVerdict(rep.File)
-	if rep.Level >= top-d.cfg.DiscrepancyEps {
+	if rep.Level >= top-discrepancyEps {
 		return // sufficiently close (e.g. 78% vs 80%): keep silent
 	}
 	d.met.discrepancy.Inc()

@@ -211,7 +211,7 @@ func TestTopVerdictTracksResults(t *testing.T) {
 }
 
 func TestDiscrepancyCheck(t *testing.T) {
-	_, nodes := buildTop(t, 2, Config{DiscrepancyEps: 0.05})
+	_, nodes := buildTop(t, 2, Config{})
 	dn := nodes[1]
 	// Pretend the top layer said 0.9.
 	dn.det.topVerdict[board] = 0.9

@@ -33,6 +33,17 @@ import (
 // SharedFile is the file all paper experiments contend on.
 const SharedFile = id.FileID("whiteboard")
 
+// The paper's evaluation setup (§6): 40 nodes, 4 writers forming the top
+// layer, one update per writer every 5 s for 100 s, the consistency level
+// sampled every 5 s.
+const (
+	paperNodes    = 40
+	paperWriters  = 4
+	writeInterval = 5 * time.Second
+	paperDuration = 100 * time.Second
+	samplePeriod  = 5 * time.Second
+)
+
 // Report is one experiment's output.
 type Report struct {
 	Name     string
@@ -75,10 +86,10 @@ func CalibratedMaxima() (num, ord, stale float64) { return 30, 66, 300 }
 // configuration of §6.1), every node scoring with the calibrated maxima.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Nodes == 0 {
-		cfg.Nodes = 40
+		cfg.Nodes = paperNodes
 	}
 	if cfg.Writers == 0 {
-		cfg.Writers = 4
+		cfg.Writers = paperWriters
 	}
 	if cfg.File == "" {
 		cfg.File = SharedFile

@@ -182,8 +182,8 @@ func TestBoundsShape(t *testing.T) {
 
 // TestDeterminism: identical seeds replay identical results.
 func TestDeterminism(t *testing.T) {
-	a := RunHint(HintConfig{Seed: 7, Nodes: 10, Duration: 30 * time.Second, Hint: 0.95})
-	b := RunHint(HintConfig{Seed: 7, Nodes: 10, Duration: 30 * time.Second, Hint: 0.95})
+	a := RunHint(HintConfig{Seed: 7, Duration: 30 * time.Second, Hint: 0.95})
+	b := RunHint(HintConfig{Seed: 7, Duration: 30 * time.Second, Hint: 0.95})
 	if a.Rec.Scalar("messages") != b.Rec.Scalar("messages") {
 		t.Fatalf("replay diverged: %v vs %v messages", a.Rec.Scalar("messages"), b.Rec.Scalar("messages"))
 	}

@@ -12,32 +12,8 @@ import (
 
 // AutoConfig parameterizes the §6.3 automatic booking experiments.
 type AutoConfig struct {
-	Seed     int64
-	Servers  int           // booking servers forming the top layer (default 4)
-	Nodes    int           // total nodes (default 40)
-	Freq     time.Duration // background resolution period (20 s / 40 s)
-	Duration time.Duration // default 100 s
-	Interval time.Duration // booking period per server, default 5 s
-	Sample   time.Duration // sampling period, default 5 s
-}
-
-func (c AutoConfig) withDefaults() AutoConfig {
-	if c.Servers == 0 {
-		c.Servers = 4
-	}
-	if c.Nodes == 0 {
-		c.Nodes = 40
-	}
-	if c.Duration == 0 {
-		c.Duration = 100 * time.Second
-	}
-	if c.Interval == 0 {
-		c.Interval = 5 * time.Second
-	}
-	if c.Sample == 0 {
-		c.Sample = 5 * time.Second
-	}
-	return c
+	Seed int64
+	Freq time.Duration // background resolution period (20 s / 40 s)
 }
 
 // AutoResult is one automatic run's outcome.
@@ -56,10 +32,9 @@ const flightFile = id.FileID("flight")
 // committing updates, consistency maintained solely by background
 // resolution at the given frequency.
 func RunAutomatic(cfg AutoConfig) AutoResult {
-	cfg = cfg.withDefaults()
-	cl := NewCluster(ClusterConfig{Seed: cfg.Seed, Nodes: cfg.Nodes, Writers: cfg.Servers, File: flightFile})
+	cl := NewCluster(ClusterConfig{Seed: cfg.Seed, File: flightFile})
 	c, nodes, servers := cl.C, cl.Nodes, cl.Writers
-	books := make(map[id.NodeID]*booking.Server, cfg.Servers)
+	books := make(map[id.NodeID]*booking.Server, paperWriters)
 	var bookList []*booking.Server
 	for _, nid := range servers {
 		s, err := booking.New(nodes[nid], flightFile, 1<<30, 100)
@@ -86,8 +61,8 @@ func RunAutomatic(cfg AutoConfig) AutoResult {
 	}
 	cl.ScheduleWarmup()
 
-	// Bookings every Interval at every server.
-	for t := cfg.Interval; t <= cfg.Duration; t += cfg.Interval {
+	// A booking every writeInterval at every server.
+	for t := writeInterval; t <= paperDuration; t += writeInterval {
 		for _, nid := range servers {
 			nid := nid
 			c.CallAt(t, nid, func(e env.Env) { books[nid].Book(e, 1) })
@@ -96,12 +71,12 @@ func RunAutomatic(cfg AutoConfig) AutoResult {
 
 	// Top-layer perceived consistency (the Fig. 10 series).
 	rec := NewRecorder()
-	for t := cfg.Sample / 2; t <= cfg.Duration+cfg.Sample; t += cfg.Sample {
+	for t := samplePeriod / 2; t <= paperDuration+samplePeriod; t += samplePeriod {
 		c.RunUntil(t)
 		_, avg := cl.SampleLevels()
 		rec.Series("consistency level").Add(t, avg)
 	}
-	c.RunUntil(cfg.Duration + cfg.Sample)
+	c.RunUntil(paperDuration + samplePeriod)
 
 	msgs := c.Stats().TotalMatching("resolve.")
 	rounds := 0

@@ -10,12 +10,8 @@ import (
 // HintConfig parameterizes the §6.1 adaptive-interface experiments.
 type HintConfig struct {
 	Seed     int64
-	Nodes    int           // default 40 (paper)
-	Writers  int           // default 4 (paper)
 	Hint     float64       // hint level, e.g. 0.95 for Fig. 7(a)
 	Duration time.Duration // default 100 s
-	Interval time.Duration // write period, default 5 s
-	Sample   time.Duration // sampling period, default 5 s
 	// ResetHint, when non-zero, changes the hint to ResetHintTo at
 	// Duration/2 (the Fig. 8 combined run).
 	ResetHintTo float64
@@ -23,32 +19,20 @@ type HintConfig struct {
 }
 
 func (c HintConfig) withDefaults() HintConfig {
-	if c.Nodes == 0 {
-		c.Nodes = 40
-	}
-	if c.Writers == 0 {
-		c.Writers = 4
-	}
 	if c.Duration == 0 {
-		c.Duration = 100 * time.Second
-	}
-	if c.Interval == 0 {
-		c.Interval = 5 * time.Second
-	}
-	if c.Sample == 0 {
-		c.Sample = 5 * time.Second
+		c.Duration = paperDuration
 	}
 	return c
 }
 
-// RunHint executes the hint-based white-board experiment: Writers
-// concurrent writers update the shared file every Interval; IDEA triggers
-// active resolution whenever a writer's detected level drops below the
-// hint. The recorder carries the "view from the user" (worst writer) and
+// RunHint executes the hint-based white-board experiment: the paper's 4
+// concurrent writers among 40 nodes update the shared file every 5 s;
+// IDEA triggers active resolution whenever a writer's detected level
+// drops below the hint. The recorder carries the "view from the user" (worst writer) and
 // "system average" series of Fig. 7.
 func RunHint(cfg HintConfig) Report {
 	cfg = cfg.withDefaults()
-	cl := NewCluster(ClusterConfig{Seed: cfg.Seed, Nodes: cfg.Nodes, Writers: cfg.Writers})
+	cl := NewCluster(ClusterConfig{Seed: cfg.Seed})
 	cl.HintAt(0, cfg.Hint)
 	cl.Warmup()
 	if cfg.ResetHintTo > 0 {
@@ -58,10 +42,10 @@ func RunHint(cfg HintConfig) Report {
 		}
 		cl.HintAt(at, cfg.ResetHintTo)
 	}
-	cl.ScheduleUniformWrites(cfg.Interval, cfg.Duration)
+	cl.ScheduleUniformWrites(writeInterval, cfg.Duration)
 
 	rec := NewRecorder()
-	cl.RunSampling(rec, "view from the user", "system average", cfg.Sample, cfg.Duration+cfg.Sample)
+	cl.RunSampling(rec, "view from the user", "system average", samplePeriod, cfg.Duration+samplePeriod)
 
 	resolutions := 0
 	for _, w := range cl.Writers {
@@ -83,7 +67,7 @@ func RunHint(cfg HintConfig) Report {
 
 	name := fmt.Sprintf("hint %.0f%%", cfg.Hint*100)
 	title := fmt.Sprintf("Consistency level over time (hint %.0f%%, %d writers / %d nodes, write every %v)",
-		cfg.Hint*100, cfg.Writers, cfg.Nodes, cfg.Interval)
+		cfg.Hint*100, paperWriters, paperNodes, writeInterval)
 	out := section(title) +
 		SeriesTable("", rec.Series("view from the user"), rec.Series("system average")) +
 		fmt.Sprintf("\nlowest user-perceived level: %.4f   active resolutions: %d\n",

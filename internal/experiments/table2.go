@@ -13,8 +13,7 @@ import (
 // PhaseConfig parameterizes the §6.2 response-time experiments.
 type PhaseConfig struct {
 	Seed    int64
-	Writers int // top-layer size (paper: 4)
-	Nodes   int
+	Writers int // top-layer size (paper: 4); the cluster is twice that
 	// Strict switches phase 1 to the wait-for-acks ablation.
 	Strict bool
 	// Parallel switches phase 2 to the parallel-collect variant.
@@ -36,12 +35,9 @@ func RunPhaseBreakdown(cfg PhaseConfig) PhaseResult {
 	if cfg.Writers == 0 {
 		cfg.Writers = 4
 	}
-	if cfg.Nodes == 0 {
-		cfg.Nodes = cfg.Writers * 2
-	}
 	cl := NewCluster(ClusterConfig{
 		Seed:    cfg.Seed,
-		Nodes:   cfg.Nodes,
+		Nodes:   cfg.Writers * 2,
 		Writers: cfg.Writers,
 		Mutate: func(_ id.NodeID, o *core.Options) {
 			if cfg.Strict {

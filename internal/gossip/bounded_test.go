@@ -17,16 +17,16 @@ import (
 // learning.
 
 func TestSeenMapEvicted(t *testing.T) {
-	c, nodes := buildCluster(t, 4, Config{Interval: 2 * time.Second, SeenRounds: 3}, 21)
+	c, nodes := buildCluster(t, 4, Config{Interval: 2 * time.Second}, 21)
 	for _, gn := range nodes {
 		gn.st.Open(board).WriteLocal(1e9, "w", nil, 1)
 	}
 	c.RunFor(5 * time.Minute)
 	// 150 rounds × 4 origins have flowed; without eviction the dedup map
-	// would hold hundreds of entries. With a 3-round retention it must
+	// would hold hundreds of entries. With a seenRounds retention it must
 	// stay within a few rounds' worth of digests.
 	for nid, gn := range nodes {
-		if got := len(gn.a.seen); got > 4*2*4 {
+		if got := len(gn.a.seen); got > 4*2*(seenRounds+1) {
 			t.Fatalf("node %v seen map grew to %d entries", nid, got)
 		}
 	}
@@ -94,7 +94,7 @@ func (r *recordingNode) Recv(e env.Env, from id.NodeID, m env.Message) {
 func TestDigestsAreTrimmed(t *testing.T) {
 	c := simnet.New(simnet.Config{Seed: 5})
 	sender := &gossipNode{st: store.New(1)}
-	sender.a = New(Config{Interval: 2 * time.Second, DigestStamps: 4}, 1, []id.NodeID{2}, sender, nil, nil)
+	sender.a = New(Config{Interval: 2 * time.Second}, 1, []id.NodeID{2}, sender, nil, nil)
 	c.Add(1, sender)
 	recv := &recordingNode{gossipNode: &gossipNode{st: store.New(2)}}
 	recv.a = New(Config{Interval: 2 * time.Second}, 2, []id.NodeID{1}, recv.gossipNode, nil, nil)
@@ -111,8 +111,8 @@ func TestDigestsAreTrimmed(t *testing.T) {
 		if d.VV.Count(1) != 200 {
 			t.Fatalf("digest count = %d, want exact 200", d.VV.Count(1))
 		}
-		if got := d.VV.WindowStamps(); got > 4 {
-			t.Fatalf("digest ships %d stamps, want <= 4", got)
+		if got := d.VV.WindowStamps(); got > digestStamps {
+			t.Fatalf("digest ships %d stamps, want <= %d", got, digestStamps)
 		}
 	}
 }

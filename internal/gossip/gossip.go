@@ -31,17 +31,19 @@ type Config struct {
 	// more of the bottom layer per round at higher cost — the
 	// accuracy/responsiveness trade-off the paper calls out.
 	TTL int
-	// DigestStamps bounds the per-writer stamp window shipped in each
-	// digest; zero means 8, negative ships the replica's full (already
-	// window-bounded) vector. Counts — and thus conflict detection —
-	// are exact at any setting; only staleness resolution coarsens.
-	DigestStamps int
-	// SeenRounds is how many of the agent's own rounds a digest dedup
-	// entry is retained for; zero means 4. Relays arrive within TTL
-	// hops of the origin's round, so a few rounds suffice; eviction
-	// keeps the dedup map bounded on long-running nodes.
-	SeenRounds int
 }
+
+const (
+	// digestStamps bounds the per-writer stamp window shipped in each
+	// digest. Counts — and thus conflict detection — stay exact; only
+	// staleness resolution coarsens.
+	digestStamps = 8
+	// seenRounds is how many of the agent's own rounds a digest dedup
+	// entry is retained for. Relays arrive within TTL hops of the
+	// origin's round, so a few rounds suffice; eviction keeps the dedup
+	// map bounded on long-running nodes.
+	seenRounds = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.Interval == 0 {
@@ -52,12 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TTL == 0 {
 		c.TTL = 3
-	}
-	if c.DigestStamps == 0 {
-		c.DigestStamps = 8
-	}
-	if c.SeenRounds == 0 {
-		c.SeenRounds = 4
 	}
 	return c
 }
@@ -260,20 +256,14 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 	a.met.rounds.Inc()
 	for _, f := range a.state.ActiveFiles() {
 		if v := a.state.LocalVector(f); v != nil {
-			// The digest ships a copy of the replica's vector: bounded
-			// (counts stay exact, only the stamp window is cut down) or,
-			// with DigestStamps negative, whole.
-			if k := a.cfg.DigestStamps; k > 0 {
-				v = v.Trimmed(k)
-			} else {
-				v = v.Clone()
-			}
+			// The digest ships a bounded copy of the replica's vector:
+			// counts stay exact, only the stamp window is cut down.
 			d := wire.GossipDigest{
 				File:   f,
 				Origin: a.self,
 				Round:  a.round,
 				TTL:    a.cfg.TTL,
-				VV:     v,
+				VV:     v.Trimmed(digestStamps),
 			}
 			if ss, ok := a.state.(StableState); ok {
 				d.Stable = ss.StableCounts(f)
@@ -306,10 +296,10 @@ func (a *Agent) measureDigest(d wire.GossipDigest) {
 	a.met.digestBytes.Set(int64(a.sizer.Size(wire.Envelope{From: a.self, Msg: d})))
 }
 
-// evictSeen drops dedup entries older than SeenRounds local rounds; any
+// evictSeen drops dedup entries older than seenRounds local rounds; any
 // late relay of such a digest is deep in TTL decay anyway.
 func (a *Agent) evictSeen() {
-	cutoff := a.round - a.cfg.SeenRounds
+	cutoff := a.round - seenRounds
 	for k, r := range a.seen {
 		if r < cutoff {
 			delete(a.seen, k)

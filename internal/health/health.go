@@ -42,23 +42,24 @@ const (
 	// is partitioned, starved, or wedged. Critical.
 	DetConvergenceStall = "convergence_stall"
 	// DetQueueSaturation: some shard queue or peer send queue has sat
-	// at or above QueueSaturationDepth for QueueSaturationTicks
-	// consecutive evaluations. Warn (critical at 4x the threshold).
+	// at or above queueSaturationDepth (1024) for queueSaturationTicks
+	// (3) consecutive evaluations. Warn (critical at 4x the threshold).
 	DetQueueSaturation = "shard_queue_saturation"
 	// DetWALFsync: more than 1% of the journal fsyncs in the last window
 	// exceeded FsyncSpikeMs (warn), or the journal latched a sticky
 	// append/sync error (critical — the log must be treated as torn).
 	DetWALFsync = "wal_fsync_spike"
-	// DetMembershipFlap: one member accumulated FlapSuspects or more
-	// suspect transitions inside FlapWindow — a flapping link or an
-	// overloaded peer chewing through suspect/refute cycles. Warn.
+	// DetMembershipFlap: one member accumulated flapSuspects (3) or
+	// more suspect transitions inside flapWindow (60 s) — a flapping
+	// link or an overloaded peer chewing through suspect/refute cycles.
+	// Warn.
 	DetMembershipFlap = "membership_flap"
 	// DetJoinStall: a snapshot-bootstrap join has been running longer
-	// than JoinStallAfter without completing. Critical.
+	// than joinStallAfter (60 s) without completing. Critical.
 	DetJoinStall = "join_stall"
 	// DetStaleness: some file's detected consistency level has sat below
-	// its configured bound for StalenessAfter — the application asked for
-	// a floor the cluster is not delivering. Warn.
+	// its configured bound for stalenessAfter (30 s) — the application
+	// asked for a floor the cluster is not delivering. Warn.
 	DetStaleness = "staleness_violation"
 )
 
@@ -255,26 +256,29 @@ type Config struct {
 	// ConvergenceStallAfter is how long the stability frontier may sit
 	// still while writes flow before the stall raises (default 45s).
 	ConvergenceStallAfter time.Duration
-	// QueueSaturationDepth is the queue depth considered saturated
-	// (default 1024, a full shard queue at the transport's default size;
-	// critical fires at 4×, a full peer send queue); QueueSaturationTicks
-	// is how many consecutive evaluations must see it before raising
-	// (default 3).
-	QueueSaturationDepth int64
-	QueueSaturationTicks int
 	// FsyncSpikeMs is the journal fsync latency above which an fsync
 	// counts as slow; >1% slow fsyncs in a window raises (default 50ms).
 	FsyncSpikeMs float64
-	// FlapWindow/FlapSuspects: suspect transitions per member tolerated
-	// inside the window before the flap raises (defaults 60s / 3).
-	FlapWindow   time.Duration
-	FlapSuspects int
-	// JoinStallAfter bounds snapshot-bootstrap duration (default 60s).
-	JoinStallAfter time.Duration
-	// StalenessAfter is how long a file may sit below its consistency
-	// bound before the violation raises (default 30s).
-	StalenessAfter time.Duration
 }
+
+// Fixed detector bounds.
+const (
+	// queueSaturationDepth is the queue depth considered saturated: a
+	// full shard queue at the transport's default size (critical fires
+	// at 4×, a full peer send queue); queueSaturationTicks is how many
+	// consecutive evaluations must see it before raising.
+	queueSaturationDepth = 1024
+	queueSaturationTicks = 3
+	// flapWindow/flapSuspects: suspect transitions per member tolerated
+	// inside the window before the flap raises.
+	flapWindow   = 60 * time.Second
+	flapSuspects = 3
+	// joinStallAfter bounds snapshot-bootstrap duration.
+	joinStallAfter = 60 * time.Second
+	// stalenessAfter is how long a file may sit below its consistency
+	// bound before the violation raises.
+	stalenessAfter = 30 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
@@ -286,26 +290,8 @@ func (c Config) withDefaults() Config {
 	if c.ConvergenceStallAfter <= 0 {
 		c.ConvergenceStallAfter = 45 * time.Second
 	}
-	if c.QueueSaturationDepth <= 0 {
-		c.QueueSaturationDepth = 1024
-	}
-	if c.QueueSaturationTicks <= 0 {
-		c.QueueSaturationTicks = 3
-	}
 	if c.FsyncSpikeMs <= 0 {
 		c.FsyncSpikeMs = 50
-	}
-	if c.FlapWindow <= 0 {
-		c.FlapWindow = 60 * time.Second
-	}
-	if c.FlapSuspects <= 0 {
-		c.FlapSuspects = 3
-	}
-	if c.JoinStallAfter <= 0 {
-		c.JoinStallAfter = 60 * time.Second
-	}
-	if c.StalenessAfter <= 0 {
-		c.StalenessAfter = 30 * time.Second
 	}
 	return c
 }
@@ -691,11 +677,11 @@ func (en *Engine) checkQueues(now time.Time, p Probe, out *[]Event) {
 			}
 		}
 	}
-	if maxDepth < en.cfg.QueueSaturationDepth {
+	if maxDepth < queueSaturationDepth {
 		en.satTicks = 0
 		// Hysteresis: an active saturation clears only once the deepest
 		// queue drains below half the threshold.
-		if maxDepth < en.cfg.QueueSaturationDepth/2 {
+		if maxDepth < queueSaturationDepth/2 {
 			en.clear(now, DetQueueSaturation,
 				map[string]float64{"max_queue_depth": float64(maxDepth)},
 				"queues drained", out)
@@ -703,14 +689,14 @@ func (en *Engine) checkQueues(now time.Time, p Probe, out *[]Event) {
 		return
 	}
 	en.satTicks++
-	if en.satTicks >= en.cfg.QueueSaturationTicks {
+	if en.satTicks >= queueSaturationTicks {
 		sev := SevWarn
-		if maxDepth >= 4*en.cfg.QueueSaturationDepth {
+		if maxDepth >= 4*queueSaturationDepth {
 			sev = SevCritical
 		}
 		en.raise(now, DetQueueSaturation, sev, map[string]float64{
 			"max_queue_depth": float64(maxDepth),
-			"threshold":       float64(en.cfg.QueueSaturationDepth),
+			"threshold":       float64(queueSaturationDepth),
 			"saturated_ticks": float64(en.satTicks),
 		}, "shard or peer queue saturated", out)
 	}
@@ -758,7 +744,7 @@ func (en *Engine) checkWAL(now time.Time, p Probe, out *[]Event) {
 }
 
 func (en *Engine) checkFlap(now time.Time, out *[]Event) {
-	cutoff := now.Add(-en.cfg.FlapWindow)
+	cutoff := now.Add(-flapWindow)
 	worstNode, worstCount := id.Nil, 0
 	for node, times := range en.suspects {
 		keep := times[:0]
@@ -778,11 +764,11 @@ func (en *Engine) checkFlap(now time.Time, out *[]Event) {
 			worstNode, worstCount = node, len(keep)
 		}
 	}
-	if worstCount >= en.cfg.FlapSuspects {
+	if worstCount >= flapSuspects {
 		en.raise(now, DetMembershipFlap, SevWarn, map[string]float64{
 			"suspect_events": float64(worstCount),
 			"node":           float64(worstNode),
-			"window_seconds": en.cfg.FlapWindow.Seconds(),
+			"window_seconds": flapWindow.Seconds(),
 		}, fmt.Sprintf("member %s flapping: %d suspect cycles in window", worstNode, worstCount), out)
 	} else {
 		en.clear(now, DetMembershipFlap, nil, "membership stable", out)
@@ -790,10 +776,10 @@ func (en *Engine) checkFlap(now time.Time, out *[]Event) {
 }
 
 func (en *Engine) checkJoin(now time.Time, p Probe, out *[]Event) {
-	if p.Join.Active && !p.Join.Done && p.Join.Running >= en.cfg.JoinStallAfter {
+	if p.Join.Active && !p.Join.Done && p.Join.Running >= joinStallAfter {
 		en.raise(now, DetJoinStall, SevCritical, map[string]float64{
 			"join_running_seconds": p.Join.Running.Seconds(),
-			"threshold_seconds":    en.cfg.JoinStallAfter.Seconds(),
+			"threshold_seconds":    joinStallAfter.Seconds(),
 		}, "snapshot-bootstrap join not completing", out)
 		return
 	}
@@ -814,7 +800,7 @@ func (en *Engine) checkStaleness(now time.Time, out *[]Event) {
 	worstFile, violations := "", 0
 	for _, f := range files {
 		bf := en.below[id.FileID(f)]
-		if now.Sub(bf.since) < en.cfg.StalenessAfter {
+		if now.Sub(bf.since) < stalenessAfter {
 			continue
 		}
 		violations++

@@ -99,32 +99,36 @@ func TestConvergenceStallIgnoresIdleNode(t *testing.T) {
 }
 
 func TestQueueSaturationEscalatesAndClears(t *testing.T) {
-	en := NewEngine(1, Config{QueueSaturationDepth: 100, QueueSaturationTicks: 2}, nil)
+	en := NewEngine(1, Config{}, nil)
 	deep := func(depth int64) Probe {
 		return probe(nil, map[string]int64{"core.shard_queue_depth.0": depth})
 	}
-	if evs := en.Tick(at(0), deep(150)); findEvent(evs, DetQueueSaturation, true) != nil {
-		t.Fatal("raised after one saturated tick (want 2)")
+	tick := time.Duration(0)
+	for i := 1; i < queueSaturationTicks; i++ {
+		if evs := en.Tick(at(tick), deep(1500)); findEvent(evs, DetQueueSaturation, true) != nil {
+			t.Fatalf("raised after %d saturated ticks (want %d)", i, queueSaturationTicks)
+		}
+		tick += 2 * time.Second
 	}
-	evs := en.Tick(at(2*time.Second), deep(150))
+	evs := en.Tick(at(tick), deep(1500))
 	ev := findEvent(evs, DetQueueSaturation, true)
 	if ev == nil || ev.Severity != SevWarn {
-		t.Fatalf("want warn raise on 2nd saturated tick, got %v", evs)
+		t.Fatalf("want warn raise on saturated tick %d, got %v", queueSaturationTicks, evs)
 	}
 	// 4x the threshold escalates to critical — a new transition.
-	evs = en.Tick(at(4*time.Second), deep(500))
+	evs = en.Tick(at(tick+2*time.Second), deep(5000))
 	ev = findEvent(evs, DetQueueSaturation, true)
 	if ev == nil || ev.Severity != SevCritical {
 		t.Fatalf("want critical escalation at 4x, got %v", evs)
 	}
-	if ev.Evidence["max_queue_depth"] != 500 {
-		t.Fatalf("max_queue_depth = %v, want 500", ev.Evidence["max_queue_depth"])
+	if ev.Evidence["max_queue_depth"] != 5000 {
+		t.Fatalf("max_queue_depth = %v, want 5000", ev.Evidence["max_queue_depth"])
 	}
-	// Hysteresis: 60 is below the threshold but above half of it.
-	if evs := en.Tick(at(6*time.Second), deep(60)); findEvent(evs, DetQueueSaturation, false) != nil {
+	// Hysteresis: 600 is below the threshold but above half of it.
+	if evs := en.Tick(at(tick+4*time.Second), deep(600)); findEvent(evs, DetQueueSaturation, false) != nil {
 		t.Fatal("cleared above the hysteresis floor")
 	}
-	if evs := en.Tick(at(8*time.Second), deep(10)); findEvent(evs, DetQueueSaturation, false) == nil {
+	if evs := en.Tick(at(tick+6*time.Second), deep(10)); findEvent(evs, DetQueueSaturation, false) == nil {
 		t.Fatal("no clear after queues drained")
 	}
 }
@@ -193,11 +197,11 @@ func TestWALFsyncIdleDecay(t *testing.T) {
 }
 
 func TestMembershipFlapRaisesAndClears(t *testing.T) {
-	en := NewEngine(1, Config{FlapWindow: 30 * time.Second, FlapSuspects: 3}, nil)
+	en := NewEngine(1, Config{}, nil)
 	en.RecordSuspect(at(1*time.Second), 7)
 	en.RecordSuspect(at(2*time.Second), 7)
 	if evs := en.Tick(at(3*time.Second), probe(nil, nil)); findEvent(evs, DetMembershipFlap, true) != nil {
-		t.Fatal("raised below FlapSuspects")
+		t.Fatal("raised below flapSuspects")
 	}
 	en.RecordSuspect(at(4*time.Second), 7)
 	evs := en.Tick(at(5*time.Second), probe(nil, nil))
@@ -208,42 +212,46 @@ func TestMembershipFlapRaisesAndClears(t *testing.T) {
 	if ev.Evidence["suspect_events"] != 3 || ev.Evidence["node"] != 7 {
 		t.Fatalf("evidence = %v, want 3 events on node 7", ev.Evidence)
 	}
+	// Inside the window the suspicions still count: no clear.
+	if evs := en.Tick(at(40*time.Second), probe(nil, nil)); findEvent(evs, DetMembershipFlap, false) != nil {
+		t.Fatalf("cleared inside the %v window: %v", flapWindow, evs)
+	}
 	// The window slides past the suspicions: clear.
-	evs = en.Tick(at(40*time.Second), probe(nil, nil))
+	evs = en.Tick(at(4*time.Second+flapWindow+time.Second), probe(nil, nil))
 	if findEvent(evs, DetMembershipFlap, false) == nil {
 		t.Fatalf("no clear after window passed: %v", evs)
 	}
 }
 
 func TestJoinStallRaisesAndClears(t *testing.T) {
-	en := NewEngine(1, Config{JoinStallAfter: 20 * time.Second}, nil)
+	en := NewEngine(1, Config{}, nil)
 	p := probe(nil, nil)
-	p.Join = JoinStatus{Active: true, Running: 10 * time.Second}
-	if evs := en.Tick(at(10*time.Second), p); findEvent(evs, DetJoinStall, true) != nil {
-		t.Fatal("raised before JoinStallAfter")
+	p.Join = JoinStatus{Active: true, Running: joinStallAfter - time.Second}
+	if evs := en.Tick(at(joinStallAfter-time.Second), p); findEvent(evs, DetJoinStall, true) != nil {
+		t.Fatal("raised before joinStallAfter")
 	}
-	p.Join.Running = 25 * time.Second
-	evs := en.Tick(at(25*time.Second), p)
+	p.Join.Running = joinStallAfter + 5*time.Second
+	evs := en.Tick(at(p.Join.Running), p)
 	ev := findEvent(evs, DetJoinStall, true)
 	if ev == nil || ev.Severity != SevCritical {
 		t.Fatalf("want critical raise on stalled join, got %v", evs)
 	}
-	if ev.Evidence["join_running_seconds"] != 25 {
-		t.Fatalf("join_running_seconds = %v, want 25", ev.Evidence["join_running_seconds"])
+	if ev.Evidence["join_running_seconds"] != 65 {
+		t.Fatalf("join_running_seconds = %v, want 65", ev.Evidence["join_running_seconds"])
 	}
 	p.Join.Done = true
-	if evs := en.Tick(at(30*time.Second), p); findEvent(evs, DetJoinStall, false) == nil {
+	if evs := en.Tick(at(p.Join.Running+5*time.Second), p); findEvent(evs, DetJoinStall, false) == nil {
 		t.Fatal("no clear after join completed")
 	}
 }
 
 func TestStalenessRaisesAndClears(t *testing.T) {
-	en := NewEngine(1, Config{StalenessAfter: 10 * time.Second}, nil)
+	en := NewEngine(1, Config{}, nil)
 	en.RecordLevel(at(0), "f", 0.5, 0.9)
-	if evs := en.Tick(at(5*time.Second), probe(nil, nil)); findEvent(evs, DetStaleness, true) != nil {
-		t.Fatal("raised before StalenessAfter")
+	if evs := en.Tick(at(stalenessAfter-5*time.Second), probe(nil, nil)); findEvent(evs, DetStaleness, true) != nil {
+		t.Fatal("raised before stalenessAfter")
 	}
-	evs := en.Tick(at(12*time.Second), probe(nil, nil))
+	evs := en.Tick(at(stalenessAfter+2*time.Second), probe(nil, nil))
 	ev := findEvent(evs, DetStaleness, true)
 	if ev == nil || ev.Severity != SevWarn {
 		t.Fatalf("want warn raise on stale file, got %v", evs)
@@ -252,8 +260,8 @@ func TestStalenessRaisesAndClears(t *testing.T) {
 		t.Fatalf("evidence = %v", ev.Evidence)
 	}
 	// Resolution brings the file back above its bound: clear.
-	en.RecordLevel(at(13*time.Second), "f", 1, 0.9)
-	if evs := en.Tick(at(14*time.Second), probe(nil, nil)); findEvent(evs, DetStaleness, false) == nil {
+	en.RecordLevel(at(stalenessAfter+3*time.Second), "f", 1, 0.9)
+	if evs := en.Tick(at(stalenessAfter+4*time.Second), probe(nil, nil)); findEvent(evs, DetStaleness, false) == nil {
 		t.Fatal("no clear after recovery")
 	}
 	// Fast path restored: no tracked files, one atomic load per verdict.
@@ -383,8 +391,8 @@ func TestStatusJSONDeterministic(t *testing.T) {
 // and they trip exactly as from a full snapshot.
 func TestProbeSnapshotCarriesWhatDetectorsRead(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	en := NewEngine(1, Config{QueueSaturationDepth: 100, QueueSaturationTicks: 1}, reg)
-	reg.Gauge("transport.queue_depth.n7").Set(500)
+	en := NewEngine(1, Config{}, reg)
+	reg.Gauge("transport.queue_depth.n7").Set(2000)
 	reg.Gauge("gossip.seen_entries").Set(9000)
 	reg.Counter("store.wal_errors_total").Add(2)
 	reg.Counter("gossip.rounds_total").Inc()
@@ -393,8 +401,11 @@ func TestProbeSnapshotCarriesWhatDetectorsRead(t *testing.T) {
 	if len(p.Snap.Histograms) != 0 || p.Snap.Gauges["gossip.seen_entries"] != 0 {
 		t.Fatalf("probe read more than the detectors evaluate: %+v", p.Snap)
 	}
-	evs := en.Tick(at(0), p)
-	if ev := findEvent(evs, DetQueueSaturation, true); ev == nil || ev.Evidence["max_queue_depth"] != 500 {
+	var evs []Event
+	for i := 0; i < queueSaturationTicks; i++ {
+		evs = append(evs, en.Tick(at(time.Duration(i)*2*time.Second), p)...)
+	}
+	if ev := findEvent(evs, DetQueueSaturation, true); ev == nil || ev.Evidence["max_queue_depth"] != 2000 {
 		t.Fatalf("queue saturation not raised from the probe: %v", evs)
 	}
 	if ev := findEvent(evs, DetWALFsync, true); ev == nil || ev.Evidence["wal_errors"] != 2 {

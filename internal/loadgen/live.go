@@ -15,19 +15,8 @@ import (
 	"idea/internal/telemetry"
 )
 
-// Injector runs a function inside a node's shard-0 event loop, serialized
-// with message handling — transport.Node and idea.LiveNode both satisfy
-// it.
-type Injector interface {
-	Inject(fn func(env.Env))
-}
-
-// FileInjector is optionally implemented by injectors whose node runs a
-// sharded execution model: InjectFile runs fn in the serialization domain
-// owning file, which is required for per-file operations on multi-shard
-// nodes (and equivalent to Inject on single-shard ones). transport.Node
-// and idea.LiveNode implement it.
-type FileInjector interface {
+// fileInjector runs fn in the serialization domain owning file.
+type fileInjector interface {
 	InjectFile(file id.FileID, fn func(env.Env))
 }
 
@@ -45,8 +34,7 @@ type writeKey struct {
 type liveRun struct {
 	cfg     Config
 	n       *core.Node
-	inj     Injector
-	injFile func(id.FileID, func(env.Env))
+	inj     fileInjector
 	rec     *recorder
 	stopped atomic.Bool
 	// halted is set when Config.Stop closes: issuers wind down early.
@@ -86,17 +74,18 @@ type writeWait struct {
 	done  chan time.Duration // nil for open-loop writes
 }
 
-// RunLive drives the workload against a live node: ops are injected into
-// the node's event loops — per-file ops into the owning shard's loop when
-// the injector supports it — so the driver coexists with real protocol
-// traffic. Closed-loop mode (Rate == 0) runs Workers issuers that each
-// wait for their write's detection verdict before continuing; open-loop
-// mode paces at Rate ops/sec (ramping over RampUp) without waiting.
+// RunLive drives the workload against a live node: every op is injected
+// through inj.InjectFile into the serialization domain owning its file
+// (transport.Node and cluster.LiveNode provide it), so the driver
+// coexists with real protocol traffic. Closed-loop mode (Rate == 0) runs
+// Workers issuers that each wait for their write's detection verdict
+// before continuing; open-loop mode paces at Rate ops/sec (ramping over
+// RampUp) without waiting.
 // Operations issued during the RampUp window warm the system but are
 // excluded from the report's counts and percentiles. Passing the node's
 // own registry as reg exposes the run's latency histograms on the node's
 // /metrics surface; nil keeps them private.
-func RunLive(cfg Config, n *core.Node, inj Injector, reg *telemetry.Registry) *Report {
+func RunLive(cfg Config, n *core.Node, inj fileInjector, reg *telemetry.Registry) *Report {
 	cfg = cfg.withDefaults()
 	lr := &liveRun{
 		cfg:     cfg,
@@ -106,11 +95,6 @@ func RunLive(cfg Config, n *core.Node, inj Injector, reg *telemetry.Registry) *R
 		waiters: make(map[writeKey]writeWait),
 		early:   make(map[writeKey]struct{}),
 		fileOps: make(map[id.FileID]int64),
-	}
-	if fi, ok := inj.(FileInjector); ok {
-		lr.injFile = fi.InjectFile
-	} else {
-		lr.injFile = func(_ id.FileID, fn func(env.Env)) { inj.Inject(fn) }
 	}
 	lr.installHooks()
 
@@ -377,7 +361,7 @@ func (lr *liveRun) registerWrite(k writeKey, start time.Time, done chan time.Dur
 func (lr *liveRun) issueWrite(file id.FileID, done chan time.Duration) {
 	payload := make([]byte, lr.cfg.PayloadBytes)
 	start := time.Now()
-	lr.injFile(file, func(e env.Env) {
+	lr.inj.InjectFile(file, func(e env.Env) {
 		_, token := lr.n.WriteTracked(e, file, "load", payload, float64(len(payload)))
 		lr.registerWrite(writeKey{file: file, token: token}, start, done)
 	})
@@ -390,7 +374,7 @@ func (lr *liveRun) issueWrite(file id.FileID, done chan time.Duration) {
 func (lr *liveRun) issueSync(op Op, file id.FileID, wait bool) {
 	start := time.Now()
 	ran := make(chan struct{})
-	lr.injFile(file, func(e env.Env) {
+	lr.inj.InjectFile(file, func(e env.Env) {
 		switch op {
 		case OpRead:
 			lr.n.Read(file)

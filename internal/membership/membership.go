@@ -78,6 +78,9 @@ const (
 	// retransmit is how many times one record is piggybacked before it
 	// stops spreading from this node.
 	retransmit = 6
+	// piggyback bounds the membership records attached per protocol
+	// message.
+	piggyback = 8
 )
 
 // Config parameterizes the agent.
@@ -91,9 +94,6 @@ type Config struct {
 	// SuspectTimeout is the confirm window: how long a suspect has to
 	// refute before it is declared dead; zero means 3×ProbeInterval.
 	SuspectTimeout time.Duration
-	// Piggyback bounds the membership records attached per protocol
-	// message; zero means 8.
-	Piggyback int
 	// JoinRetry is the JoinRequest retransmission period while joining;
 	// zero means 2 s.
 	JoinRetry time.Duration
@@ -102,9 +102,6 @@ type Config struct {
 	// node (SeedAlias on the live runtime, a real ID under the emulator)
 	// until a JoinReply installs the cluster view.
 	Join id.NodeID
-	// SelfAddr is the address announced for this node (live runtime only;
-	// may also be set late via SetSelfAddr once the listener is bound).
-	SelfAddr string
 	// Addrs maps statically configured members to their dialable
 	// addresses (live runtime only).
 	Addrs map[id.NodeID]string
@@ -119,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SuspectTimeout == 0 {
 		c.SuspectTimeout = 3 * c.ProbeInterval
-	}
-	if c.Piggyback == 0 {
-		c.Piggyback = 8
 	}
 	if c.JoinRetry == 0 {
 		c.JoinRetry = 2 * time.Second
@@ -254,7 +248,6 @@ func New(cfg Config, self id.NodeID, peers []id.NodeID) *Agent {
 	a := &Agent{
 		cfg:     cfg,
 		self:    self,
-		addr:    cfg.SelfAddr,
 		members: make(map[id.NodeID]*member),
 		pending: make(map[int64]pendingProbe),
 		relayed: make(map[int64]relay),
@@ -744,16 +737,13 @@ func (a *Agent) enqueue(rec wire.MemberRecord) {
 	a.queue = append(a.queue, outbound{rec: rec, left: retransmit})
 }
 
-// takePiggyback drains up to Piggyback records from the retransmission
+// takePiggyback drains up to piggyback records from the retransmission
 // queue (round-robin, decrementing budgets). Callers hold a.mu.
 func (a *Agent) takePiggyback() []wire.MemberRecord {
 	if len(a.queue) == 0 {
 		return nil
 	}
-	n := a.cfg.Piggyback
-	if n > len(a.queue) {
-		n = len(a.queue)
-	}
+	n := min(piggyback, len(a.queue))
 	out := make([]wire.MemberRecord, 0, n)
 	kept := a.queue[:0]
 	for i, ob := range a.queue {

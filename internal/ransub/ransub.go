@@ -25,12 +25,11 @@ import (
 type Config struct {
 	// Epoch is the collect/distribute period; zero means 10 s.
 	Epoch time.Duration
-	// SampleSize bounds the random subset carried per message; zero
-	// means 8.
-	SampleSize int
 }
 
 const (
+	// sampleSize bounds the random subset carried per message.
+	sampleSize = 8
 	// hotThreshold is the temperature at or above which a node counts as
 	// an active writer.
 	hotThreshold = 0.5
@@ -48,9 +47,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Epoch == 0 {
 		c.Epoch = 10 * time.Second
-	}
-	if c.SampleSize == 0 {
-		c.SampleSize = 8
 	}
 	return c
 }
@@ -273,16 +269,16 @@ func (a *Agent) decay() {
 }
 
 func (a *Agent) sample(e env.Env, cands []wire.Candidate) []wire.Candidate {
-	if len(cands) <= a.cfg.SampleSize {
+	if len(cands) <= sampleSize {
 		return cands
 	}
 	// Uniform random subset (partial Fisher–Yates).
 	out := append([]wire.Candidate(nil), cands...)
-	for i := 0; i < a.cfg.SampleSize; i++ {
+	for i := 0; i < sampleSize; i++ {
 		j := i + e.Rand().Intn(len(out)-i)
 		out[i], out[j] = out[j], out[i]
 	}
-	return out[:a.cfg.SampleSize]
+	return out[:sampleSize]
 }
 
 // localCandidates merges the node's own temperature (stamped with its

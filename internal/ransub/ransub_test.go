@@ -123,9 +123,10 @@ func TestTemperatureDecaysWhenWriterStops(t *testing.T) {
 }
 
 func TestSampleBounded(t *testing.T) {
-	cfg := Config{Epoch: 5 * time.Second, SampleSize: 4}
+	cfg := Config{Epoch: 5 * time.Second}
 	c, agents := buildCluster(t, 20, cfg)
-	// Every node is a writer — candidate set far exceeds the sample size.
+	// Every node is a writer — the candidate set, 20, exceeds the sample
+	// size, 8.
 	for s := 2 * time.Second; s <= 30*time.Second; s += 2 * time.Second {
 		for nid, a := range agents {
 			a := a

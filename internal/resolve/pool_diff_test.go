@@ -229,7 +229,6 @@ func checkPoolCase(t *testing.T, policy Policy, parallel, timeout, compact bool,
 		Policy:          policy,
 		Priorities:      map[id.NodeID]id.Priority{1: id.PrioritySupervisor},
 		ParallelCollect: parallel,
-		VisitTimeout:    500 * time.Millisecond,
 	}, 61)
 	w := &poolWatch{t: t, rn: f.nodes[initiator], self: initiator, shadows: make(map[int64]*shadow)}
 	f.nodes[initiator].around = w.around

@@ -95,9 +95,6 @@ type Config struct {
 	Phase1 Phase1Mode
 	// Priorities maps nodes to priorities for PriorityBased.
 	Priorities map[id.NodeID]id.Priority
-	// VisitTimeout bounds one sequential collect visit; an unresponsive
-	// member is skipped. Zero means 3 s.
-	VisitTimeout time.Duration
 	// ParallelCollect switches phase 2 from the paper's sequential
 	// traversal to the parallel variant §6.2 suggests ("it is not
 	// difficult to exploit parallelism for the second phase: letting an
@@ -109,9 +106,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Policy == 0 {
 		c.Policy = HighestID
-	}
-	if c.VisitTimeout == 0 {
-		c.VisitTimeout = 3 * time.Second
 	}
 	return c
 }
@@ -150,6 +144,9 @@ const (
 	// backoffMin/backoffMax bound the randomized retry delay of §4.5.2.
 	backoffMin = 200 * time.Millisecond
 	backoffMax = time.Second
+	// visitTimeout bounds one sequential collect visit; an unresponsive
+	// member is skipped.
+	visitTimeout = 3 * time.Second
 )
 
 // CFADispatchCost models the initiator-local cost of framing one
@@ -414,7 +411,7 @@ func (r *Resolver) enterPhase2(e env.Env, s *session) {
 		for _, m := range s.members {
 			e.Send(m, wire.CollectRequest{File: s.file, Token: s.token, VV: s.vecs[r.self], TC: s.tc})
 		}
-		e.After(r.cfg.VisitTimeout, timerVisit, visitKey{file: s.file, token: s.token, visit: -1})
+		e.After(visitTimeout, timerVisit, visitKey{file: s.file, token: s.token, visit: -1})
 		return
 	}
 	r.visitNext(e, s)
@@ -427,7 +424,7 @@ func (r *Resolver) visitNext(e env.Env, s *session) {
 	}
 	m := s.members[s.next]
 	e.Send(m, wire.CollectRequest{File: s.file, Token: s.token, VV: s.vecs[r.self], TC: s.tc})
-	e.After(r.cfg.VisitTimeout, timerVisit, visitKey{file: s.file, token: s.token, visit: s.next})
+	e.After(visitTimeout, timerVisit, visitKey{file: s.file, token: s.token, visit: s.next})
 }
 
 type visitKey struct {

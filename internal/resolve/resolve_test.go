@@ -279,7 +279,7 @@ func TestCompetingInitiatorsBackOff(t *testing.T) {
 }
 
 func TestUnresponsiveMemberSkipped(t *testing.T) {
-	f := build(t, 4, Config{VisitTimeout: 500 * time.Millisecond}, 49)
+	f := build(t, 4, Config{}, 49)
 	f.conflict(t)
 	f.c.Partition(1, 3) // member 3 unreachable from initiator 1
 	f.c.CallAt(3*time.Second, 1, func(e env.Env) { f.nodes[1].res.RequestActive(e, board) })
@@ -287,6 +287,9 @@ func TestUnresponsiveMemberSkipped(t *testing.T) {
 	out := f.nodes[1].outcomes
 	if len(out) != 1 || out[0].Skipped != 1 {
 		t.Fatalf("outcomes = %+v, want 1 skipped member", out)
+	}
+	if out[0].Phase2 < visitTimeout {
+		t.Fatalf("phase 2 = %v, want the %v visit timeout spent on the skipped member", out[0].Phase2, visitTimeout)
 	}
 	// Nodes 1, 2, 4 still converge.
 	v1 := f.nodes[1].st.Open(board).Vector()
@@ -336,7 +339,7 @@ func TestParallelCollectConvergesFaster(t *testing.T) {
 }
 
 func TestParallelCollectSkipsUnresponsive(t *testing.T) {
-	f := build(t, 4, Config{ParallelCollect: true, VisitTimeout: 500 * time.Millisecond}, 59)
+	f := build(t, 4, Config{ParallelCollect: true}, 59)
 	f.conflict(t)
 	f.c.Partition(1, 3)
 	f.c.CallAt(3*time.Second, 1, func(e env.Env) { f.nodes[1].res.RequestActive(e, board) })

@@ -48,16 +48,14 @@ type Config struct {
 	MaxSkew time.Duration
 	// Loss is the probability a message is silently dropped.
 	Loss float64
-	// Trace, when non-nil, receives node debug logs.
-	Trace io.Writer
 	// EventTrace, when non-nil, receives one line per dispatched event
 	// (virtual time, node, shard, kind) — the byte-comparable schedule
 	// record the determinism regression tests diff across runs.
 	EventTrace io.Writer
-	// Base is the wall-clock origin of virtual time; zero means the
-	// paper's issue date (2007-01-04).
-	Base time.Time
 }
+
+// epoch is the wall-clock origin of virtual time: the paper's issue date.
+var epoch = time.Date(2007, 1, 4, 0, 0, 0, 0, time.UTC)
 
 // Cluster is a set of simulated nodes sharing one virtual clock and event
 // queue. It is not safe for concurrent use; experiments drive it from a
@@ -65,7 +63,6 @@ type Config struct {
 type Cluster struct {
 	cfg    Config
 	rng    *rand.Rand
-	base   time.Time
 	now    time.Duration
 	seq    uint64
 	nodes  map[id.NodeID]*node
@@ -169,14 +166,9 @@ func New(cfg Config) *Cluster {
 	if cfg.Latency == nil {
 		cfg.Latency = WAN{}
 	}
-	base := cfg.Base
-	if base.IsZero() {
-		base = time.Date(2007, 1, 4, 0, 0, 0, 0, time.UTC)
-	}
 	c := &Cluster{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
-		base:  base,
 		nodes: make(map[id.NodeID]*node),
 		stats: NewStats(),
 		cut:   make(map[[2]id.NodeID]bool),
@@ -228,7 +220,7 @@ func (c *Cluster) Stats() *Stats { return c.stats }
 func (c *Cluster) Elapsed() time.Duration { return c.now }
 
 // VirtualNow returns the cluster-global wall clock (no skew).
-func (c *Cluster) VirtualNow() time.Time { return c.base.Add(c.now) }
+func (c *Cluster) VirtualNow() time.Time { return epoch.Add(c.now) }
 
 // Events returns how many events have been processed.
 func (c *Cluster) Events() int { return c.events }
@@ -441,7 +433,7 @@ func (c *Cluster) RunUntilIdle(maxEvents int) {
 func (n *node) ID() id.NodeID { return n.id }
 
 // Now implements env.Env: virtual wall time plus this node's skew.
-func (n *node) Now() time.Time { return n.c.base.Add(n.c.now + n.skew) }
+func (n *node) Now() time.Time { return epoch.Add(n.c.now + n.skew) }
 
 // Stamp implements env.Env.
 func (n *node) Stamp() vv.Stamp { return vv.Stamp(n.Now().UnixNano()) }
@@ -489,11 +481,5 @@ func (n *node) After(d time.Duration, key string, data any) {
 	n.c.push(&event{at: n.c.now + d, node: n.id, shard: n.shardOfTimer(key, data), key: key, data: data, tmr: true, gen: n.gen})
 }
 
-// Logf implements env.Env.
-func (n *node) Logf(format string, args ...any) {
-	if n.c.cfg.Trace == nil {
-		return
-	}
-	fmt.Fprintf(n.c.cfg.Trace, "%12s %v | %s\n",
-		n.c.now.Truncate(time.Microsecond), n.id, fmt.Sprintf(format, args...))
-}
+// Logf implements env.Env; emulated nodes do not log.
+func (n *node) Logf(string, ...any) {}

@@ -14,12 +14,12 @@ import (
 
 // TestShardQueueSaturationRaises: at default queue and detector sizes, a
 // shard queue that fills while its handler blocks raises
-// shard_queue_saturation (warn) within QueueSaturationTicks evaluations.
+// shard_queue_saturation (warn) within the detector's 3 evaluations.
 // The blocked shard is 1, not 0, because the health tick runs on shard 0.
 func TestShardQueueSaturationRaises(t *testing.T) {
 	const (
 		shardQueue = 1024 // transport.Opts' default
-		satTicks   = 3    // health.Config's default QueueSaturationTicks
+		satTicks   = 3    // the health detector's fixed tick count
 	)
 	lb, err := cluster.NewLoopback(cluster.Topology{
 		Nodes:     []id.NodeID{1},

@@ -89,8 +89,8 @@ const MaxFrame = 16 << 20
 const frameHeader = 4
 
 const (
-	// defaultSendQueue bounds the per-peer outbound frame queue.
-	defaultSendQueue = 4096
+	// sendQueue bounds each peer's outbound frame queue.
+	sendQueue = 4096
 	// defaultShardQueue bounds one shard's inbound event queue; enqueues
 	// block when it fills (backpressure onto the TCP readers and
 	// injectors). It is also the length of a runner's turn.
@@ -114,21 +114,16 @@ const (
 	flushBatchFrames = 128
 )
 
-// Opts tunes a Node's queues; the zero value selects the defaults. Shard
-// queues are per serialization domain, so total inbound buffering scales
-// with the shard count; SendQueue bounds each peer's outbound frame
-// queue.
+// Opts tunes a Node's shard queues; the zero value selects the default.
+// Shard queues are per serialization domain, so total inbound buffering
+// scales with the shard count.
 type Opts struct {
 	ShardQueue int
-	SendQueue  int
 }
 
 func (o Opts) withDefaults() Opts {
 	if o.ShardQueue <= 0 {
 		o.ShardQueue = defaultShardQueue
-	}
-	if o.SendQueue <= 0 {
-		o.SendQueue = defaultSendQueue
 	}
 	return o
 }
@@ -736,7 +731,7 @@ func (n *Node) link(to id.NodeID) (*peerLink, error) {
 	}
 	l := &peerLink{
 		nid: to,
-		out: make(chan *wire.Frame, n.opts.SendQueue),
+		out: make(chan *wire.Frame, sendQueue),
 		//idealint:allow telemetryhygiene per-peer gauge interned once at link creation
 		depth: n.reg.Gauge(fmt.Sprintf("transport.queue_depth.%v", to)),
 		done:  make(chan struct{}),

@@ -109,7 +109,7 @@ func (DetectReply) Kind() string { return "detect.rep" }
 // the bottom layer in the background to catch conflicts the top layer
 // missed. The vector it carries is bounded twice over: vv entries keep
 // only a recent stamp window, and the gossip agent additionally trims the
-// window to Config.DigestStamps before emitting — so digest wire size is
+// window to 8 stamps per writer before emitting — so digest wire size is
 // O(writers × digest window), flat in total update history.
 type GossipDigest struct {
 	File   id.FileID
