@@ -24,14 +24,14 @@ func vecPrint(v *vv.Vector) string {
 }
 
 // msgPrint renders what a sent message carries that a replica could share
-// with it: the probe's vector, the reply's counts, the digest's vector and
+// with it: the probe's and the reply's vectors, the digest's vector and
 // rollback floor. Other kinds render empty.
 func msgPrint(m env.Message) string {
 	switch m := m.(type) {
 	case wire.DetectRequest:
 		return vecPrint(m.VV)
 	case wire.DetectReply:
-		return fmt.Sprint(m.Have)
+		return vecPrint(m.VV)
 	case wire.GossipDigest:
 		return vecPrint(m.VV) + fmt.Sprint(m.Stable)
 	case wire.DigestBatch:
@@ -113,7 +113,7 @@ func (n *inPlaceNode) Timer(e env.Env, key string, data any) {
 // TestHandlersReadVectorsInPlace runs three writers on one file with
 // gossip on. The detection and gossip handlers read the replica's own
 // vector (store.Replica.LiveVector) instead of a copy, so: they must leave
-// it unchanged, and no message they sent — probe vectors, reply counts,
+// it unchanged, and no message they sent — probe and reply vectors,
 // digest vectors and floors — may change when the replica later ticks,
 // adopts an invalidating image or rolls back. Rolling back to a checkpoint
 // whose vector was refilled from a dropped one restores the checkpoint-time

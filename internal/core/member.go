@@ -189,9 +189,8 @@ func (n *Node) handleMemberEvent(e env.Env, ev membership.Event) {
 			n.ran.SetAll(n.view.All())
 		}
 		// A dead writer's buffered out-of-order updates wait for a gap
-		// only the dead node could close, and the counts it reported to
-		// detection may not survive its restart; shed both in each
-		// owning shard's own domain.
+		// only the dead node could close; shed them in each owning
+		// shard's own domain.
 		for i := 0; i < n.nshards; i++ {
 			e.After(0, keyMemberPrune, pruneShard{shard: i, writer: ev.Node})
 		}
@@ -202,9 +201,8 @@ func (n *Node) handleMemberEvent(e env.Env, ev membership.Event) {
 }
 
 // pruneDeparted sheds a dead node's pending updates from the files of one
-// shard, and the counts it reported to the shard's detector.
+// shard.
 func (n *Node) pruneDeparted(sh int, writer id.NodeID) {
-	n.shards[sh].det.Forget(writer)
 	files := n.st.FilesFiltered(func(f id.FileID) bool {
 		return n.ShardOfFile(f) == sh
 	})

@@ -5,8 +5,9 @@
 //     writer exchanges extended version vectors with the file's top layer;
 //     the call completes with "success" when no conflict exists or "fail"
 //     with a quantified consistency level when one does;
-//   - peer-side comparison: every top-layer member checks incoming vectors
-//     against its replica and scores conflicts with Formula 1;
+//   - writer-side scoring: every top-layer peer answers a probe with its
+//     replica's vector above the writer's counts, and the writer compares
+//     it with its own and scores conflicts with Formula 1;
 //   - the §4.4.2 top-vs-bottom discrepancy check: verdicts from the
 //     background gossip sweep are compared against the most recent
 //     top-layer verdict, and a discrepancy beyond epsilon triggers the
@@ -18,7 +19,6 @@
 package detect
 
 import (
-	"maps"
 	"time"
 
 	"idea/internal/env"
@@ -107,7 +107,11 @@ func TimerFile(key string, data any) (id.FileID, bool) {
 }
 
 type probe struct {
-	file    id.FileID
+	file id.FileID
+	// vv is the writer's vector when the probe started: the side of every
+	// comparison the writer holds itself, and the floor the peers trim
+	// their replies above.
+	vv      *vv.Vector
 	expect  int
 	replies int
 	worst   float64
@@ -137,10 +141,6 @@ type Detector struct {
 	// topVerdict remembers the last finalized top-layer level per file
 	// for the discrepancy check.
 	topVerdict map[id.FileID]float64
-	// have remembers, per file and peer, the per-writer counts of the
-	// peer's latest DetectReply: lower bounds on its replica that let the
-	// next probe of the file drop the stamps every peer already has.
-	have map[id.FileID]map[id.NodeID]map[id.NodeID]int
 
 	// Detections counts completed detect() calls; Conflicts counts the
 	// ones that returned "fail".
@@ -158,7 +158,7 @@ type detectMetrics struct {
 	probes       *telemetry.Counter   // detect() calls started
 	conflicts    *telemetry.Counter   // "fail" verdicts
 	timeouts     *telemetry.Counter   // probes finalized by timeout
-	peerRequests *telemetry.Counter   // peer-side vector comparisons
+	peerRequests *telemetry.Counter   // probes answered
 	discrepancy  *telemetry.Counter   // §4.4.2 top-vs-bottom disagreements
 }
 
@@ -188,7 +188,6 @@ func New(cfg Config, self id.NodeID, mem overlay.Membership, st *store.Store, q 
 		quant:      q,
 		inflight:   make(map[int64]*probe),
 		topVerdict: make(map[id.FileID]float64),
-		have:       make(map[id.FileID]map[id.NodeID]map[id.NodeID]int),
 	}
 }
 
@@ -213,9 +212,9 @@ func (d *Detector) TopVerdict(file id.FileID) float64 {
 	return 1
 }
 
-// Detect starts a detect(update) probe for file: the writer's current
-// vector travels to every top-layer peer, without the stamps every peer's
-// last reply showed it already has (see floor). It returns the probe
+// Detect starts a detect(update) probe for file: the counts of the
+// writer's current vector travel to every top-layer peer, and the writer
+// scores each reply against the vector itself. It returns the probe
 // token; the result arrives via OnResult. With no top-layer peers the
 // probe completes immediately with success (a lone writer cannot
 // conflict).
@@ -243,104 +242,45 @@ func (d *Detector) DetectTraced(e env.Env, file id.FileID, tc tracing.Context) i
 		d.finalize(e, token)
 		return token
 	}
-	// The probe is a copy the peers may hold: Above or, while some peer
-	// has not replied, a Clone of the replica's vector.
-	v := d.st.Open(file).LiveVector()
-	if floor := d.floor(file, peers); floor != nil {
-		v = v.Above(floor)
-	} else {
-		v = v.Clone()
-	}
+	// The snapshot shares the replica's windows (Clone is O(writers)); the
+	// peers need only its counts.
+	p.vv = d.st.Open(file).LiveVector().Clone()
+	counts := p.vv.Counts()
 	for _, peer := range peers {
-		e.Send(peer, wire.DetectRequest{File: file, Token: token, VV: v, TC: p.tc})
+		e.Send(peer, wire.DetectRequest{File: file, Token: token, VV: counts, TC: p.tc})
 	}
 	e.After(d.cfg.Timeout, timerTimeout, timeoutData{file: file, token: token})
 	return token
 }
 
-// floor returns, per writer, the lowest count any of peers last reported
-// for file — the stamps below it no peer can read — or nil while some
-// peer has not reported, so the probe ships whole windows.
-func (d *Detector) floor(file id.FileID, peers []id.NodeID) map[id.NodeID]int {
-	have := d.have[file]
-	var floor map[id.NodeID]int
-	for i, p := range peers {
-		h, ok := have[p]
-		if !ok {
-			return nil
-		}
-		if i == 0 {
-			floor = h
-			continue
-		}
-		if i == 1 {
-			floor = maps.Clone(floor) // never write a recorded reply
-		}
-		for w, c := range floor {
-			floor[w] = min(c, h[w])
-		}
-	}
-	return floor
-}
-
-// Forget drops every count node reported. Membership calls it when node
-// is declared dead: it may come back with an empty replica, which stale
-// floors would score as missing stamps.
-func (d *Detector) Forget(node id.NodeID) {
-	for _, have := range d.have {
-		delete(have, node)
-	}
-}
-
-// HandleRequest is the peer side: compare the incoming vector against the
-// local replica, quantify, reply. Any difference between the vectors is
-// inconsistency ("two replicas are inconsistent if their version vectors
-// are different"); the reply carries the requester's level against the
-// reference consistent state.
+// HandleRequest is the peer side: reply with the local replica's vector
+// above the writer's counts, which is all the writer lacks to score it.
+// The reply shares the replica's stamp windows, read in place.
 func (d *Detector) HandleRequest(e env.Env, from id.NodeID, m wire.DetectRequest) {
 	d.met.peerRequests.Inc()
-	// Read in place: the reply carries only counts and scores.
-	lv := d.st.Open(m.File).LiveVector()
-	cmp := vv.Compare(lv, m.VV)
 	tc := d.tr.Event(e.Now(), m.TC, tracing.EvDetectPeer, m.File, from, m.Token)
-	rep := wire.DetectReply{File: m.File, Token: m.Token, Have: lv.CountMap(), TC: tc}
-	if cmp != vv.Equal {
-		refID, ref := d.quant.RefSel(map[id.NodeID]*vv.Vector{d.self: lv, from: m.VV})
-		triple, level := d.quant.Score(m.VV, ref)
-		rep.Conflict = true
-		rep.Level = level
-		rep.Triple = triple
-		rep.Ref = refID
-	} else {
-		rep.Level = 1
-	}
-	e.Send(from, rep)
+	lv := d.st.Open(m.File).LiveVector()
+	e.Send(from, wire.DetectReply{File: m.File, Token: m.Token, VV: lv.Above(m.VV), TC: tc})
 }
 
-// HandleReply records the peer's counts and aggregates its verdict into
-// the writer's probe; the probe finalizes when every peer answered (or on
-// timeout). A late reply still updates the counts: any reply is a lower
-// bound on the peer's replica.
+// HandleReply compares the peer's vector with the writer's own and
+// aggregates the verdict into the probe; the probe finalizes when every
+// peer answered (or on timeout). Any difference between the vectors is
+// inconsistency ("two replicas are inconsistent if their version vectors
+// are different"): the writer's level is scored against the reference
+// consistent state chosen from the two.
 func (d *Detector) HandleReply(e env.Env, from id.NodeID, m wire.DetectReply) {
-	have := d.have[m.File]
-	if have == nil {
-		have = make(map[id.NodeID]map[id.NodeID]int)
-		d.have[m.File] = have
-	}
-	have[from] = m.Have
 	p, ok := d.inflight[m.Token]
 	if !ok || p.done {
 		return
 	}
 	d.tr.Event(e.Now(), m.TC, tracing.EvDetectReply, m.File, from, m.Token)
 	p.replies++
-	if m.Conflict && m.Level < p.worst {
-		p.worst = m.Level
-		p.triple = m.Triple
-		p.ref = m.Ref
-	}
-	if !m.Conflict && m.Level < p.worst {
-		p.worst = m.Level
+	if vv.Compare(p.vv, m.VV) != vv.Equal {
+		refID, ref := d.quant.RefSel(map[id.NodeID]*vv.Vector{d.self: p.vv, from: m.VV})
+		if triple, level := d.quant.Score(p.vv, ref); level < p.worst {
+			p.worst, p.triple, p.ref = level, triple, refID
+		}
 	}
 	if p.replies >= p.expect {
 		d.finalize(e, m.Token)
@@ -409,13 +349,18 @@ func (d *Detector) HandleGossipReport(e env.Env, rep wire.GossipReport) {
 	}
 }
 
-// Recv dispatches detection messages; it returns false for other kinds.
+// Recv dispatches detection messages; it returns false for other kinds. A
+// message without a vector is malformed and dropped: both handlers read it.
 func (d *Detector) Recv(e env.Env, from id.NodeID, msg env.Message) bool {
 	switch m := msg.(type) {
 	case wire.DetectRequest:
-		d.HandleRequest(e, from, m)
+		if m.VV != nil {
+			d.HandleRequest(e, from, m)
+		}
 	case wire.DetectReply:
-		d.HandleReply(e, from, m)
+		if m.VV != nil {
+			d.HandleReply(e, from, m)
+		}
 	default:
 		return false
 	}

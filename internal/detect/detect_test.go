@@ -22,11 +22,15 @@ type detNode struct {
 	st      *store.Store
 	det     *Detector
 	results []Result
+	replies []wire.DetectReply
 	discs   []float64 // bottom levels from discrepancy callbacks
 }
 
 func (n *detNode) Start(e env.Env) {}
 func (n *detNode) Recv(e env.Env, from id.NodeID, m env.Message) {
+	if r, ok := m.(wire.DetectReply); ok {
+		n.replies = append(n.replies, r)
+	}
 	n.det.Recv(e, from, m)
 }
 func (n *detNode) Timer(e env.Env, key string, data any) {

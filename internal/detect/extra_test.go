@@ -6,6 +6,7 @@ import (
 
 	"idea/internal/env"
 	"idea/internal/id"
+	"idea/internal/vv"
 	"idea/internal/wire"
 )
 
@@ -25,11 +26,29 @@ func TestDuplicateRepliesIgnored(t *testing.T) {
 	}
 	// Re-deliver a stale reply for the finished probe: must be a no-op.
 	c.CallAt(c.Elapsed()+time.Second, 1, func(e env.Env) {
-		nodes[1].det.HandleReply(e, 2, wire.DetectReply{File: board, Token: token, Conflict: true, Level: 0.1})
+		nodes[1].det.HandleReply(e, 2, wire.DetectReply{File: board, Token: token, VV: nodes[2].st.Open(board).Vector()})
 	})
 	c.RunFor(2 * time.Second)
 	if len(nodes[1].results) != 1 {
 		t.Fatal("stale reply produced a second result")
+	}
+}
+
+// TestVectorlessMessagesDropped: a probe or a reply that arrives without a
+// vector is dropped, not read; the probe still completes on the valid
+// reply.
+func TestVectorlessMessagesDropped(t *testing.T) {
+	c, nodes := buildTop(t, 2, Config{})
+	var token int64
+	c.CallAt(time.Second, 1, func(e env.Env) {
+		nodes[1].st.Open(board).WriteLocal(e.Stamp(), "w", nil, 1)
+		token = nodes[1].det.Detect(e, board)
+		nodes[1].det.Recv(e, 2, wire.DetectReply{File: board, Token: token})
+		nodes[2].det.Recv(e, 1, wire.DetectRequest{File: board, Token: token})
+	})
+	c.RunFor(5 * time.Second)
+	if len(nodes[1].results) != 1 || nodes[1].results[0].Replies != 1 {
+		t.Fatalf("results = %+v, want one verdict on the one valid reply", nodes[1].results)
 	}
 }
 
@@ -56,27 +75,31 @@ func TestConcurrentProbesIsolated(t *testing.T) {
 	_ = other
 }
 
+// TestReplyCarriesPeerVector: the peer's reply carries its replica's
+// counts and critical metadata, which the writer scores against its own.
 func TestReplyCarriesPeerVector(t *testing.T) {
 	c, nodes := buildTop(t, 2, Config{})
 	c.CallAt(time.Second, 2, func(e env.Env) {
 		nodes[2].st.Open(board).WriteLocal(e.Stamp(), "w", nil, 9)
+		nodes[2].st.Open(board).WriteLocal(e.Stamp(), "w", nil, 11)
 	})
-	var sawVV bool
-	// Wrap node 1's Recv to inspect raw replies.
-	orig := nodes[1]
-	h := orig.det
-	_ = h
 	c.CallAt(2*time.Second, 1, func(e env.Env) {
 		nodes[1].st.Open(board).WriteLocal(e.Stamp(), "w", nil, 1)
 		nodes[1].det.Detect(e, board)
 	})
 	c.RunFor(5 * time.Second)
-	// The probe completed; peer state is observable through the result's
-	// reference (node 2 must be the reference as the higher ID).
-	if len(nodes[1].results) == 1 && nodes[1].results[0].Ref == 2 {
-		sawVV = true
+	if len(nodes[1].replies) != 1 {
+		t.Fatalf("replies = %+v", nodes[1].replies)
 	}
-	if !sawVV {
+	got, peer := nodes[1].replies[0].VV, nodes[2].st.Open(board).Vector()
+	if vv.Compare(got, peer) != vv.Equal || got.Meta != 11 {
+		t.Fatalf("reply carries %v, the peer's replica is %v", got, peer)
+	}
+	// The peer is ahead by two updates of its own and ships their stamps.
+	if n := len(got.Entries[2].Stamps); n != 2 {
+		t.Fatalf("reply ships %d of the peer's stamps, want 2", n)
+	}
+	if len(nodes[1].results) != 1 || nodes[1].results[0].Ref != 2 {
 		t.Fatalf("results = %+v", nodes[1].results)
 	}
 }

@@ -8,97 +8,81 @@ import (
 	"idea/internal/vv"
 )
 
-// FuzzAboveExact checks the contract that lets a detection probe ship
-// remote.Above(floor) instead of remote: a receiver whose counts are at
-// least floor scores the trimmed vector exactly as the whole one — same
-// triple, same level — under every reference selector, compacted prefixes
-// included. When floor overstates the receiver (it rolled back or
-// restarted), staleness may only rise. The receiver's vector is recv, the
-// prober's is remote; the script interleaves their updates, shared
-// updates and compactions.
-func FuzzAboveExact(f *testing.F) {
-	// recv and remote share two updates of writer 1; remote adds a third,
-	// recv one of writer 2; recv is the reference and floor[1] is its
-	// count. Keeping stamps from floor rather than floor-1 loses the end
-	// of the common prefix, and staleness jumps.
-	f.Add([]byte{6, 6, 3, 8}, []byte{0x02}, uint8(5), false)
-	f.Add([]byte{6, 14, 6, 22, 6, 3, 1, 4, 30}, []byte{0x01, 0x01, 0x01, 0x00}, uint8(2), false)
-	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 7, 0, 6}, []byte{0xff, 0x80, 0x85, 0x03}, uint8(1), true)
-	f.Add([]byte{}, []byte{}, uint8(0), false)
-	f.Fuzz(func(t *testing.T, script, floors []byte, window uint8, remoteHigher bool) {
+// FuzzWriterScoresExact checks the contract that lets a detection reply
+// ship peer.Above(own.Counts()) instead of the peer's whole vector: the
+// writer scoring its own vector against the trimmed reply reaches exactly
+// the verdict a peer reaches scoring the writer's whole vector against its
+// own — same ordering, same triple, same level — under every reference
+// selector, compacted prefixes included. The writer's vector is own, the
+// peer's is peer; the script interleaves their updates, shared updates and
+// compactions.
+func FuzzWriterScoresExact(f *testing.F) {
+	// own and peer share two updates of writer 1; peer adds a third, own
+	// one of writer 2. The reference holds peer's writer-1 entry, whose
+	// third stamp is the first divergent update: keeping stamps from
+	// own's count + 1 loses it, and staleness jumps.
+	f.Add([]byte{6, 6, 3, 8}, uint8(5), true)
+	f.Add([]byte{6, 14, 6, 22, 6, 3, 1, 4, 30}, uint8(2), false)
+	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 7, 0, 6}, uint8(1), true)
+	f.Add([]byte{}, uint8(0), false)
+	f.Fuzz(func(t *testing.T, script []byte, window uint8, peerHigher bool) {
 		win := int(window%6) + 1
-		recv, remote := vv.NewWindowed(win), vv.NewWindowed(win)
+		own, peer := vv.NewWindowed(win), vv.NewWindowed(win)
 		at := vv.Stamp(0)
 		for _, b := range script {
 			at += vv.Stamp(b%7+1) * 1e8
 			w, meta := id.NodeID(b/8%4+1), float64(b)
 			switch b % 8 {
 			case 0, 1, 2:
-				recv.Tick(w, at, meta)
+				own.Tick(w, at, meta)
 			case 3, 4, 5:
-				remote.Tick(w, at, meta)
+				peer.Tick(w, at, meta)
 			case 6:
-				recv.Tick(w, at, meta)
-				remote.Tick(w, at, meta)
+				own.Tick(w, at, meta)
+				peer.Tick(w, at, meta)
 			case 7:
-				recv.Compact(win)
-				remote.Compact(win)
+				own.Compact(win)
+				peer.Compact(win)
 			}
 		}
-		// A clear high bit keeps floor[w] within recv's count (the
-		// contract); a set one lets it exceed it (a broken bound).
-		floor := map[id.NodeID]int{}
-		bounded := true
-		for i, b := range floors {
-			w := id.NodeID(i%4 + 1)
-			if b&0x80 == 0 {
-				floor[w] = int(b) % (recv.Count(w) + 1)
-			} else {
-				floor[w] = int(b&0x7f) % (remote.Count(w) + 3)
-				bounded = bounded && floor[w] <= recv.Count(w)
-			}
-		}
-		trimmed := remote.Above(floor)
-		if err := trimmed.Validate(); err != nil {
+		reply := peer.Above(own.Counts())
+		if err := reply.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := vv.Compare(recv, trimmed), vv.Compare(recv, remote); got != want {
+		if got, want := vv.Compare(own, reply), vv.Compare(own, peer); got != want {
 			t.Fatalf("Compare changed: %v, want %v", got, want)
 		}
 
-		self, from := id.NodeID(1), id.NodeID(2)
-		if !remoteHigher {
-			self, from = from, self
+		writer, from := id.NodeID(1), id.NodeID(2)
+		if !peerHigher {
+			writer, from = from, writer
 		}
-		// As detect.HandleRequest scores a probe.
-		score := func(sel quantify.RefSelector, v *vv.Vector) (vv.Triple, float64) {
+		// As detect.HandleReply scores a reply: own against the
+		// reference chosen from own and the peer's vector.
+		score := func(sel quantify.RefSelector, p *vv.Vector) (vv.Triple, float64) {
 			q := quantify.Default()
-			_, ref := sel(map[id.NodeID]*vv.Vector{self: recv, from: v})
-			return q.Score(v, ref)
+			_, ref := sel(map[id.NodeID]*vv.Vector{writer: own, from: p})
+			return q.Score(own, ref)
 		}
 		for name, sel := range map[string]quantify.RefSelector{
 			"highest-id": quantify.HighestIDRef, "most-updates": quantify.MostUpdatesRef, "merged": quantify.MergedRef,
 		} {
-			wt, wl := score(sel, remote)
-			gt, gl := score(sel, trimmed)
-			switch {
-			case bounded && (gt != wt || gl != wl):
-				t.Fatalf("%s: floor %v, recv %v, remote %v: trimmed scores %v %g, whole %v %g",
-					name, floor, recv, remote, gt, gl, wt, wl)
-			case gt.Numerical != wt.Numerical || gt.Order != wt.Order || gt.Staleness < wt.Staleness:
-				t.Fatalf("%s: floor %v above recv %v, remote %v: trimmed scores %v, whole %v (staleness under-reported)",
-					name, floor, recv, remote, gt, wt)
+			wt, wl := score(sel, peer)
+			gt, gl := score(sel, reply)
+			if gt != wt || gl != wl {
+				t.Fatalf("%s: own %v, peer %v: the reply scores %v %g, the whole vector %v %g",
+					name, own, peer, gt, gl, wt, wl)
 			}
 		}
 
-		// The trimmed vector shares remote's windows; later ticks on
-		// remote must not reach it.
-		before := trimmed.String()
+		// The reply shares peer's windows; later ticks on peer must not
+		// reach it.
+		before := reply.String()
 		for w := id.NodeID(1); w <= 4; w++ {
-			remote.Tick(w, at+1, 0)
+			peer.Tick(w, at+1, 0)
 		}
-		if after := trimmed.String(); after != before {
-			t.Fatalf("ticking the original changed the trimmed vector: %s -> %s", before, after)
+		if after := reply.String(); after != before {
+			t.Fatalf("ticking the original changed the reply: %s -> %s", before, after)
 		}
 	})
 }

@@ -255,23 +255,22 @@ func (v *Vector) Counts() *Vector {
 	return out
 }
 
-// Above returns v without the stamps a receiver whose counts are at least
-// floor cannot read: per writer, it keeps the stamps of updates
-// floor[w]-1 (0-based) onward, and always the newest one. It costs
-// O(writers): like Clone, each entry shares its window, suffix-sliced and
-// capped at its length, and the dropped stamps move behind the watermark
-// (Base = keep, Watermark = the newest dropped stamp), so counts, Compare
-// and Last are those of v. Detection ships its probes in this form.
+// Above returns v without the stamps a scorer whose own counts are floor
+// already holds: per writer, it keeps the stamps of updates
+// min(floor.Count(w), count) (0-based) onward, and always the newest one.
+// It costs O(writers): like Clone, each entry shares its window,
+// suffix-sliced and capped at its length, and the dropped stamps move
+// behind the watermark (Base = keep, Watermark = the newest dropped stamp),
+// so counts, Compare and Last are those of v. A detection reply ships the
+// peer's vector in this form, above the probing writer's counts; a writer
+// the peer is not ahead on costs its count and newest stamp.
 //
-// It is exact for Formula 1. A receiver with local count lc scoring v's
-// entry (count rc) reads v's stamps at indices min(rc,lc)-1 (the end of
-// the common prefix) and min(rc,lc) (the first divergent update, read
-// only when rc > lc) — see LastConsistentStamp — or, against a merged
-// reference, at rc-1. Whenever floor[w] <= lc, all of these are at least
-// min(floor[w],rc)-1, the first index kept. When floor overstates the
-// receiver (it rolled back or restarted), the missing stamps read as
-// compacted, so staleness is over-reported, never under-reported.
-func (v *Vector) Above(floor map[id.NodeID]int) *Vector {
+// It is exact for Formula 1 when the scorer's vector u has exactly the
+// counts of floor. Scoring u against a reference built from v reads u's
+// stamps at the end of the common prefix, and v's only at the first
+// divergent update min(uc,vc) — read only when vc > uc (see
+// LastConsistentStamp) — and v's newest stamp; all of these are kept.
+func (v *Vector) Above(floor *Vector) *Vector {
 	out := &Vector{
 		Entries: make(map[id.NodeID]Entry, len(v.Entries)),
 		Meta:    v.Meta,
@@ -279,7 +278,7 @@ func (v *Vector) Above(floor map[id.NodeID]int) *Vector {
 		window:  v.window,
 	}
 	for n, e := range v.Entries {
-		keep := min(floor[n], e.Count) - 1
+		keep := min(floor.Count(n), e.Count)
 		if drop := keep - e.Base; drop > 0 {
 			e.Watermark = e.Stamps[drop-1]
 			e.Base = keep
@@ -292,16 +291,6 @@ func (v *Vector) Above(floor map[id.NodeID]int) *Vector {
 
 // Count returns the number of updates recorded for writer w.
 func (v *Vector) Count(w id.NodeID) int { return v.Entries[w].Count }
-
-// CountMap returns every writer's count: what a detection reply reports
-// as the floor of the writer's next probe (see Above).
-func (v *Vector) CountMap() map[id.NodeID]int {
-	out := make(map[id.NodeID]int, len(v.Entries))
-	for n, e := range v.Entries {
-		out[n] = e.Count
-	}
-	return out
-}
 
 // TotalCount returns the total number of updates recorded across writers.
 func (v *Vector) TotalCount() int {

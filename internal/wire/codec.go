@@ -18,8 +18,8 @@
 // entries sorted by writer ID (map iteration order must not reach the
 // wire — see the determinism analyzer); per-entry stamps are
 // delta-encoded, exploiting the vv invariant that stamp windows are
-// non-decreasing. Maps (DetectReply.Have, GossipDigest.Stable,
-// SnapshotFileChunk.Base) are likewise sorted by key. Strings and byte
+// non-decreasing. Maps (GossipDigest.Stable, SnapshotFileChunk.Base) are
+// likewise sorted by key. Strings and byte
 // slices are length-prefixed. A frame must be consumed exactly: trailing
 // bytes are a decode error.
 package wire
@@ -41,7 +41,7 @@ import (
 // layout is rejected at the version byte instead of being misparsed.
 const (
 	codecMagic   byte = 0xE7
-	codecVersion byte = 3
+	codecVersion byte = 4
 )
 
 // Message kind codes. These are wire-stable: append new kinds at the
@@ -367,11 +367,7 @@ func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
 		b = append(b, kindDetectReply)
 		b = appendFile(b, m.File)
 		b = appendVarint(b, m.Token)
-		b = appendBool(b, m.Conflict)
-		b = appendFloat(b, m.Level)
-		b = appendTriple(b, m.Triple)
-		b = appendNode(b, m.Ref)
-		b = appendCountMap(b, m.Have, st)
+		b = appendVector(b, m.VV, st)
 		b = appendTC(b, m.TC)
 	case GossipDigest:
 		b = append(b, kindGossipDigest)
@@ -842,8 +838,7 @@ func decodeMsg(r *reader, kind byte) Message {
 	case kindDetectRequest:
 		return DetectRequest{File: r.file(), Token: r.varint(), VV: r.vector(), TC: r.tc()}
 	case kindDetectReply:
-		return DetectReply{File: r.file(), Token: r.varint(), Conflict: r.bool(),
-			Level: r.float(), Triple: r.triple(), Ref: r.node(), Have: r.countMap(), TC: r.tc()}
+		return DetectReply{File: r.file(), Token: r.varint(), VV: r.vector(), TC: r.tc()}
 	case kindGossipDigest:
 		return r.digest()
 	case kindDigestBatch:

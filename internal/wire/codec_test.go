@@ -241,16 +241,16 @@ func TestCountsVectorDecodesWithoutStamps(t *testing.T) {
 	}
 }
 
-// TestDetectReplyHaveRoundTrip: the counts a detection reply reports come
-// back exactly, nil and empty kept apart (nil means "nothing reported",
-// empty a peer whose replica is empty).
-func TestDetectReplyHaveRoundTrip(t *testing.T) {
-	for _, have := range []map[id.NodeID]int{
+// TestCountMapRoundTrip: the counts a digest's rollback floor reports
+// come back exactly, nil and empty kept apart (nil means "nothing
+// reported", empty a replica with no updates).
+func TestCountMapRoundTrip(t *testing.T) {
+	for _, stable := range []map[id.NodeID]int{
 		nil,
 		{},
 		{1: 3, 2: 0, -4: 1 << 40, 9: 127},
 	} {
-		in := DetectReply{File: "f", Token: 5, Level: 1, Have: have}
+		in := GossipDigest{File: "f", Origin: 1, VV: vv.New(), Stable: stable}
 		frame, err := Encode(Envelope{From: 1, To: 2, Msg: in})
 		if err != nil {
 			t.Fatal(err)
@@ -260,8 +260,8 @@ func TestDetectReplyHaveRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		// DeepEqual tells a nil map from an empty one.
-		if out := got.Msg.(DetectReply).Have; !reflect.DeepEqual(out, have) {
-			t.Fatalf("Have %#v came back as %#v", have, out)
+		if out := got.Msg.(GossipDigest).Stable; !reflect.DeepEqual(out, stable) {
+			t.Fatalf("Stable %#v came back as %#v", stable, out)
 		}
 	}
 }

@@ -63,16 +63,11 @@ func (u Update) ID() UpdateID { return UpdateID{u.File, u.Writer, u.Seq} }
 
 // ---- Detection (§4.3) ----
 
-// DetectRequest carries the writer's extended version vector to a top-layer
-// peer; the peer compares it with its own replica's vector and scores the
-// difference with Formula 1, which reads stamps. It is therefore one of
-// the few messages that ship stamps (with GossipDigest and snapshot
-// chunks); resolution messages ship counts only. Once every top-layer
-// peer has replied to an earlier probe of the file, VV is the writer's
-// vector above the lowest counts those replies reported (vv.Vector.Above):
-// per writer, only the stamps from the last one every peer had onward. A
-// probe's wire cost then follows what the peers have not yet seen, not
-// the occupancy of the stamp windows; the first probe ships whole windows.
+// DetectRequest carries the counts of the writer's extended version
+// vector to a top-layer peer (vv.Vector.Counts: every writer's count and
+// newest stamp, no windows). The peer scores nothing: it answers with its
+// own vector above those counts, and the writer, which holds the rest of
+// the comparison, scores it.
 type DetectRequest struct {
 	File  id.FileID
 	Token int64 // correlates replies with one detect(update) call
@@ -83,21 +78,18 @@ type DetectRequest struct {
 // Kind implements Message.
 func (DetectRequest) Kind() string { return "detect.req" }
 
-// DetectReply reports the peer's verdict: Conflict is the "fail" return of
-// the detect(update) API; Level and Triple quantify the inconsistency per
-// Formula 1 against the chosen reference state. Have carries the peer's
-// per-writer counts, the floor below which the writer's next probe of the
-// file drops stamps. It is a plain count map, not a vector: the writer
-// needs nothing else.
+// DetectReply carries the peer's replica vector above the counts of the
+// probe it answers (vv.Vector.Above): per writer, the count, the newest
+// stamp, and the stamps from the first one the writer lacks onward —
+// exactly what the writer reads to compare the two vectors and score the
+// difference with Formula 1. It is one of the few messages that ship
+// stamps (with GossipDigest and snapshot chunks); resolution messages
+// ship counts only.
 type DetectReply struct {
-	File     id.FileID
-	Token    int64
-	Conflict bool
-	Level    float64
-	Triple   vv.Triple
-	Ref      id.NodeID // node whose replica was used as reference state
-	Have     map[id.NodeID]int
-	TC       tracing.Context
+	File  id.FileID
+	Token int64
+	VV    *vv.Vector
+	TC    tracing.Context
 }
 
 // Kind implements Message.

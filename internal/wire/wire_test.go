@@ -24,7 +24,7 @@ func allMessages() []Message {
 	mr := MemberRecord{Node: 3, Addr: "127.0.0.1:9", Status: MemberSuspect, Inc: 2}
 	return []Message{
 		DetectRequest{File: "f", Token: 1, VV: v},
-		DetectReply{File: "f", Token: 1, Conflict: true, Level: 0.9, Triple: v.Err, Ref: 2, Have: v.CountMap()},
+		DetectReply{File: "f", Token: 1, VV: v},
 		GossipDigest{File: "f", Origin: 1, Round: 2, TTL: 3, VV: v, Stable: map[id.NodeID]int{1: 1, 2: 1}},
 		DigestBatch{Digests: []GossipDigest{
 			{File: "f", Origin: 1, Round: 2, TTL: 3, VV: v},
