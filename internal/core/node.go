@@ -375,9 +375,7 @@ func NewNode(self id.NodeID, opts Options) *Node {
 		})
 		if !opts.DisableGossip {
 			peers := overlay.BottomPeers(n.mem, self)
-			sh.gos = gossip.New(opts.Gossip, self, peers, gossipState{sh}, n.quant, func(e env.Env, rep wire.GossipReport) {
-				sh.det.HandleGossipReport(e, rep)
-			})
+			sh.gos = gossip.New(opts.Gossip, self, peers, gossipState{sh}, sh.det.HandleGossipReport)
 			if opts.Swim != nil {
 				// The fan-out follows the live view: dead nodes drop out
 				// of every shard's sweep at once, joiners enter it.

@@ -61,7 +61,7 @@ func TestShardRoutingConsistent(t *testing.T) {
 			wire.DetectRequest{File: f},
 			wire.DetectReply{File: f},
 			wire.GossipDigest{File: f},
-			wire.GossipReport{File: f},
+			wire.GossipReport{File: f, Round: 1},
 			wire.CallForAttention{File: f},
 			wire.CFAAck{File: f},
 			wire.CollectRequest{File: f},

@@ -8,10 +8,12 @@
 //   - writer-side scoring: every top-layer peer answers a probe with its
 //     replica's vector above the writer's counts, and the writer compares
 //     it with its own and scores conflicts with Formula 1;
-//   - the §4.4.2 top-vs-bottom discrepancy check: verdicts from the
-//     background gossip sweep are compared against the most recent
-//     top-layer verdict, and a discrepancy beyond epsilon triggers the
-//     caller's rollback hook.
+//   - the §4.4.2 top-vs-bottom discrepancy check: a conflict report from
+//     the background gossip sweep carries the reporter's vector above the
+//     digest's counts, the digest's origin scores the vector it advertised
+//     against it the same way, and a level below the most recent
+//     top-layer verdict by more than epsilon triggers the caller's
+//     rollback hook.
 //
 // The detection module is deliberately independent of resolution: as the
 // paper notes, it "can be used by other consistency control mechanisms"
@@ -277,14 +279,23 @@ func (d *Detector) HandleReply(e env.Env, from id.NodeID, m wire.DetectReply) {
 	d.tr.Event(e.Now(), m.TC, tracing.EvDetectReply, m.File, from, m.Token)
 	p.replies++
 	if vv.Compare(p.vv, m.VV) != vv.Equal {
-		refID, ref := d.quant.RefSel(map[id.NodeID]*vv.Vector{d.self: p.vv, from: m.VV})
-		if triple, level := d.quant.Score(p.vv, ref); level < p.worst {
+		if refID, triple, level := d.score(p.vv, from, m.VV); level < p.worst {
 			p.worst, p.triple, p.ref = level, triple, refID
 		}
 	}
 	if p.replies >= p.expect {
 		d.finalize(e, m.Token)
 	}
+}
+
+// score is Formula 1 for a vector of this node's own against a peer's:
+// the reference consistent state is chosen from the two, and own is
+// scored against it. theirs may hold only what the peer has above own's
+// counts (vv.Vector.Above); the level is the one the whole vector gives.
+func (d *Detector) score(own *vv.Vector, peer id.NodeID, theirs *vv.Vector) (id.NodeID, vv.Triple, float64) {
+	refID, ref := d.quant.RefSel(map[id.NodeID]*vv.Vector{d.self: own, peer: theirs})
+	triple, level := d.quant.Score(own, ref)
+	return refID, triple, level
 }
 
 // Timer handles detect timers; it returns false for keys it does not own.
@@ -333,19 +344,22 @@ func (d *Detector) finalize(e env.Env, token int64) {
 // consistency, resetting the remembered top-layer verdict.
 func (d *Detector) NoteResolved(file id.FileID) { d.topVerdict[file] = 1 }
 
-// HandleGossipReport is the §4.4.2 bottom-layer check: compare the
-// bottom-layer level against the last top-layer verdict; if the bottom
-// layer says things are worse by more than epsilon, raise the discrepancy
-// hook so the owner can alert the user and roll back.
-func (d *Detector) HandleGossipReport(e env.Env, rep wire.GossipReport) {
-	d.tr.Event(e.Now(), rep.TC, tracing.EvReportRecv, rep.File, rep.Reporter, int64(rep.Level*1000))
+// HandleGossipReport is the §4.4.2 bottom-layer check on this node's
+// digest: score advertised, the vector the digest carried the counts of,
+// against the reporter's vector above them, and compare that bottom-layer
+// level with the last top-layer verdict; if the bottom layer says things
+// are worse by more than epsilon, raise the discrepancy hook so the owner
+// can alert the user and roll back.
+func (d *Detector) HandleGossipReport(e env.Env, rep wire.GossipReport, advertised *vv.Vector) {
+	_, _, level := d.score(advertised, rep.Reporter, rep.VV)
+	d.tr.Event(e.Now(), rep.TC, tracing.EvReportRecv, rep.File, rep.Reporter, int64(level*1000))
 	top := d.TopVerdict(rep.File)
-	if rep.Level >= top-discrepancyEps {
+	if level >= top-discrepancyEps {
 		return // sufficiently close (e.g. 78% vs 80%): keep silent
 	}
 	d.met.discrepancy.Inc()
 	if d.onDiscrepancy != nil {
-		d.onDiscrepancy(e, rep.File, top, rep.Level, rep)
+		d.onDiscrepancy(e, rep.File, top, level, rep)
 	}
 }
 

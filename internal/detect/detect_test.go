@@ -217,22 +217,38 @@ func TestTopVerdictTracksResults(t *testing.T) {
 func TestDiscrepancyCheck(t *testing.T) {
 	_, nodes := buildTop(t, 2, Config{})
 	dn := nodes[1]
-	// Pretend the top layer said 0.9.
-	dn.det.topVerdict[board] = 0.9
+	// Node 1 advertised three updates of its own; reporter 2 holds one of
+	// its own and none of node 1's, and reports all of it.
+	adv := vv.New()
+	for i := 1; i <= 3; i++ {
+		adv.Tick(1, vv.Stamp(i)*1e9, float64(i))
+	}
+	theirs := vv.New()
+	theirs.Tick(2, 4e9, 20)
+	rep := wire.GossipReport{File: board, Origin: 1, Reporter: 2, Round: 1, VV: theirs.Above(adv.Counts())}
+	q := quantify.Default()
+	_, ref := q.RefSel(map[id.NodeID]*vv.Vector{1: adv, 2: theirs})
+	_, level := q.Score(adv, ref)
+	if level > 0.8 {
+		t.Fatalf("level = %g, want room for a far top verdict", level)
+	}
 
 	e := envStub{}
-	// Close: 0.88 → silent.
-	dn.det.HandleGossipReport(e, wire.GossipReport{File: board, Level: 0.88})
+	// Close: the top layer said level + 0.02 → silent.
+	dn.det.topVerdict[board] = level + 0.02
+	dn.det.HandleGossipReport(e, rep, adv)
 	if len(dn.discs) != 0 {
 		t.Fatal("close bottom verdict raised a discrepancy")
 	}
-	// Far: 0.7 → discrepancy.
-	dn.det.HandleGossipReport(e, wire.GossipReport{File: board, Level: 0.7})
-	if len(dn.discs) != 1 || dn.discs[0] != 0.7 {
-		t.Fatalf("discs = %v", dn.discs)
+	// Far: the top layer said level + 0.2 → discrepancy at level.
+	dn.det.topVerdict[board] = level + 0.2
+	dn.det.HandleGossipReport(e, rep, adv)
+	if len(dn.discs) != 1 || dn.discs[0] != level {
+		t.Fatalf("discs = %v, want [%g]", dn.discs, level)
 	}
 	// Bottom *better* than top: silent (nothing to roll back).
-	dn.det.HandleGossipReport(e, wire.GossipReport{File: board, Level: 0.99})
+	dn.det.topVerdict[board] = level - 0.1
+	dn.det.HandleGossipReport(e, rep, adv)
 	if len(dn.discs) != 1 {
 		t.Fatal("better bottom verdict raised a discrepancy")
 	}

@@ -13,7 +13,7 @@ import (
 )
 
 // Tests for the bounded-state fixes: seen-map eviction, no echo back to
-// the digest's sender, trimmed digest windows, and stability-frontier
+// the digest's sender, counts-only digests, and stability-frontier
 // learning.
 
 func TestSeenMapEvicted(t *testing.T) {
@@ -29,6 +29,9 @@ func TestSeenMapEvicted(t *testing.T) {
 		if got := len(gn.a.seen); got > 4*2*(seenRounds+1) {
 			t.Fatalf("node %v seen map grew to %d entries", nid, got)
 		}
+		if got := len(gn.a.advertised); got > seenRounds+1 {
+			t.Fatalf("node %v keeps %d advertised vectors", nid, got)
+		}
 	}
 }
 
@@ -36,11 +39,11 @@ func TestForwardExcludesSender(t *testing.T) {
 	// Node 5's only peer is node 6 — the node the digest arrives from.
 	// Forwarding must not echo it straight back, so nothing is sent.
 	gn := &gossipNode{st: store.New(5)}
-	gn.a = New(Config{}, 5, []id.NodeID{6}, gn, nil, nil)
+	gn.a = New(Config{}, 5, []id.NodeID{6}, gn, nil)
 	c := simnet.New(simnet.Config{Seed: 3})
 	c.Add(5, gn)
 	peer := &gossipNode{st: store.New(6)}
-	peer.a = New(Config{}, 6, []id.NodeID{5}, peer, nil, nil)
+	peer.a = New(Config{}, 6, []id.NodeID{5}, peer, nil)
 	c.Add(6, peer)
 	c.Start()
 
@@ -58,12 +61,12 @@ func TestForwardStillReachesThirdParties(t *testing.T) {
 	// With another eligible peer besides the sender, the forward must go
 	// there (exclusion narrows the choice, not the fanout).
 	gn := &gossipNode{st: store.New(5)}
-	gn.a = New(Config{Fanout: 1}, 5, []id.NodeID{6, 8}, gn, nil, nil)
+	gn.a = New(Config{Fanout: 1}, 5, []id.NodeID{6, 8}, gn, nil)
 	c := simnet.New(simnet.Config{Seed: 3})
 	c.Add(5, gn)
 	for _, nid := range []id.NodeID{6, 8} {
 		p := &gossipNode{st: store.New(nid)}
-		p.a = New(Config{}, nid, nil, p, nil, nil)
+		p.a = New(Config{}, nid, nil, p, nil)
 		c.Add(nid, p)
 	}
 	c.Start()
@@ -78,26 +81,13 @@ func TestForwardStillReachesThirdParties(t *testing.T) {
 	}
 }
 
-// recordingNode captures digests delivered to it before dispatching.
-type recordingNode struct {
-	*gossipNode
-	digests []wire.GossipDigest
-}
-
-func (r *recordingNode) Recv(e env.Env, from id.NodeID, m env.Message) {
-	if d, ok := m.(wire.GossipDigest); ok {
-		r.digests = append(r.digests, d)
-	}
-	r.gossipNode.Recv(e, from, m)
-}
-
-func TestDigestsAreTrimmed(t *testing.T) {
+func TestDigestsShipCountsOnly(t *testing.T) {
 	c := simnet.New(simnet.Config{Seed: 5})
 	sender := &gossipNode{st: store.New(1)}
-	sender.a = New(Config{Interval: 2 * time.Second}, 1, []id.NodeID{2}, sender, nil, nil)
+	sender.a = New(Config{Interval: 2 * time.Second}, 1, []id.NodeID{2}, sender, nil)
 	c.Add(1, sender)
-	recv := &recordingNode{gossipNode: &gossipNode{st: store.New(2)}}
-	recv.a = New(Config{Interval: 2 * time.Second}, 2, []id.NodeID{1}, recv.gossipNode, nil, nil)
+	recv := &gossipNode{st: store.New(2)}
+	recv.a = New(Config{Interval: 2 * time.Second}, 2, []id.NodeID{1}, recv, nil)
 	c.Add(2, recv)
 	c.Start()
 	for i := 0; i < 200; i++ {
@@ -111,8 +101,8 @@ func TestDigestsAreTrimmed(t *testing.T) {
 		if d.VV.Count(1) != 200 {
 			t.Fatalf("digest count = %d, want exact 200", d.VV.Count(1))
 		}
-		if got := d.VV.WindowStamps(); got > digestStamps {
-			t.Fatalf("digest ships %d stamps, want <= %d", got, digestStamps)
+		if got := d.VV.WindowStamps(); got != 0 {
+			t.Fatalf("digest ships %d stamps, want counts only", got)
 		}
 	}
 }
@@ -122,7 +112,7 @@ func TestFrontierUsesRollbackFloorNotRawCounts(t *testing.T) {
 	// raw vector counts must bound the frontier by the floor — otherwise
 	// a later rollback on that peer could re-need pruned updates.
 	gn := &gossipNode{st: store.New(1)}
-	gn.a = New(Config{Interval: 2 * time.Second}, 1, []id.NodeID{2}, gn, nil, nil)
+	gn.a = New(Config{Interval: 2 * time.Second}, 1, []id.NodeID{2}, gn, nil)
 	var got []map[id.NodeID]int
 	gn.a.OnFrontier(func(_ env.Env, f id.FileID, stable map[id.NodeID]int) {
 		got = append(got, stable)
@@ -130,7 +120,7 @@ func TestFrontierUsesRollbackFloorNotRawCounts(t *testing.T) {
 	c := simnet.New(simnet.Config{Seed: 2})
 	c.Add(1, gn)
 	p := &gossipNode{st: store.New(2)}
-	p.a = New(Config{}, 2, nil, p, nil, nil)
+	p.a = New(Config{}, 2, nil, p, nil)
 	c.Add(2, p)
 	c.Start()
 
@@ -160,13 +150,13 @@ func TestFrontierUsesRollbackFloorNotRawCounts(t *testing.T) {
 
 func TestFrontierFiresOnlyOnAdvance(t *testing.T) {
 	gn := &gossipNode{st: store.New(1)}
-	gn.a = New(Config{Interval: 2 * time.Second}, 1, []id.NodeID{2}, gn, nil, nil)
+	gn.a = New(Config{Interval: 2 * time.Second}, 1, []id.NodeID{2}, gn, nil)
 	fired := 0
 	gn.a.OnFrontier(func(_ env.Env, _ id.FileID, _ map[id.NodeID]int) { fired++ })
 	c := simnet.New(simnet.Config{Seed: 2})
 	c.Add(1, gn)
 	p := &gossipNode{st: store.New(2)}
-	p.a = New(Config{}, 2, nil, p, nil, nil)
+	p.a = New(Config{}, 2, nil, p, nil)
 	c.Add(2, p)
 	c.Start()
 
@@ -193,7 +183,7 @@ func TestFrontierLearnedFromAllPeers(t *testing.T) {
 	// An agent with peers {2,3}: after hearing digests from both, a round
 	// produces the per-writer minimum as the stability frontier.
 	gn := &gossipNode{st: store.New(1)}
-	gn.a = New(Config{Interval: 2 * time.Second}, 1, []id.NodeID{2, 3}, gn, nil, nil)
+	gn.a = New(Config{Interval: 2 * time.Second}, 1, []id.NodeID{2, 3}, gn, nil)
 	var frontiers []map[id.NodeID]int
 	gn.a.OnFrontier(func(_ env.Env, f id.FileID, stable map[id.NodeID]int) {
 		if f == board {
@@ -204,7 +194,7 @@ func TestFrontierLearnedFromAllPeers(t *testing.T) {
 	c.Add(1, gn)
 	for _, nid := range []id.NodeID{2, 3} {
 		p := &gossipNode{st: store.New(nid)}
-		p.a = New(Config{}, nid, nil, p, nil, nil)
+		p.a = New(Config{}, nid, nil, p, nil)
 		c.Add(nid, p)
 	}
 	c.Start()

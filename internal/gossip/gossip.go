@@ -3,10 +3,13 @@
 // (lpbcast-style [6]) of version-vector digests across *all* nodes,
 // TTL-bounded to cap detection delay (§4.4.2: "we use TTL to control the
 // traversal of the bottom-layer detection messages, thus bound the
-// delay"). When a bottom-layer node finds its replica in conflict with a
-// digest, it reports back to the digest's origin so IDEA can compare the
+// delay"). A digest carries the counts of the origin's vector; the origin
+// keeps the vector itself for a few rounds. When a bottom-layer node finds
+// its replica in conflict with a digest, it reports back to the origin
+// what it has above those counts, and the origin scores its own vector
+// against that (detect.HandleGossipReport), so IDEA can compare the
 // bottom-layer verdict with the earlier top-layer one and roll back if
-// they disagree.
+// they disagree. Gossip itself scores nothing.
 package gossip
 
 import (
@@ -14,7 +17,6 @@ import (
 
 	"idea/internal/env"
 	"idea/internal/id"
-	"idea/internal/quantify"
 	"idea/internal/telemetry"
 	"idea/internal/tracing"
 	"idea/internal/vv"
@@ -33,17 +35,11 @@ type Config struct {
 	TTL int
 }
 
-const (
-	// digestStamps bounds the per-writer stamp window shipped in each
-	// digest. Counts — and thus conflict detection — stay exact; only
-	// staleness resolution coarsens.
-	digestStamps = 8
-	// seenRounds is how many of the agent's own rounds a digest dedup
-	// entry is retained for. Relays arrive within TTL hops of the
-	// origin's round, so a few rounds suffice; eviction keeps the dedup
-	// map bounded on long-running nodes.
-	seenRounds = 4
-)
+// seenRounds is how many of the agent's own rounds a digest dedup entry,
+// and an advertised vector, is retained for. Relays and the reports they
+// trigger arrive within TTL hops of the origin's round, so a few rounds
+// suffice; eviction keeps both maps bounded on long-running nodes.
+const seenRounds = 4
 
 func (c Config) withDefaults() Config {
 	if c.Interval == 0 {
@@ -64,7 +60,7 @@ type State interface {
 	// LocalVector returns the replica's vector for file, or nil when
 	// the node holds no replica. The agent reads it in place, in the
 	// file's serialization domain, and never ships, keeps or modifies it
-	// (store.Replica.LiveVector); a digest carries a copy.
+	// (store.Replica.LiveVector); digests and reports carry copies.
 	LocalVector(file id.FileID) *vv.Vector
 	// ActiveFiles lists files worth gossiping about.
 	ActiveFiles() []id.FileID
@@ -79,9 +75,10 @@ type StableState interface {
 }
 
 // ReportSink receives conflict reports that arrived at this node (it was
-// the digest origin). The IDEA protocol uses them for the §4.4.2
-// discrepancy check.
-type ReportSink func(e env.Env, rep wire.GossipReport)
+// the digest origin), each with the vector the digest advertised: the
+// report's VV holds only what the reporter has above its counts. The IDEA
+// protocol scores the pair for the §4.4.2 discrepancy check.
+type ReportSink func(e env.Env, rep wire.GossipReport, advertised *vv.Vector)
 
 // FrontierFunc receives a newly learned stability frontier for a file:
 // per-writer update counts known to be held by every bottom-layer peer.
@@ -128,7 +125,6 @@ type Agent struct {
 	// joiners enter it without any per-shard re-plumbing.
 	peerSource func() []id.NodeID
 	state      State
-	quant      *quantify.Quantifier
 	sink       ReportSink
 
 	// tr/traceOf attach the causal tracing layer: traceOf supplies the
@@ -140,6 +136,9 @@ type Agent struct {
 	shard int // serialization-domain label carried in round-timer data
 	round int
 	seen  map[digestKey]int // digest dedup key → local round inserted
+	// advertised keeps the vector behind each of this node's own recent
+	// digests, keyed by the digest, for scoring the reports it triggers.
+	advertised map[digestKey]*vv.Vector
 
 	// outBatch accumulates one round's origin digests per destination
 	// peer (reused across rounds; flushed in deterministic peer order).
@@ -153,8 +152,6 @@ type Agent struct {
 	lastFrontier map[id.FileID]map[id.NodeID]int
 	onFrontier   FrontierFunc
 
-	sizer *wire.Sizer // lazily created for the digest-bytes gauge
-
 	// statistics
 	ConflictsFound int // conflicts this node detected against digests
 	ReportsHeard   int // reports received as origin
@@ -165,45 +162,40 @@ type Agent struct {
 // gossipMetrics are the telemetry handles for the gossip fan-out;
 // zero-value (nil) handles are no-ops.
 type gossipMetrics struct {
-	rounds      *telemetry.Counter // sweep rounds started
-	emitted     *telemetry.Counter // digests sent (origin + forwards)
-	forwarded   *telemetry.Counter // TTL-decremented relays
-	conflicts   *telemetry.Counter // conflicts found against digests
-	reports     *telemetry.Counter // reports received as origin
-	seenSize    *telemetry.Gauge   // dedup map occupancy after eviction
-	digestBytes *telemetry.Gauge   // wire size of the last origin digest
-	frontiers   *telemetry.Counter // stability frontiers learned
-	received    *telemetry.Counter // digests received (pre-dedup)
+	rounds    *telemetry.Counter // sweep rounds started
+	emitted   *telemetry.Counter // digests sent (origin + forwards)
+	forwarded *telemetry.Counter // TTL-decremented relays
+	conflicts *telemetry.Counter // conflicts found against digests
+	reports   *telemetry.Counter // reports received as origin
+	seenSize  *telemetry.Gauge   // dedup map occupancy after eviction
+	frontiers *telemetry.Counter // stability frontiers learned
+	received  *telemetry.Counter // digests received (pre-dedup)
 }
 
 // AttachMetrics wires the agent to a registry; call before Start.
 func (a *Agent) AttachMetrics(reg *telemetry.Registry) {
 	a.met = gossipMetrics{
-		rounds:      reg.Counter("gossip.rounds_total"),
-		emitted:     reg.Counter("gossip.digests_sent_total"),
-		forwarded:   reg.Counter("gossip.digests_forwarded_total"),
-		conflicts:   reg.Counter("gossip.conflicts_found_total"),
-		reports:     reg.Counter("gossip.reports_heard_total"),
-		seenSize:    reg.Gauge("gossip.seen_entries"),
-		digestBytes: reg.Gauge("gossip.digest_bytes"),
-		frontiers:   reg.Counter("gossip.frontiers_learned_total"),
-		received:    reg.Counter("gossip.digests_received_total"),
+		rounds:    reg.Counter("gossip.rounds_total"),
+		emitted:   reg.Counter("gossip.digests_sent_total"),
+		forwarded: reg.Counter("gossip.digests_forwarded_total"),
+		conflicts: reg.Counter("gossip.conflicts_found_total"),
+		reports:   reg.Counter("gossip.reports_heard_total"),
+		seenSize:  reg.Gauge("gossip.seen_entries"),
+		frontiers: reg.Counter("gossip.frontiers_learned_total"),
+		received:  reg.Counter("gossip.digests_received_total"),
 	}
 }
 
 // New creates a gossip agent. peers must exclude self.
-func New(cfg Config, self id.NodeID, peers []id.NodeID, state State, q *quantify.Quantifier, sink ReportSink) *Agent {
-	if q == nil {
-		q = quantify.Default()
-	}
+func New(cfg Config, self id.NodeID, peers []id.NodeID, state State, sink ReportSink) *Agent {
 	return &Agent{
 		cfg:          cfg.withDefaults(),
 		self:         self,
 		peers:        append([]id.NodeID(nil), peers...),
 		state:        state,
-		quant:        q,
 		sink:         sink,
 		seen:         make(map[digestKey]int),
+		advertised:   make(map[digestKey]*vv.Vector),
 		heard:        make(map[id.FileID]map[id.NodeID]*originView),
 		lastFrontier: make(map[id.FileID]map[id.NodeID]int),
 	}
@@ -256,14 +248,16 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 	a.met.rounds.Inc()
 	for _, f := range a.state.ActiveFiles() {
 		if v := a.state.LocalVector(f); v != nil {
-			// The digest ships a bounded copy of the replica's vector:
-			// counts stay exact, only the stamp window is cut down.
+			// The digest ships the vector's counts; the origin keeps the
+			// vector itself (Clone is O(writers)) to score reports with.
+			adv := v.Clone()
+			a.advertised[digestKey{f, a.self, a.round}] = adv
 			d := wire.GossipDigest{
 				File:   f,
 				Origin: a.self,
 				Round:  a.round,
 				TTL:    a.cfg.TTL,
-				VV:     v.Trimmed(digestStamps),
+				VV:     adv.Counts(),
 			}
 			if ss, ok := a.state.(StableState); ok {
 				d.Stable = ss.StableCounts(f)
@@ -273,7 +267,6 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 					d.TC = a.tr.Event(e.Now(), tc, tracing.EvDigestOut, f, id.Nil, int64(a.round))
 				}
 			}
-			a.measureDigest(d)
 			a.batch(e, d)
 		}
 	}
@@ -284,25 +277,19 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 	return true
 }
 
-// measureDigest records the wire size of an origin digest — the gauge
-// that proves digests stay flat as history grows.
-func (a *Agent) measureDigest(d wire.GossipDigest) {
-	if a.met.digestBytes == nil {
-		return
-	}
-	if a.sizer == nil {
-		a.sizer = wire.NewSizer()
-	}
-	a.met.digestBytes.Set(int64(a.sizer.Size(wire.Envelope{From: a.self, Msg: d})))
-}
-
-// evictSeen drops dedup entries older than seenRounds local rounds; any
-// late relay of such a digest is deep in TTL decay anyway.
+// evictSeen drops dedup entries and advertised vectors older than
+// seenRounds local rounds; any late relay of such a digest is deep in TTL
+// decay anyway.
 func (a *Agent) evictSeen() {
 	cutoff := a.round - seenRounds
 	for k, r := range a.seen {
 		if r < cutoff {
 			delete(a.seen, k)
+		}
+	}
+	for k := range a.advertised {
+		if k.round < cutoff {
+			delete(a.advertised, k)
 		}
 	}
 	a.met.seenSize.Set(int64(len(a.seen)))
@@ -414,8 +401,9 @@ type digestKey struct {
 }
 
 // HandleDigest compares the digest with the local replica, reports a
-// conflict to the origin, and forwards the digest while TTL remains —
-// excluding the node it came from.
+// conflict to the origin with the local vector above the digest's counts,
+// and forwards the digest while TTL remains — excluding the node it came
+// from.
 func (a *Agent) HandleDigest(e env.Env, from id.NodeID, d wire.GossipDigest) {
 	a.met.received.Inc()
 	k := digestKey{d.File, d.Origin, d.Round}
@@ -432,15 +420,13 @@ func (a *Agent) HandleDigest(e env.Env, from id.NodeID, d wire.GossipDigest) {
 		if vv.Compare(local, d.VV) == vv.Concurrent {
 			a.ConflictsFound++
 			a.met.conflicts.Inc()
-			_, ref := a.quant.RefSel(map[id.NodeID]*vv.Vector{a.self: local, d.Origin: d.VV})
-			triple, level := a.quant.Score(d.VV, ref)
 			e.Send(d.Origin, wire.GossipReport{
 				File:     d.File,
 				Origin:   d.Origin,
 				Reporter: a.self,
-				Level:    level,
-				Triple:   triple,
-				TC:       a.tr.Event(e.Now(), tc, tracing.EvReportOut, d.File, d.Origin, int64(level*1000)),
+				Round:    d.Round,
+				VV:       local.Above(d.VV),
+				TC:       a.tr.Event(e.Now(), tc, tracing.EvReportOut, d.File, d.Origin, int64(d.Round)),
 			})
 		}
 	}
@@ -555,13 +541,19 @@ func (a *Agent) learnFrontiers(e env.Env) {
 	}
 }
 
-// HandleReport delivers a conflict report to the sink (this node was the
-// origin).
+// HandleReport delivers a conflict report, with the vector its digest
+// advertised, to the sink (this node was the origin). A report without a
+// vector, or for a digest no longer kept (evicted, or sent before a
+// restart), cannot be scored and is dropped.
 func (a *Agent) HandleReport(e env.Env, rep wire.GossipReport) {
+	adv := a.advertised[digestKey{rep.File, a.self, rep.Round}]
+	if adv == nil || rep.VV == nil {
+		return
+	}
 	a.ReportsHeard++
 	a.met.reports.Inc()
 	if a.sink != nil {
-		a.sink(e, rep)
+		a.sink(e, rep, adv)
 	}
 }
 

@@ -93,10 +93,13 @@ func TestTimelineDeterministic(t *testing.T) {
 // TestGoldenSchedules pins the cluster builder under RunSim to the
 // hand-wired mkNode closure it replaced: the schedule hashes were recorded
 // at the parent commit for every catalog plan at its own seed, with the
-// topology forced to 1 and to 4 shards.
+// topology forced to 1 and to 4 shards. churn-kill-rejoin's 1-shard hash
+// was recorded again when digest origins began scoring the reports on
+// their own digests from whole vectors, which drops three discrepancy
+// alerts that run used to raise.
 func TestGoldenSchedules(t *testing.T) {
 	golden := map[string][2]string{
-		"churn-kill-rejoin":    {"b7a6604e275fcdc8", "d7ae465d2f896f1a"},
+		"churn-kill-rejoin":    {"dddd1e48580c751e", "d7ae465d2f896f1a"},
 		"flash-crowd-hotkey":   {"752743f64c65cedb", "475ecfbeb9814d2b"},
 		"join-under-load":      {"00970359737fc790", "662b83fa819d1a83"},
 		"partition-heal-stall": {"9c66ebe3863520a9", "249ef8ccfe538840"},

@@ -99,9 +99,9 @@ func TestBytesExactUnderDeferredSizing(t *testing.T) {
 		case 0:
 			send(from, to, wire.DetectRequest{File: "f", Token: int64(i), VV: v.Clone()})
 		case 1:
-			send(from, to, digest("g", i, v.Trimmed(4)))
+			send(from, to, digest("g", i, v.Counts()))
 		case 2:
-			send(from, to, wire.DigestBatch{Digests: []wire.GossipDigest{digest("a", i, v.Trimmed(2)), digest("b", i, v.Counts())}})
+			send(from, to, wire.DigestBatch{Digests: []wire.GossipDigest{digest("a", i, v.Counts()), digest("b", i, v.Counts())}})
 		case 3:
 			send(from, to, wire.InformAck{File: "f", Token: int64(i)})
 		case 4:

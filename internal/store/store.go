@@ -147,7 +147,7 @@ func (r *Replica) Vector() *vv.Vector { return r.vec.Clone() }
 // vector only until it returns. It changes with every apply, rollback and
 // adoption, so it must never be shipped, retained past the handler or
 // modified. Anything that outlives the handler takes a copy: Vector,
-// Counts, or the vector's Above or Trimmed.
+// Counts, or the vector's Clone or Above.
 func (r *Replica) LiveVector() *vv.Vector { return r.vec }
 
 // Counts returns the replica's vector without stamp windows (see

@@ -15,7 +15,10 @@ import (
 // own — same ordering, same triple, same level — under every reference
 // selector, compacted prefixes included. The writer's vector is own, the
 // peer's is peer; the script interleaves their updates, shared updates and
-// compactions.
+// compactions. It also covers gossip.report: a bottom-layer digest ships
+// own.Counts(), the reporter decides whether to report by comparing its
+// vector peer with those counts, and its report ships peer.Above of them
+// for the origin to score as a writer scores a reply.
 func FuzzWriterScoresExact(f *testing.F) {
 	// own and peer share two updates of writer 1; peer adds a third, own
 	// one of writer 2. The reference holds peer's writer-1 entry, whose
@@ -44,6 +47,9 @@ func FuzzWriterScoresExact(f *testing.F) {
 				own.Compact(win)
 				peer.Compact(win)
 			}
+		}
+		if got, want := vv.Compare(peer, own.Counts()), vv.Compare(peer, own); got != want {
+			t.Fatalf("Compare against counts: %v, want %v", got, want)
 		}
 		reply := peer.Above(own.Counts())
 		if err := reply.Validate(); err != nil {

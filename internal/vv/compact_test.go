@@ -1,10 +1,6 @@
 package vv
 
-import (
-	"testing"
-
-	"idea/internal/id"
-)
+import "testing"
 
 func TestTickAutoCompactsBounded(t *testing.T) {
 	v := NewWindowed(8)
@@ -51,27 +47,6 @@ func TestStampAtWindowSemantics(t *testing.T) {
 	}
 	if _, ok := e.StampAt(12); ok {
 		t.Fatal("StampAt past Count reported in-window")
-	}
-}
-
-func TestTrimmedKeepsCountsCutsStamps(t *testing.T) {
-	v := New()
-	for i := 0; i < 40; i++ {
-		v.Tick(nodeA, sec(float64(i+1)), float64(i))
-	}
-	d := v.Trimmed(4)
-	if d.Count(nodeA) != 40 {
-		t.Fatalf("trimmed count = %d", d.Count(nodeA))
-	}
-	if got := len(d.Entries[nodeA].Stamps); got > 4 {
-		t.Fatalf("trimmed window = %d stamps, want <= 4", got)
-	}
-	if Compare(v, d) != Equal {
-		t.Fatal("trimming changed comparison")
-	}
-	// Original untouched.
-	if got := len(v.Entries[nodeA].Stamps); got != 40 {
-		t.Fatalf("original window shrank to %d", got)
 	}
 }
 
@@ -236,21 +211,4 @@ func TestTickClampAcrossCompaction(t *testing.T) {
 	if got := v.Entries[nodeA].Last(); got < sec(11) {
 		t.Fatalf("clamp lost across compaction: last = %v", got)
 	}
-}
-
-func BenchmarkDigestEncode(b *testing.B) {
-	// Wire size of a digest-bound vector after 50k updates: must be flat
-	// in history (bounded by writers × window), not linear.
-	v := New()
-	for i := 0; i < 50_000; i++ {
-		v.Tick(id.NodeID(i%8+1), Stamp(i+1)*1e9, float64(i))
-	}
-	d := v.Trimmed(8)
-	b.ReportMetric(float64(d.WindowStamps()), "stamps")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d = v.Trimmed(8)
-	}
-	_ = d
 }

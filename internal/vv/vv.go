@@ -262,8 +262,9 @@ func (v *Vector) Counts() *Vector {
 // suffix-sliced and capped at its length, and the dropped stamps move
 // behind the watermark (Base = keep, Watermark = the newest dropped stamp),
 // so counts, Compare and Last are those of v. A detection reply ships the
-// peer's vector in this form, above the probing writer's counts; a writer
-// the peer is not ahead on costs its count and newest stamp.
+// peer's vector in this form, above the probing writer's counts, and a
+// gossip report the reporter's, above the digest's; a writer the sender is
+// not ahead on costs its count and newest stamp.
 //
 // It is exact for Formula 1 when the scorer's vector u has exactly the
 // counts of floor. Scoring u against a reference built from v reads u's
@@ -330,15 +331,6 @@ func (v *Vector) Compact(window int) {
 	for n, e := range v.Entries {
 		v.Entries[n] = e.compact(window)
 	}
-}
-
-// Trimmed returns a copy with each entry's window cut to at most k
-// stamps — the bounded digest encoding gossip ships. Counts (and thus
-// Compare) are untouched; only staleness resolution is coarsened.
-func (v *Vector) Trimmed(k int) *Vector {
-	out := v.Clone()
-	out.Compact(k)
-	return out
 }
 
 // WindowStamps returns the total number of stamps currently held across

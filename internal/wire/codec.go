@@ -41,7 +41,7 @@ import (
 // layout is rejected at the version byte instead of being misparsed.
 const (
 	codecMagic   byte = 0xE7
-	codecVersion byte = 4
+	codecVersion byte = 5
 )
 
 // Message kind codes. These are wire-stable: append new kinds at the
@@ -383,8 +383,8 @@ func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
 		b = appendFile(b, m.File)
 		b = appendNode(b, m.Origin)
 		b = appendNode(b, m.Reporter)
-		b = appendFloat(b, m.Level)
-		b = appendTriple(b, m.Triple)
+		b = appendInt(b, m.Round)
+		b = appendVector(b, m.VV, st)
 		b = appendTC(b, m.TC)
 	case RansubCollect:
 		b = append(b, kindRansubCollect)
@@ -853,7 +853,7 @@ func decodeMsg(r *reader, kind byte) Message {
 		return DigestBatch{Digests: ds}
 	case kindGossipReport:
 		return GossipReport{File: r.file(), Origin: r.node(), Reporter: r.node(),
-			Level: r.float(), Triple: r.triple(), TC: r.tc()}
+			Round: r.int(), VV: r.vector(), TC: r.tc()}
 	case kindRansubCollect:
 		return RansubCollect{File: r.file(), Epoch: r.int(), Sample: r.candidates()}
 	case kindRansubDistribute:

@@ -99,10 +99,10 @@ func (DetectReply) Kind() string { return "detect.rep" }
 
 // GossipDigest is the TTL-bounded digest of a replica's vector that sweeps
 // the bottom layer in the background to catch conflicts the top layer
-// missed. The vector it carries is bounded twice over: vv entries keep
-// only a recent stamp window, and the gossip agent additionally trims the
-// window to 8 stamps per writer before emitting — so digest wire size is
-// O(writers × digest window), flat in total update history.
+// missed. Its vector carries only counts (vv.Vector.Counts), enough for an
+// exact vv.Compare, so digest wire size is O(writers), flat in update
+// history; the origin keeps the vector itself to score the reports the
+// digest triggers (see GossipReport).
 type GossipDigest struct {
 	File   id.FileID
 	Origin id.NodeID
@@ -147,14 +147,16 @@ func (b DigestBatch) Unbatch() []env.Message {
 	return out
 }
 
-// GossipReport flows back to the origin when a bottom-layer node found a
-// conflict the top layer did not know about.
+// GossipReport flows back to the origin when a bottom-layer node found its
+// replica concurrent with a digest. VV is the reporter's vector above the
+// digest's counts (vv.Vector.Above), which is all the origin lacks: the
+// origin scores the vector it advertised in round Round against it.
 type GossipReport struct {
 	File     id.FileID
 	Origin   id.NodeID
 	Reporter id.NodeID
-	Level    float64
-	Triple   vv.Triple
+	Round    int
+	VV       *vv.Vector
 	TC       tracing.Context
 }
 

@@ -30,7 +30,7 @@ func allMessages() []Message {
 			{File: "f", Origin: 1, Round: 2, TTL: 3, VV: v},
 			{File: "g", Origin: 1, Round: 2, TTL: 3, VV: v, Stable: map[id.NodeID]int{2: 1}},
 		}},
-		GossipReport{File: "f", Origin: 1, Reporter: 9, Level: 0.7, Triple: v.Err},
+		GossipReport{File: "f", Origin: 1, Reporter: 9, Round: 2, VV: v},
 		RansubCollect{File: "f", Epoch: 4, Sample: []Candidate{{Node: 1, Temp: 2.5, Epoch: 3}}},
 		RansubDistribute{File: "f", Epoch: 4, Sample: []Candidate{{Node: 2, Temp: 1.5}}},
 		CallForAttention{File: "f", Initiator: 1, Token: 7},
