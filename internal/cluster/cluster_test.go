@@ -192,18 +192,27 @@ func TestLoopbackMeshResolvesAndCloses(t *testing.T) {
 	}
 
 	// Node 3 dies: its peers' writers fall into the dial/backoff loop as
-	// soon as they have a frame for it.
+	// soon as a write to it fails. The kernel may still accept the first
+	// frame to a peer that has just closed, so one frame need fail
+	// nothing: write again every 100 ms until a writer redials. Each
+	// write probes every top-layer peer. A resolution demand would not
+	// do: a session node 3 started just before it closed never informs
+	// its members, so their resolvers stay engaged and back off.
 	lb.Node(3).Close()
-	w.InjectFile(file, func(e env.Env) { w.N.DemandActiveResolution(e, file) })
 	retries := func() (n int64) {
 		for _, nid := range all {
 			n += lb.Node(nid).Metrics().Snapshot().Counters["transport.dial_retries_total"]
 		}
 		return n
 	}
+	var wrote time.Time
 	for retries() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("no writer ever redialed the dead node; the check below would be vacuous")
+		}
+		if time.Since(wrote) >= 100*time.Millisecond {
+			w.InjectFile(file, func(e env.Env) { w.N.Write(e, file, "w", []byte("x"), 0) })
+			wrote = time.Now()
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

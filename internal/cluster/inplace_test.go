@@ -20,7 +20,11 @@ func vecPrint(v *vv.Vector) string {
 	if v == nil {
 		return "<nil>"
 	}
-	return fmt.Sprint(v.Entries, v.Meta, v.Err)
+	s := fmt.Sprint(v.Meta, v.Err)
+	for w, e := range v.Entries {
+		s += fmt.Sprint(" ", w, e)
+	}
+	return s
 }
 
 // msgPrint renders what a sent message carries that a replica could share
@@ -181,8 +185,8 @@ func TestHandlersReadVectorsInPlace(t *testing.T) {
 		// Tick, then adopt an image one update short per writer.
 		rep.WriteLocal(vv.Stamp(2e18), "tick", nil, 0)
 		img := rep.Counts()
-		for w, e := range img.Entries {
-			img.TruncateWriter(w, e.Count-1)
+		for _, w := range img.Writers() {
+			img.TruncateWriter(w, img.Count(w)-1)
 		}
 		rep.AdoptImage(img, nil, true)
 

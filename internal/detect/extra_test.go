@@ -96,7 +96,7 @@ func TestReplyCarriesPeerVector(t *testing.T) {
 		t.Fatalf("reply carries %v, the peer's replica is %v", got, peer)
 	}
 	// The peer is ahead by two updates of its own and ships their stamps.
-	if n := len(got.Entries[2].Stamps); n != 2 {
+	if n := len(got.Entry(2).Stamps); n != 2 {
 		t.Fatalf("reply ships %d of the peer's stamps, want 2", n)
 	}
 	if len(nodes[1].results) != 1 || nodes[1].results[0].Ref != 2 {

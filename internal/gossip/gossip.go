@@ -448,7 +448,7 @@ func (a *Agent) noteCounts(file id.FileID, origin id.NodeID, d wire.GossipDigest
 	}
 	counts := d.Stable
 	if counts == nil {
-		counts = make(map[id.NodeID]int, len(d.VV.Entries))
+		counts = make(map[id.NodeID]int, d.VV.Len())
 		for w, e := range d.VV.Entries {
 			counts[w] = e.Count
 		}
@@ -507,7 +507,7 @@ func (a *Agent) learnFrontiers(e env.Env) {
 			stable = ss.StableCounts(file)
 		}
 		if stable == nil {
-			stable = make(map[id.NodeID]int, len(local.Entries))
+			stable = make(map[id.NodeID]int, local.Len())
 			for w, le := range local.Entries {
 				stable[w] = le.Count
 			}

@@ -54,7 +54,7 @@ func byCounts(m env.Message) (env.Message, map[id.NodeID]int) {
 	if v == nil {
 		return m, nil
 	}
-	counts := make(map[id.NodeID]int, len(v.Entries))
+	counts := make(map[id.NodeID]int, v.Len())
 	for w, e := range v.Entries {
 		counts[w] = e.Count
 	}

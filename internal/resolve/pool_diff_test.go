@@ -86,7 +86,7 @@ func TestImageMatchesOracleRandomized(t *testing.T) {
 			v := vv.New()
 			for w := id.NodeID(1); w <= id.NodeID(writers+1); w++ {
 				if c := rng.Intn(counts[w] + 6); c > 0 {
-					v.Entries[w] = vv.Entry{Count: c}
+					v.SetEntry(w, vv.Entry{Count: c})
 				}
 			}
 			return v

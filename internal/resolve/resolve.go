@@ -627,12 +627,10 @@ func commonPrefix(vecs map[id.NodeID]*vv.Vector) *vv.Vector {
 			first = false
 			continue
 		}
-		for w, e := range out.Entries {
-			if oc := v.Count(w); oc < e.Count {
-				out.Entries[w] = e.Prefix(oc)
-			}
-			if out.Entries[w].Count == 0 {
-				delete(out.Entries, w)
+		for _, w := range out.Writers() {
+			out.TruncateWriter(w, v.Count(w))
+			if out.Count(w) == 0 {
+				out.Delete(w)
 			}
 		}
 	}

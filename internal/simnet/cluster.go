@@ -23,7 +23,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"math/rand"
@@ -68,6 +67,7 @@ type Cluster struct {
 	nodes  map[id.NodeID]*node
 	order  []id.NodeID
 	queue  eventQueue
+	free   []*event // popped events, zeroed, for push to reuse
 	stats  *Stats
 	cut    map[[2]id.NodeID]bool
 	events int
@@ -138,27 +138,64 @@ type event struct {
 	mk   func() env.Handler
 }
 
+// eventQueue is a binary min-heap of events by (at, rank, seq). seq is
+// unique, so the key is a total order and the pop sequence is the sorted
+// one whatever the heap's shape.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before reports whether a is due before b.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if ri, rj := q[i].rank, q[j].rank; ri != rj {
-		return ri < rj
+	if a.rank != b.rank {
+		return a.rank < b.rank
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+
+func (q *eventQueue) push(e *event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = e
+	*q = h
+}
+
+// pop removes and returns the earliest event; q must not be empty.
+func (q *eventQueue) pop() *event {
+	h := *q
+	top, n := h[0], len(h)-1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && h[r].before(h[c]) {
+				c = r
+			}
+			if !h[c].before(last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	*q = h
+	return top
 }
 
 // New creates an empty cluster.
@@ -254,7 +291,7 @@ func (c *Cluster) CallAt(at time.Duration, nid id.NodeID, fn func(env.Env)) {
 	if at < c.now {
 		at = c.now
 	}
-	c.push(&event{at: at, node: nid, call: fn})
+	c.push(event{at: at, node: nid, call: fn})
 }
 
 // CallAtFile schedules fn in the serialization domain owning file on node
@@ -268,7 +305,7 @@ func (c *Cluster) CallAtFile(at time.Duration, nid id.NodeID, file id.FileID, fn
 	if n, ok := c.nodes[nid]; ok && n.sh != nil {
 		shard = env.ClampShard(n.sh.ShardOfFile(file), n.shards)
 	}
-	c.push(&event{at: at, node: nid, shard: shard, call: fn})
+	c.push(event{at: at, node: nid, shard: shard, call: fn})
 }
 
 // Env returns the env of node nid for direct synchronous use by test
@@ -287,7 +324,7 @@ func (c *Cluster) AddAt(at time.Duration, nid id.NodeID, mk func() env.Handler) 
 	if at < c.now {
 		at = c.now
 	}
-	c.push(&event{at: at, node: nid, sys: sysAdd, mk: mk})
+	c.push(event{at: at, node: nid, sys: sysAdd, mk: mk})
 }
 
 // CrashAt schedules node nid to fail at virtual time at: it vanishes from
@@ -298,7 +335,7 @@ func (c *Cluster) CrashAt(at time.Duration, nid id.NodeID) {
 	if at < c.now {
 		at = c.now
 	}
-	c.push(&event{at: at, node: nid, sys: sysCrash})
+	c.push(event{at: at, node: nid, sys: sysCrash})
 }
 
 // runSys executes a churn event.
@@ -344,19 +381,31 @@ func containsID(ns []id.NodeID, x id.NodeID) bool {
 	return false
 }
 
-func (c *Cluster) push(e *event) {
+// push queues a copy of e, in an event Step has freed when there is one.
+func (c *Cluster) push(e event) {
 	c.seq++
 	e.seq = c.seq
 	e.rank = c.shardRank[e.shard%len(c.shardRank)]
-	heap.Push(&c.queue, e)
+	var p *event
+	if n := len(c.free); n > 0 {
+		p = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		p = new(event)
+	}
+	*p = e
+	c.queue.push(p)
 }
 
 // Step processes the next event; it reports false when the queue is empty.
+// Once the event is handled it is zeroed and freed for push to reuse: no
+// event outlives its Step.
 func (c *Cluster) Step() bool {
-	if c.queue.Len() == 0 {
+	if len(c.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&c.queue).(*event)
+	e := c.queue.pop()
+	defer c.recycle(e)
 	if e.at > c.now {
 		c.now = e.at
 	}
@@ -406,13 +455,20 @@ func (c *Cluster) Step() bool {
 	return true
 }
 
+// recycle zeroes a handled event, dropping what it referenced, and frees
+// it for push to reuse.
+func (c *Cluster) recycle(e *event) {
+	*e = event{}
+	c.free = append(c.free, e)
+}
+
 // RunFor advances virtual time by d, processing every event due in the
 // window, then sets the clock to exactly the window end.
 func (c *Cluster) RunFor(d time.Duration) { c.RunUntil(c.now + d) }
 
 // RunUntil advances virtual time to t (from the epoch).
 func (c *Cluster) RunUntil(t time.Duration) {
-	for c.queue.Len() > 0 && c.queue[0].at <= t {
+	for len(c.queue) > 0 && c.queue[0].at <= t {
 		c.Step()
 	}
 	if t > c.now {
@@ -466,11 +522,11 @@ func (n *node) Send(to id.NodeID, msg env.Message) {
 		// record), delivered as its constituent messages so each routes
 		// to the shard owning its file — mirroring the live transport.
 		for _, sub := range mm.Unbatch() {
-			c.push(&event{at: at, node: to, shard: c.nodes[to].shardOfMsg(sub), from: n.id, msg: sub})
+			c.push(event{at: at, node: to, shard: c.nodes[to].shardOfMsg(sub), from: n.id, msg: sub})
 		}
 		return
 	}
-	c.push(&event{at: at, node: to, shard: c.nodes[to].shardOfMsg(msg), from: n.id, msg: msg})
+	c.push(event{at: at, node: to, shard: c.nodes[to].shardOfMsg(msg), from: n.id, msg: msg})
 }
 
 // After implements env.Env.
@@ -478,7 +534,7 @@ func (n *node) After(d time.Duration, key string, data any) {
 	if d < 0 {
 		d = 0
 	}
-	n.c.push(&event{at: n.c.now + d, node: n.id, shard: n.shardOfTimer(key, data), key: key, data: data, tmr: true, gen: n.gen})
+	n.c.push(event{at: n.c.now + d, node: n.id, shard: n.shardOfTimer(key, data), key: key, data: data, tmr: true, gen: n.gen})
 }
 
 // Logf implements env.Env; emulated nodes do not log.

@@ -353,9 +353,9 @@ func (r *Replica) apply(u wire.Update) {
 	r.byWriter[u.Writer] = append(r.byWriter[u.Writer], u)
 	// Only the ticked writer's window can change, so the gauge delta is
 	// O(1) — apply is the hottest path in the store.
-	before := len(r.vec.Entries[u.Writer].Stamps)
+	before := len(r.vec.Entry(u.Writer).Stamps)
 	r.vec.Tick(u.Writer, u.At, u.Meta)
-	r.met.windowStamps.Add(int64(len(r.vec.Entries[u.Writer].Stamps) - before))
+	r.met.windowStamps.Add(int64(len(r.vec.Entry(u.Writer).Stamps) - before))
 	r.met.logEntries.Add(1)
 	r.met.applied.Inc()
 	if r.journal != nil {
@@ -469,7 +469,7 @@ func (r *Replica) Rollback(token int64) ([]wire.Update, error) {
 		// An invalidation since the checkpoint may have removed entries
 		// the checkpoint still counts; the restored vector must never
 		// advertise updates the surviving index cannot ship.
-		for w := range r.vec.Entries {
+		for _, w := range r.vec.Writers() {
 			if have := r.wBase[w] + len(r.byWriter[w]); r.vec.Count(w) > have {
 				r.vec.TruncateWriter(w, have)
 			}
@@ -592,7 +592,7 @@ func (r *Replica) AdoptImage(adoptVec *vv.Vector, updates []wire.Update, invalid
 			// lagging peers have actually received.
 			for ci := range r.checkpoints {
 				cp := &r.checkpoints[ci]
-				for w := range cp.vec.Entries {
+				for _, w := range cp.vec.Writers() {
 					if c := adoptCount(w); cp.vec.Count(w) > c {
 						cp.vec.TruncateWriter(w, c)
 					}
@@ -776,7 +776,7 @@ func (r *Replica) BeginSnapshot(base map[id.NodeID]int, prefixMeta float64) bool
 		if b > 0 {
 			r.wBase[w] = b
 			r.logBase += b
-			r.vec.Entries[w] = vv.Entry{Count: b, Base: b}
+			r.vec.SetEntry(w, vv.Entry{Count: b, Base: b})
 		}
 	}
 	r.compactedMeta = prefixMeta
@@ -797,15 +797,8 @@ func (r *Replica) FinishSnapshot(vec *vv.Vector) bool {
 	if vec == nil {
 		return false
 	}
-	for w, e := range vec.Entries {
-		if r.vec.Count(w) != e.Count {
-			return false
-		}
-	}
-	for w, e := range r.vec.Entries {
-		if _, ok := vec.Entries[w]; !ok && e.Count > 0 {
-			return false
-		}
+	if vv.Compare(r.vec, vec) != vv.Equal {
+		return false
 	}
 	gaugeBefore := r.vec.WindowStamps()
 	r.vec = vec.Clone()
@@ -839,7 +832,7 @@ func (r *Replica) StableCounts() map[id.NodeID]int {
 	if len(r.checkpoints) > 0 {
 		v = r.checkpoints[0].vec
 	}
-	out := make(map[id.NodeID]int, len(v.Entries))
+	out := make(map[id.NodeID]int, v.Len())
 	for w, e := range v.Entries {
 		out[w] = e.Count
 	}

@@ -55,6 +55,9 @@ func FuzzWriterScoresExact(f *testing.F) {
 		if err := reply.Validate(); err != nil {
 			t.Fatal(err)
 		}
+		if err := vv.AboveMatchesModel(peer, own.Counts()); err != nil {
+			t.Fatal(err)
+		}
 		if got, want := vv.Compare(own, reply), vv.Compare(own, peer); got != want {
 			t.Fatalf("Compare changed: %v, want %v", got, want)
 		}

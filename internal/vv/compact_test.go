@@ -7,7 +7,7 @@ func TestTickAutoCompactsBounded(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		v.Tick(nodeA, sec(float64(i+1)), float64(i))
 	}
-	e := v.Entries[nodeA]
+	e := v.Entry(nodeA)
 	if e.Count != 1000 {
 		t.Fatalf("Count = %d, want 1000", e.Count)
 	}
@@ -31,7 +31,7 @@ func TestStampAtWindowSemantics(t *testing.T) {
 		v.Tick(nodeA, sec(float64(i+1)), 0)
 	}
 	v.Compact(4)
-	e := v.Entries[nodeA]
+	e := v.Entry(nodeA)
 	if e.Base != 8 || e.Watermark != sec(8) {
 		t.Fatalf("base=%d watermark=%v, want 8/8s", e.Base, e.Watermark)
 	}
@@ -127,7 +127,7 @@ func TestPrefixEntry(t *testing.T) {
 		v.Tick(nodeA, sec(float64(i+1)), 0)
 	}
 	v.Compact(4) // base 8, window 9..12
-	e := v.Entries[nodeA]
+	e := v.Entry(nodeA)
 	in := e.Prefix(10)
 	if in.Count != 10 || in.Base != 8 || len(in.Stamps) != 2 {
 		t.Fatalf("in-window prefix = %+v", in)
@@ -158,11 +158,11 @@ func TestTruncateWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.TruncateWriter(nodeA, 0)
-	if _, ok := v.Entries[nodeA]; ok {
+	if v.Has(nodeA) {
 		t.Fatal("zero truncation kept entry")
 	}
 	v.TruncateWriter(nodeB, 3) // unknown writer: no-op
-	if len(v.Entries) != 0 {
+	if v.Len() != 0 {
 		t.Fatal("truncating unknown writer created entry")
 	}
 }
@@ -208,7 +208,7 @@ func TestTickClampAcrossCompaction(t *testing.T) {
 	if err := v.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := v.Entries[nodeA].Last(); got < sec(11) {
+	if got := v.Entry(nodeA).Last(); got < sec(11) {
 		t.Fatalf("clamp lost across compaction: last = %v", got)
 	}
 }

@@ -1,21 +1,23 @@
 package vv
 
 import (
-	"slices"
 	"testing"
 
 	"idea/internal/id"
 )
 
-// FuzzVectorOps drives a pair of vectors through an operation script
-// encoded in bytes and checks the core invariants hold for any script:
-// validity, compare antisymmetry, merge domination.
+// FuzzVectorOps drives a pair of vectors and their map models through an
+// operation script encoded in bytes and checks, for any script, that each
+// vector equals its model, that every two-vector read answers as the
+// model's, and the core invariants: validity, compare antisymmetry, merge
+// domination.
 func FuzzVectorOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3})
 	f.Add([]byte{9, 9, 9})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		u, v := New(), New()
+		mu, mv := newModel(0), newModel(0)
 		at := Stamp(0)
 		for _, b := range script {
 			at += Stamp(b%7+1) * 1e8
@@ -23,18 +25,29 @@ func FuzzVectorOps(f *testing.F) {
 			switch b % 4 {
 			case 0:
 				u.Tick(writer, at, float64(b))
+				mu.tick(writer, at, float64(b))
 			case 1:
 				v.Tick(writer, at, float64(b))
+				mv.tick(writer, at, float64(b))
 			case 2:
-				u = Merge(u, v)
+				u, mu = Merge(u, v), modelMerge(mu, mv)
 			case 3:
-				v = v.Clone()
+				v, mv = v.Clone(), mv.clone()
 			}
 		}
 		if err := u.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		if err := v.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := mu.check(u); err != nil {
+			t.Fatalf("u: %v", err)
+		}
+		if err := mv.check(v); err != nil {
+			t.Fatalf("v: %v", err)
+		}
+		if err := checkPair(u, v, mu, mv); err != nil {
 			t.Fatal(err)
 		}
 		flip := map[Ordering]Ordering{Equal: Equal, Less: Greater, Greater: Less, Concurrent: Concurrent}
@@ -52,36 +65,11 @@ func FuzzVectorOps(f *testing.F) {
 	})
 }
 
-// deepCopy copies v into fresh stamp arrays: a vector that shares nothing.
-func deepCopy(v *Vector) *Vector {
-	out := v.Clone()
-	for n, e := range out.Entries {
-		e.Stamps = append([]Stamp(nil), e.Stamps...)
-		out.Entries[n] = e
-	}
-	return out
-}
-
-// sameVector reports whether u and v hold the same counts, windows,
-// watermarks, metadata, triple and stamp window setting.
-func sameVector(u, v *Vector) bool {
-	if u.Meta != v.Meta || u.Err != v.Err || u.window != v.window || len(u.Entries) != len(v.Entries) {
-		return false
-	}
-	for n, a := range u.Entries {
-		b, ok := v.Entries[n]
-		if !ok || a.Count != b.Count || a.Base != b.Base || a.Watermark != b.Watermark || !slices.Equal(a.Stamps, b.Stamps) {
-			return false
-		}
-	}
-	return true
-}
-
 // FuzzCloneIsolation checks what lets Clone share stamp windows: a script
 // of Tick, Compact, TruncateWriter, Prefix, Merge, Counts and Clone runs on
 // an original and on the vectors derived from it, and after every step
-// each vector must equal its oracle — a vector that got the same
-// operations but never shared memory with anything. A clone that kept
+// each vector must equal its oracle — a map model that got the same
+// operations and never shares memory with anything. A clone that kept
 // spare capacity on a shared window would let one vector's Tick overwrite
 // another's newest stamp.
 func FuzzCloneIsolation(f *testing.F) {
@@ -92,10 +80,10 @@ func FuzzCloneIsolation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, script []byte) {
 		const maxVecs = 8
 		vecs := []*Vector{NewWindowed(3)}
-		oracles := []*Vector{NewWindowed(3)}
-		add := func(v, oracle *Vector) {
+		oracles := []*model{newModel(3)}
+		add := func(v *Vector, oracle *model) {
 			if len(vecs) < maxVecs {
-				vecs, oracles = append(vecs, v), append(oracles, deepCopy(oracle))
+				vecs, oracles = append(vecs, v), append(oracles, oracle)
 			}
 		}
 		at := Stamp(0)
@@ -108,39 +96,40 @@ func FuzzCloneIsolation(f *testing.F) {
 			case 0, 1:
 				at += Stamp(hi + 1)
 				v.Tick(w, at, float64(at))
-				o.Tick(w, at, float64(at))
+				o.tick(w, at, float64(at))
 			case 2:
 				v.Compact(hi%4 + 1)
-				o.Compact(hi%4 + 1)
+				o.compact(hi%4 + 1)
 			case 3:
 				n := v.Count(w) - hi%4
 				v.TruncateWriter(w, n)
-				o.TruncateWriter(w, n)
+				o.truncate(w, n)
 			case 4:
 				// Cut every writer by 0..2 updates; a cut of 0 takes
 				// Prefix's clone path.
-				cut := func(x *Vector) *Vector {
-					out := x.Clone()
-					for n, e := range out.Entries {
-						out.Entries[n] = e.Prefix(e.Count - (hi+int(n))%3)
-					}
-					return out
+				cut := func(n id.NodeID, e Entry) Entry { return e.Prefix(e.Count - (hi+int(n))%3) }
+				out, mo := v.Clone(), o.clone()
+				for n, e := range out.Entries {
+					out.SetEntry(n, cut(n, e))
 				}
-				add(cut(v), cut(o))
+				for n, e := range mo.entries {
+					mo.entries[n] = own(cut(n, e))
+				}
+				add(out, mo)
 			case 5:
 				j := hi % len(vecs)
-				add(Merge(v, vecs[j]), Merge(o, oracles[j]))
+				add(Merge(v, vecs[j]), modelMerge(o, oracles[j]))
 			case 6:
-				add(v.Counts(), o.Counts())
+				add(v.Counts(), o.counts())
 			case 7:
-				add(v.Clone(), o)
+				add(v.Clone(), o.clone())
 			}
 			for j := range vecs {
 				if err := vecs[j].Validate(); err != nil {
 					t.Fatalf("step %d: vector %d: %v", i/2, j, err)
 				}
-				if !sameVector(vecs[j], oracles[j]) {
-					t.Fatalf("step %d: vector %d = %v, oracle %v", i/2, j, vecs[j], oracles[j])
+				if err := oracles[j].check(vecs[j]); err != nil {
+					t.Fatalf("step %d: vector %d = %v: %v", i/2, j, vecs[j], err)
 				}
 			}
 		}
@@ -152,14 +141,11 @@ func FuzzCloneIsolation(f *testing.F) {
 // divergent update on either side — is still inside both vectors' windows.
 func divergenceWithinWindow(u, ref *Vector) bool {
 	writers := map[id.NodeID]struct{}{}
-	for n := range u.Entries {
-		writers[n] = struct{}{}
-	}
-	for n := range ref.Entries {
+	for _, n := range append(u.Writers(), ref.Writers()...) {
 		writers[n] = struct{}{}
 	}
 	for n := range writers {
-		ue, re := u.Entries[n], ref.Entries[n]
+		ue, re := u.Entry(n), ref.Entry(n)
 		shared := ue.Count
 		if re.Count < shared {
 			shared = re.Count
@@ -185,7 +171,9 @@ func divergenceWithinWindow(u, ref *Vector) bool {
 // tentpole contract: Compare and the numerical/order error components are
 // identical at any window; staleness (and therefore Score) is identical
 // whenever the divergence lies within the window, and conservatively
-// pessimistic — never optimistic — beyond it.
+// pessimistic — never optimistic — beyond it. Each of the four vectors
+// also tracks a map model, and every two-vector read of each pair answers
+// as the models'.
 func FuzzCompactedEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 0, 1}, uint8(2))
 	f.Add([]byte{9, 9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(1))
@@ -194,6 +182,8 @@ func FuzzCompactedEquivalence(f *testing.F) {
 		win := int(window%6) + 1
 		fu, fv := NewWindowed(-1), NewWindowed(-1) // full history
 		cu, cv := NewWindowed(win), NewWindowed(win)
+		mfu, mfv := newModel(-1), newModel(-1)
+		mcu, mcv := newModel(win), newModel(win)
 		at := Stamp(0)
 		for _, b := range script {
 			at += Stamp(b%7+1) * 1e8
@@ -202,14 +192,34 @@ func FuzzCompactedEquivalence(f *testing.F) {
 			if b%2 == 0 {
 				fu.Tick(writer, at, meta)
 				cu.Tick(writer, at, meta)
+				mfu.tick(writer, at, meta)
+				mcu.tick(writer, at, meta)
 			} else {
 				fv.Tick(writer, at, meta)
 				cv.Tick(writer, at, meta)
+				mfv.tick(writer, at, meta)
+				mcv.tick(writer, at, meta)
 			}
 			if b%8 == 7 {
 				cu.Compact(win)
 				cv.Compact(win)
+				mcu.compact(win)
+				mcv.compact(win)
 			}
+		}
+		for _, p := range []struct {
+			v *Vector
+			m *model
+		}{{fu, mfu}, {fv, mfv}, {cu, mcu}, {cv, mcv}} {
+			if err := p.m.check(p.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := checkPair(fu, fv, mfu, mfv); err != nil {
+			t.Fatalf("full: %v", err)
+		}
+		if err := checkPair(cu, cv, mcu, mcv); err != nil {
+			t.Fatalf("compacted: %v", err)
 		}
 		if err := cu.Validate(); err != nil {
 			t.Fatal(err)

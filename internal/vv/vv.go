@@ -8,11 +8,18 @@
 // updates, or the total sale price of a booking server), and carries the
 // <numerical error, order error, staleness> triple computed against a
 // reference consistent state.
+//
+// A Vector keeps its entries in one slice sorted by writer, not in a map:
+// comparing, merging, diffing or scoring two vectors is a single
+// merge-walk over both slices, a writer is found by binary search, and
+// Entries yields writers in ascending order — the order the wire codec
+// encodes them in. Nothing on these paths hashes, and the two-vector
+// reads allocate nothing.
 package vv
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"idea/internal/id"
@@ -175,8 +182,12 @@ func (t Triple) String() string {
 // entry only a bounded window of recent stamps is retained (see Entry), so
 // a vector's size — and therefore the size of every message that carries
 // one — is bounded by writers × window, not by total update history.
+//
+// The entries live in one slice kept in ascending writer order, so every
+// two-vector operation is a single merge-walk over both slices and no
+// operation hashes. A writer is looked up by binary search.
 type Vector struct {
-	Entries map[id.NodeID]Entry
+	entries []slot
 	// Meta is the application-defined critical metadata value used to
 	// derive numerical error (§4.4.1): ASCII sums for a white board,
 	// total sale price for a booking server.
@@ -190,18 +201,20 @@ type Vector struct {
 	window int
 }
 
+// slot is one writer's entry in a Vector's sorted entry slice.
+type slot struct {
+	w id.NodeID
+	e Entry
+}
+
 // New returns an empty extended version vector (a fresh, consistent
 // replica) with the default stamp window.
-func New() *Vector {
-	return &Vector{Entries: make(map[id.NodeID]Entry)}
-}
+func New() *Vector { return &Vector{} }
 
 // NewWindowed returns an empty vector whose entries keep at most window
 // recent stamps per writer (0 means DefaultWindow; negative disables
 // compaction entirely — full history, test/ablation use only).
-func NewWindowed(window int) *Vector {
-	return &Vector{Entries: make(map[id.NodeID]Entry), window: window}
-}
+func NewWindowed(window int) *Vector { return &Vector{window: window} }
 
 // Window returns the effective per-writer stamp window (0 = unbounded).
 func (v *Vector) Window() int {
@@ -214,27 +227,124 @@ func (v *Vector) Window() int {
 	return v.window
 }
 
-// Clone returns a copy that costs O(writers): the entry map is new, but
+// find returns the index of writer w in the entry slice, or where it
+// would be inserted, and whether it is there.
+func (v *Vector) find(w id.NodeID) (int, bool) {
+	lo, hi := 0, len(v.entries)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if v.entries[m].w < w {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(v.entries) && v.entries[lo].w == w
+}
+
+// Len returns the number of writers v holds an entry for.
+func (v *Vector) Len() int { return len(v.entries) }
+
+// Has reports whether v holds an entry for writer w (possibly with
+// count 0).
+func (v *Vector) Has(w id.NodeID) bool {
+	_, ok := v.find(w)
+	return ok
+}
+
+// Entry returns writer w's entry, or the zero Entry when v has none. The
+// stamp window is shared with v and capped at its length; it must not be
+// written.
+func (v *Vector) Entry(w id.NodeID) Entry {
+	if i, ok := v.find(w); ok {
+		return v.entries[i].e.clone()
+	}
+	return Entry{}
+}
+
+// Entries yields every writer and its entry in ascending writer order,
+// for use as a range-over-func iterator. The loop body may
+// TruncateWriter the yielded writer to a positive count; it must not add
+// or delete writers (iterate Writers for that).
+func (v *Vector) Entries(yield func(id.NodeID, Entry) bool) {
+	for i := 0; i < len(v.entries); i++ {
+		if s := v.entries[i]; !yield(s.w, s.e.clone()) {
+			return
+		}
+	}
+}
+
+// Writers returns the writers v holds entries for, in ascending order, in
+// a fresh slice.
+func (v *Vector) Writers() []id.NodeID {
+	out := make([]id.NodeID, len(v.entries))
+	for i, s := range v.entries {
+		out[i] = s.w
+	}
+	return out
+}
+
+// SetEntry sets writer w's entry to e, inserting it when v has none. The
+// vector takes e as it is, stamp window included. A writer above every
+// writer v holds is appended without a search.
+func (v *Vector) SetEntry(w id.NodeID, e Entry) {
+	if n := len(v.entries); n == 0 || v.entries[n-1].w < w {
+		v.entries = append(v.entries, slot{w, e})
+		return
+	}
+	i, ok := v.find(w)
+	if !ok {
+		v.entries = slices.Insert(v.entries, i, slot{w: w})
+	}
+	v.entries[i].e = e
+}
+
+// Grow makes room for n more writers, so that many SetEntry or Tick
+// insertions do not reallocate the entry slice.
+func (v *Vector) Grow(n int) {
+	if n > 0 {
+		v.entries = slices.Grow(v.entries, n)
+	}
+}
+
+// Delete removes writer w's entry (a no-op when v has none).
+func (v *Vector) Delete(w id.NodeID) {
+	if i, ok := v.find(w); ok {
+		v.entries = slices.Delete(v.entries, i, i+1)
+	}
+}
+
+// Clone returns a copy that costs O(writers): the entry slice is new, but
 // each entry shares its stamp window with v (see Entry). Either vector
 // may then Tick, Compact, TruncateWriter or Merge without the other
 // seeing it.
 func (v *Vector) Clone() *Vector { return v.CloneInto(nil) }
 
 // CloneInto is Clone refilling dst instead of allocating a new vector:
-// dst's entry map is cleared and reused, so a steady cycle of refills
-// allocates nothing. Whatever dst held before is gone, so nobody else may
-// hold dst. A nil dst allocates, exactly as Clone.
+// dst's entry slice is reused, so a steady cycle of refills allocates
+// nothing. Whatever dst held before is gone, so nobody else may hold dst.
+// A nil dst allocates, exactly as Clone.
 func (v *Vector) CloneInto(dst *Vector) *Vector {
 	if dst == nil {
-		dst = &Vector{Entries: make(map[id.NodeID]Entry, len(v.Entries))}
-	} else {
-		clear(dst.Entries)
+		dst = &Vector{}
 	}
 	dst.Meta, dst.Err, dst.window = v.Meta, v.Err, v.window
-	for n, e := range v.Entries {
-		dst.Entries[n] = e.clone()
+	out := slices.Grow(dst.entries[:0], len(v.entries))[:len(v.entries)]
+	for i, s := range v.entries {
+		out[i] = slot{s.w, s.e.clone()}
 	}
+	dst.entries = out
 	return dst
+}
+
+// derive returns an empty vector with v's metadata, triple and window and
+// an entry slice of v's length, for a one-pass rewrite of v's entries.
+func (v *Vector) derive() *Vector {
+	out := &Vector{Meta: v.Meta, Err: v.Err, window: v.window}
+	if len(v.entries) > 0 {
+		out.entries = make([]slot, len(v.entries))
+	}
+	return out
 }
 
 // Counts returns v without its stamp windows: every entry keeps its Count
@@ -243,14 +353,9 @@ func (v *Vector) CloneInto(dst *Vector) *Vector {
 // read answer exactly as on v; only staleness scoring needs the windows.
 // Resolution ships vectors in this form.
 func (v *Vector) Counts() *Vector {
-	out := &Vector{
-		Entries: make(map[id.NodeID]Entry, len(v.Entries)),
-		Meta:    v.Meta,
-		Err:     v.Err,
-		window:  v.window,
-	}
-	for n, e := range v.Entries {
-		out.Entries[n] = Entry{Count: e.Count, Base: e.Count, Watermark: e.Last()}
+	out := v.derive()
+	for i, s := range v.entries {
+		out.entries[i] = slot{s.w, Entry{Count: s.e.Count, Base: s.e.Count, Watermark: s.e.Last()}}
 	}
 	return out
 }
@@ -272,32 +377,41 @@ func (v *Vector) Counts() *Vector {
 // divergent update min(uc,vc) — read only when vc > uc (see
 // LastConsistentStamp) — and v's newest stamp; all of these are kept.
 func (v *Vector) Above(floor *Vector) *Vector {
-	out := &Vector{
-		Entries: make(map[id.NodeID]Entry, len(v.Entries)),
-		Meta:    v.Meta,
-		Err:     v.Err,
-		window:  v.window,
-	}
-	for n, e := range v.Entries {
-		keep := min(floor.Count(n), e.Count)
+	out := v.derive()
+	fl := floor.entries
+	for i, s := range v.entries {
+		for len(fl) > 0 && fl[0].w < s.w {
+			fl = fl[1:]
+		}
+		have := 0
+		if len(fl) > 0 && fl[0].w == s.w {
+			have = fl[0].e.Count
+		}
+		e := s.e
+		keep := min(have, e.Count)
 		if drop := keep - e.Base; drop > 0 {
 			e.Watermark = e.Stamps[drop-1]
 			e.Base = keep
 			e.Stamps = e.Stamps[drop:]
 		}
-		out.Entries[n] = e.clone()
+		out.entries[i] = slot{s.w, e.clone()}
 	}
 	return out
 }
 
 // Count returns the number of updates recorded for writer w.
-func (v *Vector) Count(w id.NodeID) int { return v.Entries[w].Count }
+func (v *Vector) Count(w id.NodeID) int {
+	if i, ok := v.find(w); ok {
+		return v.entries[i].e.Count
+	}
+	return 0
+}
 
 // TotalCount returns the total number of updates recorded across writers.
 func (v *Vector) TotalCount() int {
 	t := 0
-	for _, e := range v.Entries {
-		t += e.Count
+	for _, s := range v.entries {
+		t += s.e.Count
 	}
 	return t
 }
@@ -307,7 +421,11 @@ func (v *Vector) TotalCount() int {
 // Once the writer's stamp window overflows to twice the configured size
 // it is compacted back down, keeping Tick amortized O(1).
 func (v *Vector) Tick(w id.NodeID, at Stamp, meta float64) {
-	e := v.Entries[w]
+	i, ok := v.find(w)
+	if !ok {
+		v.entries = slices.Insert(v.entries, i, slot{w: w})
+	}
+	e := &v.entries[i].e
 	if last := e.Last(); e.Count > 0 && last > at {
 		// Clamp: a writer's own updates are totally ordered even if
 		// its clock steps backwards (skew correction).
@@ -316,9 +434,8 @@ func (v *Vector) Tick(w id.NodeID, at Stamp, meta float64) {
 	e.Count++
 	e.Stamps = append(e.Stamps, at)
 	if win := v.Window(); win > 0 && len(e.Stamps) >= 2*win {
-		e = e.compact(win)
+		*e = e.compact(win)
 	}
-	v.Entries[w] = e
 	v.Meta = meta
 }
 
@@ -328,8 +445,8 @@ func (v *Vector) Compact(window int) {
 	if window == 0 {
 		window = DefaultWindow
 	}
-	for n, e := range v.Entries {
-		v.Entries[n] = e.compact(window)
+	for i := range v.entries {
+		v.entries[i].e = v.entries[i].e.compact(window)
 	}
 }
 
@@ -337,8 +454,8 @@ func (v *Vector) Compact(window int) {
 // all entries — the window-occupancy telemetry gauge.
 func (v *Vector) WindowStamps() int {
 	t := 0
-	for _, e := range v.Entries {
-		t += len(e.Stamps)
+	for _, s := range v.entries {
+		t += len(s.e.Stamps)
 	}
 	return t
 }
@@ -347,40 +464,54 @@ func (v *Vector) WindowStamps() int {
 // all entries.
 func (v *Vector) CompactedCount() int {
 	t := 0
-	for _, e := range v.Entries {
-		t += e.Base
+	for _, s := range v.entries {
+		t += s.e.Base
 	}
 	return t
+}
+
+// absent is the entry a merge-walk reads for a writer one side lacks.
+var absent Entry
+
+// zip merge-walks the entry slices of two vectors: each next visits one
+// writer either holds, in ascending order, with both sides' entries
+// (&absent for a side without the writer).
+type zip struct{ a, b []slot }
+
+func (z *zip) next() (w id.NodeID, a, b *Entry, ok bool) {
+	switch {
+	case len(z.a) == 0 && len(z.b) == 0:
+		return 0, nil, nil, false
+	case len(z.b) == 0 || len(z.a) > 0 && z.a[0].w < z.b[0].w:
+		w, a, b = z.a[0].w, &z.a[0].e, &absent
+		z.a = z.a[1:]
+	case len(z.a) == 0 || z.b[0].w < z.a[0].w:
+		w, a, b = z.b[0].w, &absent, &z.b[0].e
+		z.b = z.b[1:]
+	default:
+		w, a, b = z.a[0].w, &z.a[0].e, &z.b[0].e
+		z.a, z.b = z.a[1:], z.b[1:]
+	}
+	return w, a, b, true
 }
 
 // Compare returns the ordering between u and v per [19]: u is Less when
 // every entry of u is <= the corresponding entry of v (and at least one is
 // smaller); Concurrent when each has updates the other lacks — the conflict
-// IDEA's detection module reports as "fail".
-//
-// It walks u's entries once; v's are walked only when v holds writers u
-// lacks, which the shared-writer count tells without a second lookup.
+// IDEA's detection module reports as "fail". It is one merge-walk.
 func Compare(u, v *Vector) Ordering {
 	uAhead, vAhead := false, false
-	shared := 0
-	for n, e := range u.Entries {
-		f, ok := v.Entries[n]
-		if ok {
-			shared++
+	z := zip{u.entries, v.entries}
+	for {
+		_, a, b, ok := z.next()
+		if !ok {
+			break
 		}
 		switch {
-		case e.Count > f.Count:
+		case a.Count > b.Count:
 			uAhead = true
-		case e.Count < f.Count:
+		case a.Count < b.Count:
 			vAhead = true
-		}
-	}
-	if shared < len(v.Entries) {
-		for n, e := range v.Entries {
-			if _, ok := u.Entries[n]; !ok && e.Count > 0 {
-				vAhead = true
-				break
-			}
 		}
 	}
 	switch {
@@ -405,32 +536,51 @@ func Dominates(u, v *Vector) bool {
 // (element-wise maximum, keeping the longer stamp list). The metadata of
 // the merged vector is taken from the dominant input when one dominates,
 // and must otherwise be recomputed by the application after resolution;
-// Merge picks the input with more total updates as a placeholder.
+// Merge picks the input with more total updates as a placeholder. It is
+// one merge-walk, after a count-only walk that sizes the result.
 func Merge(u, v *Vector) *Vector {
-	out := New()
-	out.window = u.window
+	out := &Vector{window: u.window}
 	if out.window == 0 {
 		out.window = v.window
 	}
-	for n, e := range u.Entries {
-		out.Entries[n] = e.clone()
-	}
-	for n, e := range v.Entries {
-		if cur, ok := out.Entries[n]; !ok || e.Count > cur.Count {
-			out.Entries[n] = e.clone()
+	n := 0
+	for z := (zip{u.entries, v.entries}); ; n++ {
+		if _, _, _, ok := z.next(); !ok {
+			break
 		}
 	}
-	switch Compare(u, v) {
-	case Greater, Equal:
+	if n > 0 {
+		out.entries = make([]slot, 0, n)
+	}
+	uAhead, vAhead := false, false
+	ut, vt := 0, 0
+	z := zip{u.entries, v.entries}
+	for {
+		w, a, b, ok := z.next()
+		if !ok {
+			break
+		}
+		ut, vt = ut+a.Count, vt+b.Count
+		keep := a
+		switch {
+		case a.Count > b.Count:
+			uAhead = true
+		case a.Count < b.Count:
+			vAhead, keep = true, b
+		case a == &absent:
+			keep = b
+		}
+		out.entries = append(out.entries, slot{w, keep.clone()})
+	}
+	switch {
+	case !vAhead: // Greater or Equal
 		out.Meta = u.Meta
-	case Less:
+	case !uAhead: // Less
 		out.Meta = v.Meta
+	case ut >= vt:
+		out.Meta = u.Meta
 	default:
-		if u.TotalCount() >= v.TotalCount() {
-			out.Meta = u.Meta
-		} else {
-			out.Meta = v.Meta
-		}
+		out.Meta = v.Meta
 	}
 	return out
 }
@@ -438,27 +588,19 @@ func Merge(u, v *Vector) *Vector {
 // CountDiff returns how many updates of ref are missing from u and how many
 // extra updates u has beyond ref. The paper's example (§4.4.1): "replica a
 // misses one update and has two extra ones, so the order error is 3" —
-// order error is missing+extra. Like Compare, it walks u's entries only
-// when u holds writers ref lacks.
+// order error is missing+extra. It is one merge-walk.
 func CountDiff(u, ref *Vector) (missing, extra int) {
-	shared := 0
-	for n, re := range ref.Entries {
-		ue, ok := u.Entries[n]
-		if ok {
-			shared++
+	z := zip{u.entries, ref.entries}
+	for {
+		_, a, b, ok := z.next()
+		if !ok {
+			break
 		}
-		switch d := re.Count - ue.Count; {
+		switch d := b.Count - a.Count; {
 		case d > 0:
 			missing += d
 		case d < 0:
 			extra -= d
-		}
-	}
-	if shared < len(u.Entries) {
-		for n, ue := range u.Entries {
-			if _, ok := ref.Entries[n]; !ok && ue.Count > 0 {
-				extra += ue.Count
-			}
 		}
 	}
 	return missing, extra
@@ -468,27 +610,28 @@ func CountDiff(u, ref *Vector) (missing, extra int) {
 // zero when v is empty.
 func LatestStamp(v *Vector) Stamp {
 	var max Stamp
-	for _, e := range v.Entries {
-		if s := e.Last(); e.Count > 0 && s > max {
-			max = s
+	for _, s := range v.entries {
+		if l := s.e.Last(); s.e.Count > 0 && l > max {
+			max = l
 		}
 	}
 	return max
 }
 
 // TruncateWriter reduces writer w's entry to its first count updates
-// (no-op when the entry already has count or fewer). Used when adopted
-// resolution images invalidate a writer's extra updates.
+// (no-op when the entry already has count or fewer), deleting the entry
+// when count is not positive. Used when adopted resolution images
+// invalidate a writer's extra updates.
 func (v *Vector) TruncateWriter(w id.NodeID, count int) {
-	e, ok := v.Entries[w]
-	if !ok || e.Count <= count {
+	i, ok := v.find(w)
+	if !ok || v.entries[i].e.Count <= count {
 		return
 	}
 	if count <= 0 {
-		delete(v.Entries, w)
+		v.entries = slices.Delete(v.entries, i, i+1)
 		return
 	}
-	v.Entries[w] = e.Prefix(count)
+	v.entries[i].e = v.entries[i].e.Prefix(count)
 }
 
 // LastConsistentStamp returns the latest time point at which u and ref were
@@ -509,7 +652,7 @@ func LastConsistentStamp(u, ref *Vector) Stamp {
 	// beyond the shared prefix in whichever vector has more.
 	firstDiv := Stamp(-1)
 	divCompacted := false
-	consider := func(longer Entry, shared int) {
+	consider := func(longer *Entry, shared int) {
 		if longer.Count <= shared {
 			return
 		}
@@ -523,7 +666,12 @@ func LastConsistentStamp(u, ref *Vector) Stamp {
 		}
 	}
 	var common Stamp
-	writer := func(ue, re Entry) {
+	z := zip{u.entries, ref.entries}
+	for {
+		_, ue, re, ok := z.next()
+		if !ok {
+			break
+		}
 		shared := min(ue.Count, re.Count)
 		// Stamps are non-decreasing, so the newest common-prefix stamp
 		// is the one at the end of the shared prefix.
@@ -534,24 +682,6 @@ func LastConsistentStamp(u, ref *Vector) Stamp {
 		}
 		consider(ue, shared)
 		consider(re, shared)
-	}
-	// Every writer of either vector once: u's, then (only when ref holds
-	// writers u lacks) ref's others. The result is a max and a min, so
-	// the order does not matter.
-	both := 0
-	for n, ue := range u.Entries {
-		re, ok := ref.Entries[n]
-		if ok {
-			both++
-		}
-		writer(ue, re)
-	}
-	if both < len(ref.Entries) {
-		for n, re := range ref.Entries {
-			if _, ok := u.Entries[n]; !ok {
-				writer(Entry{}, re)
-			}
-		}
 	}
 	if divCompacted {
 		return 0
@@ -586,11 +716,15 @@ func TripleAgainst(u, ref *Vector) Triple {
 	return Triple{Numerical: num, Order: float64(missing + extra), Staleness: stale}
 }
 
-// Validate checks internal invariants: Count == Base + len(Stamps), the
-// compacted prefix is well-formed, and stamps are non-decreasing. It
-// returns nil when the vector is well-formed.
+// Validate checks internal invariants: writers strictly ascending, Count
+// == Base + len(Stamps), the compacted prefix is well-formed, and stamps
+// are non-decreasing. It returns nil when the vector is well-formed.
 func (v *Vector) Validate() error {
-	for n, e := range v.Entries {
+	for i, s := range v.entries {
+		n, e := s.w, s.e
+		if i > 0 && v.entries[i-1].w >= n {
+			return fmt.Errorf("vv: writer %v out of order after %v", n, v.entries[i-1].w)
+		}
 		if e.Base < 0 {
 			return fmt.Errorf("vv: writer %v negative base %d", n, e.Base)
 		}
@@ -612,27 +746,22 @@ func (v *Vector) Validate() error {
 // String renders the vector in the paper's notation, e.g.
 // "(n1:2(1,2) n2:1(3)) [5] <num=3 ord=3 stale=2s>".
 func (v *Vector) String() string {
-	ids := make([]id.NodeID, 0, len(v.Entries))
-	for n := range v.Entries {
-		ids = append(ids, n)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var b strings.Builder
 	b.WriteByte('(')
-	for i, n := range ids {
+	for i, s := range v.entries {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		e := v.Entries[n]
-		fmt.Fprintf(&b, "%v:%d(", n, e.Count)
+		e := s.e
+		fmt.Fprintf(&b, "%v:%d(", s.w, e.Count)
 		if e.Base > 0 {
 			fmt.Fprintf(&b, "…%d@%g", e.Base, e.Watermark.Seconds())
 		}
-		for j, s := range e.Stamps {
+		for j, st := range e.Stamps {
 			if j > 0 || e.Base > 0 {
 				b.WriteByte(',')
 			}
-			fmt.Fprintf(&b, "%g", s.Seconds())
+			fmt.Fprintf(&b, "%g", st.Seconds())
 		}
 		b.WriteByte(')')
 	}

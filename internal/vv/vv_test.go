@@ -3,6 +3,7 @@ package vv
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -40,7 +41,7 @@ func TestTickRecordsCountStampMeta(t *testing.T) {
 	if v.Meta != 7 {
 		t.Fatalf("Meta = %g, want 7", v.Meta)
 	}
-	e := v.Entries[nodeA]
+	e := v.Entry(nodeA)
 	if len(e.Stamps) != 2 || e.Stamps[0] != sec(1) || e.Stamps[1] != sec(2) {
 		t.Fatalf("Stamps = %v", e.Stamps)
 	}
@@ -56,7 +57,7 @@ func TestTickClampsBackwardsClock(t *testing.T) {
 	if err := v.Validate(); err != nil {
 		t.Fatalf("clamped vector invalid: %v", err)
 	}
-	if got := v.Entries[nodeA].Stamps[1]; got != sec(5) {
+	if got := v.Entry(nodeA).Stamps[1]; got != sec(5) {
 		t.Fatalf("stamp = %v, want clamped to 5s", got)
 	}
 }
@@ -301,6 +302,64 @@ func TestQuickCloneIndependent(t *testing.T) {
 		return Compare(c, p.U) != Equal || p.U.Count(nodeA) == c.Count(nodeA)
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestEntriesAscending(t *testing.T) {
+	v := New()
+	for w := id.NodeID(9); w >= 1; w-- {
+		v.Tick(w, sec(float64(10-w)), 0)
+	}
+	v.Tick(5, sec(20), 0)
+	var got []id.NodeID
+	for w, e := range v.Entries {
+		want := 1
+		if w == 5 {
+			want = 2
+		}
+		if e.Count != want {
+			t.Fatalf("writer %v count %d, want %d", w, e.Count, want)
+		}
+		got = append(got, w)
+	}
+	if want := []id.NodeID{1, 2, 3, 4, 5, 6, 7, 8, 9}; !slices.Equal(got, want) {
+		t.Fatalf("Entries yields %v, want %v", got, want)
+	}
+	if w := v.Writers(); !slices.Equal(w, got) {
+		t.Fatalf("Writers = %v, want %v", w, got)
+	}
+	if err := v.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTruncateDuringEntries pins what a caller may do inside the Entries
+// loop: cut the yielded writer to a positive count. Every writer is still
+// visited once, and the cuts land.
+func TestTruncateDuringEntries(t *testing.T) {
+	v := New()
+	for i := 0; i < 10; i++ {
+		for w := id.NodeID(1); w <= 4; w++ {
+			v.Tick(w, sec(float64(i+1)), 0)
+		}
+	}
+	visited := 0
+	for w, e := range v.Entries {
+		visited++
+		if e.Count > 4 {
+			v.TruncateWriter(w, e.Count-4)
+		}
+	}
+	if visited != 4 {
+		t.Fatalf("visited %d writers, want 4", visited)
+	}
+	for w := id.NodeID(1); w <= 4; w++ {
+		if c := v.Count(w); c != 6 {
+			t.Fatalf("writer %v count %d, want 6", w, c)
+		}
+	}
+	if err := v.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

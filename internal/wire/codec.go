@@ -252,22 +252,16 @@ func appendStamps(b []byte, stamps []vv.Stamp) []byte {
 	return b
 }
 
-func appendVector(b []byte, v *vv.Vector, st *encState) []byte {
+func appendVector(b []byte, v *vv.Vector) []byte {
 	if v == nil {
 		return append(b, 0)
 	}
 	b = append(b, 1)
 	b = appendFloat(b, v.Meta)
 	b = appendTriple(b, v.Err)
-	keys := st.keys[:0]
-	for n := range v.Entries {
-		keys = append(keys, n)
-	}
-	slices.Sort(keys)
-	st.keys = keys
-	b = appendUvarint(b, uint64(len(keys)))
-	for _, n := range keys {
-		e := v.Entries[n]
+	// Entries yields writers in ascending order: the canonical order.
+	b = appendUvarint(b, uint64(v.Len()))
+	for n, e := range v.Entries {
 		b = appendNode(b, n)
 		b = appendInt(b, e.Count)
 		b = appendInt(b, e.Base)
@@ -344,7 +338,7 @@ func appendDigest(b []byte, d GossipDigest, st *encState) []byte {
 	b = appendNode(b, d.Origin)
 	b = appendInt(b, d.Round)
 	b = appendInt(b, d.TTL)
-	b = appendVector(b, d.VV, st)
+	b = appendVector(b, d.VV)
 	b = appendCountMap(b, d.Stable, st)
 	return appendTC(b, d.TC)
 }
@@ -361,13 +355,13 @@ func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
 		b = append(b, kindDetectRequest)
 		b = appendFile(b, m.File)
 		b = appendVarint(b, m.Token)
-		b = appendVector(b, m.VV, st)
+		b = appendVector(b, m.VV)
 		b = appendTC(b, m.TC)
 	case DetectReply:
 		b = append(b, kindDetectReply)
 		b = appendFile(b, m.File)
 		b = appendVarint(b, m.Token)
-		b = appendVector(b, m.VV, st)
+		b = appendVector(b, m.VV)
 		b = appendTC(b, m.TC)
 	case GossipDigest:
 		b = append(b, kindGossipDigest)
@@ -384,7 +378,7 @@ func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
 		b = appendNode(b, m.Origin)
 		b = appendNode(b, m.Reporter)
 		b = appendInt(b, m.Round)
-		b = appendVector(b, m.VV, st)
+		b = appendVector(b, m.VV)
 		b = appendTC(b, m.TC)
 	case RansubCollect:
 		b = append(b, kindRansubCollect)
@@ -415,13 +409,13 @@ func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
 		b = append(b, kindCollectRequest)
 		b = appendFile(b, m.File)
 		b = appendVarint(b, m.Token)
-		b = appendVector(b, m.VV, st)
+		b = appendVector(b, m.VV)
 		b = appendTC(b, m.TC)
 	case CollectReply:
 		b = append(b, kindCollectReply)
 		b = appendFile(b, m.File)
 		b = appendVarint(b, m.Token)
-		b = appendVector(b, m.VV, st)
+		b = appendVector(b, m.VV)
 		b = appendUpdates(b, m.Updates)
 		b = appendTC(b, m.TC)
 	case Inform:
@@ -429,7 +423,7 @@ func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
 		b = appendFile(b, m.File)
 		b = appendVarint(b, m.Token)
 		b = appendNode(b, m.Winner)
-		b = appendVector(b, m.VV, st)
+		b = appendVector(b, m.VV)
 		b = appendUpdates(b, m.Updates)
 		b = appendTC(b, m.TC)
 	case InformAck:
@@ -439,11 +433,11 @@ func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
 	case AntiEntropyRequest:
 		b = append(b, kindAntiEntropyRequest)
 		b = appendFile(b, m.File)
-		b = appendVector(b, m.VV, st)
+		b = appendVector(b, m.VV)
 	case AntiEntropyReply:
 		b = append(b, kindAntiEntropyReply)
 		b = appendFile(b, m.File)
-		b = appendVector(b, m.VV, st)
+		b = appendVector(b, m.VV)
 		b = appendUpdates(b, m.Updates)
 	case StrongWrite:
 		b = append(b, kindStrongWrite)
@@ -503,7 +497,7 @@ func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
 	case SnapshotFileChunk:
 		b = append(b, kindSnapshotFileChunk)
 		b = appendFile(b, m.File)
-		b = appendVector(b, m.VV, st)
+		b = appendVector(b, m.VV)
 		b = appendCountMap(b, m.Base, st)
 		b = appendFloat(b, m.PrefixMeta)
 		b = appendInt(b, m.Offset)
@@ -710,6 +704,7 @@ func (r *reader) vector() *vv.Vector {
 	v.Meta = r.float()
 	v.Err = r.triple()
 	n := r.length(minEntryBytes)
+	v.Grow(n)
 	for i := 0; i < n && r.err == nil; i++ {
 		node := r.node()
 		e := vv.Entry{Count: r.int(), Base: r.int(), Watermark: vv.Stamp(r.varint())}
@@ -721,7 +716,10 @@ func (r *reader) vector() *vv.Vector {
 			r.fail("vector entry violates count invariant")
 			break
 		}
-		v.Entries[node] = e
+		// An honest encoder sends writers ascending, so this appends; a
+		// hostile frame's out-of-order or repeated writer is inserted or
+		// replaced (the last duplicate wins).
+		v.SetEntry(node, e)
 	}
 	if r.err != nil {
 		return nil

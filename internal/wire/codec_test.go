@@ -228,9 +228,8 @@ func TestCountsVectorDecodesWithoutStamps(t *testing.T) {
 		}
 		return out
 	}
-	var st encState
-	counts := appendVector(nil, v.Counts(), &st)
-	whole := appendVector(nil, v, &st)
+	counts := appendVector(nil, v.Counts())
+	whole := appendVector(nil, v)
 	if got := decode(counts); !reflect.DeepEqual(got, v.Counts()) {
 		t.Fatalf("counts vector changed in the round trip:\n in: %v\nout: %v", v.Counts(), got)
 	}
@@ -286,8 +285,8 @@ func TestVectorDeltaStampFidelity(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("decoded vector invalid: %v", err)
 	}
-	want := v.Entries[9]
-	have := got.Entries[id.NodeID(9)]
+	want := v.Entry(9)
+	have := got.Entry(9)
 	if have.Count != want.Count || have.Base != want.Base || have.Watermark != want.Watermark {
 		t.Fatalf("entry mangled: want %+v, got %+v", want, have)
 	}
@@ -295,5 +294,47 @@ func TestVectorDeltaStampFidelity(t *testing.T) {
 		if have.Stamps[i] != s {
 			t.Fatalf("stamp %d mangled: want %v, got %v", i, s, have.Stamps[i])
 		}
+	}
+}
+
+// TestDecodeUnsortedWriters: an encoder sends a vector's writers in
+// ascending order, but a hand-built frame may list them in any order and
+// repeat one. It decodes to the writer-sorted vector, the last duplicate
+// winning, and re-encodes in ascending order.
+func TestDecodeUnsortedWriters(t *testing.T) {
+	type entry struct {
+		w      id.NodeID
+		stamps []vv.Stamp
+	}
+	frame := func(es ...entry) []byte {
+		b := appendFloat([]byte{1}, 7)
+		b = appendTriple(b, vv.Triple{})
+		b = appendUvarint(b, uint64(len(es)))
+		for _, e := range es {
+			b = appendNode(b, e.w)
+			b = appendInt(b, len(e.stamps)) // count
+			b = appendInt(b, 0)             // base
+			b = appendVarint(b, 0)          // watermark
+			b = appendStamps(b, e.stamps)
+		}
+		return b
+	}
+	in := frame(entry{5, []vv.Stamp{50}}, entry{2, []vv.Stamp{20, 21}}, entry{9, []vv.Stamp{90}},
+		entry{-3, []vv.Stamp{30}}, entry{2, []vv.Stamp{22}}, entry{1, []vv.Stamp{10}})
+	r := reader{b: in}
+	got := r.vector()
+	if r.err != nil || r.off != len(in) {
+		t.Fatalf("decode: err %v, %d of %d bytes", r.err, r.off, len(in))
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if e := got.Entry(2); e.Count != 1 || e.Stamps[0] != 22 {
+		t.Fatalf("writer 2 decoded as %+v, want the last duplicate", e)
+	}
+	want := frame(entry{-3, []vv.Stamp{30}}, entry{1, []vv.Stamp{10}}, entry{2, []vv.Stamp{22}},
+		entry{5, []vv.Stamp{50}}, entry{9, []vv.Stamp{90}})
+	if out := appendVector(nil, got); !reflect.DeepEqual(out, want) {
+		t.Fatalf("re-encoded as %x, want ascending %x", out, want)
 	}
 }
