@@ -18,6 +18,7 @@
 package vv
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -299,12 +300,54 @@ func (v *Vector) SetEntry(w id.NodeID, e Entry) {
 	v.entries[i].e = e
 }
 
-// Grow makes room for n more writers, so that many SetEntry or Tick
-// insertions do not reallocate the entry slice.
+// Grow makes room for n more writers, so that many SetEntry, AppendEntry
+// or Tick insertions do not reallocate the entry slice.
 func (v *Vector) Grow(n int) {
 	if n > 0 {
 		v.entries = slices.Grow(v.entries, n)
 	}
+}
+
+// AppendEntry appends writer w's entry without a search, for a caller
+// that builds a vector from a list whose order it does not control (a
+// frame decoder). The vector must not be used until SortEntries is
+// called.
+func (v *Vector) AppendEntry(w id.NodeID, e Entry) {
+	v.entries = append(v.entries, slot{w, e})
+}
+
+// SortEntries restores ascending writer order after AppendEntry calls,
+// keeping the last entry appended for a repeated writer. It is one pass
+// when the writers already ascend and O(n log n) otherwise, whatever the
+// order — a hostile list cannot make it quadratic.
+func (v *Vector) SortEntries() {
+	k := 1
+	for k < len(v.entries) && v.entries[k-1].w < v.entries[k].w {
+		k++
+	}
+	if k >= len(v.entries) {
+		return
+	}
+	// Sort positions by (writer, position): a total order, so the
+	// unstable sort is deterministic and the last duplicate ends each run.
+	pos := make([]int, len(v.entries))
+	for i := range pos {
+		pos[i] = i
+	}
+	slices.SortFunc(pos, func(i, j int) int {
+		if c := cmp.Compare(v.entries[i].w, v.entries[j].w); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	out := make([]slot, 0, len(pos))
+	for k, i := range pos {
+		if k+1 < len(pos) && v.entries[pos[k+1]].w == v.entries[i].w {
+			continue
+		}
+		out = append(out, v.entries[i])
+	}
+	v.entries = out
 }
 
 // Delete removes writer w's entry (a no-op when v has none).
@@ -537,19 +580,14 @@ func Dominates(u, v *Vector) bool {
 // the merged vector is taken from the dominant input when one dominates,
 // and must otherwise be recomputed by the application after resolution;
 // Merge picks the input with more total updates as a placeholder. It is
-// one merge-walk, after a count-only walk that sizes the result.
+// one merge-walk.
 func Merge(u, v *Vector) *Vector {
 	out := &Vector{window: u.window}
 	if out.window == 0 {
 		out.window = v.window
 	}
-	n := 0
-	for z := (zip{u.entries, v.entries}); ; n++ {
-		if _, _, _, ok := z.next(); !ok {
-			break
-		}
-	}
-	if n > 0 {
+	if n := max(len(u.entries), len(v.entries)); n > 0 {
+		// Exact when both hold the same writers; append grows it otherwise.
 		out.entries = make([]slot, 0, n)
 	}
 	uAhead, vAhead := false, false

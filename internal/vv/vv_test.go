@@ -363,3 +363,26 @@ func TestTruncateDuringEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSortEntriesLastDuplicateWins: AppendEntry in any order, repeats
+// included, then SortEntries gives the vector a map model gets from the
+// same list with each writer's last entry winning.
+func TestSortEntriesLastDuplicateWins(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		v, m := New(), newModel(0)
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			w := id.NodeID(rng.Intn(16) - 4)
+			e := Entry{Count: 1, Stamps: []Stamp{Stamp(i)}}
+			v.AppendEntry(w, e)
+			m.entries[w] = own(e)
+		}
+		v.SortEntries()
+		if err := v.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if err := m.check(v); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}

@@ -716,14 +716,15 @@ func (r *reader) vector() *vv.Vector {
 			r.fail("vector entry violates count invariant")
 			break
 		}
-		// An honest encoder sends writers ascending, so this appends; a
-		// hostile frame's out-of-order or repeated writer is inserted or
-		// replaced (the last duplicate wins).
-		v.SetEntry(node, e)
+		v.AppendEntry(node, e)
 	}
 	if r.err != nil {
 		return nil
 	}
+	// An honest encoder sends writers ascending, so this only checks; a
+	// hostile frame's out-of-order or repeated writers are sorted once
+	// (the last duplicate wins), never inserted one by one.
+	v.SortEntries()
 	return v
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"idea/internal/id"
 	"idea/internal/vv"
@@ -337,4 +338,41 @@ func TestDecodeUnsortedWriters(t *testing.T) {
 	if out := appendVector(nil, got); !reflect.DeepEqual(out, want) {
 		t.Fatalf("re-encoded as %x, want ascending %x", out, want)
 	}
+}
+
+// TestDecodeDescendingWritersIsNotQuadratic: a frame that lists 200k
+// distinct writers in descending order decodes in a fraction of a second
+// (the bound leaves room for slow or race-instrumented runs). Inserting
+// each writer in place would move every slot after it — about 10^12
+// bytes of copying here, minutes of CPU — so the bound only holds if the
+// decoder sorts the entries once.
+func TestDecodeDescendingWritersIsNotQuadratic(t *testing.T) {
+	const n = 200_000
+	b := appendFloat([]byte{1}, 0)
+	b = appendTriple(b, vv.Triple{})
+	b = appendUvarint(b, n)
+	for w := n; w > 0; w-- {
+		b = appendNode(b, id.NodeID(w))
+		b = appendInt(b, 0)    // count
+		b = appendInt(b, 0)    // base
+		b = appendVarint(b, 0) // watermark
+		b = appendStamps(b, nil)
+	}
+	start := time.Now()
+	r := reader{b: b}
+	got := r.vector()
+	took := time.Since(start)
+	if r.err != nil || r.off != len(b) {
+		t.Fatalf("decode: err %v, %d of %d bytes", r.err, r.off, len(b))
+	}
+	if got.Len() != n {
+		t.Fatalf("decoded %d writers, want %d", got.Len(), n)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if took > 5*time.Second {
+		t.Fatalf("decoding %d descending writers took %v", n, took)
+	}
+	t.Logf("decoded %d descending writers in %v", n, took)
 }
