@@ -1,45 +1,9 @@
-// Package determinism checks the replay-determinism contract of the
-// protocol packages: simnet turns a seed into a byte-identical event
-// trace only if protocol code observes time through env.Env.Now/After,
-// draws randomness through env.Env.Rand, and never lets Go's randomized
-// map iteration order escape onto the wire.
-//
-// Three rules, applied to non-test files of protocol packages (see
-// lintutil.ProtocolPackages):
-//
-//  1. no ambient clock: time.Now, time.Since, time.Until, time.After,
-//     time.Tick, time.NewTimer, time.NewTicker, time.AfterFunc and
-//     time.Sleep are forbidden — use e.Now() and e.After(...);
-//  2. no ambient randomness: any use of math/rand or math/rand/v2 is
-//     forbidden — use e.Rand(), which is seeded per serialization
-//     domain;
-//  3. no order-escaping map iteration: a `range` over a map must not
-//     append to a slice declared outside the loop, send a protocol
-//     message, or send on a channel, unless the collected result is
-//     sorted before it can escape (a sort call on the slice later in
-//     the same function is recognized).
-//
-// Intentional exceptions carry //idealint:allow determinism <reason>.
-package determinism
+package invariants
 
 import (
 	"go/ast"
 	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
-	"idea/internal/lint/lintutil"
 )
-
-// Analyzer is the determinism invariant checker.
-var Analyzer = &analysis.Analyzer{
-	Name:     "determinism",
-	Doc:      "forbid ambient time/randomness and order-escaping map iteration in protocol packages",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
 
 // bannedTime is the set of time-package functions that read the ambient
 // wall clock or arm ambient timers.
@@ -55,52 +19,68 @@ var bannedTime = map[string]bool{
 	"Sleep":     true,
 }
 
-func run(pass *analysis.Pass) (any, error) {
-	if !lintutil.IsProtocolPkg(pass.Pkg.Path()) {
-		return nil, nil
+// determinism checks the replay-determinism contract of the protocol
+// packages: simnet turns a seed into a byte-identical event trace only
+// if protocol code observes time through env.Env.Now/After, draws
+// randomness through env.Env.Rand, and never lets Go's randomized map
+// iteration order escape onto the wire.
+//
+// Three rules, applied to non-test files of protocol packages (see
+// ProtocolPackages):
+//
+//  1. no ambient clock: time.Now, time.Since, time.Until, time.After,
+//     time.Tick, time.NewTimer, time.NewTicker, time.AfterFunc and
+//     time.Sleep are forbidden — use e.Now() and e.After(...);
+//  2. no ambient randomness: any use of math/rand or math/rand/v2 is
+//     forbidden — use e.Rand(), which is seeded per serialization
+//     domain;
+//  3. no order-escaping map iteration: a `range` over a map must not
+//     append to a slice declared outside the loop, send a protocol
+//     message, or send on a channel, unless the collected result is
+//     sorted before it can escape (a sort call on the slice later in
+//     the same function is recognized).
+//
+// Intentional exceptions carry //idealint:allow determinism <reason>.
+func determinism(pass *Pass, rep *Reporter) {
+	if !IsProtocolPkg(pass.Pkg.Path()) {
+		return
 	}
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	rep := lintutil.NewReporter(pass)
-	insp.WithStack([]ast.Node{(*ast.SelectorExpr)(nil), (*ast.RangeStmt)(nil)},
-		func(n ast.Node, push bool, stack []ast.Node) bool {
-			if !push || lintutil.InTestFile(pass.Fset, n.Pos()) {
-				return false
+	WithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
+		if InTestFile(pass.Fset, n.Pos()) {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			checkSelector(pass, rep, n)
+		case *ast.RangeStmt:
+			t := pass.TypesInfo.TypeOf(n.X)
+			if t == nil {
+				break
 			}
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				checkSelector(pass, rep, n)
-			case *ast.RangeStmt:
-				t := pass.TypesInfo.TypeOf(n.X)
-				if t == nil {
-					break
-				}
-				if _, isMap := t.Underlying().(*types.Map); !isMap {
-					break
-				}
-				checkMapRange(pass, rep, enclosingBody(stack), n)
+			if _, isMap := t.Underlying().(*types.Map); !isMap {
+				break
 			}
-			return true
-		})
-	return nil, nil
+			checkMapRange(pass, rep, enclosingBody(stack), n)
+		}
+		return true
+	})
 }
 
 // enclosingBody returns the body of the innermost function on the
-// inspector stack, or nil at package scope.
+// traversal stack, or nil at package scope.
 func enclosingBody(stack []ast.Node) *ast.BlockStmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncDecl:
-			return fn.Body
-		case *ast.FuncLit:
-			return fn.Body
-		}
+	switch fn := FuncScope(stack).(type) {
+	case *ast.FuncDecl:
+		return fn.Body
+	case *ast.FuncLit:
+		return fn.Body
 	}
 	return nil
 }
 
 // checkSelector flags uses of banned time functions and any math/rand
 // selector.
-func checkSelector(pass *analysis.Pass, rep *lintutil.Reporter, sel *ast.SelectorExpr) {
+func checkSelector(pass *Pass, rep *Reporter, sel *ast.SelectorExpr) {
 	id, ok := sel.X.(*ast.Ident)
 	if !ok {
 		return
@@ -114,19 +94,19 @@ func checkSelector(pass *analysis.Pass, rep *lintutil.Reporter, sel *ast.Selecto
 		if bannedTime[sel.Sel.Name] {
 			rep.Reportf(sel.Pos(),
 				"time.%s in protocol package %s breaks simnet replay; use env.Env.Now/After",
-				sel.Sel.Name, lintutil.PathBase(pass.Pkg.Path()))
+				sel.Sel.Name, PathBase(pass.Pkg.Path()))
 		}
 	case "math/rand", "math/rand/v2":
 		rep.Reportf(sel.Pos(),
 			"%s.%s in protocol package %s breaks simnet replay; use env.Env.Rand()",
-			id.Name, sel.Sel.Name, lintutil.PathBase(pass.Pkg.Path()))
+			id.Name, sel.Sel.Name, PathBase(pass.Pkg.Path()))
 	}
 }
 
 // checkMapRange flags a map-range loop whose iteration order escapes:
 // appends to outer slices, protocol sends, or channel sends inside the
 // loop body.
-func checkMapRange(pass *analysis.Pass, rep *lintutil.Reporter, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
+func checkMapRange(pass *Pass, rep *Reporter, fnBody *ast.BlockStmt, rs *ast.RangeStmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SendStmt:
@@ -152,7 +132,7 @@ func checkMapRange(pass *analysis.Pass, rep *lintutil.Reporter, fnBody *ast.Bloc
 			if fn, ok := obj.(*types.Func); ok && fn.Name() == "Send" && isMethod(fn) {
 				rep.Reportf(rs.Pos(),
 					"map iteration order escapes via %s.Send; iterate sorted keys (e.g. sorted member order)",
-					recvTypeName(fn))
+					recvName(fn))
 				return false
 			}
 		}
@@ -162,7 +142,7 @@ func checkMapRange(pass *analysis.Pass, rep *lintutil.Reporter, fnBody *ast.Bloc
 
 // calleeFunc resolves the object a call invokes (func, method, or
 // builtin), or nil.
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) types.Object {
+func calleeFunc(pass *Pass, call *ast.CallExpr) types.Object {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return pass.TypesInfo.Uses[fun]
@@ -177,21 +157,12 @@ func isMethod(fn *types.Func) bool {
 	return ok && sig.Recv() != nil
 }
 
-func recvTypeName(fn *types.Func) string {
-	sig := fn.Type().(*types.Signature)
-	t := sig.Recv().Type()
-	if n := lintutil.NamedFrom(t); n != nil {
-		return n.Obj().Name()
-	}
-	return t.String()
-}
-
 // outerAppendTarget returns the object of `x` in `x = append(x, ...)`
 // when x is declared outside the range statement — the case where
 // append order is observable after the loop. Appends to loop-local
 // slices return nil. Appends through selectors (s.field) always target
 // state that outlives the loop.
-func outerAppendTarget(pass *analysis.Pass, call *ast.CallExpr, rs *ast.RangeStmt) *types.Var {
+func outerAppendTarget(pass *Pass, call *ast.CallExpr, rs *ast.RangeStmt) *types.Var {
 	if len(call.Args) == 0 {
 		return nil
 	}
@@ -217,7 +188,7 @@ func outerAppendTarget(pass *analysis.Pass, call *ast.CallExpr, rs *ast.RangeStm
 // function sorts the slice object (sort.* or slices.Sort* with tgt as
 // an argument or selector base) — the blessed pattern for collecting
 // map entries and canonicalizing before they escape.
-func sortedLater(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, tgt *types.Var) bool {
+func sortedLater(pass *Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, tgt *types.Var) bool {
 	found := false
 	ast.Inspect(fnBody, func(n ast.Node) bool {
 		if found {
@@ -248,7 +219,7 @@ func sortedLater(pass *analysis.Pass, fnBody *ast.BlockStmt, rs *ast.RangeStmt, 
 }
 
 // refersTo reports whether expr mentions the variable tgt.
-func refersTo(pass *analysis.Pass, expr ast.Expr, tgt *types.Var) bool {
+func refersTo(pass *Pass, expr ast.Expr, tgt *types.Var) bool {
 	found := false
 	ast.Inspect(expr, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == tgt {

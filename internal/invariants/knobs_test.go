@@ -1,13 +1,9 @@
-package idea
+package invariants
 
 import (
 	"go/ast"
-	"go/build"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -39,55 +35,17 @@ var knobExceptions = map[string]string{
 // field (`if c.F == 0 { c.F = … }`, a withDefaults branch) fills in a
 // default and is not a caller.
 //
-// The module's own non-test packages are type-checked from source so a
-// key or selector resolves to the field it names, not just its name;
-// every other import is an empty stand-in, which leaves that resolution
-// intact.
+// The module's non-test packages are type-checked from source, so a key
+// or selector resolves to the field it names, not just its name.
 func TestEveryKnobHasACaller(t *testing.T) {
-	fset := token.NewFileSet()
-	dirs := map[string][]*ast.File{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "vendor" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); err != nil || !ok {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		dirs[dir] = append(dirs[dir], f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	imp := &moduleImporter{fset: fset, dirs: dirs, info: info, pkgs: map[string]*types.Package{}}
-	for dir := range dirs {
-		imp.check(dir)
-	}
+	m := loadModule(t)
 
 	// The knobs: exported fields of configuration structs under internal/.
 	knobs := map[string]*types.Var{}
-	for dir, pkg := range imp.pkgs {
-		if !strings.HasPrefix(dir, "internal/") {
+	for _, p := range m.bases {
+		pkg := p.Pkg
+		dir, ok := strings.CutPrefix(pkg.Path(), m.modPath+"/internal/")
+		if !ok {
 			continue
 		}
 		for _, name := range pkg.Scope().Names() {
@@ -101,7 +59,7 @@ func TestEveryKnobHasACaller(t *testing.T) {
 			}
 			for i := 0; i < st.NumFields(); i++ {
 				if f := st.Field(i); f.Exported() {
-					knobs[strings.TrimPrefix(dir, "internal/")+"."+name+"."+f.Name()] = f
+					knobs[dir+"."+name+"."+f.Name()] = f
 				}
 			}
 		}
@@ -119,16 +77,17 @@ func TestEveryKnobHasACaller(t *testing.T) {
 		}
 		return false
 	}
-	field := func(e ast.Expr) *types.Var {
-		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
-			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-				return s.Obj().(*types.Var)
+	for _, p := range m.bases {
+		info := p.TypesInfo
+		field := func(e ast.Expr) *types.Var {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+					return s.Obj().(*types.Var)
+				}
 			}
+			return nil
 		}
-		return nil
-	}
-	for _, files := range dirs {
-		for _, f := range files {
+		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.IfStmt:
@@ -192,39 +151,4 @@ func TestEveryKnobHasACaller(t *testing.T) {
 
 func isConfigName(name string) bool {
 	return name == "Options" || name == "Opts" || strings.HasSuffix(name, "Config")
-}
-
-// moduleImporter type-checks this module's packages from the parsed
-// files, keyed by directory, and stands in an empty package for any
-// other import.
-type moduleImporter struct {
-	fset *token.FileSet
-	dirs map[string][]*ast.File
-	info *types.Info
-	pkgs map[string]*types.Package
-}
-
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if dir, ok := strings.CutPrefix(path, "idea/"); ok {
-		if _, ok := m.dirs[dir]; ok {
-			return m.check(dir), nil
-		}
-	}
-	pkg := types.NewPackage(path, filepath.Base(path))
-	pkg.MarkComplete()
-	return pkg, nil
-}
-
-func (m *moduleImporter) check(dir string) *types.Package {
-	if pkg, ok := m.pkgs[dir]; ok {
-		return pkg
-	}
-	path := "idea"
-	if dir != "." {
-		path += "/" + dir
-	}
-	conf := types.Config{Importer: m, Error: func(error) {}}
-	pkg, _ := conf.Check(path, m.fset, m.dirs[dir], m.info)
-	m.pkgs[dir] = pkg
-	return pkg
 }

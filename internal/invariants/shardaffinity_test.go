@@ -1,7 +1,34 @@
-// Package shardaffinity checks the sharded-runtime contract from PR 3:
-// everything touching one file must execute in the shard that owns the
-// file, and cross-shard shared state must go through its designated
-// safe accessors.
+package invariants
+
+import (
+	"go/ast"
+	"go/constant"
+	"go/types"
+)
+
+// injectorPkgs are the package-path bases whose Inject/Call methods are
+// node-global entry points with per-file siblings. True marks the live
+// ones, whose shards run as parallel goroutines: rule 1 binds their
+// callers in test files as well.
+var injectorPkgs = map[string]bool{
+	"transport": true,
+	"cluster":   true,
+	"simnet":    false,
+	"core":      false,
+	"idea":      false,
+}
+
+// fileSibling maps a node-global entry point to its file-routed form.
+var fileSibling = map[string]string{
+	"Inject": "InjectFile",
+	"Call":   "CallFile",
+	"CallAt": "CallAtFile",
+}
+
+// shardAffinity checks the sharded-runtime contract: everything
+// touching one file must execute in the shard that owns the file, and
+// cross-shard shared state must go through its designated safe
+// accessors.
 //
 // Three rules:
 //
@@ -24,59 +51,16 @@
 //     direct field write races with shard callbacks reading the hook.
 //
 // Intentional exceptions carry //idealint:allow shardaffinity <reason>.
-package shardaffinity
-
-import (
-	"go/ast"
-	"go/constant"
-	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
-	"idea/internal/lint/lintutil"
-)
-
-// Analyzer is the shard-affinity invariant checker.
-var Analyzer = &analysis.Analyzer{
-	Name:     "shardaffinity",
-	Doc:      "route per-file work, timers, and hook installs through the sharded-runtime accessors",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
-
-// injectorPkgs are the package-path bases whose Inject/Call methods are
-// node-global entry points with per-file siblings. True marks the live
-// ones, whose shards run as parallel goroutines: rule 1 binds their
-// callers in test files as well.
-var injectorPkgs = map[string]bool{
-	"transport": true,
-	"cluster":   true,
-	"simnet":    false,
-	"core":      false,
-	"idea":      false,
-}
-
-// fileSibling maps a node-global entry point to its file-routed form.
-var fileSibling = map[string]string{
-	"Inject": "InjectFile",
-	"Call":   "CallFile",
-	"CallAt": "CallAtFile",
-}
-
-func run(pass *analysis.Pass) (any, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	rep := lintutil.NewReporter(pass)
+func shardAffinity(pass *Pass, rep *Reporter) {
 	routed := routedTimerKeys(pass)
 
-	insp.Preorder([]ast.Node{(*ast.CallExpr)(nil), (*ast.AssignStmt)(nil)}, func(n ast.Node) {
-		inTest := lintutil.InTestFile(pass.Fset, n.Pos())
+	WithStack(pass.Files, func(n ast.Node, _ []ast.Node) bool {
+		inTest := InTestFile(pass.Fset, n.Pos())
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			checkInject(pass, rep, n, inTest)
 			if inTest {
-				return
+				break
 			}
 			if routed != nil {
 				checkAfter(pass, rep, n, routed)
@@ -86,14 +70,14 @@ func run(pass *analysis.Pass) (any, error) {
 				checkHookWrite(pass, rep, n)
 			}
 		}
+		return true
 	})
-	return nil, nil
 }
 
 // checkInject flags node-global Inject/Call/CallAt invocations whose
 // function-literal argument mentions an id.FileID value. In test files
 // only the live injectors are checked.
-func checkInject(pass *analysis.Pass, rep *lintutil.Reporter, call *ast.CallExpr, inTest bool) {
+func checkInject(pass *Pass, rep *Reporter, call *ast.CallExpr, inTest bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
@@ -106,7 +90,7 @@ func checkInject(pass *analysis.Pass, rep *lintutil.Reporter, call *ast.CallExpr
 	if !ok || fn.Pkg() == nil {
 		return
 	}
-	if live, ok := injectorPkgs[lintutil.PathBase(fn.Pkg().Path())]; !ok || inTest && !live {
+	if live, ok := injectorPkgs[PathBase(fn.Pkg().Path())]; !ok || inTest && !live {
 		return
 	}
 	sig, ok := fn.Type().(*types.Signature)
@@ -129,7 +113,7 @@ func checkInject(pass *analysis.Pass, rep *lintutil.Reporter, call *ast.CallExpr
 
 func recvName(fn *types.Func) string {
 	t := fn.Type().(*types.Signature).Recv().Type()
-	if n := lintutil.NamedFrom(t); n != nil {
+	if n := NamedFrom(t); n != nil {
 		return n.Obj().Name()
 	}
 	return t.String()
@@ -138,7 +122,7 @@ func recvName(fn *types.Func) string {
 // mentionsFileID reports whether any expression inside the function
 // literal has type id.FileID (the facade's FileID alias resolves to the
 // same named type).
-func mentionsFileID(pass *analysis.Pass, lit *ast.FuncLit) (ast.Node, bool) {
+func mentionsFileID(pass *Pass, lit *ast.FuncLit) (ast.Node, bool) {
 	var at ast.Node
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if at != nil {
@@ -148,7 +132,7 @@ func mentionsFileID(pass *analysis.Pass, lit *ast.FuncLit) (ast.Node, bool) {
 		if !ok {
 			return true
 		}
-		if t := pass.TypesInfo.TypeOf(expr); t != nil && lintutil.IsNamedType(t, "id", "FileID") {
+		if t := pass.TypesInfo.TypeOf(expr); t != nil && IsNamedType(t, "id", "FileID") {
 			at = n
 			return false
 		}
@@ -164,7 +148,7 @@ func mentionsFileID(pass *analysis.Pass, lit *ast.FuncLit) (ast.Node, bool) {
 // routers, every string constant mentioned inside a router body: the
 // keys the package actually routes. It returns nil when the package has
 // no router (its timers are node-global by design and exempt).
-func routedTimerKeys(pass *analysis.Pass) map[string]bool {
+func routedTimerKeys(pass *Pass) map[string]bool {
 	var keys map[string]bool
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -196,13 +180,13 @@ func routedTimerKeys(pass *analysis.Pass) map[string]bool {
 // checkAfter verifies that an env.Env.After call in a router-bearing
 // package arms a timer the router can route: constant key, known to the
 // router, with non-nil data.
-func checkAfter(pass *analysis.Pass, rep *lintutil.Reporter, call *ast.CallExpr, routed map[string]bool) {
+func checkAfter(pass *Pass, rep *Reporter, call *ast.CallExpr, routed map[string]bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "After" || len(call.Args) != 3 {
 		return
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || !lintutil.IsPkg(fn, "env") {
+	if !ok || !IsPkg(fn, "env") {
 		return
 	}
 	keyArg, dataArg := call.Args[1], call.Args[2]
@@ -210,7 +194,7 @@ func checkAfter(pass *analysis.Pass, rep *lintutil.Reporter, call *ast.CallExpr,
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 		rep.Reportf(keyArg.Pos(),
 			"timer key is not a compile-time constant; %s's TimerFile/TimerShard cannot route it",
-			lintutil.PathBase(pass.Pkg.Path()))
+			PathBase(pass.Pkg.Path()))
 		return
 	}
 	key := constant.StringVal(tv.Value)
@@ -231,14 +215,14 @@ func checkAfter(pass *analysis.Pass, rep *lintutil.Reporter, call *ast.CallExpr,
 
 // checkHookWrite flags assignments whose left-hand side is a hook[T]
 // field — those must go through the SetOn* setters (atomic swap).
-func checkHookWrite(pass *analysis.Pass, rep *lintutil.Reporter, as *ast.AssignStmt) {
+func checkHookWrite(pass *Pass, rep *Reporter, as *ast.AssignStmt) {
 	for _, lhs := range as.Lhs {
 		sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 		if !ok {
 			continue
 		}
 		t := pass.TypesInfo.TypeOf(sel)
-		n := lintutil.NamedFrom(t)
+		n := NamedFrom(t)
 		if n == nil || n.Obj().Name() != "hook" {
 			continue
 		}

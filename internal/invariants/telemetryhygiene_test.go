@@ -1,4 +1,25 @@
-// Package telemetryhygiene checks the metric-registry conventions:
+package invariants
+
+import (
+	"go/ast"
+	"go/constant"
+	"go/types"
+	"regexp"
+)
+
+// lookupMethods are the Registry methods that intern a metric by name.
+var lookupMethods = map[string]bool{
+	"Counter":       true,
+	"Gauge":         true,
+	"Histogram":     true,
+	"HistogramWith": true,
+}
+
+// namePattern is the README inventory convention: dot-separated
+// lowercase words, at least subsystem.name.
+var namePattern = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$`)
+
+// telemetryHygiene checks the metric-registry conventions:
 //
 //  1. metric names passed to Registry.Counter/Gauge/Histogram/
 //     HistogramWith must be compile-time constants matching the README
@@ -14,49 +35,15 @@
 // Per-instance metric families built at boot (one gauge per shard, one
 // queue-depth gauge per peer) are legitimate dynamic names: annotate
 // them with //idealint:allow telemetryhygiene <reason>.
-package telemetryhygiene
-
-import (
-	"go/ast"
-	"go/constant"
-	"go/types"
-	"regexp"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
-	"idea/internal/lint/lintutil"
-)
-
-// Analyzer is the telemetry hygiene checker.
-var Analyzer = &analysis.Analyzer{
-	Name:     "telemetryhygiene",
-	Doc:      "metric names must be inventory-convention constants; registry lookups must stay out of loops",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
-
-// lookupMethods are the Registry methods that intern a metric by name.
-var lookupMethods = map[string]bool{
-	"Counter":       true,
-	"Gauge":         true,
-	"Histogram":     true,
-	"HistogramWith": true,
-}
-
-// namePattern is the README inventory convention: dot-separated
-// lowercase words, at least subsystem.name.
-var namePattern = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$`)
-
-func run(pass *analysis.Pass) (any, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	rep := lintutil.NewReporter(pass)
-	insp.WithStack([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push || lintutil.InTestFile(pass.Fset, n.Pos()) {
+func telemetryHygiene(pass *Pass, rep *Reporter) {
+	WithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
+		if InTestFile(pass.Fset, n.Pos()) {
 			return false
 		}
-		call := n.(*ast.CallExpr)
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok || !lookupMethods[sel.Sel.Name] || len(call.Args) < 1 {
 			return true
@@ -66,7 +53,7 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		}
 		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil || !lintutil.IsNamedType(sig.Recv().Type(), "telemetry", "Registry") {
+		if !ok || sig.Recv() == nil || !IsNamedType(sig.Recv().Type(), "telemetry", "Registry") {
 			return true
 		}
 		checkName(pass, rep, sel.Sel.Name, call.Args[0])
@@ -77,10 +64,9 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return nil, nil
 }
 
-func checkName(pass *analysis.Pass, rep *lintutil.Reporter, method string, arg ast.Expr) {
+func checkName(pass *Pass, rep *Reporter, method string, arg ast.Expr) {
 	tv, ok := pass.TypesInfo.Types[arg]
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 		rep.Reportf(arg.Pos(),

@@ -1,8 +1,15 @@
-// Package tracepropagation checks the causal-tracing contract from
-// PR 6: every wire struct that carries a TC (tracing.Context) field
-// must have that field forwarded whenever a handler constructs a
-// derived frame — otherwise a sampled write's timeline silently ends at
-// the first handler somebody forgot to thread it through.
+package invariants
+
+import (
+	"go/ast"
+	"go/types"
+)
+
+// tracePropagation checks the causal-tracing contract: every wire
+// struct that carries a TC (tracing.Context) field must have that field
+// forwarded whenever a handler constructs a derived frame — otherwise a
+// sampled write's timeline silently ends at the first handler somebody
+// forgot to thread it through.
 //
 // The check is structural: a composite literal of a TC-bearing wire
 // struct that does not set TC is reported when a trace context is
@@ -15,40 +22,20 @@
 //
 // Intentional exceptions carry //idealint:allow tracepropagation
 // <reason>.
-package tracepropagation
-
-import (
-	"go/ast"
-	"go/types"
-
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
-	"idea/internal/lint/lintutil"
-)
-
-// Analyzer is the trace-propagation invariant checker.
-var Analyzer = &analysis.Analyzer{
-	Name:     "tracepropagation",
-	Doc:      "derived wire frames must forward the TC trace context of the operation they belong to",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
-}
-
-func run(pass *analysis.Pass) (any, error) {
-	insp := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	rep := lintutil.NewReporter(pass)
-	insp.WithStack([]ast.Node{(*ast.CompositeLit)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push || lintutil.InTestFile(pass.Fset, n.Pos()) {
+func tracePropagation(pass *Pass, rep *Reporter) {
+	WithStack(pass.Files, func(n ast.Node, stack []ast.Node) bool {
+		if InTestFile(pass.Fset, n.Pos()) {
 			return false
 		}
-		lit := n.(*ast.CompositeLit)
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
 		name, ok := tcBearingWireStruct(pass, lit)
 		if !ok || setsTC(pass, lit) {
 			return true
 		}
-		fn := lintutil.FuncScope(stack)
+		fn := FuncScope(stack)
 		if fn == nil {
 			return true // package-level fixture value
 		}
@@ -62,16 +49,15 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 		return true
 	})
-	return nil, nil
 }
 
 // tcBearingWireStruct reports whether the literal builds a struct from a
 // wire package that has a TC field of type tracing.Context, returning
 // the struct's name.
-func tcBearingWireStruct(pass *analysis.Pass, lit *ast.CompositeLit) (string, bool) {
+func tcBearingWireStruct(pass *Pass, lit *ast.CompositeLit) (string, bool) {
 	t := pass.TypesInfo.TypeOf(lit)
-	n := lintutil.NamedFrom(t)
-	if n == nil || !lintutil.IsPkg(n.Obj(), "wire") {
+	n := NamedFrom(t)
+	if n == nil || !IsPkg(n.Obj(), "wire") {
 		return "", false
 	}
 	st, ok := n.Underlying().(*types.Struct)
@@ -80,7 +66,7 @@ func tcBearingWireStruct(pass *analysis.Pass, lit *ast.CompositeLit) (string, bo
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
-		if f.Name() == "TC" && lintutil.IsNamedType(f.Type(), "tracing", "Context") {
+		if f.Name() == "TC" && IsNamedType(f.Type(), "tracing", "Context") {
 			return n.Obj().Name(), true
 		}
 	}
@@ -89,7 +75,7 @@ func tcBearingWireStruct(pass *analysis.Pass, lit *ast.CompositeLit) (string, bo
 
 // setsTC reports whether the literal assigns the TC field, either by
 // key or positionally (a full positional literal covers every field).
-func setsTC(pass *analysis.Pass, lit *ast.CompositeLit) bool {
+func setsTC(pass *Pass, lit *ast.CompositeLit) bool {
 	for _, el := range lit.Elts {
 		kv, ok := el.(*ast.KeyValueExpr)
 		if !ok {
@@ -128,7 +114,7 @@ func tcAssignedInFunc(fn ast.Node) bool {
 // pointers) has a tracing.Context field. Result types deliberately do
 // not count — returning a TC-bearing frame is the construction under
 // scrutiny, not a context source.
-func contextReachable(pass *analysis.Pass, fn ast.Node) bool {
+func contextReachable(pass *Pass, fn ast.Node) bool {
 	var inputs []*ast.FieldList
 	var body *ast.BlockStmt
 	switch f := fn.(type) {
@@ -150,7 +136,7 @@ func contextReachable(pass *analysis.Pass, fn ast.Node) bool {
 			if t == nil {
 				continue
 			}
-			if lintutil.IsNamedType(t, "tracing", "Context") || structHasContextField(t) {
+			if IsNamedType(t, "tracing", "Context") || structHasContextField(t) {
 				return true
 			}
 		}
@@ -161,7 +147,7 @@ func contextReachable(pass *analysis.Pass, fn ast.Node) bool {
 			return false
 		}
 		if expr, ok := n.(ast.Expr); ok {
-			if t := pass.TypesInfo.TypeOf(expr); t != nil && lintutil.IsNamedType(t, "tracing", "Context") {
+			if t := pass.TypesInfo.TypeOf(expr); t != nil && IsNamedType(t, "tracing", "Context") {
 				found = true
 				return false
 			}
@@ -181,7 +167,7 @@ func structHasContextField(t types.Type) bool {
 		return false
 	}
 	for i := 0; i < st.NumFields(); i++ {
-		if lintutil.IsNamedType(st.Field(i).Type(), "tracing", "Context") {
+		if IsNamedType(st.Field(i).Type(), "tracing", "Context") {
 			return true
 		}
 	}
