@@ -1,6 +1,9 @@
 package store
 
 import (
+	"fmt"
+	"os"
+	"runtime"
 	"testing"
 
 	"idea/internal/id"
@@ -27,6 +30,92 @@ func BenchmarkApplyRemote(b *testing.B) {
 		u := src.WriteLocal(vv.Stamp(i)*1e6, "draw", nil, 0)
 		b.StartTimer()
 		dst.Apply(u)
+	}
+}
+
+// preloadUpdates is one live3-readmix node's set-up: files × depth
+// updates, written round-robin by three writers.
+func preloadUpdates(files, depth int) [][]wire.Update {
+	payload := make([]byte, 256)
+	out := make([][]wire.Update, files)
+	for f := range out {
+		file := id.FileID(fmt.Sprintf("f%d", f))
+		for i := 0; i < depth; i++ {
+			w := id.NodeID(i%3 + 1)
+			out[f] = append(out[f], wire.Update{File: file, Writer: w, Seq: i/3 + 1, At: vv.Stamp(i) * 1000, Meta: 1, Op: "w", Data: payload})
+		}
+	}
+	return out
+}
+
+// BenchmarkPreload applies one readmix node's preload — 16 files × 2000
+// updates from 3 writers — through Replica.Apply into a store journaling
+// to a WAL at group commit 8.
+func BenchmarkPreload(b *testing.B) {
+	pre := preloadUpdates(16, 2000)
+	root := b.TempDir()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir, err := os.MkdirTemp(root, "wal-*")
+		if err != nil {
+			b.Fatal(err)
+		}
+		w, err := OpenWAL(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.SetGroupCommit(8)
+		st := New(nA)
+		st.SetJournal(w)
+		b.StartTimer()
+		for _, us := range pre {
+			r := st.Open(us[0].File)
+			for _, u := range us {
+				r.Apply(u)
+			}
+		}
+		b.StopTimer()
+		w.Close()
+		os.RemoveAll(dir)
+		b.StartTimer()
+	}
+}
+
+// TestApplyCopiesEachUpdateOnce bounds what applying an update allocates:
+// 50k updates from 3 writers, with a compaction every 5k that keeps the
+// newest 500 per writer live. A replica holding each update once, in a
+// log that doubles and that compaction reallocates with room to double,
+// allocates under 500 B per apply here; one that also copies each update
+// into a per-writer index, both growing by append's large-slice step,
+// allocates about 950 B.
+func TestApplyCopiesEachUpdateOnce(t *testing.T) {
+	const n = 50_000
+	us := make([]wire.Update, n)
+	for i := range us {
+		us[i] = wire.Update{File: fBoard, Writer: id.NodeID(i%3 + 1), Seq: i/3 + 1, At: vv.Stamp(i+1) * 1000, Meta: 1, Op: "w"}
+	}
+	stable := make(map[id.NodeID]int, 3)
+	r := NewReplica(fBoard, nA)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, u := range us {
+		r.Apply(u)
+		if (i+1)%5000 == 0 {
+			for w := id.NodeID(1); w <= 3; w++ {
+				stable[w] = r.vec.Count(w) - 500
+			}
+			r.CompactBelow(stable)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if r.Len() != n || r.Compacted() != n-1500 {
+		t.Fatalf("Len %d, Compacted %d; want %d, %d", r.Len(), r.Compacted(), n, n-1500)
+	}
+	perUpdate := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("apply allocates %.0f B per update", perUpdate)
+	if perUpdate > 600 {
+		t.Fatalf("apply allocates %.0f B per update, want at most 600", perUpdate)
 	}
 }
 

@@ -11,7 +11,9 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -73,27 +75,30 @@ const (
 // order; out-of-order arrivals are buffered until the gap closes, so the
 // vector's counts always describe a gapless prefix of every writer's
 // updates.
+//
+// The arrival log holds the only copy of each applied update. The
+// per-writer index holds no updates: one entry per writer, ascending by
+// writer, with the writer's compaction base and the arrival positions of
+// its live updates. The log grows by doubling, so applying an update
+// copies it about twice over the log's life, whatever its depth.
 type Replica struct {
 	File    id.FileID
 	Owner   id.NodeID
 	log     []wire.Update // live arrival-order log (suffix after compaction)
 	logBase int           // arrival-log entries compacted away
-	// byWriter indexes the live log per writer in ascending sequence
-	// order; byWriter[w][i] holds the update with Seq == wBase[w]+i+1.
-	byWriter map[id.NodeID][]wire.Update
-	wBase    map[id.NodeID]int // per-writer updates compacted away
+	// writers is the per-writer index, ascending by writer.
+	writers []writerIndex
 	// pending buffers gapped arrivals (by writer, by seq) until the
 	// writer's prefix is contiguous again.
 	pending map[id.NodeID]map[int]wire.Update
 	vec     *vv.Vector
 	nextSeq int
 
-	// logWaste/wWaste count prefix entries resliced (not yet copied) off
-	// the arrival log and per-writer index by compaction; backing arrays
-	// are reallocated once waste exceeds the live length, so compaction
-	// is amortized O(pruned) instead of O(live log) per call.
+	// logWaste counts prefix entries resliced (not yet copied) off the
+	// arrival log by compaction; the log and every writer's positions are
+	// reallocated once waste exceeds the live length, so compaction is
+	// amortized O(pruned) instead of O(live log) per call.
 	logWaste int
-	wWaste   map[id.NodeID]int
 	// compactedMeta remembers the critical-metadata value as of the
 	// newest compacted update, so invalidation that empties the live log
 	// can still restore a meaningful Meta.
@@ -117,6 +122,27 @@ type Replica struct {
 	journal Journal
 }
 
+// writerIndex is one writer's entry in the per-writer index: base of its
+// updates were compacted away, and pos[i] is the absolute arrival position
+// (logBase included) of its update with Seq == base+i+1. Positions are
+// int64 so a long-lived replica never overflows them, and they ascend,
+// since a writer's updates arrive in sequence order.
+type writerIndex struct {
+	w    id.NodeID
+	base int
+	pos  []int64
+}
+
+// minLogGrowth is the fewest entries the log or a position list grows by.
+const minLogGrowth = 8
+
+// regrow returns a copy of s with room to double: the log and position
+// lists grow by doubling instead of append's large-slice step, which
+// copies each element several times over.
+func regrow[E any](s []E) []E {
+	return append(make([]E, 0, 2*len(s)+minLogGrowth), s...)
+}
+
 type checkpoint struct {
 	token  int64
 	logLen int // absolute applied-log length (logBase + live length)
@@ -128,9 +154,6 @@ func NewReplica(file id.FileID, owner id.NodeID) *Replica {
 	return &Replica{
 		File:           file,
 		Owner:          owner,
-		byWriter:       make(map[id.NodeID][]wire.Update),
-		wBase:          make(map[id.NodeID]int),
-		wWaste:         make(map[id.NodeID]int),
 		pending:        make(map[id.NodeID]map[int]wire.Update),
 		vec:            vv.New(),
 		maxCheckpoints: DefaultMaxCheckpoints,
@@ -176,34 +199,33 @@ func (r *Replica) Pending() int {
 func (r *Replica) Compacted() int { return r.logBase }
 
 // Log returns the live applied update log in application order (entries
-// compacted below the stability frontier are gone). It is a view, not a
-// copy: read-only, and it never changes after return — the replica never
+// compacted below the stability frontier are gone): the replica's own
+// log, which holds the only copy of each update, not a copy of it. It is
+// read-only, and it never changes after return — the replica never
 // rewrites an element it has handed out — so once passed to another
 // goroutine (over a channel, say) it may be read there while the replica
 // keeps mutating. Appending to it is safe (its capacity is capped, so
 // append reallocates); writing an element corrupts the replica.
-func (r *Replica) Log() []wire.Update { return r.log[:len(r.log):len(r.log)] }
+func (r *Replica) Log() []wire.Update { return slices.Clip(r.log) }
 
-// View is an immutable snapshot of a replica's per-writer index: each
-// writer's live updates and its compaction base. Taking one costs
-// O(writers) — it copies slice headers, not updates — and, like Log, it
-// never changes afterwards, whatever the replica applies, rolls back,
-// invalidates or compacts.
+// View is an immutable snapshot of a replica's per-writer index: the live
+// log as Log returns it, and each writer's compaction base and the
+// positions of its live updates in that log. Taking one costs O(writers)
+// — it copies slice headers, neither updates nor positions — and, like
+// Log, it never changes afterwards, whatever the replica applies, rolls
+// back, invalidates or compacts.
 type View struct {
-	byWriter map[id.NodeID][]wire.Update
-	wBase    map[id.NodeID]int
+	log     []wire.Update
+	logBase int
+	writers []writerIndex // writers with live updates, ascending
 }
 
 // View returns a snapshot of the replica's per-writer index.
 func (r *Replica) View() View {
-	v := View{
-		byWriter: make(map[id.NodeID][]wire.Update, len(r.byWriter)),
-		wBase:    make(map[id.NodeID]int, len(r.byWriter)),
-	}
-	for w, us := range r.byWriter {
-		if len(us) > 0 {
-			v.byWriter[w] = us[:len(us):len(us)]
-			v.wBase[w] = r.wBase[w]
+	v := View{log: r.Log(), logBase: r.logBase, writers: make([]writerIndex, 0, len(r.writers))}
+	for _, wi := range r.writers {
+		if len(wi.pos) > 0 {
+			v.writers = append(v.writers, writerIndex{w: wi.w, base: wi.base, pos: slices.Clip(wi.pos)})
 		}
 	}
 	return v
@@ -211,50 +233,86 @@ func (r *Replica) View() View {
 
 // Writers returns the writers with live updates in the view, ascending.
 func (v View) Writers() []id.NodeID {
-	ws := make([]id.NodeID, 0, len(v.byWriter))
-	for w := range v.byWriter {
-		ws = append(ws, w)
+	ws := make([]id.NodeID, len(v.writers))
+	for i, wi := range v.writers {
+		ws[i] = wi.w
 	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
 	return ws
 }
 
 // Range returns writer w's live updates with after < Seq <= upTo in
-// sequence order, as a read-only slice of the view (no copy). Updates
-// compacted below the writer's base are not in it.
+// sequence order, gathered from the log into a new slice (nil when there
+// are none). Updates compacted below the writer's base are not in the
+// view.
 func (v View) Range(w id.NodeID, after, upTo int) []wire.Update {
-	us, base := v.byWriter[w], v.wBase[w]
-	lo, hi := after-base, upTo-base
-	if lo < 0 {
-		lo = 0
+	i, ok := findWriter(v.writers, w)
+	if !ok {
+		return nil
 	}
-	if hi > len(us) {
-		hi = len(us)
-	}
+	wi := v.writers[i]
+	lo, hi := max(after-wi.base, 0), min(upTo-wi.base, len(wi.pos))
 	if lo >= hi {
 		return nil
 	}
-	return us[lo:hi:hi]
+	out := make([]wire.Update, hi-lo)
+	for j, p := range wi.pos[lo:hi] {
+		out[j] = v.log[p-int64(v.logBase)]
+	}
+	return out
 }
 
-// keepIf returns the updates of us that keep accepts, in order. The
-// accepted prefix is shared with us; anything after the first rejected
-// update goes to a fresh array, so no element a Log or View handed out
-// earlier is ever overwritten.
-func keepIf(us []wire.Update, keep func(wire.Update) bool) []wire.Update {
-	for i, u := range us {
-		if keep(u) {
-			continue
-		}
-		kept := us[:i:i]
-		for _, u := range us[i+1:] {
-			if keep(u) {
-				kept = append(kept, u)
-			}
-		}
-		return kept
+// findWriter returns the index of writer w in the writer-sorted index, or
+// where it would be inserted, and whether it is there.
+func findWriter(ws []writerIndex, w id.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(ws, w, func(wi writerIndex, w id.NodeID) int { return cmp.Compare(wi.w, w) })
+}
+
+// writer returns writer w's index entry, adding an empty one first when w
+// has none.
+func (r *Replica) writer(w id.NodeID) *writerIndex {
+	i, ok := findWriter(r.writers, w)
+	if !ok {
+		r.writers = slices.Insert(r.writers, i, writerIndex{w: w})
 	}
-	return us
+	return &r.writers[i]
+}
+
+// index returns writer w's index entry, or the zero entry when w has
+// none.
+func (r *Replica) index(w id.NodeID) writerIndex {
+	if i, ok := findWriter(r.writers, w); ok {
+		return r.writers[i]
+	}
+	return writerIndex{}
+}
+
+// keepIf drops the live updates keep rejects, in order, calling keep once
+// per update. The kept prefix before the first rejected update is shared
+// with the old log; everything after it goes to a fresh array, so no
+// element a Log or View handed out earlier is ever overwritten, and only
+// the positions of that suffix are rebuilt.
+func (r *Replica) keepIf(keep func(wire.Update) bool) {
+	cut := slices.IndexFunc(r.log, func(u wire.Update) bool { return !keep(u) })
+	if cut < 0 {
+		return
+	}
+	kept := r.log[:cut:cut]
+	for _, u := range r.log[cut+1:] {
+		if keep(u) {
+			kept = append(kept, u)
+		}
+	}
+	r.log = kept
+	at := int64(r.logBase + cut)
+	for i := range r.writers {
+		wi := &r.writers[i]
+		n, _ := slices.BinarySearch(wi.pos, at)
+		wi.pos = wi.pos[:n:n]
+	}
+	for i, u := range r.log[cut:] {
+		wi := r.writer(u.Writer)
+		wi.pos = append(wi.pos, at+int64(i))
+	}
 }
 
 // WriteLocal appends a local write by the owner: it assigns the next
@@ -349,8 +407,12 @@ func (r *Replica) drain(w id.NodeID) {
 }
 
 func (r *Replica) apply(u wire.Update) {
+	if len(r.log) == cap(r.log) {
+		r.log = regrow(r.log)
+	}
 	r.log = append(r.log, u)
-	r.byWriter[u.Writer] = append(r.byWriter[u.Writer], u)
+	wi := r.writer(u.Writer)
+	wi.pos = append(wi.pos, int64(r.logBase+len(r.log)-1))
 	// Only the ticked writer's window can change, so the gauge delta is
 	// O(1) — apply is the hottest path in the store.
 	before := len(r.vec.Entry(u.Writer).Stamps)
@@ -377,34 +439,35 @@ func (r *Replica) ApplyAll(us []wire.Update) int {
 // MissingFrom returns the updates in r's log that the holder of the remote
 // vector has not seen, ordered by (writer, seq) — the payload a resolution
 // Inform or anti-entropy reply ships. The per-writer index makes this
-// O(missing + writers·log writers): only the missing suffix of each
-// writer's log is walked, independent of total update history.
+// O(missing + writers): only the missing positions of each writer are
+// read, independent of total update history.
 func (r *Replica) MissingFrom(remote *vv.Vector) []wire.Update {
-	var writers []id.NodeID
-	total := 0
-	for w, us := range r.byWriter {
-		rc := remote.Count(w)
-		if rc < r.wBase[w] {
+	// missing returns the positions of wi's updates the remote lacks.
+	missing := func(wi writerIndex) []int64 {
+		rc := remote.Count(wi.w)
+		if rc < wi.base {
 			// The remote is missing part of our compacted prefix: our
 			// live suffix would only sit in its pending buffer forever
 			// (the gap is un-closable from here), so ship nothing. By
 			// the frontier's construction no current member is ever in
 			// this state; only a node added after pruning is, and it
 			// needs a peer that still holds the prefix.
-			continue
+			return nil
 		}
-		if have := r.wBase[w] + len(us); have > rc {
-			writers = append(writers, w)
-			total += have - rc
-		}
+		return wi.pos[min(rc-wi.base, len(wi.pos)):]
 	}
-	if writers == nil {
+	total := 0
+	for _, wi := range r.writers {
+		total += len(missing(wi))
+	}
+	if total == 0 {
 		return nil
 	}
-	sort.Slice(writers, func(i, j int) bool { return writers[i] < writers[j] })
 	out := make([]wire.Update, 0, total)
-	for _, w := range writers {
-		out = append(out, r.byWriter[w][remote.Count(w)-r.wBase[w]:]...)
+	for _, wi := range r.writers {
+		for _, p := range missing(wi) {
+			out = append(out, r.log[p-int64(r.logBase)])
+		}
 	}
 	return out
 }
@@ -451,7 +514,7 @@ func (r *Replica) Rollback(token int64) ([]wire.Update, error) {
 			continue
 		}
 		var undone []wire.Update
-		r.log = keepIf(r.log, func(u wire.Update) bool {
+		r.keepIf(func(u wire.Update) bool {
 			if u.Seq > cp.vec.Count(u.Writer) {
 				undone = append(undone, u)
 				return false
@@ -459,10 +522,7 @@ func (r *Replica) Rollback(token int64) ([]wire.Update, error) {
 			return true
 		})
 		// Newest first, per the contract.
-		for a, b := 0, len(undone)-1; a < b; a, b = a+1, b-1 {
-			undone[a], undone[b] = undone[b], undone[a]
-		}
-		r.truncateIndex(cp.vec.Count)
+		slices.Reverse(undone)
 		gaugeBefore := r.vec.WindowStamps()
 		r.vec = cp.vec.Clone()
 		r.spare = cp.vec
@@ -470,9 +530,8 @@ func (r *Replica) Rollback(token int64) ([]wire.Update, error) {
 		// the checkpoint still counts; the restored vector must never
 		// advertise updates the surviving index cannot ship.
 		for _, w := range r.vec.Writers() {
-			if have := r.wBase[w] + len(r.byWriter[w]); r.vec.Count(w) > have {
-				r.vec.TruncateWriter(w, have)
-			}
+			wi := r.index(w)
+			r.vec.TruncateWriter(w, wi.base+len(wi.pos))
 		}
 		r.met.windowStamps.Add(int64(r.vec.WindowStamps() - gaugeBefore))
 		// A rolled-back local write must not leave a gap in the
@@ -489,22 +548,6 @@ func (r *Replica) Rollback(token int64) ([]wire.Update, error) {
 		return undone, nil
 	}
 	return nil, fmt.Errorf("store: unknown checkpoint %d for %v", token, r.File)
-}
-
-// truncateIndex cuts each writer's index down to count(w) updates (never
-// into its compacted prefix). A cut slice has its capacity capped, so the
-// next append reallocates instead of overwriting elements a Log or View
-// may still hold.
-func (r *Replica) truncateIndex(count func(id.NodeID) int) {
-	for w, us := range r.byWriter {
-		keepN := count(w) - r.wBase[w]
-		if keepN < 0 {
-			keepN = 0
-		}
-		if keepN < len(us) {
-			r.byWriter[w] = us[:keepN:keepN]
-		}
-	}
 }
 
 // DropCheckpoint discards a checkpoint without rolling back (the
@@ -534,14 +577,10 @@ func (r *Replica) AdoptImage(adoptVec *vv.Vector, updates []wire.Update, invalid
 	if invalidateExtras {
 		// The compacted prefix is frontier-stable (every peer holds it),
 		// so an adopted image can never invalidate below it; clamping
-		// keeps the wBase/byWriter invariant intact even against a
+		// keeps the index's base invariant intact even against a
 		// pathological image that claims fewer updates than the frontier.
 		adoptCount := func(w id.NodeID) int {
-			c := adoptVec.Count(w)
-			if b := r.wBase[w]; c < b {
-				c = b
-			}
-			return c
+			return max(adoptVec.Count(w), r.index(w).base)
 		}
 		// Invalidated sequence numbers will be reissued by their
 		// writers, so buffered out-of-order updates beyond the adopted
@@ -559,9 +598,9 @@ func (r *Replica) AdoptImage(adoptVec *vv.Vector, updates []wire.Update, invalid
 		}
 		// The per-writer index tells in O(writers) whether anything goes;
 		// only then is the arrival log walked.
-		for w, us := range r.byWriter {
-			if r.wBase[w]+len(us) > adoptCount(w) {
-				r.log = keepIf(r.log, func(u wire.Update) bool {
+		for _, wi := range r.writers {
+			if wi.base+len(wi.pos) > adoptCount(wi.w) {
+				r.keepIf(func(u wire.Update) bool {
 					if u.Seq <= adoptCount(u.Writer) {
 						return true
 					}
@@ -574,15 +613,12 @@ func (r *Replica) AdoptImage(adoptVec *vv.Vector, updates []wire.Update, invalid
 		r.met.logEntries.Add(-int64(invalidated))
 		r.met.invalidated.Add(int64(invalidated))
 		if invalidated > 0 {
-			// Truncate the per-writer index and vector entries to the
-			// adopted image; the compacted prefix (and its window
-			// bookkeeping) stays intact.
+			// Truncate the vector entries to the adopted image; the
+			// compacted prefix (and its window bookkeeping) stays
+			// intact.
 			before := r.vec.WindowStamps()
-			r.truncateIndex(adoptCount)
-			for w := range r.byWriter {
-				if c := adoptCount(w); r.vec.Count(w) > c {
-					r.vec.TruncateWriter(w, c)
-				}
+			for _, wi := range r.writers {
+				r.vec.TruncateWriter(wi.w, adoptCount(wi.w))
 			}
 			r.met.windowStamps.Add(int64(r.vec.WindowStamps() - before))
 			// Checkpoint vectors must shrink with the image too: their
@@ -593,9 +629,7 @@ func (r *Replica) AdoptImage(adoptVec *vv.Vector, updates []wire.Update, invalid
 			for ci := range r.checkpoints {
 				cp := &r.checkpoints[ci]
 				for _, w := range cp.vec.Writers() {
-					if c := adoptCount(w); cp.vec.Count(w) > c {
-						cp.vec.TruncateWriter(w, c)
-					}
+					cp.vec.TruncateWriter(w, adoptCount(w))
 				}
 				if abs := r.logBase + len(r.log); cp.logLen > abs {
 					cp.logLen = abs
@@ -645,28 +679,30 @@ func (r *Replica) CompactBelow(stable map[id.NodeID]int) int {
 	if k == 0 {
 		return 0
 	}
-	popped := make(map[id.NodeID]int)
-	for _, u := range r.log[:k] {
-		popped[u.Writer]++
-		r.wBase[u.Writer]++
-	}
-	// Reslice the pruned prefixes away; reallocate a backing array only
-	// once its dead prefix outgrows the live remainder, so repeated
-	// small prunes cost O(pruned) amortized, not O(live) each.
-	for w, n := range popped {
-		r.byWriter[w] = r.byWriter[w][n:]
-		if r.wWaste[w] += n; r.wWaste[w] > len(r.byWriter[w]) {
-			r.byWriter[w] = append([]wire.Update(nil), r.byWriter[w]...)
-			r.wWaste[w] = 0
-		}
+	// The pruned updates are the first k arrival positions, so each
+	// writer drops the prefix of its positions below logBase+k.
+	end := int64(r.logBase + k)
+	for i := range r.writers {
+		wi := &r.writers[i]
+		n, _ := slices.BinarySearch(wi.pos, end)
+		wi.base += n
+		wi.pos = wi.pos[n:]
 	}
 	r.compactedMeta = r.log[k-1].Meta
 	r.log = r.log[k:]
+	r.logBase += k
+	// Reslice the pruned prefixes away; reallocate the backing arrays only
+	// once the log's dead prefix outgrows the live remainder (the writers'
+	// dead prefixes add up to the log's), so repeated small prunes cost
+	// O(pruned) amortized, not O(live) each. The copies keep room to
+	// double, so the next apply does not copy them again.
 	if r.logWaste += k; r.logWaste > len(r.log) {
-		r.log = append([]wire.Update(nil), r.log...)
+		r.log = regrow(r.log)
+		for i := range r.writers {
+			r.writers[i].pos = regrow(r.writers[i].pos)
+		}
 		r.logWaste = 0
 	}
-	r.logBase += k
 	before := r.vec.WindowStamps()
 	r.vec.Compact(0)
 	r.met.windowStamps.Add(int64(r.vec.WindowStamps() - before))
@@ -683,13 +719,29 @@ func (r *Replica) CompactBelow(stable map[id.NodeID]int) int {
 // InstallSnapshot — one transfer instead of replaying total history
 // through anti-entropy.
 func (r *Replica) Snapshot() (vec *vv.Vector, base map[id.NodeID]int, prefixMeta float64, updates []wire.Update) {
-	base = make(map[id.NodeID]int)
-	for w, b := range r.wBase {
-		if b > 0 {
-			base[w] = b
+	return r.vec.Clone(), r.bases(), r.compactedMeta, r.Log()
+}
+
+// bases returns every writer's positive compaction base.
+func (r *Replica) bases() map[id.NodeID]int {
+	base := make(map[id.NodeID]int)
+	for _, wi := range r.writers {
+		if wi.base > 0 {
+			base[wi.w] = wi.base
 		}
 	}
-	return r.vec.Clone(), base, r.compactedMeta, r.Log()
+	return base
+}
+
+// setBases seeds an empty replica's per-writer compaction bases, and the
+// log's, from a snapshot.
+func (r *Replica) setBases(base map[id.NodeID]int) {
+	for w, b := range base {
+		if b > 0 {
+			r.writer(w).base = b
+			r.logBase += b
+		}
+	}
 }
 
 // InstallSnapshot loads a peer's Snapshot into this replica. It only
@@ -704,16 +756,12 @@ func (r *Replica) InstallSnapshot(vec *vv.Vector, base map[id.NodeID]int, prefix
 	}
 	gaugeBefore := r.vec.WindowStamps()
 	r.vec = vec.Clone()
-	for w, b := range base {
-		if b > 0 {
-			r.wBase[w] = b
-			r.logBase += b
-		}
-	}
+	r.setBases(base)
 	r.compactedMeta = prefixMeta
-	r.log = append([]wire.Update(nil), updates...)
-	for _, u := range r.log {
-		r.byWriter[u.Writer] = append(r.byWriter[u.Writer], u)
+	r.log = regrow(updates)
+	for i, u := range r.log {
+		wi := r.writer(u.Writer)
+		wi.pos = append(wi.pos, int64(r.logBase+i))
 	}
 	r.nextSeq = r.vec.Count(r.Owner)
 	r.met.logEntries.Add(int64(len(r.log)))
@@ -751,13 +799,7 @@ func (r *Replica) SnapshotWindow(offset, maxUpdates, maxBytes int) (vec *vv.Vect
 	if i > k {
 		updates = append([]wire.Update(nil), r.log[k:i]...)
 	}
-	base = make(map[id.NodeID]int)
-	for w, b := range r.wBase {
-		if b > 0 {
-			base[w] = b
-		}
-	}
-	return r.vec.Clone(), base, r.compactedMeta, start, updates, end
+	return r.vec.Clone(), r.bases(), r.compactedMeta, start, updates, end
 }
 
 // BeginSnapshot prepares an empty replica to stream a chunked snapshot
@@ -772,11 +814,10 @@ func (r *Replica) BeginSnapshot(base map[id.NodeID]int, prefixMeta float64) bool
 	if r.logBase+len(r.log) > 0 || r.Pending() > 0 {
 		return false
 	}
-	for w, b := range base {
-		if b > 0 {
-			r.wBase[w] = b
-			r.logBase += b
-			r.vec.SetEntry(w, vv.Entry{Count: b, Base: b})
+	r.setBases(base)
+	for _, wi := range r.writers {
+		if wi.base > 0 {
+			r.vec.SetEntry(wi.w, vv.Entry{Count: wi.base, Base: wi.base})
 		}
 	}
 	r.compactedMeta = prefixMeta

@@ -54,9 +54,10 @@ import (
 //
 // The WAL is safe for concurrent use: the file table is guarded by a
 // read-write mutex (lookups on the append hot path take only the read
-// side) and each open log serializes its own encode/flush/sync under a
+// side) and each open log serializes its own encode and flush under a
 // per-file mutex, so shard executors journaling different files never
-// contend, and a periodic SyncAll sweep never races an append.
+// contend, and a periodic SyncAll sweep never races an append — nor
+// holds one up while the disk syncs.
 type WAL struct {
 	dir string
 	// mu guards the file table and fsyncMS. Appends take only the read
@@ -92,9 +93,9 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 type walFile struct {
-	// mu serializes this log's encode buffer, writes and fsync: appends
-	// from the file's shard and sync sweeps from the timer shard never
-	// interleave mid-record.
+	// mu serializes this log's encode buffer and writes: appends from the
+	// file's shard and sync sweeps from the timer shard never interleave
+	// mid-record. The fsync itself runs outside it (see syncFile).
 	mu sync.Mutex
 	f  *os.File
 	// buf holds the encoded records of the open commit group (and, for a
@@ -376,12 +377,20 @@ func (w *WAL) Sync(file id.FileID) error {
 	return w.syncFile(wf, hist)
 }
 
+// syncFile flushes the file's commit group under its lock and fsyncs
+// outside it, so an append to the file — from any shard — waits for the
+// write, never for the disk. The fsync covers every byte flushed before
+// it started; appends that land during it are covered by the next one.
+// A concurrent Close cannot pull the descriptor from under the fsync:
+// os.File counts the calls in flight on it and defers the close(2) until
+// the last one returns.
 func (w *WAL) syncFile(wf *walFile, hist *telemetry.Histogram) error {
 	wf.mu.Lock()
-	defer wf.mu.Unlock()
 	//idealint:allow determinism measures real disk fsync latency at the durability boundary, never replayed
 	start := time.Now()
-	if err := wf.flush(); err != nil {
+	err := wf.flush()
+	wf.mu.Unlock()
+	if err != nil {
 		w.noteErr(err)
 		return err
 	}
@@ -389,7 +398,7 @@ func (w *WAL) syncFile(wf *walFile, hist *telemetry.Histogram) error {
 		//idealint:allow determinism fault-injection brake emulating a slow disk at the layer real fsync latency arises
 		time.Sleep(d)
 	}
-	err := wf.f.Sync()
+	err = wf.f.Sync()
 	if hist != nil {
 		//idealint:allow determinism measures real disk fsync latency at the durability boundary, never replayed
 		hist.Observe(float64(time.Since(start)) / float64(time.Millisecond))

@@ -7,8 +7,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -429,6 +431,51 @@ func openDurable(t *testing.T, dir string) (*Store, *WAL) {
 }
 
 // OpenWALMust opens a WAL or fails the test.
+// TestSyncLeavesAppendsFree: a sweep fsyncing a file does not hold up
+// appends to it. With a slow disk and a SyncAll in flight past its flush,
+// an AppendUpdate to the same file returns before the sync does.
+func TestSyncLeavesAppendsFree(t *testing.T) {
+	w := OpenWALMust(t, t.TempDir())
+	defer w.Close()
+	w.SetGroupCommit(64)
+	u := wire.Update{File: fBoard, Writer: nA, Seq: 1, Op: "w"}
+	if err := w.AppendUpdate(u); err != nil {
+		t.Fatal(err)
+	}
+	w.InjectSyncDelay(200 * time.Millisecond)
+	var order, syncedAt, appendedAt atomic.Int32
+	synced := make(chan error, 1)
+	go func() {
+		err := w.SyncAll()
+		syncedAt.Store(order.Add(1))
+		synced <- err
+	}()
+	// The buffered record reaches the file only by the sweep's flush, so
+	// once it is there the sweep is in its (slow) fsync.
+	for {
+		if fi, err := os.Stat(w.path(fBoard)); err == nil && fi.Size() > int64(len(walMagic)) {
+			break
+		}
+		runtime.Gosched()
+	}
+	appended := make(chan error, 1)
+	go func() {
+		u.Seq = 2
+		err := w.AppendUpdate(u)
+		appendedAt.Store(order.Add(1))
+		appended <- err
+	}()
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-synced; err != nil {
+		t.Fatal(err)
+	}
+	if appendedAt.Load() > syncedAt.Load() {
+		t.Fatal("the append waited for the fsync of its file")
+	}
+}
+
 func OpenWALMust(t testing.TB, dir string) *WAL {
 	t.Helper()
 	w, err := OpenWAL(dir)
