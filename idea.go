@@ -330,11 +330,12 @@ type LiveNodeConfig struct {
 	// Health tunes the health engine (served on /health when the admin
 	// endpoint is up). The zero value enables it with defaults.
 	Health HealthConfig
-	// WalDir enables the durability journal: replica updates are written
-	// to per-file logs under this directory, replayed on restart, and
-	// fsynced periodically (see core.Options.Journal). Empty keeps the
-	// store memory-only. Records reach the OS in groups of 8, the
-	// benchmarked setting (see store.WAL.SetGroupCommit).
+	// WalDir enables the durability journal: replica updates of every
+	// file are written to one journal under this directory, replayed on
+	// restart, and fsynced periodically (see core.Options.Journal). Empty
+	// keeps the store memory-only. Records reach the OS once a file holds
+	// 8 of the open group, the benchmarked setting (see
+	// store.WAL.SetGroupCommit).
 	WalDir string
 	// Logger receives transport diagnostics (nil = silent).
 	Logger *log.Logger

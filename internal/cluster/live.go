@@ -18,8 +18,9 @@ import (
 	"idea/internal/transport"
 )
 
-// liveGroupCommit is how many journal records a live node batches per
-// write — the benchmarked setting (see store.WAL.SetGroupCommit).
+// liveGroupCommit is how many records of one file a live node's journal
+// batches before a write — the benchmarked setting (see
+// store.WAL.SetGroupCommit).
 // Emulated nodes keep 1, so a journal fault surfaces at the event that
 // hit it.
 const liveGroupCommit = 8

@@ -123,7 +123,7 @@ type Options struct {
 	// membership.
 	Swim *membership.Config
 	// Journal attaches a durability journal to the replica store: on
-	// boot the node replays the journal's logs (crash recovery), then
+	// boot the node replays the journal (crash recovery), then
 	// every applied update and rollback is journaled via the store's
 	// hooks and fsynced every 500 ms by a periodic sweep (walSync). Nil
 	// (the default) keeps the store memory-only. The node takes ownership

@@ -1,15 +1,16 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"net/url"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,11 +20,13 @@ import (
 	"idea/internal/wire"
 )
 
-// WAL persists a replica's update log as one append-only file per file
-// ID, giving the "general distributed file system" substrate crash
-// durability: on restart a node replays its logs and rejoins with the
+// WAL persists a node's replicas in one append-only journal per
+// directory, giving the "general distributed file system" substrate crash
+// durability: on restart a node replays the journal and rejoins with the
 // state it had, letting IDEA's detection/resolution reconcile whatever it
-// missed while down.
+// missed while down. Every record names its file, so the replicas of all
+// files share the journal: a file's first write creates nothing, and a
+// sweep is one flush and one fsync however many files the node holds.
 //
 // On-disk format: an 8-byte header (walMagic: "IDEAWAL" and a version
 // byte) followed by self-delimiting records,
@@ -32,47 +35,66 @@ import (
 //
 // little-endian, where len counts kind+payload and the CRC (Castagnoli)
 // covers the same bytes. Kind 'u' carries one update in the wire codec's
-// own encoding (wire.AppendUpdate: the journal has no field list of its
-// own); kind 'r' carries the uvarint log length that survived a rollback.
+// own encoding (wire.AppendUpdate, which starts with the file ID: the
+// journal has no field list of its own); kind 'r' carries the file ID in
+// the same encoding and the uvarint log length that survived a rollback.
 //
 // Recovery contract: a record that is short or fails its CRC and has no
 // intact record after it is a torn tail (the crash interrupted its
-// write) and is discarded, and the file is cut back to the last intact
-// record boundary so later appends follow intact data. The same damage
-// with an intact record after it is corruption: recovery returns an
-// error naming the byte offset, never a silently shorter log. A file
-// that does not start with the header (such as a log written by the
-// earlier gob format) is rejected the same way.
+// write); OpenWAL cuts the journal back to the last intact record
+// boundary so later appends follow intact data. The same damage with an
+// intact record after it is corruption, and a journal that does not start
+// with the header (such as one of an earlier format) is rejected the same
+// way: OpenWAL sets it aside whole as journal.wal.corrupt and starts a new
+// one, and Replay and Recover report the error naming the byte offset,
+// never a silently shorter log. Every file on the node then re-syncs.
 //
-// Appends are group-committed: records are encoded into a per-file
-// buffer and reach the OS in one write per commit group instead of one
-// syscall per update. The default group size of 1 writes every append
-// through; a hot node raises it with SetGroupCommit and pays one write
-// per N updates, trading a bounded tail-loss window (which anti-entropy
-// re-ships) for an order of magnitude fewer journal syscalls. Sync and
-// Close always flush first.
+// Appends are group-committed: records are encoded into one shared buffer
+// that reaches the OS in one write once any file's open commit group
+// holds SetGroupCommit's N records, or once the buffer holds groupBytes.
+// The default group size of 1 writes every append through; a hot node
+// raises it and pays one write per N updates of a file, trading a bounded
+// tail-loss window (which anti-entropy re-ships) for an order of
+// magnitude fewer journal syscalls. SyncAll and Close always write first.
 //
-// The WAL is safe for concurrent use: the file table is guarded by a
-// read-write mutex (lookups on the append hot path take only the read
-// side) and each open log serializes its own encode and flush under a
-// per-file mutex, so shard executors journaling different files never
-// contend, and a periodic SyncAll sweep never races an append — nor
-// holds one up while the disk syncs.
+// The WAL is safe for concurrent use. An append holds the buffer lock
+// only to encode its record; a full group is handed to the write lock
+// before the buffer lock is released, so groups reach the file in journal
+// order while appends fill the next one, and a SyncAll sweep never holds
+// up an append while the disk syncs.
 type WAL struct {
 	dir string
-	// mu guards the file table and fsyncMS. Appends take only the read
-	// side; opening a new log takes the write side.
-	mu    sync.RWMutex
-	files map[id.FileID]*walFile
-	// groupCommit is how many records may accumulate before the buffer
-	// is pushed to the OS; anything below 2 flushes every append.
+	// mu guards the open commit group (buf, and each file's record count
+	// in it) and fsyncMS.
+	mu    sync.Mutex
+	buf   []byte
+	group map[id.FileID]int
+	// wmu orders writes to f and guards spare (the buffer of the last
+	// group written, reused for the next) and err, which latches the first
+	// failed write: it may have left a partial record on disk, and nothing
+	// is written behind one.
+	wmu   sync.Mutex
+	f     *os.File
+	spare []byte
+	err   error
+	// groupCommit is how many records of one file may accumulate before
+	// the buffer is pushed to the OS; anything below 2 flushes every append.
 	groupCommit atomic.Int64
-	// fsyncMS observes each Sync's flush+fsync latency in milliseconds;
+	// fsyncMS observes each sweep's flush+fsync latency in milliseconds;
 	// nil (no registry attached) is a no-op.
 	fsyncMS *telemetry.Histogram
 
+	// size is the journal's intact length when it was opened; rejected is
+	// why the journal found there was set aside (nil if it was not). rmu
+	// guards logs: the per-file logs decoded from those size bytes and not
+	// yet recovered, nil until the first Recover or Replay.
+	size     int64
+	rejected error
+	rmu      sync.Mutex
+	logs     map[id.FileID][]wire.Update
+
 	// errMu guards firstErr: the first append error seen via the Journal
-	// hook interface, surfaced at the next Err/Sync call site (the hooks
+	// hook interface, surfaced at the next Err/SyncAll call site (the hooks
 	// run inside the store's apply path, which has no error channel).
 	// errsC counts every noted error (store.wal_errors_total) — the
 	// health engine's evidence when the sticky error trips its critical.
@@ -86,41 +108,49 @@ type WAL struct {
 }
 
 const (
-	walMagic  = "IDEAWAL\x01"
-	recHeader = 8 // u32 len + u32 crc32c
+	walMagic    = "IDEAWAL\x02"
+	journalName = "journal.wal"
+	recHeader   = 8 // u32 len + u32 crc32c
+	// groupBytes bounds the shared buffer: a write is a short copy for the
+	// append that triggers it, even when many files each hold a few records.
+	groupBytes = 8 << 10
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-type walFile struct {
-	// mu serializes this log's encode buffer and writes: appends from the
-	// file's shard and sync sweeps from the timer shard never interleave
-	// mid-record. The fsync itself runs outside it (see syncFile).
-	mu sync.Mutex
-	f  *os.File
-	// buf holds the encoded records of the open commit group (and, for a
-	// new log, the header), written to f in one piece by flush.
-	buf       []byte
-	unflushed int
-	// err latches the first failed write: it may have left a partial
-	// record on disk, and nothing is written behind one.
-	err error
-}
+var (
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	// errDamaged marks the scan errors that reject a journal, as opposed
+	// to the I/O errors of reading one.
+	errDamaged = errors.New("damaged journal")
+)
 
 // appendRecord appends one framed record to b: kind 'u' carries u, kind
-// 'r' (rollback marker) the surviving log length keep.
-func appendRecord(b []byte, kind byte, u wire.Update, keep int) []byte {
+// 'r' (rollback marker) file and the surviving log length keep.
+func appendRecord(b []byte, kind byte, file id.FileID, u wire.Update, keep int) []byte {
 	start := len(b)
 	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0, kind)
 	if kind == 'u' {
 		b = wire.AppendUpdate(b, u)
 	} else {
-		b = binary.AppendUvarint(b, uint64(keep))
+		b = binary.AppendUvarint(b, uint64(len(file)))
+		b = binary.AppendUvarint(append(b, file...), uint64(keep))
 	}
 	body := b[start+recHeader:]
 	binary.LittleEndian.PutUint32(b[start:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(body, castagnoli))
 	return b
+}
+
+// decodeRollback decodes the payload of an 'r' record.
+func decodeRollback(p []byte) (id.FileID, uint64, error) {
+	n, k := binary.Uvarint(p)
+	if k <= 0 || n > uint64(len(p)-k) {
+		return "", 0, errors.New("bad rollback marker")
+	}
+	keep, m := binary.Uvarint(p[k+int(n):])
+	if m <= 0 || k+int(n)+m != len(p) {
+		return "", 0, errors.New("bad rollback marker")
+	}
+	return id.FileID(p[k : k+int(n)]), keep, nil
 }
 
 // frameLen inspects the record frame at the start of b. n is the frame's
@@ -139,59 +169,121 @@ func frameLen(b []byte) (n int, intact bool) {
 	return n, crc32.Checksum(b[recHeader:n], castagnoli) == binary.LittleEndian.Uint32(b[4:])
 }
 
-// scanLog walks a log image, handing the body of every intact record to
-// visit (which may be nil), and returns the offset just past the last
-// intact record. Damage with nothing intact behind it is a torn tail and
-// ends the walk without error; damage followed by an intact record is
-// corruption.
-func scanLog(data []byte, visit func(body []byte) error) (end int, err error) {
-	n := min(len(data), len(walMagic))
-	if string(data[:n]) != walMagic[:n] {
-		return 0, errors.New("not an IDEA journal (no header; logs of the earlier gob format are not read)")
+// readTo reads from r until b holds n bytes or r ends.
+func readTo(r io.Reader, b []byte, n int) ([]byte, error) {
+	b = slices.Grow(b, n-len(b))
+	m, err := io.ReadFull(r, b[len(b):n])
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil
 	}
-	if n < len(walMagic) {
+	return b[:len(b)+m], err
+}
+
+// scanLog walks the first size bytes of a journal, handing the body of
+// every intact record to visit (which may be nil, and must not keep body),
+// and returns the offset just past the last intact record. Damage with
+// nothing intact behind it is a torn tail and ends the walk without error;
+// damage followed by an intact record is corruption. Records are read one
+// at a time; only behind damage is the rest of the journal read at once.
+func scanLog(ra io.ReaderAt, size int64, visit func(body []byte) error) (int64, error) {
+	r := bufio.NewReaderSize(io.NewSectionReader(ra, 0, size), 64<<10)
+	rec, err := readTo(r, nil, len(walMagic))
+	if err != nil {
+		return 0, err
+	}
+	if string(rec) != walMagic[:len(rec)] {
+		return 0, fmt.Errorf("%w: no header (journals of earlier formats are not read)", errDamaged)
+	}
+	if len(rec) < len(walMagic) {
 		return 0, nil // empty, or torn while the header was being written
 	}
-	off := len(walMagic)
-	for off < len(data) {
-		n, intact := frameLen(data[off:])
+	off := int64(len(rec))
+	for off < size {
+		rec, err = readTo(r, rec[:0], recHeader)
+		if len(rec) == recHeader {
+			if body := int64(binary.LittleEndian.Uint32(rec)); body <= size-off-recHeader {
+				rec, err = readTo(r, rec, recHeader+int(body))
+			}
+		}
+		if err != nil {
+			return off, err
+		}
+		n, intact := frameLen(rec)
 		if !intact {
 			// Torn or corrupt? Look for an intact record behind the damage.
 			// The search gives up (and says corrupt, the answer that loses
-			// nothing silently) once it has checksummed 4x the log, which
-			// only payload bytes crafted to look like frames can cost.
-			work := 0
-			for p := off + 1; p < len(data); p++ {
-				m, found := frameLen(data[p:])
-				if work += m; found || work > 4*len(data) {
-					return off, fmt.Errorf("corrupt record at byte offset %d (more than a torn tail follows it)", off)
+			// nothing silently) once it has checksummed 4x the journal,
+			// which only payload bytes crafted to look like frames can cost.
+			rest, err := io.ReadAll(r)
+			tail, work := append(rec, rest...), int64(0)
+			for p := 1; p < len(tail) && err == nil; p++ {
+				m, found := frameLen(tail[p:])
+				if work += int64(m); found || work > 4*size {
+					return off, fmt.Errorf("%w: corrupt record at byte offset %d (more than a torn tail follows it)", errDamaged, off)
 				}
 			}
-			return off, nil
+			return off, err
 		}
 		if visit != nil {
-			if err := visit(data[off+recHeader : off+n]); err != nil {
+			if err := visit(rec[recHeader:n]); err != nil {
 				return off, fmt.Errorf("record at byte offset %d: %w", off, err)
 			}
 		}
-		off += n
+		off += int64(n)
 	}
 	return off, nil
 }
 
-// OpenWAL opens (creating if needed) a write-ahead log directory.
+// OpenWAL opens (creating if needed) the journal in dir. A torn tail is
+// cut off first, so nothing is ever appended behind bytes recovery stops
+// at. A journal recovery rejects (corrupt, or not this format) is set
+// aside as journal.wal.corrupt and a new one started, because the node's
+// replicas restart empty and rollback markers count from the applied log;
+// Replay and Recover report why.
 func OpenWAL(dir string) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: wal dir: %w", err)
 	}
-	return &WAL{dir: dir, files: make(map[id.FileID]*walFile)}, nil
+	w := &WAL{dir: dir, group: make(map[id.FileID]int)}
+	if err := w.open(filepath.Join(dir, journalName)); err != nil {
+		if w.f != nil {
+			w.f.Close()
+		}
+		return nil, fmt.Errorf("store: wal open: %w", err)
+	}
+	return w, nil
 }
 
-// SetGroupCommit sets how many appended records may sit in the in-memory
-// buffer before it is pushed to the OS (minimum 1 = flush per append).
-// Records held in the buffer are lost on crash and anti-entropy re-ships
-// them, so raising the group size costs at most a re-sync window, never
-// correctness.
+// open opens the journal at path for append at its last intact record
+// boundary, first setting a rejected journal aside.
+func (w *WAL) open(path string) (err error) {
+	if w.f, err = os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644); err != nil {
+		return err
+	}
+	fi, err := w.f.Stat()
+	if err != nil {
+		return err
+	}
+	if w.size, err = scanLog(w.f, fi.Size(), nil); errors.Is(err, errDamaged) && w.rejected == nil {
+		w.rejected = fmt.Errorf("store: wal %s: %w; set aside as %s.corrupt", path, err, journalName)
+		if err = errors.Join(w.f.Close(), os.Rename(path, path+".corrupt")); err == nil {
+			return w.open(path)
+		}
+	}
+	if err == nil && w.size < fi.Size() {
+		err = w.f.Truncate(w.size)
+	}
+	if err == nil && w.size == 0 {
+		_, err = w.f.WriteString(walMagic)
+	}
+	return err
+}
+
+// SetGroupCommit sets how many appended records of one file may sit in
+// the in-memory buffer before it is pushed to the OS (minimum 1 = flush
+// per append). Records held in the buffer are lost on crash and
+// anti-entropy re-ships them, so raising the group size costs at most a
+// re-sync window, never correctness.
 func (w *WAL) SetGroupCommit(n int) { w.groupCommit.Store(int64(n)) }
 
 // AttachMetrics exports the journal's fsync latency as the
@@ -209,101 +301,44 @@ func (w *WAL) AttachMetrics(reg *telemetry.Registry) {
 	w.errMu.Unlock()
 }
 
-const walExt = ".wal"
-
-// path maps a file ID to its log name. The escape is reversible (Files
-// maps names back) and leaves no path separator, so distinct IDs never
-// share a log and none leaves the directory.
-func (w *WAL) path(file id.FileID) string {
-	return filepath.Join(w.dir, url.PathEscape(string(file))+walExt)
-}
-
-// appender returns the file's open log, opening it on first append.
-func (w *WAL) appender(file id.FileID) (*walFile, error) {
-	w.mu.RLock()
-	wf := w.files[file]
-	w.mu.RUnlock()
-	if wf != nil {
-		return wf, nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if wf = w.files[file]; wf != nil {
-		return wf, nil
-	}
-	wf, err := openLog(w.path(file))
-	if err != nil {
-		return nil, fmt.Errorf("store: wal open: %w", err)
-	}
-	w.files[file] = wf
-	return wf, nil
-}
-
-// openLog opens a log for append at its last intact record boundary: a
-// torn tail is cut off first, so nothing is ever appended behind bytes
-// recovery stops at. A log recovery rejects (corrupt, or not this format)
-// is set aside as <log>.corrupt and a new one started, because its replica
-// restarts empty and rollback markers count from the applied log.
-func openLog(path string) (*walFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	end, err := scanLog(data, nil)
-	if err != nil {
-		if err := os.Rename(path, path+".corrupt"); err != nil {
-			return nil, err
-		}
-		data, end = nil, 0
-	}
-	if end < len(data) {
-		if err := os.Truncate(path, int64(end)); err != nil {
-			return nil, err
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	wf := &walFile{f: f}
-	if end == 0 {
-		wf.buf = append(wf.buf, walMagic...)
-	}
-	return wf, nil
-}
-
-// append encodes one record into the file's commit group and writes the
+// append encodes one record into the open commit group and writes the
 // group out once it is full.
 func (w *WAL) append(file id.FileID, kind byte, u wire.Update, keep int) error {
-	wf, err := w.appender(file)
-	if err != nil {
-		return err
+	w.mu.Lock()
+	w.buf = appendRecord(w.buf, kind, file, u, keep)
+	n := w.group[file] + 1
+	if n < int(w.groupCommit.Load()) && len(w.buf) < groupBytes {
+		w.group[file] = n
+		w.mu.Unlock()
+		return nil
 	}
-	wf.mu.Lock()
-	defer wf.mu.Unlock()
-	wf.buf = appendRecord(wf.buf, kind, u, keep)
-	if wf.unflushed++; wf.unflushed >= int(w.groupCommit.Load()) {
-		return wf.flush()
-	}
-	return nil
+	return w.write()
 }
 
-// flush writes the open commit group to the OS. Callers hold wf.mu.
-func (wf *walFile) flush() error {
-	if wf.err == nil && len(wf.buf) > 0 {
-		if _, err := wf.f.Write(wf.buf); err != nil {
-			wf.err = fmt.Errorf("store: wal write: %w", err)
+// write writes the open commit group to the OS. The caller holds mu;
+// write takes the write lock before releasing it, so groups reach the
+// file in the order they were taken while appends fill the next one.
+func (w *WAL) write() error {
+	w.wmu.Lock()
+	defer w.wmu.Unlock()
+	buf := w.buf
+	w.buf, w.spare = w.spare[:0], nil
+	clear(w.group)
+	w.mu.Unlock()
+	if w.err == nil && len(buf) > 0 {
+		if _, err := w.f.Write(buf); err != nil {
+			w.err = fmt.Errorf("store: wal write: %w", err)
 		}
 	}
-	wf.buf, wf.unflushed = wf.buf[:0], 0
-	return wf.err
+	w.spare = buf
+	return w.err
 }
 
 // AppendUpdate records one applied update (reaching the OS by the next
 // group-commit flush).
 func (w *WAL) AppendUpdate(u wire.Update) error { return w.append(u.File, 'u', u, 0) }
 
-// AppendRollback records that the replica rolled back to keep updates.
+// AppendRollback records that the file's replica rolled back to keep updates.
 func (w *WAL) AppendRollback(file id.FileID, keep int) error {
 	return w.append(file, 'r', wire.Update{}, keep)
 }
@@ -314,7 +349,7 @@ func (w *WAL) AppendRollback(file id.FileID, keep int) error {
 // every update the store applies and every rollback/invalidation
 // truncation is journaled automatically. The hooks run inside the
 // store's apply path, which has no error channel, so failures latch into
-// the WAL's sticky error and surface at the next Err, Sync, or SyncAll.
+// the WAL's sticky error and surface at the next Err or SyncAll.
 
 // Appended journals one applied update (store.Journal).
 func (w *WAL) Appended(u wire.Update) { w.noteErr(w.AppendUpdate(u)) }
@@ -365,41 +400,27 @@ func (w *WAL) InjectSyncDelay(d time.Duration) {
 	w.syncDelayNS.Store(int64(d))
 }
 
-// Sync flushes a file's log to stable storage, recording the latency in
-// the store.wal_fsync_ms histogram when metrics are attached.
-func (w *WAL) Sync(file id.FileID) error {
-	w.mu.RLock()
-	wf, hist := w.files[file], w.fsyncMS
-	w.mu.RUnlock()
-	if wf == nil {
-		return nil
-	}
-	return w.syncFile(wf, hist)
-}
-
-// syncFile flushes the file's commit group under its lock and fsyncs
-// outside it, so an append to the file — from any shard — waits for the
-// write, never for the disk. The fsync covers every byte flushed before
-// it started; appends that land during it are covered by the next one.
-// A concurrent Close cannot pull the descriptor from under the fsync:
-// os.File counts the calls in flight on it and defers the close(2) until
-// the last one returns.
-func (w *WAL) syncFile(wf *walFile, hist *telemetry.Histogram) error {
-	wf.mu.Lock()
+// SyncAll writes the open commit group and fsyncs the journal — the
+// periodic durability sweep — recording the latency in the
+// store.wal_fsync_ms histogram when metrics are attached. The fsync runs
+// outside both locks, so an append waits for the write, never for the
+// disk; it covers every byte written before it started, and appends that
+// land during it are covered by the next one. A concurrent Close cannot
+// pull the descriptor from under it: os.File counts the calls in flight
+// and defers the close(2) until the last one returns. SyncAll returns the
+// first error (also latched into Err).
+func (w *WAL) SyncAll() error {
+	w.mu.Lock()
 	//idealint:allow determinism measures real disk fsync latency at the durability boundary, never replayed
 	start := time.Now()
-	err := wf.flush()
-	wf.mu.Unlock()
-	if err != nil {
-		w.noteErr(err)
-		return err
-	}
-	if d := time.Duration(w.syncDelayNS.Load()); d > 0 {
-		//idealint:allow determinism fault-injection brake emulating a slow disk at the layer real fsync latency arises
-		time.Sleep(d)
-	}
-	err = wf.f.Sync()
-	if hist != nil {
+	hist := w.fsyncMS
+	err := w.write()
+	if err == nil {
+		if d := time.Duration(w.syncDelayNS.Load()); d > 0 {
+			//idealint:allow determinism fault-injection brake emulating a slow disk at the layer real fsync latency arises
+			time.Sleep(d)
+		}
+		err = w.f.Sync()
 		//idealint:allow determinism measures real disk fsync latency at the durability boundary, never replayed
 		hist.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	}
@@ -407,137 +428,78 @@ func (w *WAL) syncFile(wf *walFile, hist *telemetry.Histogram) error {
 	return err
 }
 
-// SyncAll flushes every open log to stable storage — the periodic
-// durability sweep. It returns the first error (also latched into Err).
-func (w *WAL) SyncAll() error {
-	w.mu.RLock()
-	ids := make([]id.FileID, 0, len(w.files))
-	for f := range w.files {
-		ids = append(ids, f)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	files := make([]*walFile, 0, len(ids))
-	for _, f := range ids {
-		files = append(files, w.files[f])
-	}
-	hist := w.fsyncMS
-	w.mu.RUnlock()
-	var first error
-	for _, wf := range files {
-		if err := w.syncFile(wf, hist); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Close flushes and closes every open log.
+// Close writes the open commit group and closes the journal.
 func (w *WAL) Close() error {
 	w.mu.Lock()
-	files := w.files
-	w.files = make(map[id.FileID]*walFile)
-	w.mu.Unlock()
-	var first error
-	for _, wf := range files {
-		wf.mu.Lock()
-		if err := wf.flush(); err != nil && first == nil {
-			first = err
-		}
-		if err := wf.f.Close(); err != nil && first == nil {
-			first = err
-		}
-		wf.mu.Unlock()
+	err := w.write()
+	if cerr := w.f.Close(); err == nil && !errors.Is(cerr, os.ErrClosed) {
+		err = cerr
 	}
-	return first
+	return err
 }
 
-// Recover reads a file's log and returns the surviving updates in
-// application order, under the recovery contract in the WAL doc: a torn
-// tail is discarded and cut from the file, corruption before the last
-// record is an error. A file with no log recovers as empty.
-func (w *WAL) Recover(file id.FileID) ([]wire.Update, error) {
-	// Holding the table lock keeps a first append from opening the log
-	// between the scan and the cut.
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	path := w.path(file)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+// recovered decodes the journal as it stood when it was opened into
+// per-file logs, once: the first Recover or Replay pays one scan for all
+// files. The caller holds rmu.
+func (w *WAL) recovered() error {
+	if w.rejected != nil || w.logs != nil {
+		return w.rejected
 	}
-	if err != nil {
-		return nil, fmt.Errorf("store: wal recover: %w", err)
-	}
-	var log []wire.Update
-	end, err := scanLog(data, func(body []byte) error {
+	logs := make(map[id.FileID][]wire.Update)
+	_, err := scanLog(w.f, w.size, func(body []byte) error {
 		if body[0] == 'u' {
 			u, err := wire.DecodeUpdate(body[1:])
 			if err == nil {
-				log = append(log, u)
+				logs[u.File] = append(logs[u.File], u)
 			}
 			return err
 		}
-		keep, n := binary.Uvarint(body[1:])
-		if n <= 0 || n != len(body)-1 {
-			return errors.New("bad rollback marker")
+		file, keep, err := decodeRollback(body[1:])
+		if log := logs[file]; err == nil && keep <= uint64(len(log)) {
+			logs[file] = log[:keep]
 		}
-		if keep <= uint64(len(log)) {
-			log = log[:keep]
-		}
-		return nil
+		return err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("store: wal recover %s: %w", path, err)
+		return fmt.Errorf("store: wal recover %s: %w", filepath.Join(w.dir, journalName), err)
 	}
-	// A log already open for append was cut when it was opened; a short
-	// record seen now is an append in flight, not a tear.
-	if end < len(data) && w.files[file] == nil {
-		if err := os.Truncate(path, int64(end)); err != nil {
-			return nil, fmt.Errorf("store: wal recover: %w", err)
-		}
+	w.logs = logs
+	return nil
+}
+
+// Recover returns a file's surviving updates in application order, as
+// the journal held them when OpenWAL opened it, under the recovery
+// contract in the WAL doc: a rejected journal fails every file. The
+// first call decodes the whole journal in one pass; each file's log is
+// then handed over once and dropped, so recovering every file costs one
+// scan and the WAL keeps no copy. A file with no records recovers as
+// empty.
+func (w *WAL) Recover(file id.FileID) ([]wire.Update, error) {
+	w.rmu.Lock()
+	defer w.rmu.Unlock()
+	if err := w.recovered(); err != nil {
+		return nil, err
 	}
+	log := w.logs[file]
+	delete(w.logs, file)
 	return log, nil
 }
 
-// Files lists the file IDs with logs present on disk.
-func (w *WAL) Files() ([]id.FileID, error) {
-	ents, err := os.ReadDir(w.dir)
-	if err != nil {
-		return nil, err
-	}
-	var out []id.FileID
-	for _, e := range ents {
-		name, ok := strings.CutSuffix(e.Name(), walExt)
-		if !ok {
-			continue
-		}
-		if file, err := url.PathUnescape(name); err == nil {
-			out = append(out, id.FileID(file))
-		}
-	}
-	return out, nil
-}
-
-// Replay is crash recovery: it applies every log on disk to st, then
-// attaches w as st's journal (after, so replayed updates are not
-// journaled again). A log that cannot be recovered is skipped and
-// reported in the returned error; its file re-syncs through anti-entropy
-// like any lagging replica.
+// Replay is crash recovery: it applies every file's log in the journal
+// to st, then attaches w as st's journal (after, so replayed updates are
+// not journaled again). A journal that cannot be recovered replays
+// nothing and is reported in the returned error; every file re-syncs
+// through anti-entropy like any lagging replica.
 func (w *WAL) Replay(st *Store) error {
-	files, err := w.Files()
-	if err != nil {
-		err = fmt.Errorf("store: wal scan: %w", err)
-	}
-	for _, file := range files {
-		log, rerr := w.Recover(file)
-		if rerr != nil {
-			err = errors.Join(err, rerr)
-			continue
-		}
-		if len(log) > 0 {
+	w.rmu.Lock()
+	err := w.recovered()
+	for _, file := range slices.Sorted(maps.Keys(w.logs)) {
+		if log := w.logs[file]; len(log) > 0 {
 			st.Open(file).ApplyAll(log)
 		}
+		delete(w.logs, file)
 	}
+	w.rmu.Unlock()
 	st.SetJournal(w)
 	return err
 }

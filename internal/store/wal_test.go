@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,7 +34,7 @@ func TestWALAppendRecover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Sync(fBoard); err != nil {
+	if err := w.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -86,26 +88,58 @@ func TestWALRecoverMissingFile(t *testing.T) {
 }
 
 func TestWALPathSanitized(t *testing.T) {
-	w, _ := OpenWAL(t.TempDir())
-	p := w.path("a/b:c board%")
-	if filepath.Dir(p) != w.dir {
-		t.Fatalf("log %q escaped the journal directory", p)
+	// File IDs never shape a path: whatever bytes they hold, the journal
+	// directory holds one journal and nothing else, inside it or beside it.
+	root := t.TempDir()
+	dir := filepath.Join(root, "wal")
+	w := OpenWALMust(t, dir)
+	for s, f := range []id.FileID{"a/b:c board%", "../up", "/abs", "..", ""} {
+		if err := w.AppendUpdate(wire.Update{File: f, Writer: nA, Seq: s + 1, Op: "w"}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if base := filepath.Base(p); base != "a%2Fb:c%20board%25.wal" {
-		t.Fatalf("escaped name = %q", base)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for d, want := range map[string]string{root: "wal", dir: journalName} {
+		if names := dirNames(t, d); len(names) != 1 || names[0] != want {
+			t.Fatalf("%s holds %q, want only %q", d, names, want)
+		}
 	}
 }
 
+// dirNames lists the names in dir.
+func dirNames(t testing.TB, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
 func TestWALDistinctFilesNeverShareALog(t *testing.T) {
-	// Regression: "a/b" and "a_b" both mapped to a_b.wal, where two
-	// record streams interleaved and recovery dropped one of them.
+	// Regression (per-file logs): "a/b" and "a_b" both mapped to a_b.wal,
+	// where two record streams interleaved and recovery dropped one of
+	// them. In the journal every file's records interleave by design, and
+	// each file recovers exactly its own.
 	dir := t.TempDir()
 	w := OpenWALMust(t, dir)
+	w.SetGroupCommit(3)
 	ids := []id.FileID{"a/b", "a_b", "a%2Fb", "../up", "plain"}
-	for i, f := range ids {
-		for s := 1; s <= i+1; s++ {
+	for s := 1; s <= len(ids); s++ {
+		for i, f := range ids[s-1:] {
 			if err := w.AppendUpdate(wire.Update{File: f, Writer: nA, Seq: s, Op: "w"}); err != nil {
 				t.Fatal(err)
+			}
+			if i == 0 { // a marker that keeps all, between the files' records
+				if err := w.AppendRollback(f, s); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
@@ -121,45 +155,29 @@ func TestWALDistinctFilesNeverShareALog(t *testing.T) {
 		if len(log) != i+1 {
 			t.Fatalf("file %q recovered %d updates, want %d", f, len(log), i+1)
 		}
-		for _, u := range log {
-			if u.File != f {
-				t.Fatalf("file %q recovered an update of %q", f, u.File)
+		for s, u := range log {
+			if u.File != f || u.Seq != s+1 {
+				t.Fatalf("file %q recovered %v", f, log)
 			}
 		}
 	}
-	got, err := w2.Files()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[id.FileID]bool{}
-	for _, f := range ids {
-		want[f] = true
-	}
-	for _, f := range got {
-		if !want[f] {
-			t.Fatalf("Files() returned %q, which was never journaled", f)
-		}
-		delete(want, f)
-	}
-	if len(want) != 0 {
-		t.Fatalf("Files() = %q, missing %v", got, want)
-	}
 }
 
+// journalPath is the journal of the WAL directory dir.
+func journalPath(dir string) string { return filepath.Join(dir, journalName) }
+
 // writeLog journals n updates of writer nA to fBoard in dir and returns
-// the log's bytes and the byte offset at which each record starts (plus
-// the end offset as the last element).
+// the journal's bytes and the byte offset at which each record starts
+// (plus the end offset as the last element).
 func writeLog(t testing.TB, dir string, n int) (image []byte, bounds []int) {
 	t.Helper()
 	w := OpenWALMust(t, dir)
-	path := w.path(fBoard)
 	for i := 1; i <= n; i++ {
-		st, err := os.Stat(path)
-		if err == nil {
-			bounds = append(bounds, int(st.Size()))
-		} else {
-			bounds = append(bounds, len(walMagic))
+		st, err := os.Stat(journalPath(dir))
+		if err != nil {
+			t.Fatal(err)
 		}
+		bounds = append(bounds, int(st.Size()))
 		u := wire.Update{File: fBoard, Writer: nA, Seq: i, At: sec(float64(i)), Op: "w", Data: []byte{byte(i)}}
 		if err := w.AppendUpdate(u); err != nil {
 			t.Fatal(err)
@@ -168,34 +186,39 @@ func writeLog(t testing.TB, dir string, n int) (image []byte, bounds []int) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	image, err := os.ReadFile(path)
+	image, err := os.ReadFile(journalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return image, append(bounds, len(image))
 }
 
+// openImage writes image as the journal of a new directory and opens it.
+func openImage(t testing.TB, image []byte) (*WAL, string) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(journalPath(dir), image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return OpenWALMust(t, dir), dir
+}
+
 func TestWALAppendAfterTornTail(t *testing.T) {
 	// Regression: after a torn tail and a restart, new records were
 	// appended behind the torn bytes; the next recovery stopped at the
 	// tear and returned 2 of 6 updates with a nil error.
-	dir := t.TempDir()
-	image, _ := writeLog(t, dir, 3)
-	w := OpenWALMust(t, dir)
-	path := w.path(fBoard)
-	if err := os.Truncate(path, int64(len(image)-3)); err != nil {
-		t.Fatal(err)
-	}
+	image, _ := writeLog(t, t.TempDir(), 3)
+	w, dir := openImage(t, image[:len(image)-3])
 	log, err := w.Recover(fBoard)
 	if err != nil || len(log) != 2 {
-		t.Fatalf("recovered %d updates from the torn log (err %v), want 2", len(log), err)
+		t.Fatalf("recovered %d updates from the torn journal (err %v), want 2", len(log), err)
 	}
 	for i := 3; i <= 6; i++ {
 		if err := w.AppendUpdate(wire.Update{File: fBoard, Writer: nA, Seq: i, Op: "w"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Sync(fBoard); err != nil {
+	if err := w.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -216,14 +239,10 @@ func TestWALAppendAfterTornTail(t *testing.T) {
 }
 
 func TestWALAppendCutsTornTailWithoutRecover(t *testing.T) {
-	// A node that appends to an existing log without replaying it first
-	// must still not write behind a tear.
-	dir := t.TempDir()
-	image, _ := writeLog(t, dir, 3)
-	w := OpenWALMust(t, dir)
-	if err := os.Truncate(w.path(fBoard), int64(len(image)-3)); err != nil {
-		t.Fatal(err)
-	}
+	// A node that appends to an existing journal without replaying it
+	// first must still not write behind a tear.
+	image, _ := writeLog(t, t.TempDir(), 3)
+	w, dir := openImage(t, image[:len(image)-3])
 	if err := w.AppendUpdate(wire.Update{File: fBoard, Writer: nA, Seq: 3, Op: "again"}); err != nil {
 		t.Fatal(err)
 	}
@@ -237,19 +256,15 @@ func TestWALAppendCutsTornTailWithoutRecover(t *testing.T) {
 func TestWALTruncatedAtEveryOffset(t *testing.T) {
 	// The torn-tail half of the recovery contract: wherever a crash cuts
 	// the last two records, recovery returns exactly the intact prefix,
-	// reports no error, and leaves the file ending at a record boundary.
+	// reports no error, and the journal is left ending at a record
+	// boundary.
 	image, bounds := writeLog(t, t.TempDir(), 5)
 	for cut := bounds[3]; cut <= len(image); cut++ {
 		want := 3
 		for i := 4; i < len(bounds) && bounds[i] <= cut; i++ {
 			want = i
 		}
-		dir := t.TempDir()
-		w := OpenWALMust(t, dir)
-		path := w.path(fBoard)
-		if err := os.WriteFile(path, image[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
+		w, dir := openImage(t, image[:cut])
 		log, err := w.Recover(fBoard)
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
@@ -257,25 +272,23 @@ func TestWALTruncatedAtEveryOffset(t *testing.T) {
 		if len(log) != want || (want > 0 && log[want-1].Seq != want) {
 			t.Fatalf("cut at %d: recovered %d updates, want %d", cut, len(log), want)
 		}
-		if st, _ := os.Stat(path); int(st.Size()) != bounds[want] {
-			t.Fatalf("cut at %d: log left %d bytes long, want the record boundary %d", cut, st.Size(), bounds[want])
+		if st, _ := os.Stat(journalPath(dir)); int(st.Size()) != bounds[want] {
+			t.Fatalf("cut at %d: journal left %d bytes long, want the record boundary %d", cut, st.Size(), bounds[want])
 		}
+		w.Close()
 	}
 }
 
 func TestWALMidLogCorruptionIsAnError(t *testing.T) {
 	// The corruption half: damage to a record that intact records follow
-	// is reported with its byte offset, never as a shorter log. Every
-	// byte of the record is tried, its length and checksum included.
+	// is reported with its byte offset, never as a shorter log, and the
+	// journal is set aside whole. Every byte of the record is tried, its
+	// length and checksum included.
 	image, bounds := writeLog(t, t.TempDir(), 5)
 	for at := bounds[2]; at < bounds[3]; at++ {
 		bad := bytes.Clone(image)
 		bad[at] ^= 0x41
-		dir := t.TempDir()
-		w := OpenWALMust(t, dir)
-		if err := os.WriteFile(w.path(fBoard), bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		w, dir := openImage(t, bad)
 		log, err := w.Recover(fBoard)
 		if err == nil {
 			t.Fatalf("byte %d flipped: recovered %d updates and no error", at, len(log))
@@ -286,6 +299,10 @@ func TestWALMidLogCorruptionIsAnError(t *testing.T) {
 		if log != nil {
 			t.Fatalf("byte %d flipped: an error came with %d updates", at, len(log))
 		}
+		w.Close()
+		if kept, err := os.ReadFile(journalPath(dir) + ".corrupt"); err != nil || !bytes.Equal(kept, bad) {
+			t.Fatalf("byte %d flipped: journal not set aside whole: %v", at, err)
+		}
 	}
 }
 
@@ -293,50 +310,122 @@ func TestWALRecoverBoundsItsSearch(t *testing.T) {
 	// Telling a torn tail from corruption means looking for an intact
 	// record behind the damage. Payload bytes can be crafted so that every
 	// ninth offset looks like the header of an 8 KiB record; recovery must
-	// stop checksumming them after a few times the log's size and report
-	// corruption, not spend minutes per megabyte.
+	// stop checksumming them after a few times the journal's size and
+	// report corruption, not spend minutes per megabyte.
 	image, _ := writeLog(t, t.TempDir(), 2)
 	unit := []byte{0x00, 0x20, 0, 0, 1, 2, 3, 4, 'u'}
 	image = append(image, bytes.Repeat(unit, 1<<15)...)
-	w := OpenWALMust(t, t.TempDir())
-	if err := os.WriteFile(w.path(fBoard), image, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	w, _ := openImage(t, image)
+	defer w.Close()
 	if log, err := w.Recover(fBoard); err == nil {
-		t.Fatalf("recovered %d updates and no error from a log with a crafted tail", len(log))
+		t.Fatalf("recovered %d updates and no error from a journal with a crafted tail", len(log))
 	}
 }
 
 func TestWALRejectsLogWithoutHeader(t *testing.T) {
-	// A log of the earlier gob format (or any foreign file) is rejected,
-	// and the first append sets it aside so the journal restarts in step
-	// with the replica, which restarts empty.
-	dir := t.TempDir()
-	w := OpenWALMust(t, dir)
-	path := w.path(fBoard)
+	// A journal of an earlier format (or any foreign file) is rejected and
+	// set aside, and a new one started, so the journal restarts in step
+	// with the replicas, which restart empty.
 	old := []byte("\x2c\xff\x81\x03\x01\x01\x09walRecord\x01\xff\x82\x00\x01\x03")
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	w, dir := openImage(t, old)
 	if log, err := w.Recover(fBoard); err == nil || log != nil {
-		t.Fatalf("headerless log recovered as %v, %v", log, err)
+		t.Fatalf("headerless journal recovered as %v, %v", log, err)
 	}
 	st := New(nA)
 	if err := w.Replay(st); err == nil {
-		t.Fatal("Replay did not report the rejected log")
+		t.Fatal("Replay did not report the rejected journal")
 	}
 	st.Open(fBoard).WriteLocal(sec(1), "w", nil, 0)
 	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	if kept, err := os.ReadFile(path + ".corrupt"); err != nil || !bytes.Equal(kept, old) {
-		t.Fatalf("rejected log not set aside intact: %v", err)
+	if kept, err := os.ReadFile(journalPath(dir) + ".corrupt"); err != nil || !bytes.Equal(kept, old) {
+		t.Fatalf("rejected journal not set aside intact: %v", err)
 	}
 	log, err := OpenWALMust(t, dir).Recover(fBoard)
 	if err != nil || len(log) != 1 {
 		t.Fatalf("restarted journal recovered %v, %v; want the one new write", log, err)
 	}
+}
+
+// journalScript journals the operations script encodes, round-robin over
+// four files, and returns the WAL directory and each operation's effect
+// on a per-file model: after[i] is every file's log once the first i+1
+// records are applied. Each byte is an update, or (two bits set) a
+// rollback marker keeping one more than, as many as, or one fewer than
+// the file's current length.
+func journalScript(t *testing.T, script []byte) (dir string, after []map[id.FileID][]wire.Update) {
+	files := []id.FileID{"a", "b/c", "d", ""}
+	dir = t.TempDir()
+	w := OpenWALMust(t, dir)
+	if len(script) > 0 {
+		w.SetGroupCommit(int(script[0] % 10))
+	}
+	model := map[id.FileID][]wire.Update{}
+	for i, b := range script {
+		f := files[int(b)%len(files)]
+		if log := model[f]; b&0x30 == 0x30 {
+			keep := max(0, len(log)+1-int(b>>6)%3)
+			if err := w.AppendRollback(f, keep); err != nil {
+				t.Fatal(err)
+			}
+			if keep <= len(log) {
+				model[f] = log[:keep:keep]
+			}
+		} else {
+			u := wire.Update{File: f, Writer: id.NodeID(b%3 + 1), Seq: i + 1, At: vv.Stamp(i), Op: "w", Data: bytes.Repeat([]byte{b}, int(b>>4))}
+			if err := w.AppendUpdate(u); err != nil {
+				t.Fatal(err)
+			}
+			model[f] = append(log[:len(log):len(log)], u)
+		}
+		after = append(after, maps.Clone(model))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir, after
+}
+
+// recoverAll recovers the model's four files from the journal in dir.
+func recoverAll(t *testing.T, dir string) map[id.FileID][]wire.Update {
+	w := OpenWALMust(t, dir)
+	defer w.Close()
+	got := map[id.FileID][]wire.Update{}
+	for _, f := range []id.FileID{"a", "b/c", "d", ""} {
+		log, err := w.Recover(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(log) > 0 {
+			got[f] = log
+		}
+	}
+	return got
+}
+
+// sameLogs reports whether two sets of per-file logs are equal, treating
+// an empty log as absent.
+func sameLogs(a, b map[id.FileID][]wire.Update) bool {
+	nonEmpty := func(m map[id.FileID][]wire.Update) int {
+		n := 0
+		for _, log := range m {
+			n += min(len(log), 1)
+		}
+		return n
+	}
+	if nonEmpty(a) != nonEmpty(b) {
+		return false
+	}
+	for f, log := range a {
+		if len(log) > 0 && !slices.EqualFunc(log, b[f], func(x, y wire.Update) bool {
+			return x.File == y.File && x.Writer == y.Writer && x.Seq == y.Seq && x.At == y.At && x.Op == y.Op && bytes.Equal(x.Data, y.Data)
+		}) {
+			return false
+		}
+	}
+	return true
 }
 
 func FuzzWALRecover(f *testing.F) {
@@ -347,52 +436,94 @@ func FuzzWALRecover(f *testing.F) {
 	flipped := bytes.Clone(image)
 	flipped[bounds[1]+9] ^= 1
 	f.Add(flipped)
-	f.Add(appendRecord(bytes.Clone(image), 'r', wire.Update{}, 1))
+	f.Add(appendRecord(bytes.Clone(image), 'r', fBoard, wire.Update{}, 1))
 	f.Add([]byte(walMagic))
 	f.Add([]byte("IDEA"))
 	f.Add([]byte{})
+	f.Add([]byte{3, 0x11, 0x22, 0x33, 0x44, 0xf1, 0x05, 0x72, 0xb3, 0x10, 0x31})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// No record reaches the decoder unless the checksum in front of it
-		// matches. body aliases data, so its capacity gives its offset.
-		data = data[:len(data):len(data)]
-		end, err := scanLog(data, func(body []byte) error {
-			off := len(data) - cap(body)
-			if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[off-4:]) {
-				t.Fatalf("record at %d visited with a failed checksum", off-recHeader)
+		// As a journal image. No record reaches the decoder unless the
+		// checksum in front of it matches; visit sees each intact record's
+		// body in order, so the offsets it implies are the records' own.
+		off := int64(len(walMagic))
+		end, err := scanLog(bytes.NewReader(data), int64(len(data)), func(body []byte) error {
+			at := off + recHeader
+			if at+int64(len(body)) > int64(len(data)) || !bytes.Equal(data[at:at+int64(len(body))], body) ||
+				crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[off+4:]) {
+				t.Fatalf("record at %d visited with a failed checksum", off)
 			}
+			off += recHeader + int64(len(body))
 			return nil
 		})
-		if end < 0 || end > len(data) {
-			t.Fatalf("scan ended at %d of %d (err %v)", end, len(data), err)
+		if end < 0 || end > int64(len(data)) || (err == nil && end != off && end != 0) {
+			t.Fatalf("scan ended at %d of %d after records to %d (err %v)", end, len(data), off, err)
 		}
 
-		// Whatever the bytes, recovery either rejects the log or returns
-		// a prefix that survives an append and a second restart.
-		dir := t.TempDir()
-		w := OpenWALMust(t, dir)
-		if err := os.WriteFile(w.path(fBoard), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		// Whatever the bytes, recovery either rejects the journal or
+		// returns a prefix that survives an append and a second restart.
+		w, dir := openImage(t, data)
 		log, err := w.Recover(fBoard)
 		if err != nil {
 			if log != nil {
 				t.Fatalf("error %v came with %d updates", err, len(log))
 			}
+			w.Close()
+		} else {
+			next := wire.Update{File: fBoard, Writer: nB, Seq: 7, Op: "after"}
+			if err := w.AppendUpdate(next); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := OpenWALMust(t, dir).Recover(fBoard)
+			if err != nil {
+				t.Fatalf("second recovery: %v", err)
+			}
+			if len(again) != len(log)+1 || again[len(log)].Op != "after" {
+				t.Fatalf("second recovery returned %d updates after %d plus one append", len(again), len(log))
+			}
+		}
+
+		// As a script: appends and rollback markers of four files,
+		// interleaved in one journal. Each file recovers exactly its
+		// model's log; a journal cut at any byte recovers every file as it
+		// stood after the last whole record before the cut.
+		dir, after := journalScript(t, data)
+		if len(after) == 0 {
 			return
 		}
-		next := wire.Update{File: fBoard, Writer: nB, Seq: 7, Op: "after"}
-		if err := w.AppendUpdate(next); err != nil {
-			t.Fatal(err)
+		if got := recoverAll(t, dir); !sameLogs(got, after[len(after)-1]) {
+			t.Fatalf("recovered %v, model %v", got, after[len(after)-1])
 		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		again, err := OpenWALMust(t, dir).Recover(fBoard)
+		full, err := os.ReadFile(journalPath(dir))
 		if err != nil {
-			t.Fatalf("second recovery: %v", err)
+			t.Fatal(err)
 		}
-		if len(again) != len(log)+1 || again[len(log)].Op != "after" {
-			t.Fatalf("second recovery returned %d updates after %d plus one append", len(again), len(log))
+		var ends []int
+		pos := len(walMagic)
+		scanLog(bytes.NewReader(full), int64(len(full)), func(body []byte) error {
+			pos += recHeader + len(body)
+			ends = append(ends, pos)
+			return nil
+		})
+		cut := len(full)
+		if len(data) > 1 {
+			cut = int(binary.LittleEndian.Uint16(data[len(data)-2:])) % (len(full) + 1)
+		}
+		whole := 0
+		for whole < len(ends) && ends[whole] <= cut {
+			whole++
+		}
+		if err := os.WriteFile(journalPath(dir), full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := map[id.FileID][]wire.Update{}
+		if whole > 0 {
+			want = after[whole-1]
+		}
+		if got := recoverAll(t, dir); !sameLogs(got, want) {
+			t.Fatalf("cut at %d of %d (%d whole records): recovered %v, want %v", cut, len(full), whole, got, want)
 		}
 	})
 }
@@ -413,6 +544,31 @@ func BenchmarkWALAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		u.Seq = i
 		if err := w.AppendUpdate(u); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWALAppendManyFiles(b *testing.B) {
+	// A load spread over 64 files, round-robin: the shared commit group
+	// fills by size long before any one file holds 8 records.
+	w, err := OpenWAL(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	w.SetGroupCommit(8)
+	var us [64]wire.Update
+	for i := range us {
+		us[i] = wire.Update{File: id.FileID(fmt.Sprintf("file-%02d", i)), Writer: nA, At: sec(1), Meta: 1.5, Op: "write", Data: make([]byte, 64)}
+		w.AppendUpdate(us[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		u := &us[i%len(us)]
+		u.Seq = i
+		if err := w.AppendUpdate(*u); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -453,7 +609,7 @@ func TestSyncLeavesAppendsFree(t *testing.T) {
 	// The buffered record reaches the file only by the sweep's flush, so
 	// once it is there the sweep is in its (slow) fsync.
 	for {
-		if fi, err := os.Stat(w.path(fBoard)); err == nil && fi.Size() > int64(len(walMagic)) {
+		if fi, err := os.Stat(journalPath(w.dir)); err == nil && fi.Size() > int64(len(walMagic)) {
 			break
 		}
 		runtime.Gosched()
@@ -633,6 +789,9 @@ func TestReplayRollbackJournal(t *testing.T) {
 }
 
 func TestReplaySkipsACorruptLogAndReportsIt(t *testing.T) {
+	// One journal holds every file, so corruption anywhere in it costs
+	// every file its log: Replay reports it naming the journal, replays
+	// nothing, and the node's later writes start a new journal.
 	dir := t.TempDir()
 	st, w := openDurable(t, dir)
 	for i := 0; i < 3; i++ {
@@ -640,27 +799,30 @@ func TestReplaySkipsACorruptLogAndReportsIt(t *testing.T) {
 		st.Open("bad").WriteLocal(sec(float64(i)), "w", nil, 0)
 	}
 	w.Close()
-	path := w.path("bad")
-	image, err := os.ReadFile(path)
+	image, err := os.ReadFile(journalPath(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	image[len(walMagic)+recHeader+2] ^= 0xff // inside the first of three records
-	if err := os.WriteFile(path, image, 0o644); err != nil {
+	image[len(walMagic)+recHeader+2] ^= 0xff // inside the first of six records
+	if err := os.WriteFile(journalPath(dir), image, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	w2 := OpenWALMust(t, dir)
-	defer w2.Close()
 	st2 := New(nA)
 	err = w2.Replay(st2)
-	if err == nil || !strings.Contains(err.Error(), filepath.Base(path)) {
-		t.Fatalf("Replay error %v does not name the corrupt log", err)
+	if err == nil || !strings.Contains(err.Error(), journalName) {
+		t.Fatalf("Replay error %v does not name the corrupt journal", err)
 	}
-	if got := st2.Open("good").Len(); got != 3 {
-		t.Fatalf("good file recovered %d updates beside a corrupt one, want 3", got)
+	if n := len(st2.Files()); n != 0 {
+		t.Fatalf("a corrupt journal replayed %d files", n)
 	}
-	if got := st2.Open("bad").Len(); got != 0 {
-		t.Fatalf("corrupt log replayed %d updates", got)
+	st2.Open("good").WriteLocal(sec(9), "w", nil, 0)
+	w2.Close()
+	if got := dirNames(t, dir); len(got) != 2 || got[0] != journalName || got[1] != journalName+".corrupt" {
+		t.Fatalf("journal directory holds %q, want the new journal and the one set aside", got)
+	}
+	if log, err := OpenWALMust(t, dir).Recover("good"); err != nil || len(log) != 1 {
+		t.Fatalf("new journal recovered %v, %v; want the one write after the restart", log, err)
 	}
 }
 
@@ -766,16 +928,79 @@ func TestWALConcurrentAppendsAndSync(t *testing.T) {
 	}
 }
 
+func TestWALOneJournal(t *testing.T) {
+	// A node's files share one journal: appends to 64 files create one
+	// file, and a sweep is one flush and one fsync whatever the count.
+	dir := t.TempDir()
+	w := OpenWALMust(t, dir)
+	defer w.Close()
+	reg := telemetry.NewRegistry()
+	w.AttachMetrics(reg)
+	w.SetGroupCommit(8)
+	for i := 0; i < 64; i++ {
+		if err := w.AppendUpdate(wire.Update{File: id.FileID(fmt.Sprintf("f%02d", i)), Writer: nA, Seq: 1, Op: "w"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := dirNames(t, dir); len(got) != 1 || got[0] != journalName {
+		t.Fatalf("64 files journaled into %q, want only %s", got, journalName)
+	}
+	if err := w.SyncAll(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Histogram("store.wal_fsync_ms").Count(); got != 1 {
+		t.Fatalf("one sweep over 64 files made %d fsync observations, want 1", got)
+	}
+}
+
+func TestWALCommitGroupSpansFiles(t *testing.T) {
+	// The open commit group is shared: it reaches the OS when any one
+	// file holds N records of it (so at most N-1 records of each file are
+	// ever held back), or when it reaches groupBytes.
+	dir := t.TempDir()
+	w := OpenWALMust(t, dir)
+	defer w.Close()
+	w.SetGroupCommit(8)
+	size := func() int64 {
+		fi, err := os.Stat(journalPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	files := []id.FileID{"a", "b", "c"}
+	for s := 1; s <= 7; s++ {
+		for _, f := range files {
+			w.AppendUpdate(wire.Update{File: f, Writer: nA, Seq: s, Op: "w"})
+		}
+	}
+	if got := size(); got != int64(len(walMagic)) {
+		t.Fatalf("7 records of each of 3 files reached the journal early: %d bytes", got)
+	}
+	w.AppendUpdate(wire.Update{File: "b", Writer: nA, Seq: 8, Op: "w"})
+	written := size()
+	if written == int64(len(walMagic)) {
+		t.Fatal("a file's 8th record did not write the group")
+	}
+	w.AppendUpdate(wire.Update{File: "a", Writer: nA, Seq: 8, Op: "w"})
+	if size() != written {
+		t.Fatal("a group of one record was written after the counts were reset")
+	}
+	w.AppendUpdate(wire.Update{File: "d", Writer: nA, Seq: 1, Op: "w", Data: make([]byte, groupBytes)})
+	if size() <= written+groupBytes {
+		t.Fatal("a group past groupBytes stayed in memory")
+	}
+}
+
 func TestWALFsyncHistogram(t *testing.T) {
 	w := OpenWALMust(t, t.TempDir())
 	reg := telemetry.NewRegistry()
 	w.AttachMetrics(reg)
 	w.AppendUpdate(wire.Update{File: fBoard, Writer: nA, Seq: 1, Op: "w"})
-	if err := w.Sync(fBoard); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SyncAll(); err != nil {
-		t.Fatal(err)
+	for range 2 {
+		if err := w.SyncAll(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if got := reg.Histogram("store.wal_fsync_ms").Count(); got != 2 {
 		t.Fatalf("store.wal_fsync_ms count = %d, want 2", got)
@@ -818,7 +1043,7 @@ func TestWALInjectSyncDelay(t *testing.T) {
 	w.AttachMetrics(reg)
 	w.AppendUpdate(wire.Update{File: fBoard, Writer: nA, Seq: 1, Op: "w"})
 	w.InjectSyncDelay(30 * time.Millisecond)
-	if err := w.Sync(fBoard); err != nil {
+	if err := w.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	h := reg.Histogram("store.wal_fsync_ms")
@@ -827,7 +1052,7 @@ func TestWALInjectSyncDelay(t *testing.T) {
 	}
 	// Clearing the brake restores the real disk's pace.
 	w.InjectSyncDelay(0)
-	if err := w.Sync(fBoard); err != nil {
+	if err := w.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.Count(); got != 2 {

@@ -9,8 +9,6 @@ package topview_test
 import (
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -76,10 +74,11 @@ func TestLiveClusterHealthAndWALFailure(t *testing.T) {
 		t.Fatalf("collect saw %d/%d nodes", len(cs.Nodes)-cs.Unreachable, len(all))
 	}
 
-	// Pull the WAL directory out from under node 1 and force a fresh log
-	// file: appends to already-open logs still hit their unlinked fds, so
-	// only a new file trips the journal's sticky error.
-	if err := os.RemoveAll(filepath.Join(walDir, "n1-i1")); err != nil {
+	// Close node 1's journal under it: its next group write and fsync
+	// sweep fail on the closed descriptor, which trips the journal's
+	// sticky error. (Removing the directory would not: the open journal's
+	// descriptor still writes to the unlinked file.)
+	if err := nodes[1].N.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
