@@ -401,7 +401,7 @@ func (n *Node) handleSnapshotFileRequest(e env.Env, from id.NodeID, m wire.Snaps
 			r.SnapshotWindow(m.Offset, snapChunkUpdates, snapChunkBytes)
 	}
 	if n.met.snapshotBytes != nil {
-		n.met.snapshotBytes.Add(int64(n.snapSizer.Size(wire.Envelope{From: n.self, To: from, Msg: reply})))
+		n.met.snapshotBytes.Add(int64(wire.Size(wire.Envelope{From: n.self, To: from, Msg: reply})))
 	}
 	e.Send(from, reply)
 }

@@ -240,17 +240,18 @@ type Node struct {
 	shards  []*coreShard
 
 	// Dynamic membership (nil/zero without Options.Swim).
-	swim      *membership.Agent
-	view      *overlay.View
-	join      joinState
-	snapSizer *wire.Sizer
+	swim *membership.Agent
+	view *overlay.View
+	join joinState
 
 	// Durability (nil/zero without Options.Journal).
 	wal    *store.WAL
 	walErr error // logs crash recovery skipped, logged once at Start
 
-	// Health engine + flight recorder (never nil; see Options.Health).
+	// Health engine + flight recorder (never nil; see Options.Health), and
+	// the registry handles its tick reads (shard 0 only).
 	health *health.Engine
+	probe  *health.ProbeReader
 
 	onLevel    hook[LevelFunc]
 	onAlert    hook[AlertFunc]
@@ -341,7 +342,6 @@ func NewNode(self id.NodeID, opts Options) *Node {
 			base = overlay.NewDynamic(swimAll, n.ran)
 		}
 		n.mem = n.setupMembership(opts, swimAll, base)
-		n.snapSizer = wire.NewSizer()
 	} else {
 		n.mem = opts.Membership
 		if n.mem == nil {
@@ -412,6 +412,7 @@ func NewNode(self id.NodeID, opts Options) *Node {
 	// importantly the store.wal_fsync_ms histogram's bucket bounds — are
 	// already registered with their canonical shapes.
 	n.health = health.NewEngine(self, opts.Health, n.reg)
+	n.probe = health.NewProbeReader(n.reg)
 	return n
 }
 
@@ -438,12 +439,12 @@ func (g gossipState) ActiveFiles() []id.FileID {
 	})
 }
 
-// StableCounts implements gossip.StableState: digests advertise the
+// StableVector implements gossip.StableState: digests advertise the
 // replica's rollback floor, so no peer compacts an update this node could
 // still re-need after a §4.4.2 rollback.
-func (g gossipState) StableCounts(f id.FileID) map[id.NodeID]int {
+func (g gossipState) StableVector(f id.FileID) *vv.Vector {
 	if r := g.sh.n.st.Peek(f); r != nil {
-		return r.StableCounts()
+		return r.StableVector()
 	}
 	return nil
 }
@@ -699,16 +700,17 @@ func (n *Node) Timer(e env.Env, key string, data any) {
 }
 
 // healthTick runs one health-engine evaluation on shard 0: it assembles
-// the probe (the few counters and gauges the detectors read, plus the
-// signals a registry can't carry — the WAL's sticky error and the
-// join-bootstrap phase) and re-arms. The tick sends no messages and draws
-// no randomness, so seeded simnet runs stay byte-for-byte reproducible
-// with health enabled.
+// the probe (the few counters and gauges the detectors read, through
+// handles resolved once, plus the signals a registry can't carry — the
+// WAL's sticky error and the join-bootstrap phase) and re-arms. The tick
+// sends no messages and draws no randomness, so seeded simnet runs stay
+// byte-for-byte reproducible with health enabled.
 func (n *Node) healthTick(e env.Env) {
 	if !n.health.Enabled() {
 		return
 	}
-	p := health.Probe{Snap: health.ProbeSnapshot(n.reg), Join: n.joinStatus(e.Now())}
+	p := n.probe.Read()
+	p.Join = n.joinStatus(e.Now())
 	if n.wal != nil {
 		if err := n.wal.Err(); err != nil {
 			p.WALErr = err.Error()

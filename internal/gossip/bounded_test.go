@@ -29,8 +29,12 @@ func TestSeenMapEvicted(t *testing.T) {
 		if got := len(gn.a.seen); got > 4*2*(seenRounds+1) {
 			t.Fatalf("node %v seen map grew to %d entries", nid, got)
 		}
-		if got := len(gn.a.advertised); got > seenRounds+1 {
-			t.Fatalf("node %v keeps %d advertised vectors", nid, got)
+		advertised := 0
+		for _, s := range gn.a.rounds {
+			advertised += len(s.advertised)
+		}
+		if advertised > seenRounds+1 {
+			t.Fatalf("node %v keeps %d advertised vectors", nid, advertised)
 		}
 	}
 }

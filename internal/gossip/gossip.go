@@ -13,6 +13,8 @@
 package gossip
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"idea/internal/env"
@@ -38,7 +40,7 @@ type Config struct {
 // seenRounds is how many of the agent's own rounds a digest dedup entry,
 // and an advertised vector, is retained for. Relays and the reports they
 // trigger arrive within TTL hops of the origin's round, so a few rounds
-// suffice; eviction keeps both maps bounded on long-running nodes.
+// suffice; eviction keeps both bounded on long-running nodes.
 const seenRounds = 4
 
 func (c Config) withDefaults() Config {
@@ -67,11 +69,13 @@ type State interface {
 }
 
 // StableState is optionally implemented by a State whose replicas can
-// roll back (checkpoints): StableCounts returns the per-writer counts
-// the file's replica can never roll back below. Digests then advertise
-// these as the compaction signal instead of the raw vector counts.
+// roll back (checkpoints): StableVector returns the vector whose counts
+// the file's replica can never roll back below, or nil when the node
+// holds no replica. The agent reads it in place, like LocalVector.
+// Digests then advertise these counts as the compaction signal instead
+// of the raw vector counts.
 type StableState interface {
-	StableCounts(file id.FileID) map[id.NodeID]int
+	StableVector(file id.FileID) *vv.Vector
 }
 
 // ReportSink receives conflict reports that arrived at this node (it was
@@ -83,7 +87,9 @@ type ReportSink func(e env.Env, rep wire.GossipReport, advertised *vv.Vector)
 // FrontierFunc receives a newly learned stability frontier for a file:
 // per-writer update counts known to be held by every bottom-layer peer.
 // The store uses it to compact its logs (everything below the frontier is
-// replicated everywhere, so nobody will ever ask for it again).
+// replicated everywhere, so nobody will ever ask for it again). stable is
+// the agent's own map, refilled when the file's frontier next moves: a
+// callback that holds on to it past the call keeps a copy.
 type FrontierFunc func(e env.Env, file id.FileID, stable map[id.NodeID]int)
 
 const timerRound = "gossip.round"
@@ -107,6 +113,9 @@ func TimerShard(key string, data any) (int, bool) {
 type originView struct {
 	counts map[id.NodeID]int
 	round  int
+	// own holds the counts of a digest that advertised no rollback floor,
+	// refilled by the origin's next such digest; counts then points to it.
+	own map[id.NodeID]int
 }
 
 // frontierStaleRounds expires origin count information not refreshed for
@@ -135,10 +144,12 @@ type Agent struct {
 
 	shard int // serialization-domain label carried in round-timer data
 	round int
-	seen  map[digestKey]int // digest dedup key → local round inserted
-	// advertised keeps the vector behind each of this node's own recent
-	// digests, keyed by the digest, for scoring the reports it triggers.
-	advertised map[digestKey]*vv.Vector
+	seen  map[digestKey]struct{} // digest dedup keys of the kept rounds
+	// rounds holds the kept rounds by round number mod seenRounds+1: a new
+	// round evicts exactly the slot it reuses, never sweeping the rest.
+	rounds [seenRounds + 1]roundSlot
+	// perm is emit's and batch's permutation buffer.
+	perm []int
 
 	// outBatch accumulates one round's origin digests per destination
 	// peer (reused across rounds; flushed in deterministic peer order).
@@ -151,6 +162,8 @@ type Agent struct {
 	// an unchanged frontier does not re-trigger compaction every round.
 	lastFrontier map[id.FileID]map[id.NodeID]int
 	onFrontier   FrontierFunc
+	// frontier is learnFrontiers' per-file scratch map.
+	frontier map[id.NodeID]int
 
 	// statistics
 	ConflictsFound int // conflicts this node detected against digests
@@ -194,12 +207,47 @@ func New(cfg Config, self id.NodeID, peers []id.NodeID, state State, sink Report
 		peers:        append([]id.NodeID(nil), peers...),
 		state:        state,
 		sink:         sink,
-		seen:         make(map[digestKey]int),
-		advertised:   make(map[digestKey]*vv.Vector),
+		seen:         make(map[digestKey]struct{}),
 		heard:        make(map[id.FileID]map[id.NodeID]*originView),
 		lastFrontier: make(map[id.FileID]map[id.NodeID]int),
+		frontier:     make(map[id.NodeID]int),
 	}
 }
+
+// roundSlot is what one kept local round holds: the dedup keys first seen
+// in it and the vectors behind this node's own digests of it, by file, for
+// scoring the reports they trigger.
+type roundSlot struct {
+	round      int
+	seen       []digestKey
+	advertised map[id.FileID]*vv.Vector
+	// vecs are the slot's vectors in advertising order; the first used
+	// hold this round's, and the next round to reuse the slot refills
+	// them in place.
+	vecs []*vv.Vector
+	used int
+}
+
+// keep stores a copy of v as file's advertised vector and returns it.
+func (s *roundSlot) keep(file id.FileID, v *vv.Vector) *vv.Vector {
+	var dst *vv.Vector
+	if s.used < len(s.vecs) {
+		dst = s.vecs[s.used]
+	}
+	adv := v.CloneInto(dst) // O(writers)
+	if s.used == len(s.vecs) {
+		s.vecs = append(s.vecs, adv)
+	}
+	s.used++
+	if s.advertised == nil {
+		s.advertised = make(map[id.FileID]*vv.Vector)
+	}
+	s.advertised[file] = adv
+	return adv
+}
+
+// slot returns the slot of round r (which may hold an older round).
+func (a *Agent) slot(r int) *roundSlot { return &a.rounds[uint(r)%uint(len(a.rounds))] }
 
 // OnFrontier installs the stability-frontier callback.
 func (a *Agent) OnFrontier(f FrontierFunc) { a.onFrontier = f }
@@ -246,12 +294,12 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 	}
 	a.round++
 	a.met.rounds.Inc()
+	slot := a.evict()
 	for _, f := range a.state.ActiveFiles() {
 		if v := a.state.LocalVector(f); v != nil {
 			// The digest ships the vector's counts; the origin keeps the
-			// vector itself (Clone is O(writers)) to score reports with.
-			adv := v.Clone()
-			a.advertised[digestKey{f, a.self, a.round}] = adv
+			// vector itself to score reports with.
+			adv := slot.keep(f, v)
 			d := wire.GossipDigest{
 				File:   f,
 				Origin: a.self,
@@ -260,7 +308,9 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 				VV:     adv.Counts(),
 			}
 			if ss, ok := a.state.(StableState); ok {
-				d.Stable = ss.StableCounts(f)
+				if sv := ss.StableVector(f); sv != nil {
+					d.Stable = countsOf(sv, make(map[id.NodeID]int, sv.Len()))
+				}
 			}
 			if a.traceOf != nil {
 				if tc := a.traceOf(f); tc.Sampled() {
@@ -271,28 +321,51 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 		}
 	}
 	a.flushBatch(e)
-	a.evictSeen()
 	a.learnFrontiers(e)
 	e.After(a.cfg.Interval, timerRound, a.shard)
 	return true
 }
 
-// evictSeen drops dedup entries and advertised vectors older than
-// seenRounds local rounds; any late relay of such a digest is deep in TTL
-// decay anyway.
-func (a *Agent) evictSeen() {
-	cutoff := a.round - seenRounds
-	for k, r := range a.seen {
-		if r < cutoff {
-			delete(a.seen, k)
-		}
+// evict empties the slot the new round reuses, which holds the round
+// seenRounds+1 rounds back: its dedup keys leave seen and its advertised
+// vectors are dropped (keep refills them). Any late relay of such a
+// digest is deep in TTL decay anyway. It returns the emptied slot, now
+// the current round's.
+func (a *Agent) evict() *roundSlot {
+	s := a.slot(a.round)
+	for _, k := range s.seen {
+		delete(a.seen, k)
 	}
-	for k := range a.advertised {
-		if k.round < cutoff {
-			delete(a.advertised, k)
-		}
-	}
+	clear(s.seen)
+	s.seen = s.seen[:0]
+	clear(s.advertised)
+	s.used = 0
+	s.round = a.round
 	a.met.seenSize.Set(int64(len(a.seen)))
+	return s
+}
+
+// permute returns the permutation of [0, n) that e.Rand().Perm(n) would,
+// drawing exactly the same numbers, in a buffer the agent reuses: the
+// result is valid until the next call.
+func (a *Agent) permute(e env.Env, n int) []int {
+	m := slices.Grow(a.perm[:0], n)[:n]
+	r := e.Rand()
+	for i := 0; i < n; i++ {
+		j := r.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	a.perm = m
+	return m
+}
+
+// countsOf fills m with v's per-writer counts and returns it.
+func countsOf(v *vv.Vector, m map[id.NodeID]int) map[id.NodeID]int {
+	for w, e := range v.Entries {
+		m[w] = e.Count
+	}
+	return m
 }
 
 // emit sends the digest to Fanout random peers, never back to the
@@ -319,9 +392,11 @@ func (a *Agent) emit(e env.Env, d wire.GossipDigest, exclude ...id.NodeID) {
 		return false
 	}
 	// Walk a full random permutation, taking the first n eligible peers,
-	// so exclusions do not shrink the effective fanout.
+	// so exclusions do not shrink the effective fanout. Every peer is sent
+	// the one boxed copy: a sent message is never mutated.
+	var msg env.Message = d
 	sent := 0
-	for _, i := range e.Rand().Perm(len(peers)) {
+	for _, i := range a.permute(e, len(peers)) {
 		if sent >= n {
 			break
 		}
@@ -330,7 +405,7 @@ func (a *Agent) emit(e env.Env, d wire.GossipDigest, exclude ...id.NodeID) {
 		}
 		sent++
 		a.met.emitted.Inc()
-		e.Send(peers[i], d)
+		e.Send(peers[i], msg)
 	}
 }
 
@@ -351,7 +426,7 @@ func (a *Agent) batch(e env.Env, d wire.GossipDigest) {
 		a.outBatch = make(map[id.NodeID][]wire.GossipDigest)
 	}
 	sent := 0
-	for _, i := range e.Rand().Perm(len(peers)) {
+	for _, i := range a.permute(e, len(peers)) {
 		if sent >= n {
 			break
 		}
@@ -410,7 +485,9 @@ func (a *Agent) HandleDigest(e env.Env, from id.NodeID, d wire.GossipDigest) {
 	if _, dup := a.seen[k]; dup {
 		return
 	}
-	a.seen[k] = a.round
+	a.seen[k] = struct{}{}
+	s := a.slot(a.round)
+	s.seen = append(s.seen, k)
 
 	if d.Origin != a.self && d.VV != nil {
 		a.noteCounts(d.File, d.Origin, d)
@@ -446,14 +523,19 @@ func (a *Agent) noteCounts(file id.FileID, origin id.NodeID, d wire.GossipDigest
 		byOrigin = make(map[id.NodeID]*originView)
 		a.heard[file] = byOrigin
 	}
-	counts := d.Stable
-	if counts == nil {
-		counts = make(map[id.NodeID]int, d.VV.Len())
-		for w, e := range d.VV.Entries {
-			counts[w] = e.Count
-		}
+	view := byOrigin[origin]
+	if view == nil {
+		view = &originView{}
+		byOrigin[origin] = view
 	}
-	byOrigin[origin] = &originView{counts: counts, round: a.round}
+	view.round = a.round
+	if view.counts = d.Stable; view.counts == nil {
+		if view.own == nil {
+			view.own = make(map[id.NodeID]int, d.VV.Len())
+		}
+		clear(view.own)
+		view.counts = countsOf(d.VV, view.own)
+	}
 }
 
 // learnFrontiers derives, per file, the stability frontier — the
@@ -502,16 +584,15 @@ func (a *Agent) learnFrontiers(e env.Env) {
 		// for frontierStaleRounds, capping the frontier for that grace
 		// window; only an origin silent past the window stops holding
 		// compaction back.
-		var stable map[id.NodeID]int
+		floor := local
 		if ss, ok := a.state.(StableState); ok {
-			stable = ss.StableCounts(file)
-		}
-		if stable == nil {
-			stable = make(map[id.NodeID]int, local.Len())
-			for w, le := range local.Entries {
-				stable[w] = le.Count
+			if sv := ss.StableVector(file); sv != nil {
+				floor = sv
 			}
 		}
+		stable := a.frontier
+		clear(stable)
+		countsOf(floor, stable)
 		for _, view := range byOrigin {
 			for w := range stable {
 				if c := view.counts[w]; c < stable[w] {
@@ -533,10 +614,16 @@ func (a *Agent) learnFrontiers(e env.Env) {
 				continue
 			}
 		}
-		a.lastFrontier[file] = stable
+		last := a.lastFrontier[file]
+		if last == nil {
+			last = make(map[id.NodeID]int, len(stable))
+			a.lastFrontier[file] = last
+		}
+		clear(last)
+		maps.Copy(last, stable)
 		a.met.frontiers.Inc()
 		if a.onFrontier != nil {
-			a.onFrontier(e, file, stable)
+			a.onFrontier(e, file, last)
 		}
 	}
 }
@@ -546,7 +633,10 @@ func (a *Agent) learnFrontiers(e env.Env) {
 // vector, or for a digest no longer kept (evicted, or sent before a
 // restart), cannot be scored and is dropped.
 func (a *Agent) HandleReport(e env.Env, rep wire.GossipReport) {
-	adv := a.advertised[digestKey{rep.File, a.self, rep.Round}]
+	var adv *vv.Vector
+	if s := a.slot(rep.Round); s.round == rep.Round {
+		adv = s.advertised[rep.File]
+	}
 	if adv == nil || rep.VV == nil {
 		return
 	}

@@ -25,7 +25,6 @@ package health
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,35 +210,79 @@ type JoinStatus struct {
 	Running time.Duration
 }
 
-// The registry counters and queue-depth gauge families the detectors
-// read from a Probe.
-const (
-	ctrGossipRounds     = "gossip.rounds_total"
-	ctrFrontiers        = "gossip.frontiers_learned_total"
-	ctrWrites           = "core.writes_total"
-	ctrApplied          = "store.updates_applied_total"
-	ctrWALErrors        = "store.wal_errors_total"
-	gaugeShardQueue     = "core.shard_queue_depth."
-	gaugeTransportQueue = "transport.queue_depth."
-)
+// queueGauges are the queue-depth gauge families a ProbeReader reads.
+var queueGauges = []string{"core.shard_queue_depth.", "transport.queue_depth."}
 
-// ProbeSnapshot reads from reg all a Probe's snapshot needs to carry: the
-// counters and queue-depth gauges the detectors evaluate, and no
-// histogram (the fsync window reads the engine's own handle).
-func ProbeSnapshot(reg *telemetry.Registry) telemetry.Snapshot {
-	return reg.Scalars(
-		[]string{ctrGossipRounds, ctrFrontiers, ctrWrites, ctrApplied, ctrWALErrors},
-		[]string{gaugeShardQueue, gaugeTransportQueue})
-}
-
-// Probe is everything one evaluation reads: a ProbeSnapshot of the
-// registry, the journal's sticky error (empty when healthy), and the join
-// state. The owning node assembles it on the tick so the engine itself
-// never touches subsystem internals.
+// Probe is everything one evaluation reads: the five registry counters
+// the detectors evaluate, the deepest shard or peer send queue, the
+// journal's sticky error (empty when healthy), and the join state. The
+// owning node assembles it on the tick (a ProbeReader reads the registry
+// part) so the engine itself never touches subsystem internals.
 type Probe struct {
-	Snap   telemetry.Snapshot
+	GossipRounds     int64 // gossip.rounds_total
+	FrontiersLearned int64 // gossip.frontiers_learned_total
+	Writes           int64 // core.writes_total
+	Applied          int64 // store.updates_applied_total
+	WALErrors        int64 // store.wal_errors_total
+	// MaxQueueDepth is the deepest core.shard_queue_depth.* or
+	// transport.queue_depth.* gauge.
+	MaxQueueDepth int64
+
 	WALErr string
 	Join   JoinStatus
+}
+
+// ProbeReader reads a Probe's registry part through handles it resolves
+// once, and again only when the registry has created a counter or gauge
+// since (a new peer's transport.queue_depth.<id>, say): a tick loads the
+// handles' cells and takes no registry lock. A counter that does not
+// exist reads zero and is not created. It is not safe for concurrent use;
+// the owning node reads it on its tick.
+type ProbeReader struct {
+	reg    *telemetry.Registry
+	gen    uint64 // reg.Gen() when the handles were resolved
+	queues []*telemetry.Gauge
+
+	rounds, frontiers, writes, applied, walErrors *telemetry.Counter
+}
+
+// NewProbeReader resolves the probe's handles in reg (nil reads zeros).
+func NewProbeReader(reg *telemetry.Registry) *ProbeReader {
+	pr := &ProbeReader{reg: reg}
+	pr.resolve()
+	return pr
+}
+
+// resolve looks every handle up again. Gen is read first, so a metric
+// created while it runs moves Gen past the value kept and the next Read
+// resolves once more.
+func (pr *ProbeReader) resolve() {
+	pr.gen = pr.reg.Gen()
+	pr.rounds = pr.reg.LookupCounter("gossip.rounds_total")
+	pr.frontiers = pr.reg.LookupCounter("gossip.frontiers_learned_total")
+	pr.writes = pr.reg.LookupCounter("core.writes_total")
+	pr.applied = pr.reg.LookupCounter("store.updates_applied_total")
+	pr.walErrors = pr.reg.LookupCounter("store.wal_errors_total")
+	pr.queues = pr.reg.GaugesMatching(pr.queues[:0], queueGauges...)
+}
+
+// Read returns the registry part of a probe; the caller fills in WALErr
+// and Join.
+func (pr *ProbeReader) Read() Probe {
+	if pr.reg.Gen() != pr.gen {
+		pr.resolve()
+	}
+	p := Probe{
+		GossipRounds:     pr.rounds.Value(),
+		FrontiersLearned: pr.frontiers.Value(),
+		Writes:           pr.writes.Value(),
+		Applied:          pr.applied.Value(),
+		WALErrors:        pr.walErrors.Value(),
+	}
+	for _, g := range pr.queues {
+		p.MaxQueueDepth = max(p.MaxQueueDepth, g.Value())
+	}
+	return p
 }
 
 // Config tunes the engine. The zero value enables every detector with
@@ -574,12 +617,12 @@ func (en *Engine) Status() Status {
 	return st
 }
 
-func copyEvidence(ev map[string]float64) map[string]float64 {
-	if ev == nil {
+func copyEvidence(m map[string]float64) map[string]float64 {
+	if m == nil {
 		return nil
 	}
-	out := make(map[string]float64, len(ev))
-	for k, v := range ev {
+	out := make(map[string]float64, len(m))
+	for k, v := range m {
 		out[k] = v
 	}
 	return out
@@ -587,32 +630,60 @@ func copyEvidence(ev map[string]float64) map[string]float64 {
 
 // ---- transitions ----
 
+// ev is one evidence entry: a metric's name and the value that tripped
+// or cleared a detector.
+type ev struct {
+	name  string
+	value float64
+}
+
+// evidenceOf builds an evidence map, nil for none.
+func evidenceOf(evidence []ev) map[string]float64 {
+	if len(evidence) == 0 {
+		return nil
+	}
+	m := make(map[string]float64, len(evidence))
+	for _, e := range evidence {
+		m[e.name] = e.value
+	}
+	return m
+}
+
 // raise opens (or escalates) an anomaly. A re-raise at the same severity
-// only refreshes the evidence — no transition spam on every tick.
-func (en *Engine) raise(now time.Time, det string, sev Severity, evidence map[string]float64, msg string, out *[]Event) {
+// only refreshes the evidence, in the anomaly's own map — no transition
+// spam on every tick, and no allocation while it stays raised.
+func (en *Engine) raise(now time.Time, det string, sev Severity, msg string, out *[]Event, evidence ...ev) {
 	a := en.active[det]
 	if a != nil && a.severity == sev {
-		a.evidence, a.message = evidence, msg
+		clear(a.evidence)
+		for _, e := range evidence {
+			a.evidence[e.name] = e.value
+		}
+		a.message = msg
 		return
 	}
 	if a == nil {
 		a = &anomaly{raisedAt: now.UnixNano()}
 		en.active[det] = a
 	}
-	a.severity, a.evidence, a.message = sev, evidence, msg
+	// The transition's event keeps its own copy: a refresh must not
+	// rewrite the history /health serves.
+	a.severity, a.evidence, a.message = sev, evidenceOf(evidence), msg
 	en.detG[det].Set(int64(sev))
-	en.transition(now, det, true, sev, evidence, msg, out)
+	en.transition(now, det, true, sev, evidenceOf(evidence), msg, out)
 }
 
 // clear closes an anomaly if it is active; otherwise it is a no-op, so
-// detectors call it unconditionally on their healthy branch.
-func (en *Engine) clear(now time.Time, det string, evidence map[string]float64, msg string, out *[]Event) {
+// detectors call it unconditionally on their healthy branch. The evidence
+// map is built only for a transition, so a healthy tick allocates
+// nothing.
+func (en *Engine) clear(now time.Time, det, msg string, out *[]Event, evidence ...ev) {
 	if en.active[det] == nil {
 		return
 	}
 	delete(en.active, det)
 	en.detG[det].Set(0)
-	en.transition(now, det, false, SevNone, evidence, msg, out)
+	en.transition(now, det, false, SevNone, evidenceOf(evidence), msg, out)
 }
 
 func (en *Engine) transition(now time.Time, det string, raised bool, sev Severity, evidence map[string]float64, msg string, out *[]Event) {
@@ -639,52 +710,41 @@ func (en *Engine) transition(now time.Time, det string, raised bool, sev Severit
 // ---- detectors ----
 
 func (en *Engine) checkConvergence(now time.Time, p Probe, out *[]Event) {
-	if p.Snap.Counters[ctrGossipRounds] == 0 {
+	if p.GossipRounds == 0 {
 		// Gossip off or not started: no frontier to watch.
 		en.convSeen = false
-		en.clear(now, DetConvergenceStall, nil, "gossip idle", out)
+		en.clear(now, DetConvergenceStall, "gossip idle", out)
 		return
 	}
-	frontiers := p.Snap.Counters[ctrFrontiers]
-	writes := p.Snap.Counters[ctrWrites] + p.Snap.Counters[ctrApplied]
+	frontiers := p.FrontiersLearned
+	writes := p.Writes + p.Applied
 	if !en.convSeen || frontiers > en.lastFrontiers {
 		en.convSeen = true
 		en.lastFrontiers = frontiers
 		en.lastAdvance = now
 		en.writesAtAdvance = writes
-		en.clear(now, DetConvergenceStall,
-			map[string]float64{"frontiers_learned": float64(frontiers)},
-			"stability frontier advancing", out)
+		en.clear(now, DetConvergenceStall, "stability frontier advancing", out, ev{"frontiers_learned", float64(frontiers)})
 		return
 	}
 	stalled := now.Sub(en.lastAdvance)
 	writesSince := writes - en.writesAtAdvance
 	if stalled >= en.cfg.ConvergenceStallAfter && writesSince > 0 {
-		en.raise(now, DetConvergenceStall, SevCritical, map[string]float64{
-			"stalled_seconds":      stalled.Seconds(),
-			"writes_since_advance": float64(writesSince),
-			"frontiers_learned":    float64(frontiers),
-		}, "stability frontier not advancing while writes flow", out)
+		en.raise(now, DetConvergenceStall, SevCritical, "stability frontier not advancing while writes flow", out,
+			ev{"stalled_seconds", stalled.Seconds()},
+			ev{"writes_since_advance", float64(writesSince)},
+			ev{"frontiers_learned", float64(frontiers)},
+		)
 	}
 }
 
 func (en *Engine) checkQueues(now time.Time, p Probe, out *[]Event) {
-	var maxDepth int64
-	for name, v := range p.Snap.Gauges {
-		if strings.HasPrefix(name, gaugeShardQueue) || strings.HasPrefix(name, gaugeTransportQueue) {
-			if v > maxDepth {
-				maxDepth = v
-			}
-		}
-	}
+	maxDepth := p.MaxQueueDepth
 	if maxDepth < queueSaturationDepth {
 		en.satTicks = 0
 		// Hysteresis: an active saturation clears only once the deepest
 		// queue drains below half the threshold.
 		if maxDepth < queueSaturationDepth/2 {
-			en.clear(now, DetQueueSaturation,
-				map[string]float64{"max_queue_depth": float64(maxDepth)},
-				"queues drained", out)
+			en.clear(now, DetQueueSaturation, "queues drained", out, ev{"max_queue_depth", float64(maxDepth)})
 		}
 		return
 	}
@@ -694,19 +754,19 @@ func (en *Engine) checkQueues(now time.Time, p Probe, out *[]Event) {
 		if maxDepth >= 4*queueSaturationDepth {
 			sev = SevCritical
 		}
-		en.raise(now, DetQueueSaturation, sev, map[string]float64{
-			"max_queue_depth": float64(maxDepth),
-			"threshold":       float64(queueSaturationDepth),
-			"saturated_ticks": float64(en.satTicks),
-		}, "shard or peer queue saturated", out)
+		en.raise(now, DetQueueSaturation, sev, "shard or peer queue saturated", out,
+			ev{"max_queue_depth", float64(maxDepth)},
+			ev{"threshold", float64(queueSaturationDepth)},
+			ev{"saturated_ticks", float64(en.satTicks)},
+		)
 	}
 }
 
 func (en *Engine) checkWAL(now time.Time, p Probe, out *[]Event) {
 	if p.WALErr != "" {
-		en.raise(now, DetWALFsync, SevCritical, map[string]float64{
-			"wal_errors": float64(p.Snap.Counters[ctrWALErrors]),
-		}, "journal failed (log must be treated as torn): "+p.WALErr, out)
+		en.raise(now, DetWALFsync, SevCritical, "journal failed (log must be treated as torn): "+p.WALErr, out,
+			ev{"wal_errors", float64(p.WALErrors)},
+		)
 		return
 	}
 	count := en.fsync.Count()
@@ -725,21 +785,19 @@ func (en *Engine) checkWAL(now time.Time, p Probe, out *[]Event) {
 		// instead of flapping against empty ones.
 		en.fsyncIdle++
 		if en.fsyncIdle >= 3 {
-			en.clear(now, DetWALFsync, nil, "journal idle", out)
+			en.clear(now, DetWALFsync, "journal idle", out)
 		}
 		return
 	}
 	en.fsyncIdle = 0
 	if slow*100 > window {
-		en.raise(now, DetWALFsync, SevWarn, map[string]float64{
-			"fsyncs_in_window": float64(window),
-			"slow_fsyncs":      float64(slow),
-			"threshold_ms":     en.cfg.FsyncSpikeMs,
-		}, "journal fsync p99 above threshold", out)
+		en.raise(now, DetWALFsync, SevWarn, "journal fsync p99 above threshold", out,
+			ev{"fsyncs_in_window", float64(window)},
+			ev{"slow_fsyncs", float64(slow)},
+			ev{"threshold_ms", en.cfg.FsyncSpikeMs},
+		)
 	} else {
-		en.clear(now, DetWALFsync,
-			map[string]float64{"fsyncs_in_window": float64(window)},
-			"fsync latency nominal", out)
+		en.clear(now, DetWALFsync, "fsync latency nominal", out, ev{"fsyncs_in_window", float64(window)})
 	}
 }
 
@@ -765,57 +823,50 @@ func (en *Engine) checkFlap(now time.Time, out *[]Event) {
 		}
 	}
 	if worstCount >= flapSuspects {
-		en.raise(now, DetMembershipFlap, SevWarn, map[string]float64{
-			"suspect_events": float64(worstCount),
-			"node":           float64(worstNode),
-			"window_seconds": flapWindow.Seconds(),
-		}, fmt.Sprintf("member %s flapping: %d suspect cycles in window", worstNode, worstCount), out)
+		en.raise(now, DetMembershipFlap, SevWarn, fmt.Sprintf("member %s flapping: %d suspect cycles in window", worstNode, worstCount), out,
+			ev{"suspect_events", float64(worstCount)},
+			ev{"node", float64(worstNode)},
+			ev{"window_seconds", flapWindow.Seconds()},
+		)
 	} else {
-		en.clear(now, DetMembershipFlap, nil, "membership stable", out)
+		en.clear(now, DetMembershipFlap, "membership stable", out)
 	}
 }
 
 func (en *Engine) checkJoin(now time.Time, p Probe, out *[]Event) {
 	if p.Join.Active && !p.Join.Done && p.Join.Running >= joinStallAfter {
-		en.raise(now, DetJoinStall, SevCritical, map[string]float64{
-			"join_running_seconds": p.Join.Running.Seconds(),
-			"threshold_seconds":    joinStallAfter.Seconds(),
-		}, "snapshot-bootstrap join not completing", out)
+		en.raise(now, DetJoinStall, SevCritical, "snapshot-bootstrap join not completing", out,
+			ev{"join_running_seconds", p.Join.Running.Seconds()},
+			ev{"threshold_seconds", joinStallAfter.Seconds()},
+		)
 		return
 	}
-	en.clear(now, DetJoinStall, nil, "join complete", out)
+	en.clear(now, DetJoinStall, "join complete", out)
 }
 
 func (en *Engine) checkStaleness(now time.Time, out *[]Event) {
-	if len(en.below) == 0 {
-		en.clear(now, DetStaleness, nil, "all files within bounds", out)
-		return
-	}
-	files := make([]string, 0, len(en.below))
-	for f := range en.below {
-		files = append(files, string(f))
-	}
-	sort.Strings(files)
+	// The worst violation is the oldest; among equally old ones the file
+	// that sorts first, so the evidence is independent of map order.
 	var worst *belowFile
-	worstFile, violations := "", 0
-	for _, f := range files {
-		bf := en.below[id.FileID(f)]
+	var worstFile id.FileID
+	violations := 0
+	for f, bf := range en.below {
 		if now.Sub(bf.since) < stalenessAfter {
 			continue
 		}
 		violations++
-		if worst == nil || bf.since.Before(worst.since) {
+		if worst == nil || bf.since.Before(worst.since) || bf.since.Equal(worst.since) && f < worstFile {
 			worst, worstFile = bf, f
 		}
 	}
 	if violations == 0 {
-		en.clear(now, DetStaleness, nil, "all files within bounds", out)
+		en.clear(now, DetStaleness, "all files within bounds", out)
 		return
 	}
-	en.raise(now, DetStaleness, SevWarn, map[string]float64{
-		"files_below_bound": float64(violations),
-		"worst_age_seconds": now.Sub(worst.since).Seconds(),
-		"level":             worst.level,
-		"bound":             worst.bound,
-	}, fmt.Sprintf("file %s below its consistency bound", worstFile), out)
+	en.raise(now, DetStaleness, SevWarn, fmt.Sprintf("file %s below its consistency bound", worstFile), out,
+		ev{"files_below_bound", float64(violations)},
+		ev{"worst_age_seconds", now.Sub(worst.since).Seconds()},
+		ev{"level", worst.level},
+		ev{"bound", worst.bound},
+	)
 }

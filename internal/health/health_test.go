@@ -2,6 +2,7 @@ package health
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 
@@ -14,15 +15,17 @@ var t0 = time.Unix(1_000_000, 0)
 
 func at(d time.Duration) time.Time { return t0.Add(d) }
 
+// probe reads a Probe, as a node's tick does, from a registry holding the
+// given counters and gauges.
 func probe(counters map[string]int64, gauges map[string]int64) Probe {
-	s := telemetry.Snapshot{Counters: counters, Gauges: gauges}
-	if s.Counters == nil {
-		s.Counters = map[string]int64{}
+	reg := telemetry.NewRegistry()
+	for name, v := range counters {
+		reg.Counter(name).Add(v)
 	}
-	if s.Gauges == nil {
-		s.Gauges = map[string]int64{}
+	for name, v := range gauges {
+		reg.Gauge(name).Set(v)
 	}
-	return Probe{Snap: s}
+	return NewProbeReader(reg).Read()
 }
 
 func findEvent(evs []Event, det string, raised bool) *Event {
@@ -386,20 +389,27 @@ func TestStatusJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestProbeSnapshotCarriesWhatDetectorsRead: a probe read from a live
+// TestProbeReaderCarriesWhatDetectorsRead: a probe read from a live
 // registry carries the counters and queue gauges the detectors evaluate,
-// and they trip exactly as from a full snapshot.
-func TestProbeSnapshotCarriesWhatDetectorsRead(t *testing.T) {
+// and no other gauge, creates no metric, and trips the detectors exactly
+// as the values it read.
+func TestProbeReaderCarriesWhatDetectorsRead(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	en := NewEngine(1, Config{}, reg)
 	reg.Gauge("transport.queue_depth.n7").Set(2000)
+	reg.Gauge("core.shard_queue_depth.1").Set(300)
 	reg.Gauge("gossip.seen_entries").Set(9000)
 	reg.Counter("store.wal_errors_total").Add(2)
 	reg.Counter("gossip.rounds_total").Inc()
 	reg.Histogram("detect.roundtrip_seconds").Observe(1)
-	p := Probe{Snap: ProbeSnapshot(reg), WALErr: "torn"}
-	if len(p.Snap.Histograms) != 0 || p.Snap.Gauges["gossip.seen_entries"] != 0 {
-		t.Fatalf("probe read more than the detectors evaluate: %+v", p.Snap)
+	before := reg.Snapshot()
+	p := NewProbeReader(reg).Read()
+	p.WALErr = "torn"
+	if p.MaxQueueDepth != 2000 || p.WALErrors != 2 || p.GossipRounds != 1 || p.Writes != 0 {
+		t.Fatalf("probe = %+v, want queue 2000, 2 WAL errors, 1 round, no writes", p)
+	}
+	if after := reg.Snapshot(); len(after.Counters) != len(before.Counters) || len(after.Gauges) != len(before.Gauges) {
+		t.Fatalf("reading the probe created metrics: %v -> %v", before.Counters, after.Counters)
 	}
 	var evs []Event
 	for i := 0; i < queueSaturationTicks; i++ {
@@ -410,6 +420,127 @@ func TestProbeSnapshotCarriesWhatDetectorsRead(t *testing.T) {
 	}
 	if ev := findEvent(evs, DetWALFsync, true); ev == nil || ev.Evidence["wal_errors"] != 2 {
 		t.Fatalf("WAL error evidence missing from the probe: %v", evs)
+	}
+}
+
+// TestProbeReaderSeesLaterGauges: a queue gauge registered after the first
+// tick (a peer that joined later) is still read, and trips checkQueues.
+func TestProbeReaderSeesLaterGauges(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	en := NewEngine(1, Config{}, reg)
+	reg.Gauge("transport.queue_depth.n2").Set(10)
+	pr := NewProbeReader(reg)
+	if evs := en.Tick(at(0), pr.Read()); len(evs) != 0 {
+		t.Fatalf("healthy first tick produced %v", evs)
+	}
+	reg.Gauge("transport.queue_depth.n9").Set(5000)
+	var evs []Event
+	for i := 1; i <= queueSaturationTicks; i++ {
+		evs = append(evs, en.Tick(at(time.Duration(i)*2*time.Second), pr.Read())...)
+	}
+	ev := findEvent(evs, DetQueueSaturation, true)
+	if ev == nil || ev.Evidence["max_queue_depth"] != 5000 || ev.Severity != SevCritical {
+		t.Fatalf("a gauge registered after the first tick was not read: %v", evs)
+	}
+}
+
+// TestHealthyTickAllocatesNothing pins the healthy evaluation path: a
+// probe read through resolved handles and a tick that raises and clears
+// nothing allocate nothing, whatever the registry holds.
+func TestHealthyTickAllocatesNothing(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	en := NewEngine(1, Config{}, reg)
+	reg.Counter("gossip.rounds_total").Add(5)
+	reg.Counter("gossip.frontiers_learned_total").Add(3)
+	reg.Counter("core.writes_total").Add(100)
+	for _, q := range []string{"core.shard_queue_depth.0", "transport.queue_depth.n2", "transport.queue_depth.n3"} {
+		reg.Gauge(q).Set(7)
+	}
+	for i := 0; i < 50; i++ {
+		reg.Gauge(fmt.Sprintf("other.gauge_%d", i)).Set(int64(i))
+	}
+	pr := NewProbeReader(reg)
+	now := at(0)
+	tick := func() {
+		now = now.Add(2 * time.Second)
+		if evs := en.Tick(now, pr.Read()); len(evs) != 0 {
+			t.Fatalf("healthy tick produced %v", evs)
+		}
+	}
+	tick()
+	if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
+		t.Fatalf("healthy probe read and tick = %v allocs, want 0", allocs)
+	}
+}
+
+// TestReraiseRefreshesEvidenceNotHistory: while an anomaly stays raised,
+// each tick refreshes its evidence in /health's active list without
+// allocating, and the raise event in the history keeps the values that
+// tripped it.
+func TestReraiseRefreshesEvidenceNotHistory(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	en := NewEngine(1, Config{ConvergenceStallAfter: 10 * time.Second}, reg)
+	rounds, writes := reg.Counter("gossip.rounds_total"), reg.Counter("core.writes_total")
+	rounds.Inc()
+	pr := NewProbeReader(reg)
+	en.Tick(at(0), pr.Read())
+	writes.Add(10)
+	if evs := en.Tick(at(12*time.Second), pr.Read()); findEvent(evs, DetConvergenceStall, true) == nil {
+		t.Fatalf("stall not raised: %v", evs)
+	}
+	writes.Add(5)
+	now := at(12 * time.Second)
+	if allocs := testing.AllocsPerRun(20, func() {
+		now = now.Add(2 * time.Second)
+		if evs := en.Tick(now, pr.Read()); len(evs) != 0 {
+			t.Fatalf("re-raise produced transitions %v", evs)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a tick re-raising an active anomaly = %v allocs, want 0", allocs)
+	}
+	st := en.Status()
+	if got := st.Active[0].Evidence["writes_since_advance"]; got != 15 {
+		t.Fatalf("active evidence writes_since_advance = %v, want the refreshed 15", got)
+	}
+	if got := st.Recent[len(st.Recent)-1].Evidence["writes_since_advance"]; got != 10 {
+		t.Fatalf("raise event's writes_since_advance = %v, want the 10 that tripped it", got)
+	}
+}
+
+// benchRegistry is a registry shaped like a 12-node cluster member's: the
+// five probe counters, a shard queue and 11 peer send queues among 60
+// other gauges and 40 other counters.
+func benchRegistry() *telemetry.Registry {
+	reg := telemetry.NewRegistry()
+	reg.Counter("gossip.rounds_total").Add(5)
+	reg.Counter("gossip.frontiers_learned_total").Add(3)
+	reg.Counter("core.writes_total").Add(100)
+	reg.Counter("store.updates_applied_total").Add(300)
+	reg.Counter("store.wal_errors_total")
+	reg.Gauge("core.shard_queue_depth.0").Set(2)
+	for p := 2; p <= 12; p++ {
+		reg.Gauge(fmt.Sprintf("transport.queue_depth.n%d", p)).Set(int64(p))
+	}
+	for i := 0; i < 60; i++ {
+		reg.Gauge(fmt.Sprintf("other.gauge_%d", i)).Set(int64(i))
+	}
+	for i := 0; i < 40; i++ {
+		reg.Counter(fmt.Sprintf("other.counter_%d", i)).Add(int64(i))
+	}
+	return reg
+}
+
+// BenchmarkHealthTick is one healthy evaluation as a node's tick runs it:
+// the probe read from the registry, then every detector.
+func BenchmarkHealthTick(b *testing.B) {
+	reg := benchRegistry()
+	en := NewEngine(1, Config{}, reg)
+	pr := NewProbeReader(reg)
+	now := at(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		now = now.Add(2 * time.Second)
+		en.Tick(now, pr.Read())
 	}
 }
 

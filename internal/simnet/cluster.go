@@ -2,11 +2,9 @@
 // repository's stand-in for the paper's PlanetLab deployment. Nodes run
 // event-driven protocol handlers under virtual time; message latencies are
 // drawn from pluggable WAN models; clock skew, loss, and partitions can be
-// injected; and every send is charged to byte-accurate overhead counters.
-// The counters count a message when it is sent but measure its encoded
-// size beside the event loop, in batches (see Stats): totals are exact,
-// and since receivers get the very value that was sent, a message must
-// never be mutated after Send.
+// injected; and every send is charged to byte-accurate overhead counters
+// (see Stats). Receivers get the very value that was sent, so a message
+// must never be mutated after Send.
 //
 // A "200-second" experiment executes in milliseconds and replays
 // bit-for-bit from its seed, which is what lets the benchmark suite

@@ -4,172 +4,125 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"idea/internal/wire"
 )
 
-// sizeBatch is how many sent envelopes queue before one goroutine sizes
-// them beside the event loop.
-const sizeBatch = 256
-
 // Stats accumulates per-kind message counts and byte volumes — the
 // communication-overhead metric of the paper's §6.3 ("measured in number
 // of protocol messages"). Byte volumes are the wire codec's encoded frame
-// sizes (wire.Sizer), the bytes a live connection would carry.
+// sizes, the bytes a live connection would carry.
 //
-// A message is counted when it is sent, but sized beside the event loop:
-// sent envelopes queue in batches of sizeBatch, and one goroutine at a
-// time sizes a full batch while the loop goes on. Every byte reader
-// (Bytes, BytesMatching, String) first waits for that goroutine and sizes
-// the partial batch, so byte totals are exact. Sizing encodes a message
-// after its Send returned, and receivers read the very value that was
-// sent, so a message must never be mutated after Send.
+// Like the Cluster it belongs to, Stats is not safe for concurrent use:
+// the event loop records every send, and readers run between steps. A
+// send is counted and sized on the spot, with no lock and no hash:
+// wire.Measure walks the message's fields without encoding them and
+// returns its kind code, which indexes an array slot. Only a message the
+// codec does not know is counted by its Kind string (and charged
+// Measure's nominal 64 bytes).
 type Stats struct {
-	mu      sync.Mutex
-	counts  map[string]int
-	bytes   map[string]int
+	kinds   [wire.NumKinds]kindStats // by wire kind code; slot 0 unused
+	other   map[string]*kindStats    // messages the codec does not know
 	dropped int
+}
 
-	queue []wire.Envelope // sent, not yet handed to a sizing goroutine
-	// spare is the batch the sizing goroutine holds while busy is, sums
-	// its per-kind byte totals and sizer its encoder; all three are the
-	// event loop's again after busy.Wait.
-	spare []wire.Envelope
-	sums  map[string]int
-	sizer *wire.Sizer
-	busy  sync.WaitGroup
+// kindStats is one message kind's totals.
+type kindStats struct {
+	name  string
+	count int
+	bytes int
 }
 
 // NewStats returns an empty Stats.
-func NewStats() *Stats {
-	return &Stats{counts: make(map[string]int), bytes: make(map[string]int), sums: make(map[string]int), sizer: wire.NewSizer()}
-}
+func NewStats() *Stats { return &Stats{} }
 
-// record counts one sent envelope and queues it for sizing.
+// record counts and sizes one sent envelope.
 func (s *Stats) record(e wire.Envelope) {
-	s.mu.Lock()
-	s.counts[e.Msg.Kind()]++
-	if s.queue = append(s.queue, e); len(s.queue) >= sizeBatch {
-		s.settle()
-		s.queue, s.spare = s.spare, s.queue
-		s.busy.Add(1)
-		batch, sums := s.spare, s.sums
-		go func() {
-			sizeAll(s.sizer, batch, sums)
-			s.busy.Done()
-		}()
+	code, size := wire.Measure(e)
+	k := &s.kinds[code]
+	if code == 0 {
+		k = s.otherKind(e.Msg.Kind())
+	} else if k.count == 0 {
+		k.name = e.Msg.Kind()
 	}
-	s.mu.Unlock()
+	k.count++
+	k.bytes += size
 }
 
-// sizeAll adds the encoded size of every envelope to sums, per kind.
-func sizeAll(sz *wire.Sizer, batch []wire.Envelope, sums map[string]int) {
-	for _, e := range batch {
-		sums[e.Msg.Kind()] += sz.Size(e)
+// otherKind returns the totals of a message kind the codec does not know.
+func (s *Stats) otherKind(name string) *kindStats {
+	k := s.other[name]
+	if k == nil {
+		if s.other == nil {
+			s.other = make(map[string]*kindStats)
+		}
+		k = &kindStats{name: name}
+		s.other[name] = k
 	}
+	return k
 }
 
-// settle waits for the sizing goroutine, if one runs, and folds its sums
-// into the totals. Called with mu held.
-func (s *Stats) settle() {
-	s.busy.Wait()
-	for k, b := range s.sums {
-		s.bytes[k] += b
+func (s *Stats) drop() { s.dropped++ }
+
+// each calls f with the totals of every kind sent so far.
+func (s *Stats) each(f func(k *kindStats)) {
+	for i := range s.kinds {
+		if s.kinds[i].count > 0 {
+			f(&s.kinds[i])
+		}
 	}
-	clear(s.sums)
-	clear(s.spare) // drop the sized messages
-	s.spare = s.spare[:0]
-}
-
-// sized brings the byte totals up to every send so far. Called with mu
-// held.
-func (s *Stats) sized() {
-	s.settle()
-	sizeAll(s.sizer, s.queue, s.bytes)
-	clear(s.queue)
-	s.queue = s.queue[:0]
-}
-
-func (s *Stats) drop() {
-	s.mu.Lock()
-	s.dropped++
-	s.mu.Unlock()
+	for _, k := range s.other {
+		f(k)
+	}
 }
 
 // Count returns the number of messages of the given kind sent so far.
 func (s *Stats) Count(kind string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counts[kind]
+	n := 0
+	s.each(func(k *kindStats) {
+		if k.name == kind {
+			n += k.count
+		}
+	})
+	return n
 }
 
 // Total returns the total number of messages sent.
-func (s *Stats) Total() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := 0
-	for _, c := range s.counts {
-		t += c
-	}
-	return t
-}
+func (s *Stats) Total() int { return s.TotalMatching("") }
 
 // TotalMatching sums counts over kinds with the given prefix, e.g.
 // "resolve." for all resolution traffic.
 func (s *Stats) TotalMatching(prefix string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := 0
-	for k, c := range s.counts {
-		if strings.HasPrefix(k, prefix) {
-			t += c
+	n := 0
+	s.each(func(k *kindStats) {
+		if strings.HasPrefix(k.name, prefix) {
+			n += k.count
 		}
-	}
-	return t
+	})
+	return n
 }
 
 // Bytes returns the total bytes sent across all kinds.
-func (s *Stats) Bytes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sized()
-	t := 0
-	for _, b := range s.bytes {
-		t += b
-	}
-	return t
-}
+func (s *Stats) Bytes() int { return s.BytesMatching("") }
 
 // BytesMatching sums bytes over kinds with the given prefix.
 func (s *Stats) BytesMatching(prefix string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sized()
-	t := 0
-	for k, b := range s.bytes {
-		if strings.HasPrefix(k, prefix) {
-			t += b
+	n := 0
+	s.each(func(k *kindStats) {
+		if strings.HasPrefix(k.name, prefix) {
+			n += k.bytes
 		}
-	}
-	return t
+	})
+	return n
 }
 
 // Dropped returns how many messages the loss model discarded.
-func (s *Stats) Dropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
+func (s *Stats) Dropped() int { return s.dropped }
 
 // Snapshot returns a copy of the per-kind counters.
 func (s *Stats) Snapshot() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.counts))
-	for k, v := range s.counts {
-		out[k] = v
-	}
+	out := make(map[string]int)
+	s.each(func(k *kindStats) { out[k.name] += k.count })
 	return out
 }
 
@@ -188,17 +141,12 @@ func (s *Stats) Diff(earlier map[string]int) map[string]int {
 
 // String renders the counters sorted by kind.
 func (s *Stats) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sized()
-	kinds := make([]string, 0, len(s.counts))
-	for k := range s.counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
+	var ks []*kindStats
+	s.each(func(k *kindStats) { ks = append(ks, k) })
+	sort.Slice(ks, func(i, j int) bool { return ks[i].name < ks[j].name })
 	var b strings.Builder
-	for _, k := range kinds {
-		fmt.Fprintf(&b, "%-22s %6d msgs %9d B\n", k, s.counts[k], s.bytes[k])
+	for _, k := range ks {
+		fmt.Fprintf(&b, "%-22s %6d msgs %9d B\n", k.name, k.count, k.bytes)
 	}
 	if s.dropped > 0 {
 		fmt.Fprintf(&b, "%-22s %6d msgs\n", "(dropped)", s.dropped)

@@ -25,12 +25,13 @@ func digest(f string, round int, v *vv.Vector) wire.GossipDigest {
 		Stable: map[id.NodeID]int{1: round, 2: round / 2}}
 }
 
-// TestBytesExactUnderDeferredSizing sends a known mix through Env(n).Send
-// — plain messages, digest batches the cluster splits on delivery, and
-// sends a partition drops — across more than two sizing batches with a
-// partial last one, and checks that every byte reader equals the sum of
-// wire.Sizer sizes computed here, both mid-run and at the end.
-func TestBytesExactUnderDeferredSizing(t *testing.T) {
+// TestBytesExactPerKind sends a known mix through Env(n).Send — plain
+// messages, digest batches the cluster splits on delivery, sends a
+// partition drops, and a message the codec does not know — and checks
+// that every reader equals the totals computed here from the encodings
+// themselves (the nominal 64 bytes for the unknown message), both
+// mid-run and at the end.
+func TestBytesExactPerKind(t *testing.T) {
 	c := New(Config{Seed: 7, Latency: Constant(time.Millisecond)})
 	hs := map[id.NodeID]*sink{1: {}, 2: {}, 3: {}}
 	for n, h := range hs {
@@ -41,12 +42,15 @@ func TestBytesExactUnderDeferredSizing(t *testing.T) {
 
 	counts, bytes := map[string]int{}, map[string]int{}
 	dropped, delivered := 0, 0
-	sz := wire.NewSizer()
 	v := vv.New()
 	send := func(from, to id.NodeID, m env.Message) {
 		c.Env(from).Send(to, m)
 		counts[m.Kind()]++
-		bytes[m.Kind()] += sz.Size(wire.Envelope{From: from, To: to, Msg: m})
+		if frame, err := wire.Encode(wire.Envelope{From: from, To: to, Msg: m}); err == nil {
+			bytes[m.Kind()] += len(frame)
+		} else {
+			bytes[m.Kind()] += 64
+		}
 		switch {
 		case from == 1 && to == 3 || from == 3 && to == 1:
 			dropped++
@@ -90,7 +94,7 @@ func TestBytesExactUnderDeferredSizing(t *testing.T) {
 		}
 	}
 
-	const n = 3*sizeBatch + 37 // three full batches and a partial one
+	const n = 805
 	for i := 0; i < n; i++ {
 		v.Tick(id.NodeID(i%4+1), vv.Stamp(i)*1e6, float64(i))
 		from := id.NodeID(i%3 + 1)
@@ -107,7 +111,7 @@ func TestBytesExactUnderDeferredSizing(t *testing.T) {
 		case 4:
 			send(from, to, ping{N: i})
 		}
-		if i == sizeBatch+10 {
+		if i == 266 {
 			check("mid-run")
 		}
 	}
@@ -124,4 +128,29 @@ func TestBytesExactUnderDeferredSizing(t *testing.T) {
 		t.Fatalf("delivered %d messages, want %d (batches split)", got, delivered)
 	}
 	check("after delivery")
+}
+
+// TestRecordAllocatesNothing pins per-send accounting: counting and sizing
+// a wire message takes no allocation.
+func TestRecordAllocatesNothing(t *testing.T) {
+	s := NewStats()
+	v := vv.New()
+	for w := id.NodeID(1); w <= 12; w++ {
+		v.Tick(w, vv.Stamp(w)*1e9, 1)
+	}
+	envs := []wire.Envelope{
+		{From: 1, To: 2, Msg: wire.DetectRequest{File: "f", Token: 9, VV: v}},
+		{From: 2, To: 3, Msg: digest("f", 4, v.Counts())},
+		{From: 3, To: 1, Msg: wire.InformAck{File: "f", Token: 9}},
+	}
+	for _, e := range envs {
+		s.record(e)
+	}
+	if allocs := testing.AllocsPerRun(500, func() {
+		for _, e := range envs {
+			s.record(e)
+		}
+	}); allocs != 0 {
+		t.Fatalf("per-send accounting = %v allocs, want 0", allocs)
+	}
 }

@@ -428,30 +428,27 @@ func FuzzReplicaModel(f *testing.F) {
 					t.Fatalf("step %d CompactBelow(%v) = %d, want %d", step, stable, got, want)
 				}
 			case 11:
+				// A transfer in one window (the whole log) or in windows
+				// of 1 to 5 updates.
 				to := NewReplica(fBoard, nA)
-				if in.next()&1 == 0 {
-					what = "Snapshot"
-					vec, base, meta, ups := r.Snapshot()
-					if !to.InstallSnapshot(vec, base, meta, ups) {
-						t.Fatalf("step %d InstallSnapshot refused", step)
+				what = "SnapshotWindow/whole"
+				chunk := r.Len() + 1
+				if in.next()&1 != 0 {
+					what, chunk = "SnapshotWindow", 1+in.next()%5
+				}
+				vec, base, meta, start, ups, end := r.SnapshotWindow(0, chunk, 1<<20)
+				if !to.BeginSnapshot(base, meta) {
+					t.Fatalf("step %d BeginSnapshot refused", step)
+				}
+				for {
+					to.ApplyAll(ups)
+					if start += len(ups); start >= end {
+						break
 					}
-				} else {
-					what = "SnapshotWindow"
-					chunk := 1 + in.next()%5
-					vec, base, meta, start, ups, end := r.SnapshotWindow(0, chunk, 1<<20)
-					if !to.BeginSnapshot(base, meta) {
-						t.Fatalf("step %d BeginSnapshot refused", step)
-					}
-					for {
-						to.ApplyAll(ups)
-						if start += len(ups); start >= end {
-							break
-						}
-						vec, _, _, start, ups, end = r.SnapshotWindow(start, chunk, 1<<20)
-					}
-					if !to.FinishSnapshot(vec) {
-						t.Fatalf("step %d FinishSnapshot refused", step)
-					}
+					vec, _, _, start, ups, end = r.SnapshotWindow(start, chunk, 1<<20)
+				}
+				if !to.FinishSnapshot(vec) {
+					t.Fatalf("step %d FinishSnapshot refused", step)
 				}
 				r = to
 				m.freshStart()

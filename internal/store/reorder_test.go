@@ -227,12 +227,12 @@ func TestCheckpointPruning(t *testing.T) {
 	}
 }
 
-func TestStableCountsIsRollbackFloor(t *testing.T) {
+func TestStableVectorIsRollbackFloor(t *testing.T) {
 	r := NewReplica(fBoard, nA)
 	for i := 0; i < 10; i++ {
 		r.WriteLocal(vv.Stamp(i+1)*1e9, "w", nil, 0)
 	}
-	if got := r.StableCounts()[nA]; got != 10 {
+	if got := r.StableVector().Count(nA); got != 10 {
 		t.Fatalf("no-checkpoint stable = %d, want 10", got)
 	}
 	r.Checkpoint(1) // floor pinned at 10
@@ -240,11 +240,11 @@ func TestStableCountsIsRollbackFloor(t *testing.T) {
 		r.WriteLocal(vv.Stamp(i+1)*1e9, "w", nil, 0)
 	}
 	r.Checkpoint(2)
-	if got := r.StableCounts()[nA]; got != 10 {
+	if got := r.StableVector().Count(nA); got != 10 {
 		t.Fatalf("stable with live checkpoints = %d, want oldest floor 10", got)
 	}
 	r.DropCheckpoint(1)
-	if got := r.StableCounts()[nA]; got != 20 {
+	if got := r.StableVector().Count(nA); got != 20 {
 		t.Fatalf("stable after dropping oldest = %d, want 20", got)
 	}
 }
@@ -432,7 +432,7 @@ func TestRollbackPerWriterAfterMidLogInvalidation(t *testing.T) {
 }
 
 func TestInvalidationTruncatesCheckpointFloors(t *testing.T) {
-	// The gossiped rollback floor (StableCounts) reads the oldest live
+	// The gossiped rollback floor (StableVector) reads the oldest live
 	// checkpoint; after an invalidation shrinks the replica, a stale
 	// floor above the real counts would let compaction outrun lagging
 	// peers.
@@ -449,7 +449,7 @@ func TestInvalidationTruncatesCheckpointFloors(t *testing.T) {
 		adopt.Tick(nB, vv.Stamp(i+1)*1e9, 0)
 	}
 	r.AdoptImage(adopt, nil, true)
-	if got := r.StableCounts()[nB]; got != 5 {
+	if got := r.StableVector().Count(nB); got != 5 {
 		t.Fatalf("rollback floor = %d after invalidation to 5, want 5", got)
 	}
 }

@@ -19,15 +19,12 @@ func fill(r *Replica, writers []id.NodeID, n int) {
 	}
 }
 
-func TestSnapshotInstallRoundTrip(t *testing.T) {
+func TestSnapshotOneWindowRoundTrip(t *testing.T) {
 	src := NewReplica("f", 1)
 	fill(src, []id.NodeID{2, 3}, 10)
 
-	vec, base, meta, ups := src.Snapshot()
 	dst := NewReplica("f", 9)
-	if !dst.InstallSnapshot(vec, base, meta, ups) {
-		t.Fatal("install refused on empty replica")
-	}
+	stream(t, src, dst, 1<<20, 1<<20) // the whole log in one window
 	if got := vv.Compare(dst.Vector(), src.Vector()); got != vv.Equal {
 		t.Fatalf("vectors after install: %v, want Equal", got)
 	}
@@ -56,14 +53,11 @@ func TestSnapshotCarriesCompactionBase(t *testing.T) {
 		t.Fatal("compaction pruned nothing; test setup broken")
 	}
 
-	vec, base, meta, ups := src.Snapshot()
-	if base[2] == 0 && base[3] == 0 {
+	if _, base, _, _, _, _ := src.SnapshotWindow(0, 1<<20, 1<<20); base[2] == 0 && base[3] == 0 {
 		t.Fatalf("base = %v, want the compacted prefix counts", base)
 	}
 	dst := NewReplica("f", 9)
-	if !dst.InstallSnapshot(vec, base, meta, ups) {
-		t.Fatal("install refused")
-	}
+	stream(t, src, dst, 1<<20, 1<<20)
 	if dst.Compacted() != src.Compacted() {
 		t.Fatalf("Compacted = %d, want %d", dst.Compacted(), src.Compacted())
 	}
@@ -80,20 +74,6 @@ func TestSnapshotCarriesCompactionBase(t *testing.T) {
 	u := dst.WriteLocal(101e6, "w", nil, 0)
 	if u.Seq != dst.Vector().Count(9) {
 		t.Fatalf("local write seq %d not reflected in vector", u.Seq)
-	}
-}
-
-func TestInstallSnapshotRefusesNonEmpty(t *testing.T) {
-	dst := NewReplica("f", 9)
-	dst.WriteLocal(1e6, "w", nil, 0)
-	src := NewReplica("f", 1)
-	fill(src, []id.NodeID{2}, 3)
-	vec, base, meta, ups := src.Snapshot()
-	if dst.InstallSnapshot(vec, base, meta, ups) {
-		t.Fatal("install must refuse a non-empty replica")
-	}
-	if dst.Len() != 1 {
-		t.Fatalf("refused install mutated the replica: Len = %d", dst.Len())
 	}
 }
 
@@ -226,11 +206,17 @@ func TestSnapshotWindowIdempotentRetry(t *testing.T) {
 func TestBeginSnapshotRefusesNonEmpty(t *testing.T) {
 	dst := NewReplica("f", 9)
 	dst.WriteLocal(1e6, "w", nil, 0)
-	if dst.BeginSnapshot(map[id.NodeID]int{2: 3}, 1) {
+	src := NewReplica("f", 1)
+	fill(src, []id.NodeID{2}, 3)
+	if src.CompactBelow(map[id.NodeID]int{2: 2}) == 0 {
+		t.Fatal("compaction pruned nothing; test setup broken")
+	}
+	_, base, meta, _, _, _ := src.SnapshotWindow(0, 1<<20, 1<<20)
+	if dst.BeginSnapshot(base, meta) {
 		t.Fatal("BeginSnapshot must refuse a non-empty replica")
 	}
-	if dst.Compacted() != 0 {
-		t.Fatalf("refused begin mutated the replica: Compacted = %d", dst.Compacted())
+	if dst.Compacted() != 0 || dst.Len() != 1 {
+		t.Fatalf("refused begin mutated the replica: Compacted = %d, Len = %d", dst.Compacted(), dst.Len())
 	}
 }
 

@@ -47,8 +47,8 @@ type storeMetrics struct {
 // synchronously inside the mutation, on the file's own shard, so a
 // journal only needs to tolerate concurrent calls for *different* files.
 //
-// Snapshot installs (InstallSnapshot/BeginSnapshot) are not journaled:
-// a snapshot-seeded prefix exists only as a vector base, with no updates
+// A snapshot transfer's seed (BeginSnapshot) is not journaled: a
+// snapshot-seeded prefix exists only as a vector base, with no updates
 // to replay. A journal-backed node that bootstraps from a snapshot must
 // re-bootstrap on recovery; anti-entropy reconciles the difference.
 type Journal interface {
@@ -622,7 +622,7 @@ func (r *Replica) AdoptImage(adoptVec *vv.Vector, updates []wire.Update, invalid
 			}
 			r.met.windowStamps.Add(int64(r.vec.WindowStamps() - before))
 			// Checkpoint vectors must shrink with the image too: their
-			// counts feed StableCounts (the gossiped rollback floor),
+			// counts feed StableVector (the gossiped rollback floor),
 			// and a stale floor above the real replica state would let
 			// the frontier — and therefore compaction — outrun what
 			// lagging peers have actually received.
@@ -711,17 +711,6 @@ func (r *Replica) CompactBelow(stable map[id.NodeID]int) int {
 	return k
 }
 
-// Snapshot exports the replica's transferable state for join bootstrap:
-// the version vector, the per-writer compaction base (updates below it
-// were pruned here and are covered by the vector alone), the
-// critical-metadata value as of that base, and the live log tail in
-// arrival order (a Log view, not a copy). The receiver installs it with
-// InstallSnapshot — one transfer instead of replaying total history
-// through anti-entropy.
-func (r *Replica) Snapshot() (vec *vv.Vector, base map[id.NodeID]int, prefixMeta float64, updates []wire.Update) {
-	return r.vec.Clone(), r.bases(), r.compactedMeta, r.Log()
-}
-
 // bases returns every writer's positive compaction base.
 func (r *Replica) bases() map[id.NodeID]int {
 	base := make(map[id.NodeID]int)
@@ -744,32 +733,6 @@ func (r *Replica) setBases(base map[id.NodeID]int) {
 	}
 }
 
-// InstallSnapshot loads a peer's Snapshot into this replica. It only
-// applies to an empty replica (no applied, compacted, or pending state) —
-// a replica that already holds updates converges through the normal
-// protocol instead — and reports whether the install happened. After the
-// install the replica is byte-equivalent to the sender's: same vector,
-// same compaction base, same live log.
-func (r *Replica) InstallSnapshot(vec *vv.Vector, base map[id.NodeID]int, prefixMeta float64, updates []wire.Update) bool {
-	if r.logBase+len(r.log) > 0 || r.Pending() > 0 || vec == nil {
-		return false
-	}
-	gaugeBefore := r.vec.WindowStamps()
-	r.vec = vec.Clone()
-	r.setBases(base)
-	r.compactedMeta = prefixMeta
-	r.log = regrow(updates)
-	for i, u := range r.log {
-		wi := r.writer(u.Writer)
-		wi.pos = append(wi.pos, int64(r.logBase+i))
-	}
-	r.nextSeq = r.vec.Count(r.Owner)
-	r.met.logEntries.Add(int64(len(r.log)))
-	r.met.windowStamps.Add(int64(r.vec.WindowStamps() - gaugeBefore))
-	r.met.applied.Add(int64(len(r.log)))
-	return true
-}
-
 // SnapshotWindow exports one bounded window of the replica's
 // transferable state for chunked join bootstrap: the full version
 // vector and compaction base (every chunk is self-describing, so a
@@ -778,8 +741,8 @@ func (r *Replica) InstallSnapshot(vec *vv.Vector, base map[id.NodeID]int, prefix
 // arrival order starting at absolute log position offset. start is the
 // clamped position actually served (it can exceed the requested offset
 // when compaction pruned past it, and is capped at end); end is the
-// absolute log length at serve time. Unlike Snapshot, the sender never
-// materializes more than one window.
+// absolute log length at serve time. The sender never materializes more
+// than one window.
 func (r *Replica) SnapshotWindow(offset, maxUpdates, maxBytes int) (vec *vv.Vector, base map[id.NodeID]int, prefixMeta float64, start int, updates []wire.Update, end int) {
 	end = r.logBase + len(r.log)
 	start = offset
@@ -863,21 +826,18 @@ func (r *Replica) DropPendingFrom(w id.NodeID) int {
 	return n
 }
 
-// StableCounts returns the per-writer update counts this replica can
-// never roll back below: the counts at its oldest live checkpoint, or
-// the current counts when no checkpoint is live. Gossip advertises these
-// (rather than the raw counts) as the compaction signal, so a peer's
-// later rollback can never re-need an update another node has pruned.
-func (r *Replica) StableCounts() map[id.NodeID]int {
-	v := r.vec
+// StableVector returns the vector whose per-writer counts this replica
+// can never roll back below: the vector of its oldest live checkpoint, or
+// the live vector when no checkpoint is live. Gossip advertises its counts
+// (rather than the raw counts) as the compaction signal, so a peer's later
+// rollback can never re-need an update another node has pruned. Like
+// LiveVector it is the replica's own: read it in place, in the file's
+// serialization domain, and never modify or keep it.
+func (r *Replica) StableVector() *vv.Vector {
 	if len(r.checkpoints) > 0 {
-		v = r.checkpoints[0].vec
+		return r.checkpoints[0].vec
 	}
-	out := make(map[id.NodeID]int, v.Len())
-	for w, e := range v.Entries {
-		out[w] = e.Count
-	}
-	return out
+	return r.vec
 }
 
 // Store is a node's collection of replicas, one per shared file. The

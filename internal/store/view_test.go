@@ -72,14 +72,11 @@ func TestViewsNeverChange(t *testing.T) {
 				t.Fatal("nothing compacted")
 			}
 		}},
-		{"InstallSnapshot", func(t *testing.T, r *Replica) {
+		{"SnapshotTransfer", func(t *testing.T, r *Replica) {
 			if _, err := r.Rollback(1); err != nil || r.Len() != 0 {
 				t.Fatalf("rollback to empty: len %d, err %v", r.Len(), err)
 			}
-			vec, base, meta, ups := viewFixture().Snapshot()
-			if !r.InstallSnapshot(vec, base, meta, ups) {
-				t.Fatal("snapshot not installed")
-			}
+			stream(t, viewFixture(), r, 2, 1<<20)
 		}},
 	}
 	for _, st := range steps {

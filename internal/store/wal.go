@@ -43,11 +43,13 @@ import (
 // intact record after it is a torn tail (the crash interrupted its
 // write); OpenWAL cuts the journal back to the last intact record
 // boundary so later appends follow intact data. The same damage with an
-// intact record after it is corruption, and a journal that does not start
-// with the header (such as one of an earlier format) is rejected the same
-// way: OpenWAL sets it aside whole as journal.wal.corrupt and starts a new
-// one, and Replay and Recover report the error naming the byte offset,
-// never a silently shorter log. Every file on the node then re-syncs.
+// intact record after it is corruption. A record whose CRC matches but
+// whose body does not decode, and a journal that does not start with the
+// header (such as one of an earlier format), are rejected the same way:
+// OpenWAL sets the journal aside whole as journal.wal.corrupt and starts a
+// new one, and Replay and Recover report the error naming the byte
+// offset, never a silently shorter log. Every file on the node then
+// re-syncs.
 //
 // Appends are group-committed: records are encoded into one shared buffer
 // that reaches the OS in one write once any file's open commit group
@@ -84,11 +86,10 @@ type WAL struct {
 	// nil (no registry attached) is a no-op.
 	fsyncMS *telemetry.Histogram
 
-	// size is the journal's intact length when it was opened; rejected is
-	// why the journal found there was set aside (nil if it was not). rmu
-	// guards logs: the per-file logs decoded from those size bytes and not
-	// yet recovered, nil until the first Recover or Replay.
-	size     int64
+	// rejected is why the journal found at open was set aside (nil if it
+	// was not). rmu guards logs: the per-file logs OpenWAL decoded from
+	// the journal's intact records, each dropped once Recover or Replay
+	// hands it over.
 	rejected error
 	rmu      sync.Mutex
 	logs     map[id.FileID][]wire.Update
@@ -183,8 +184,9 @@ func readTo(r io.Reader, b []byte, n int) ([]byte, error) {
 // every intact record to visit (which may be nil, and must not keep body),
 // and returns the offset just past the last intact record. Damage with
 // nothing intact behind it is a torn tail and ends the walk without error;
-// damage followed by an intact record is corruption. Records are read one
-// at a time; only behind damage is the rest of the journal read at once.
+// damage followed by an intact record is corruption, and so is a record
+// visit fails on. Records are read one at a time; only behind damage is
+// the rest of the journal read at once.
 func scanLog(ra io.ReaderAt, size int64, visit func(body []byte) error) (int64, error) {
 	r := bufio.NewReaderSize(io.NewSectionReader(ra, 0, size), 64<<10)
 	rec, err := readTo(r, nil, len(walMagic))
@@ -226,7 +228,7 @@ func scanLog(ra io.ReaderAt, size int64, visit func(body []byte) error) (int64, 
 		}
 		if visit != nil {
 			if err := visit(rec[recHeader:n]); err != nil {
-				return off, fmt.Errorf("record at byte offset %d: %w", off, err)
+				return off, fmt.Errorf("%w: record at byte offset %d: %w", errDamaged, off, err)
 			}
 		}
 		off += int64(n)
@@ -234,12 +236,14 @@ func scanLog(ra io.ReaderAt, size int64, visit func(body []byte) error) (int64, 
 	return off, nil
 }
 
-// OpenWAL opens (creating if needed) the journal in dir. A torn tail is
-// cut off first, so nothing is ever appended behind bytes recovery stops
-// at. A journal recovery rejects (corrupt, or not this format) is set
-// aside as journal.wal.corrupt and a new one started, because the node's
-// replicas restart empty and rollback markers count from the applied log;
-// Replay and Recover report why.
+// OpenWAL opens (creating if needed) the journal in dir and decodes it, in
+// one pass, into the per-file logs Recover and Replay hand over. A torn
+// tail is cut off first, so nothing is ever appended behind bytes
+// recovery stops at. A journal recovery rejects (corrupt, a record that
+// does not decode, or not this format) is set aside as
+// journal.wal.corrupt and a new one started, because the node's replicas
+// restart empty and rollback markers count from the applied log; Replay
+// and Recover report why.
 func OpenWAL(dir string) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: wal dir: %w", err)
@@ -264,16 +268,18 @@ func (w *WAL) open(path string) (err error) {
 	if err != nil {
 		return err
 	}
-	if w.size, err = scanLog(w.f, fi.Size(), nil); errors.Is(err, errDamaged) && w.rejected == nil {
+	w.logs = make(map[id.FileID][]wire.Update)
+	size, err := scanLog(w.f, fi.Size(), w.decode)
+	if errors.Is(err, errDamaged) && w.rejected == nil {
 		w.rejected = fmt.Errorf("store: wal %s: %w; set aside as %s.corrupt", path, err, journalName)
 		if err = errors.Join(w.f.Close(), os.Rename(path, path+".corrupt")); err == nil {
 			return w.open(path)
 		}
 	}
-	if err == nil && w.size < fi.Size() {
-		err = w.f.Truncate(w.size)
+	if err == nil && size < fi.Size() {
+		err = w.f.Truncate(size)
 	}
-	if err == nil && w.size == 0 {
+	if err == nil && size == 0 {
 		_, err = w.f.WriteString(walMagic)
 	}
 	return err
@@ -438,47 +444,33 @@ func (w *WAL) Close() error {
 	return err
 }
 
-// recovered decodes the journal as it stood when it was opened into
-// per-file logs, once: the first Recover or Replay pays one scan for all
-// files. The caller holds rmu.
-func (w *WAL) recovered() error {
-	if w.rejected != nil || w.logs != nil {
-		return w.rejected
-	}
-	logs := make(map[id.FileID][]wire.Update)
-	_, err := scanLog(w.f, w.size, func(body []byte) error {
-		if body[0] == 'u' {
-			u, err := wire.DecodeUpdate(body[1:])
-			if err == nil {
-				logs[u.File] = append(logs[u.File], u)
-			}
-			return err
-		}
-		file, keep, err := decodeRollback(body[1:])
-		if log := logs[file]; err == nil && keep <= uint64(len(log)) {
-			logs[file] = log[:keep]
+// decode applies one intact record's body to the per-file logs.
+func (w *WAL) decode(body []byte) error {
+	if body[0] == 'u' {
+		u, err := wire.DecodeUpdate(body[1:])
+		if err == nil {
+			w.logs[u.File] = append(w.logs[u.File], u)
 		}
 		return err
-	})
-	if err != nil {
-		return fmt.Errorf("store: wal recover %s: %w", filepath.Join(w.dir, journalName), err)
 	}
-	w.logs = logs
-	return nil
+	file, keep, err := decodeRollback(body[1:])
+	if log := w.logs[file]; err == nil && keep <= uint64(len(log)) {
+		w.logs[file] = log[:keep]
+	}
+	return err
 }
 
 // Recover returns a file's surviving updates in application order, as
 // the journal held them when OpenWAL opened it, under the recovery
-// contract in the WAL doc: a rejected journal fails every file. The
-// first call decodes the whole journal in one pass; each file's log is
-// then handed over once and dropped, so recovering every file costs one
-// scan and the WAL keeps no copy. A file with no records recovers as
-// empty.
+// contract in the WAL doc: a rejected journal fails every file. OpenWAL
+// decoded the whole journal in one pass; each file's log is handed over
+// once and dropped, so the WAL keeps no copy. A file with no records
+// recovers as empty.
 func (w *WAL) Recover(file id.FileID) ([]wire.Update, error) {
 	w.rmu.Lock()
 	defer w.rmu.Unlock()
-	if err := w.recovered(); err != nil {
-		return nil, err
+	if w.rejected != nil {
+		return nil, w.rejected
 	}
 	log := w.logs[file]
 	delete(w.logs, file)
@@ -492,7 +484,7 @@ func (w *WAL) Recover(file id.FileID) ([]wire.Update, error) {
 // through anti-entropy like any lagging replica.
 func (w *WAL) Replay(st *Store) error {
 	w.rmu.Lock()
-	err := w.recovered()
+	err := w.rejected
 	for _, file := range slices.Sorted(maps.Keys(w.logs)) {
 		if log := w.logs[file]; len(log) > 0 {
 			st.Open(file).ApplyAll(log)

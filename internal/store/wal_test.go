@@ -306,6 +306,41 @@ func TestWALMidLogCorruptionIsAnError(t *testing.T) {
 	}
 }
 
+func TestWALRejectsUndecodableRecord(t *testing.T) {
+	// A record whose checksum matches but whose body does not decode is
+	// corruption too: the journal is set aside at open, the error names
+	// the record's byte offset, and appends after it land in a new
+	// journal that the next restart recovers.
+	dir := t.TempDir()
+	image, _ := writeLog(t, dir, 2)
+	body := []byte{'u', 0x7f} // a file ID length far past the record
+	rec := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(body, castagnoli))
+	bad := append(append(bytes.Clone(image), rec...), body...)
+	if err := os.WriteFile(journalPath(dir), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := OpenWALMust(t, dir)
+	log, err := w.Recover(fBoard)
+	if want := fmt.Sprintf("byte offset %d", len(image)); err == nil || !strings.Contains(err.Error(), want) || log != nil {
+		t.Fatalf("recovered %d updates, error %v; want none and an error naming %q", len(log), err, want)
+	}
+	if kept, err := os.ReadFile(journalPath(dir) + ".corrupt"); err != nil || !bytes.Equal(kept, bad) {
+		t.Fatalf("journal not set aside whole: %v", err)
+	}
+	next := wire.Update{File: fBoard, Writer: nB, Seq: 1, Op: "after"}
+	if err := w.AppendUpdate(next); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := OpenWALMust(t, dir).Recover(fBoard)
+	if err != nil || len(again) != 1 || again[0].Op != "after" {
+		t.Fatalf("second recovery = %v, %v; want the one update appended after the rejection", again, err)
+	}
+}
+
 func TestWALRecoverBoundsItsSearch(t *testing.T) {
 	// Telling a torn tail from corruption means looking for an intact
 	// record behind the damage. Payload bytes can be crafted so that every

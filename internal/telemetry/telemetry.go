@@ -355,6 +355,8 @@ type Registry struct {
 	counts map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
+	// gen counts the counters and gauges created (see Gen).
+	gen atomic.Uint64
 
 	// rtMu/rtLastGC belong to CollectRuntime (runtime.go): the GC-pause
 	// cursor so each completed cycle is observed exactly once.
@@ -383,6 +385,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counts[name] = c
+		r.gen.Add(1)
 	}
 	return c
 }
@@ -399,6 +402,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if !ok {
 		g = &Gauge{}
 		r.gauges[name] = g
+		r.gen.Add(1)
 	}
 	return g
 }
@@ -457,32 +461,46 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnap `json:"histograms"`
 }
 
-// Scalars exports the named counters that exist and every gauge whose
-// name starts with one of gaugePrefixes, leaving Histograms nil: a
-// partial Snapshot for readers that evaluate a few scalars on a cadence
-// (the health engine) and should not pay for every metric's export. A
-// nil registry exports empty maps.
-func (r *Registry) Scalars(counters, gaugePrefixes []string) Snapshot {
-	s := Snapshot{Counters: map[string]int64{}, Gauges: map[string]int64{}}
+// Gen counts the counters and gauges the registry has created. A reader
+// that resolved handles once (LookupCounter, GaugesMatching) resolves
+// them again when Gen moves, so a metric registered after it, such as a
+// new peer's queue gauge, is still read. Zero on a nil registry.
+func (r *Registry) Gen() uint64 {
 	if r == nil {
-		return s
+		return 0
+	}
+	return r.gen.Load()
+}
+
+// LookupCounter returns the named counter, or nil (which reads zero) when
+// it does not exist: unlike Counter it creates nothing, so a reader does
+// not add metrics to the export.
+func (r *Registry) LookupCounter(name string) *Counter {
+	if r == nil {
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, n := range counters {
-		if c, ok := r.counts[n]; ok {
-			s.Counters[n] = c.Value()
-		}
+	return r.counts[name]
+}
+
+// GaugesMatching appends to dst every gauge whose name starts with one of
+// prefixes, in no particular order.
+func (r *Registry) GaugesMatching(dst []*Gauge, prefixes ...string) []*Gauge {
+	if r == nil {
+		return dst
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for n, g := range r.gauges {
-		for _, p := range gaugePrefixes {
+		for _, p := range prefixes {
 			if strings.HasPrefix(n, p) {
-				s.Gauges[n] = g.Value()
+				dst = append(dst, g)
 				break
 			}
 		}
 	}
-	return s
+	return dst
 }
 
 // Snapshot exports every metric. A nil registry exports empty maps.

@@ -30,32 +30,46 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-// TestScalarsReadsOnlyWhatItIsAsked: the named counters that exist, the
-// gauges under the prefixes, no histograms, and nothing created.
-func TestScalarsReadsOnlyWhatItIsAsked(t *testing.T) {
+// TestLookupReadsOnlyWhatItIsAsked: LookupCounter finds the counters that
+// exist and creates none, GaugesMatching returns the gauges under the
+// prefixes, and Gen moves with every counter or gauge created, not with a
+// lookup or a histogram.
+func TestLookupReadsOnlyWhatItIsAsked(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a.total").Add(3)
 	r.Counter("b.total").Add(4)
 	r.Gauge("q.depth.1").Set(5)
 	r.Gauge("q.depth.2").Set(6)
 	r.Gauge("other").Set(7)
+	gen := r.Gen()
 	r.Histogram("lat").Observe(1)
-	s := r.Scalars([]string{"a.total", "missing.total"}, []string{"q.depth."})
-	if len(s.Counters) != 1 || s.Counters["a.total"] != 3 {
-		t.Fatalf("counters = %v, want only a.total=3", s.Counters)
+	if c := r.LookupCounter("a.total"); c.Value() != 3 {
+		t.Fatalf("a.total = %d, want 3", c.Value())
 	}
-	if len(s.Gauges) != 2 || s.Gauges["q.depth.1"] != 5 || s.Gauges["q.depth.2"] != 6 {
-		t.Fatalf("gauges = %v, want the two q.depth. gauges", s.Gauges)
+	if c := r.LookupCounter("missing.total"); c != nil {
+		t.Fatalf("missing.total = %v, want nil", c)
 	}
-	if s.Histograms != nil {
-		t.Fatalf("histograms = %v, want none", s.Histograms)
+	var sum int64
+	gs := r.GaugesMatching(nil, "q.depth.")
+	for _, g := range gs {
+		sum += g.Value()
+	}
+	if len(gs) != 2 || sum != 11 {
+		t.Fatalf("matched %d gauges summing to %d, want the two q.depth. gauges (11)", len(gs), sum)
 	}
 	if _, ok := r.Snapshot().Counters["missing.total"]; ok {
-		t.Fatal("Scalars created a counter it was asked for")
+		t.Fatal("LookupCounter created a counter it was asked for")
+	}
+	if r.Gen() != gen {
+		t.Fatalf("Gen moved from %d to %d without a counter or gauge created", gen, r.Gen())
+	}
+	r.Gauge("q.depth.3")
+	if r.Gen() == gen {
+		t.Fatal("Gen did not move when a gauge was created")
 	}
 	var nilReg *Registry
-	if s := nilReg.Scalars([]string{"a.total"}, []string{""}); len(s.Counters)+len(s.Gauges) != 0 {
-		t.Fatal("nil registry scalars must be empty")
+	if nilReg.LookupCounter("a.total") != nil || len(nilReg.GaugesMatching(nil, "")) != 0 || nilReg.Gen() != 0 {
+		t.Fatal("nil registry must read empty")
 	}
 }
 

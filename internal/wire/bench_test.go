@@ -39,6 +39,16 @@ func BenchmarkSizer(b *testing.B) {
 	}
 }
 
+// BenchmarkSizeDigestBatch measures the size-only walk on the simulator's
+// most frequent large frame, a gossip digest batch.
+func BenchmarkSizeDigestBatch(b *testing.B) {
+	e := benchDigestBatchEnvelope()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Size(e)
+	}
+}
+
 // benchUpdateEnvelope is the transport's hottest frame shape: a
 // resolution Inform carrying updates with payloads.
 func benchUpdateEnvelope() Envelope {

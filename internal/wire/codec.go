@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -84,9 +85,11 @@ const (
 	kindFSReadReply
 )
 
+// NumKinds bounds the kind codes Measure returns.
+const NumKinds = int(kindFSReadReply) + 1
+
 // encState is the per-encode scratch: a reusable key slice for the
-// sorted-map encodings. It lives inside pooled Frames (and the Sizer)
-// so steady-state encoding performs no allocations at all.
+// sorted-map encodings. It lives inside pooled Frames so steady-state encoding performs no allocations at all.
 type encState struct {
 	keys []id.NodeID
 }
@@ -932,30 +935,218 @@ func decodeMsg(r *reader, kind byte) Message {
 
 // ---- sizing ----
 
-// Sizer measures encoded message sizes for the simulator's byte-accurate
-// overhead accounting. With the binary codec sizes are context-free (no
-// per-stream type descriptors, unlike the old gob streams), so Size is a
-// pure function of the envelope; the Sizer keeps a reusable buffer so
-// repeated measurement allocates nothing.
-type Sizer struct {
-	mu  sync.Mutex
-	buf []byte
-	st  encState
+// Measure returns the envelope's wire kind code, in [1, NumKinds), and its
+// encoded size in bytes — len of what AppendTo would append — without
+// encoding it: a walk of the same field lists that adds up lengths,
+// writes nothing and sorts no map (a count map's size does not depend on
+// its order). FuzzSizeMatchesEncoding holds it to the encoder. A counter
+// indexes an array by the code instead of hashing the Kind string. An
+// envelope the codec cannot encode (a nil or unknown message) has code 0
+// and is charged a nominal 64 bytes rather than failing a send.
+func Measure(e Envelope) (code, size int) {
+	kind, n := sizeMsg(e.Msg)
+	if kind == kindInvalid {
+		return 0, 64
+	}
+	// magic, version, From, To, kind, payload
+	return int(kind), 2 + nodeLen(e.From) + nodeLen(e.To) + 1 + n
 }
+
+// Size returns the envelope's encoded size in bytes (see Measure).
+func Size(e Envelope) int {
+	_, n := Measure(e)
+	return n
+}
+
+// Sizer measures encoded message sizes for callers that hold one; it keeps
+// no state, and Size is the same measurement.
+type Sizer struct{}
 
 // NewSizer returns a ready-to-use Sizer.
 func NewSizer() *Sizer { return &Sizer{} }
 
-// Size returns the encoded size in bytes of the envelope.
-func (s *Sizer) Size(e Envelope) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, err := appendEnvelope(s.buf[:0], e, &s.st)
-	s.buf = b[:0]
-	if err != nil {
-		// Unencodable payloads are a programming error; charge a
-		// nominal size rather than failing a send.
-		return 64
+// Size returns the encoded size in bytes of the envelope (see Size).
+func (*Sizer) Size(e Envelope) int { return Size(e) }
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the length of binary.AppendVarint's zig-zag encoding.
+func varintLen(x int64) int {
+	ux := uint64(x) << 1
+	if x < 0 {
+		ux = ^ux
 	}
-	return len(b)
+	return uvarintLen(ux)
+}
+
+func intLen(x int) int { return varintLen(int64(x)) }
+
+func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+func bytesLen(p []byte) int { return uvarintLen(uint64(len(p))) + len(p) }
+
+func nodeLen(n id.NodeID) int { return varintLen(int64(n)) }
+
+func fileLen(f id.FileID) int { return stringLen(string(f)) }
+
+func tcLen(tc tracing.Context) int { return uvarintLen(tc.Trace) + uvarintLen(tc.Span) }
+
+const (
+	floatLen  = 8
+	tripleLen = 3 * floatLen
+)
+
+func stampsLen(stamps []vv.Stamp) int {
+	n := uvarintLen(uint64(len(stamps)))
+	prev := int64(0)
+	for i, s := range stamps {
+		if i == 0 {
+			n += varintLen(int64(s))
+		} else {
+			n += varintLen(int64(s) - prev)
+		}
+		prev = int64(s)
+	}
+	return n
+}
+
+func vectorLen(v *vv.Vector) int {
+	if v == nil {
+		return 1
+	}
+	n := 1 + floatLen + tripleLen + uvarintLen(uint64(v.Len()))
+	for w, e := range v.Entries {
+		n += nodeLen(w) + intLen(e.Count) + intLen(e.Base) + varintLen(int64(e.Watermark)) + stampsLen(e.Stamps)
+	}
+	return n
+}
+
+func countMapLen(m map[id.NodeID]int) int {
+	if m == nil {
+		return 1
+	}
+	n := 1 + uvarintLen(uint64(len(m)))
+	for w, c := range m {
+		n += nodeLen(w) + intLen(c)
+	}
+	return n
+}
+
+func updateLen(u Update) int {
+	return fileLen(u.File) + nodeLen(u.Writer) + intLen(u.Seq) + varintLen(int64(u.At)) +
+		floatLen + stringLen(u.Op) + bytesLen(u.Data) + tcLen(u.TC)
+}
+
+func updatesLen(us []Update) int {
+	n := uvarintLen(uint64(len(us)))
+	for _, u := range us {
+		n += updateLen(u)
+	}
+	return n
+}
+
+func candidatesLen(cs []Candidate) int {
+	n := uvarintLen(uint64(len(cs)))
+	for _, c := range cs {
+		n += nodeLen(c.Node) + floatLen + intLen(c.Epoch)
+	}
+	return n
+}
+
+func membersLen(ms []MemberRecord) int {
+	n := uvarintLen(uint64(len(ms)))
+	for _, m := range ms {
+		n += nodeLen(m.Node) + stringLen(m.Addr) + 1 + intLen(m.Inc)
+	}
+	return n
+}
+
+func digestLen(d GossipDigest) int {
+	return fileLen(d.File) + nodeLen(d.Origin) + intLen(d.Round) + intLen(d.TTL) +
+		vectorLen(d.VV) + countMapLen(d.Stable) + tcLen(d.TC)
+}
+
+// sizeMsg returns the kind byte appendEnvelope writes for msg and the
+// length of the payload after it, field for field; the kind is
+// kindInvalid for a message it rejects.
+func sizeMsg(msg Message) (kind byte, n int) {
+	switch m := msg.(type) {
+	case DetectRequest:
+		return kindDetectRequest, fileLen(m.File) + varintLen(m.Token) + vectorLen(m.VV) + tcLen(m.TC)
+	case DetectReply:
+		return kindDetectReply, fileLen(m.File) + varintLen(m.Token) + vectorLen(m.VV) + tcLen(m.TC)
+	case GossipDigest:
+		return kindGossipDigest, digestLen(m)
+	case DigestBatch:
+		n = uvarintLen(uint64(len(m.Digests)))
+		for _, d := range m.Digests {
+			n += digestLen(d)
+		}
+		return kindDigestBatch, n
+	case GossipReport:
+		return kindGossipReport, fileLen(m.File) + nodeLen(m.Origin) + nodeLen(m.Reporter) + intLen(m.Round) + vectorLen(m.VV) + tcLen(m.TC)
+	case RansubCollect:
+		return kindRansubCollect, fileLen(m.File) + intLen(m.Epoch) + candidatesLen(m.Sample)
+	case RansubDistribute:
+		return kindRansubDistribute, fileLen(m.File) + intLen(m.Epoch) + candidatesLen(m.Sample)
+	case CallForAttention:
+		return kindCallForAttention, fileLen(m.File) + nodeLen(m.Initiator) + varintLen(m.Token) + tcLen(m.TC)
+	case CFAAck:
+		return kindCFAAck, fileLen(m.File) + varintLen(m.Token) + 1
+	case CFACancel:
+		return kindCFACancel, fileLen(m.File) + varintLen(m.Token)
+	case CollectRequest:
+		return kindCollectRequest, fileLen(m.File) + varintLen(m.Token) + vectorLen(m.VV) + tcLen(m.TC)
+	case CollectReply:
+		return kindCollectReply, fileLen(m.File) + varintLen(m.Token) + vectorLen(m.VV) + updatesLen(m.Updates) + tcLen(m.TC)
+	case Inform:
+		return kindInform, fileLen(m.File) + varintLen(m.Token) + nodeLen(m.Winner) + vectorLen(m.VV) + updatesLen(m.Updates) + tcLen(m.TC)
+	case InformAck:
+		return kindInformAck, fileLen(m.File) + varintLen(m.Token)
+	case AntiEntropyRequest:
+		return kindAntiEntropyRequest, fileLen(m.File) + vectorLen(m.VV)
+	case AntiEntropyReply:
+		return kindAntiEntropyReply, fileLen(m.File) + vectorLen(m.VV) + updatesLen(m.Updates)
+	case StrongWrite:
+		return kindStrongWrite, fileLen(m.File) + updateLen(m.Update)
+	case StrongReplicate:
+		return kindStrongReplicate, fileLen(m.File) + updateLen(m.Update) + intLen(m.Commit)
+	case StrongAck:
+		return kindStrongAck, fileLen(m.File) + intLen(m.Commit)
+	case StrongCommitted:
+		return kindStrongCommitted, fileLen(m.File) + updateLen(m.Update)
+	case SwimPing:
+		return kindSwimPing, varintLen(m.Seq) + stringLen(m.Addr) + membersLen(m.Piggyback)
+	case SwimAck:
+		return kindSwimAck, varintLen(m.Seq) + nodeLen(m.Acker) + membersLen(m.Piggyback)
+	case SwimPingReq:
+		return kindSwimPingReq, varintLen(m.Seq) + nodeLen(m.Target) + membersLen(m.Piggyback)
+	case SwimLeave:
+		return kindSwimLeave, nodeLen(m.Node) + intLen(m.Inc)
+	case JoinRequest:
+		return kindJoinRequest, nodeLen(m.Node) + stringLen(m.Addr)
+	case JoinReply:
+		return kindJoinReply, membersLen(m.Members)
+	case SnapshotRequest:
+		return kindSnapshotRequest, 0
+	case SnapshotManifest:
+		n = uvarintLen(uint64(len(m.Files)))
+		for _, file := range m.Files {
+			n += fileLen(file)
+		}
+		return kindSnapshotManifest, n
+	case SnapshotFileRequest:
+		return kindSnapshotFileRequest, fileLen(m.File) + intLen(m.Offset)
+	case SnapshotFileChunk:
+		return kindSnapshotFileChunk, fileLen(m.File) + vectorLen(m.VV) + countMapLen(m.Base) + floatLen + intLen(m.Offset) + intLen(m.End) + updatesLen(m.Updates)
+	case FSWrite:
+		return kindFSWrite, fileLen(m.File) + varintLen(m.Token) + stringLen(m.Op) + bytesLen(m.Data) + floatLen
+	case FSWriteAck:
+		return kindFSWriteAck, fileLen(m.File) + varintLen(m.Token) + stringLen(m.Key)
+	case FSRead:
+		return kindFSRead, fileLen(m.File) + varintLen(m.Token)
+	case FSReadReply:
+		return kindFSReadReply, fileLen(m.File) + varintLen(m.Token) + updatesLen(m.Updates) + floatLen
+	}
+	return kindInvalid, 0
 }

@@ -32,6 +32,38 @@ func TestEncodeDecodeExact(t *testing.T) {
 	}
 }
 
+// TestSizeMatchesEncoding checks the size-only walk against the encoder on
+// every message kind, size and kind byte, with routing IDs on both sides
+// of the varint length steps, and charges an unencodable envelope 64
+// bytes under code 0.
+func TestSizeMatchesEncoding(t *testing.T) {
+	for _, m := range allMessages() {
+		for _, from := range []id.NodeID{0, -1, 63, 64, -65, 1 << 40} {
+			e := Envelope{From: from, To: 2, Msg: m}
+			frame, err := Encode(e)
+			if err != nil {
+				t.Fatalf("%T: %v", m, err)
+			}
+			code, size := Measure(e)
+			if size != len(frame) {
+				t.Fatalf("%T from %d: Measure size = %d, encoding is %d bytes", m, from, size, len(frame))
+			}
+			if code != int(frame[3+nodeLen(from)]) {
+				t.Fatalf("%T: Measure code = %d, encoding's kind byte is %d", m, code, frame[3+nodeLen(from)])
+			}
+		}
+	}
+	for _, e := range []Envelope{benchUpdateEnvelope(), benchDigestBatchEnvelope()} {
+		frame, _ := Encode(e)
+		if got := NewSizer().Size(e); got != len(frame) {
+			t.Fatalf("%T: Sizer.Size = %d, encoding is %d bytes", e.Msg, got, len(frame))
+		}
+	}
+	if code, size := Measure(Envelope{From: 1, To: 2}); code != 0 || size != 64 {
+		t.Fatalf("nil message: Measure = %d, %d; want code 0 and the nominal 64 bytes", code, size)
+	}
+}
+
 // TestDecodeDoesNotAliasInput scribbles over the input frame after
 // decoding and requires the decoded message to be unaffected — the
 // contract that lets the transport pool and reuse read buffers.

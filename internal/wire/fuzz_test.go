@@ -132,3 +132,30 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSizeMatchesEncoding holds the size-only walk to the encoder: for any
+// envelope the decoder accepts, Size equals the length of its encoding.
+// Decoded count maps arrive in random map order, which Size must not
+// depend on.
+func FuzzSizeMatchesEncoding(f *testing.F) {
+	for _, m := range allMessages() {
+		frame, err := Encode(Envelope{From: -5, To: 1 << 40, Msg: m})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, err := Decode(data)
+		if err != nil {
+			return
+		}
+		frame, err := Encode(e)
+		if err != nil {
+			t.Fatalf("re-encode of accepted envelope failed: %v", err)
+		}
+		if got := Size(e); got != len(frame) {
+			t.Fatalf("%s: Size = %d, encoding is %d bytes", e.Msg.Kind(), got, len(frame))
+		}
+	})
+}
