@@ -1,27 +1,36 @@
-// Hand-rolled binary codec for the wire envelope. It replaces the
-// original per-frame gob streams on the hot path: gob allocates a fresh
-// encoder, type descriptors, and reflection state for every frame,
-// which put a floor of dozens of allocations under every message the
-// transport ships. This codec is append-only into a caller-supplied
-// buffer (AppendTo), has a pooled-frame front end
-// (EncodeFrame / Frame.Release) for the transport, and decodes with a
-// single bounds-checked pass that copies all byte payloads — a decoded
-// envelope never aliases the input buffer, so read buffers can be
-// pooled and reused immediately after Decode returns.
+// Hand-rolled binary codec for the wire envelope. Each message kind's
+// fields are listed once, in the switch of (*coder).message, and a coder
+// walks that list in one of three modes:
+//
+//   - encoding appends the fields to a buffer: the caller's (AppendTo) or
+//     a pooled frame's (EncodeFrame / Frame.Release), so steady-state
+//     encoding allocates nothing;
+//   - sizing adds up the bytes encoding would append, writing nothing
+//     (Measure, the simulator's byte accounting);
+//   - decoding fills the fields in from a frame in one bounds-checked
+//     pass that copies every byte payload out, so a decoded envelope
+//     never aliases its input and read buffers can be pooled and reused
+//     as soon as Decode returns.
+//
+// A field coder such as c.file(&m.File) takes a pointer to the field and
+// reads it (encoding, sizing) or sets it (decoding), so adding a field to
+// a message is one line in its list (plus a codecVersion bump). Where the
+// modes really differ the switch sits around a whole per-mode atom
+// instead of each field: a vector's entries, a count map's pairs, and the
+// decoder's bounds-checked reads.
 //
 // Wire format (all multi-byte integers are varints unless noted):
 //
 //	magic (1B) | version (1B) | From | To | kind (1B) | payload
 //
-// Field order inside each payload matches the struct definition in
-// wire.go. Vectors ship Meta and Err as fixed 8-byte floats, then the
-// entries sorted by writer ID (map iteration order must not reach the
-// wire — see the determinism analyzer); per-entry stamps are
-// delta-encoded, exploiting the vv invariant that stamp windows are
-// non-decreasing. Maps (GossipDigest.Stable, SnapshotFileChunk.Base) are
-// likewise sorted by key. Strings and byte
-// slices are length-prefixed. A frame must be consumed exactly: trailing
-// bytes are a decode error.
+// A payload's fields follow its field list. Vectors ship Meta and Err as
+// fixed 8-byte floats, then the entries sorted by writer ID (Go's map
+// iteration order must never reach the wire: the internal/invariants
+// determinism rule); per-entry stamps are delta-encoded, exploiting the vv
+// invariant that stamp windows are non-decreasing. Maps
+// (GossipDigest.Stable, SnapshotFileChunk.Base) are likewise sorted by
+// key. Strings, byte slices and sequences are length-prefixed. A frame
+// must be consumed exactly: trailing bytes are a decode error.
 package wire
 
 import (
@@ -88,10 +97,43 @@ const (
 // NumKinds bounds the kind codes Measure returns.
 const NumKinds = int(kindFSReadReply) + 1
 
-// encState is the per-encode scratch: a reusable key slice for the
-// sorted-map encodings. It lives inside pooled Frames so steady-state encoding performs no allocations at all.
-type encState struct {
-	keys []id.NodeID
+// blank holds each kind's zero message: decoding walks a copy of the one
+// its frame's kind byte names.
+var blank = [NumKinds]Message{
+	kindDetectRequest:       DetectRequest{},
+	kindDetectReply:         DetectReply{},
+	kindGossipDigest:        GossipDigest{},
+	kindDigestBatch:         DigestBatch{},
+	kindGossipReport:        GossipReport{},
+	kindRansubCollect:       RansubCollect{},
+	kindRansubDistribute:    RansubDistribute{},
+	kindCallForAttention:    CallForAttention{},
+	kindCFAAck:              CFAAck{},
+	kindCFACancel:           CFACancel{},
+	kindCollectRequest:      CollectRequest{},
+	kindCollectReply:        CollectReply{},
+	kindInform:              Inform{},
+	kindInformAck:           InformAck{},
+	kindAntiEntropyRequest:  AntiEntropyRequest{},
+	kindAntiEntropyReply:    AntiEntropyReply{},
+	kindStrongWrite:         StrongWrite{},
+	kindStrongReplicate:     StrongReplicate{},
+	kindStrongAck:           StrongAck{},
+	kindStrongCommitted:     StrongCommitted{},
+	kindSwimPing:            SwimPing{},
+	kindSwimAck:             SwimAck{},
+	kindSwimPingReq:         SwimPingReq{},
+	kindSwimLeave:           SwimLeave{},
+	kindJoinRequest:         JoinRequest{},
+	kindJoinReply:           JoinReply{},
+	kindSnapshotRequest:     SnapshotRequest{},
+	kindSnapshotManifest:    SnapshotManifest{},
+	kindSnapshotFileRequest: SnapshotFileRequest{},
+	kindSnapshotFileChunk:   SnapshotFileChunk{},
+	kindFSWrite:             FSWrite{},
+	kindFSWriteAck:          FSWriteAck{},
+	kindFSRead:              FSRead{},
+	kindFSReadReply:         FSReadReply{},
 }
 
 // maxPooledFrame bounds the capacity a released Frame may carry back
@@ -109,8 +151,8 @@ var framePool = sync.Pool{New: func() any { return &Frame{} }}
 // Bytes() across Release; the transport's writer releases a frame only
 // after the vectored write that includes it has returned.
 type Frame struct {
-	buf []byte
-	st  encState
+	buf  []byte
+	keys []id.NodeID // count-map sort scratch, kept warm with the buffer
 }
 
 // Bytes returns the encoded frame, including any headroom requested at
@@ -143,35 +185,40 @@ func EncodeFrame(e Envelope, headroom int) (*Frame, error) {
 		return nil, fmt.Errorf("wire: headroom %d out of range", headroom)
 	}
 	f := framePool.Get().(*Frame)
-	b := append(f.buf[:0], headroomZeros[:headroom]...)
-	b, err := appendEnvelope(b, e, &f.st)
-	if err != nil {
-		f.buf = b[:0]
+	c := coder{mode: encoding, b: append(f.buf[:0], headroomZeros[:headroom]...), keys: &f.keys}
+	c.envelope(&e)
+	f.buf = c.b
+	if c.err != nil {
+		f.buf = f.buf[:0]
 		f.Release()
-		return nil, err
+		return nil, fmt.Errorf("wire: encode: %w", c.err)
 	}
-	f.buf = b
 	return f, nil
 }
 
-var encStatePool = sync.Pool{New: func() any { return &encState{} }}
+var keysPool = sync.Pool{New: func() any { return new([]id.NodeID) }}
 
 // AppendTo appends the encoded envelope to buf and returns the extended
 // slice, growing it as needed. This is the zero-copy building block:
 // callers that already own a destination buffer (a pending per-peer
-// write buffer, a journal page) encode straight into it.
+// write buffer, a journal page) encode straight into it. On error buf is
+// returned as it was.
 func (e Envelope) AppendTo(buf []byte) ([]byte, error) {
-	st := encStatePool.Get().(*encState)
-	b, err := appendEnvelope(buf, e, st)
-	encStatePool.Put(st)
-	return b, err
+	c := coder{mode: encoding, b: buf, keys: keysPool.Get().(*[]id.NodeID)}
+	c.envelope(&e)
+	keysPool.Put(c.keys)
+	if c.err != nil {
+		return buf, fmt.Errorf("wire: encode: %w", c.err)
+	}
+	return c.b, nil
 }
 
-// Encode encodes an envelope into a fresh buffer. It remains for
-// compatibility and tests; hot paths use EncodeFrame or AppendTo, which
-// reuse buffers instead of allocating one per frame.
+// Encode encodes an envelope into a fresh buffer of exactly its size: one
+// allocation. It remains for compatibility and tests; hot paths use
+// EncodeFrame or AppendTo, which reuse buffers instead of allocating one
+// per frame.
 func Encode(e Envelope) ([]byte, error) {
-	return e.AppendTo(nil)
+	return e.AppendTo(make([]byte, 0, Size(e)))
 }
 
 // Decode decodes a frame produced by Encode/AppendTo/EncodeFrame. The
@@ -179,777 +226,57 @@ func Encode(e Envelope) ([]byte, error) {
 // slice is copied out, so b may come from (and immediately return to) a
 // pooled read buffer.
 func Decode(b []byte) (Envelope, error) {
-	r := reader{b: b}
-	if r.u8() != codecMagic || r.u8() != codecVersion {
-		if r.err == nil {
-			r.err = errors.New("wire: bad frame magic/version")
-		}
-		return Envelope{}, r.err
+	c := coder{mode: decoding, b: b}
+	var e Envelope
+	c.envelope(&e)
+	if c.err == nil && c.off != len(b) {
+		c.fail(fmt.Sprintf("%d trailing bytes", len(b)-c.off))
 	}
-	e := Envelope{From: id.NodeID(r.varint()), To: id.NodeID(r.varint())}
-	e.Msg = decodeMsg(&r, r.u8())
-	if r.err != nil {
-		return Envelope{}, fmt.Errorf("wire: decode: %w", r.err)
-	}
-	if r.off != len(r.b) {
-		return Envelope{}, fmt.Errorf("wire: decode: %d trailing bytes", len(r.b)-r.off)
+	if c.err != nil {
+		return Envelope{}, fmt.Errorf("wire: decode: %w", c.err)
 	}
 	return e, nil
-}
-
-// ---- append primitives ----
-
-func appendUvarint(b []byte, x uint64) []byte { return binary.AppendUvarint(b, x) }
-func appendVarint(b []byte, x int64) []byte   { return binary.AppendVarint(b, x) }
-func appendInt(b []byte, x int) []byte        { return binary.AppendVarint(b, int64(x)) }
-
-func appendFloat(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendBytes(b, p []byte) []byte {
-	b = appendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func appendNode(b []byte, n id.NodeID) []byte { return appendVarint(b, int64(n)) }
-func appendFile(b []byte, f id.FileID) []byte { return appendString(b, string(f)) }
-
-func appendTC(b []byte, tc tracing.Context) []byte {
-	b = appendUvarint(b, tc.Trace)
-	return appendUvarint(b, tc.Span)
-}
-
-func appendTriple(b []byte, t vv.Triple) []byte {
-	b = appendFloat(b, t.Numerical)
-	b = appendFloat(b, t.Order)
-	return appendFloat(b, t.Staleness)
-}
-
-func appendStamps(b []byte, stamps []vv.Stamp) []byte {
-	// vv invariant: stamp windows are non-decreasing, so deltas are
-	// small non-negative numbers; zigzag varints keep hostile or buggy
-	// inputs lossless anyway.
-	b = appendUvarint(b, uint64(len(stamps)))
-	prev := int64(0)
-	for i, s := range stamps {
-		if i == 0 {
-			b = appendVarint(b, int64(s))
-		} else {
-			b = appendVarint(b, int64(s)-prev)
-		}
-		prev = int64(s)
-	}
-	return b
-}
-
-func appendVector(b []byte, v *vv.Vector) []byte {
-	if v == nil {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	b = appendFloat(b, v.Meta)
-	b = appendTriple(b, v.Err)
-	// Entries yields writers in ascending order: the canonical order.
-	b = appendUvarint(b, uint64(v.Len()))
-	for n, e := range v.Entries {
-		b = appendNode(b, n)
-		b = appendInt(b, e.Count)
-		b = appendInt(b, e.Base)
-		b = appendVarint(b, int64(e.Watermark))
-		b = appendStamps(b, e.Stamps)
-	}
-	return b
-}
-
-func appendCountMap(b []byte, m map[id.NodeID]int, st *encState) []byte {
-	if m == nil {
-		return append(b, 0)
-	}
-	b = append(b, 1)
-	keys := st.keys[:0]
-	for n := range m {
-		keys = append(keys, n)
-	}
-	slices.Sort(keys)
-	st.keys = keys
-	b = appendUvarint(b, uint64(len(keys)))
-	for _, n := range keys {
-		b = appendNode(b, n)
-		b = appendInt(b, m[n])
-	}
-	return b
 }
 
 // AppendUpdate appends u's encoding to b: the one field list for an
 // update, shared by every message that carries one and by the store's
 // on-disk journal.
 func AppendUpdate(b []byte, u Update) []byte {
-	b = appendFile(b, u.File)
-	b = appendNode(b, u.Writer)
-	b = appendInt(b, u.Seq)
-	b = appendVarint(b, int64(u.At))
-	b = appendFloat(b, u.Meta)
-	b = appendString(b, u.Op)
-	b = appendBytes(b, u.Data)
-	return appendTC(b, u.TC)
-}
-
-func appendUpdates(b []byte, us []Update) []byte {
-	b = appendUvarint(b, uint64(len(us)))
-	for _, u := range us {
-		b = AppendUpdate(b, u)
-	}
-	return b
-}
-
-func appendCandidates(b []byte, cs []Candidate) []byte {
-	b = appendUvarint(b, uint64(len(cs)))
-	for _, c := range cs {
-		b = appendNode(b, c.Node)
-		b = appendFloat(b, c.Temp)
-		b = appendInt(b, c.Epoch)
-	}
-	return b
-}
-
-func appendMembers(b []byte, ms []MemberRecord) []byte {
-	b = appendUvarint(b, uint64(len(ms)))
-	for _, m := range ms {
-		b = appendNode(b, m.Node)
-		b = appendString(b, m.Addr)
-		b = append(b, byte(m.Status))
-		b = appendInt(b, m.Inc)
-	}
-	return b
-}
-
-func appendDigest(b []byte, d GossipDigest, st *encState) []byte {
-	b = appendFile(b, d.File)
-	b = appendNode(b, d.Origin)
-	b = appendInt(b, d.Round)
-	b = appendInt(b, d.TTL)
-	b = appendVector(b, d.VV)
-	b = appendCountMap(b, d.Stable, st)
-	return appendTC(b, d.TC)
-}
-
-// appendEnvelope writes the framed envelope. It is total over the
-// message set in wire.go; an unknown or nil message is an error, never
-// a panic.
-func appendEnvelope(b []byte, e Envelope, st *encState) ([]byte, error) {
-	b = append(b, codecMagic, codecVersion)
-	b = appendNode(b, e.From)
-	b = appendNode(b, e.To)
-	switch m := e.Msg.(type) {
-	case DetectRequest:
-		b = append(b, kindDetectRequest)
-		b = appendFile(b, m.File)
-		b = appendVarint(b, m.Token)
-		b = appendVector(b, m.VV)
-		b = appendTC(b, m.TC)
-	case DetectReply:
-		b = append(b, kindDetectReply)
-		b = appendFile(b, m.File)
-		b = appendVarint(b, m.Token)
-		b = appendVector(b, m.VV)
-		b = appendTC(b, m.TC)
-	case GossipDigest:
-		b = append(b, kindGossipDigest)
-		b = appendDigest(b, m, st)
-	case DigestBatch:
-		b = append(b, kindDigestBatch)
-		b = appendUvarint(b, uint64(len(m.Digests)))
-		for _, d := range m.Digests {
-			b = appendDigest(b, d, st)
-		}
-	case GossipReport:
-		b = append(b, kindGossipReport)
-		b = appendFile(b, m.File)
-		b = appendNode(b, m.Origin)
-		b = appendNode(b, m.Reporter)
-		b = appendInt(b, m.Round)
-		b = appendVector(b, m.VV)
-		b = appendTC(b, m.TC)
-	case RansubCollect:
-		b = append(b, kindRansubCollect)
-		b = appendFile(b, m.File)
-		b = appendInt(b, m.Epoch)
-		b = appendCandidates(b, m.Sample)
-	case RansubDistribute:
-		b = append(b, kindRansubDistribute)
-		b = appendFile(b, m.File)
-		b = appendInt(b, m.Epoch)
-		b = appendCandidates(b, m.Sample)
-	case CallForAttention:
-		b = append(b, kindCallForAttention)
-		b = appendFile(b, m.File)
-		b = appendNode(b, m.Initiator)
-		b = appendVarint(b, m.Token)
-		b = appendTC(b, m.TC)
-	case CFAAck:
-		b = append(b, kindCFAAck)
-		b = appendFile(b, m.File)
-		b = appendVarint(b, m.Token)
-		b = appendBool(b, m.OK)
-	case CFACancel:
-		b = append(b, kindCFACancel)
-		b = appendFile(b, m.File)
-		b = appendVarint(b, m.Token)
-	case CollectRequest:
-		b = append(b, kindCollectRequest)
-		b = appendFile(b, m.File)
-		b = appendVarint(b, m.Token)
-		b = appendVector(b, m.VV)
-		b = appendTC(b, m.TC)
-	case CollectReply:
-		b = append(b, kindCollectReply)
-		b = appendFile(b, m.File)
-		b = appendVarint(b, m.Token)
-		b = appendVector(b, m.VV)
-		b = appendUpdates(b, m.Updates)
-		b = appendTC(b, m.TC)
-	case Inform:
-		b = append(b, kindInform)
-		b = appendFile(b, m.File)
-		b = appendVarint(b, m.Token)
-		b = appendNode(b, m.Winner)
-		b = appendVector(b, m.VV)
-		b = appendUpdates(b, m.Updates)
-		b = appendTC(b, m.TC)
-	case InformAck:
-		b = append(b, kindInformAck)
-		b = appendFile(b, m.File)
-		b = appendVarint(b, m.Token)
-	case AntiEntropyRequest:
-		b = append(b, kindAntiEntropyRequest)
-		b = appendFile(b, m.File)
-		b = appendVector(b, m.VV)
-	case AntiEntropyReply:
-		b = append(b, kindAntiEntropyReply)
-		b = appendFile(b, m.File)
-		b = appendVector(b, m.VV)
-		b = appendUpdates(b, m.Updates)
-	case StrongWrite:
-		b = append(b, kindStrongWrite)
-		b = appendFile(b, m.File)
-		b = AppendUpdate(b, m.Update)
-	case StrongReplicate:
-		b = append(b, kindStrongReplicate)
-		b = appendFile(b, m.File)
-		b = AppendUpdate(b, m.Update)
-		b = appendInt(b, m.Commit)
-	case StrongAck:
-		b = append(b, kindStrongAck)
-		b = appendFile(b, m.File)
-		b = appendInt(b, m.Commit)
-	case StrongCommitted:
-		b = append(b, kindStrongCommitted)
-		b = appendFile(b, m.File)
-		b = AppendUpdate(b, m.Update)
-	case SwimPing:
-		b = append(b, kindSwimPing)
-		b = appendVarint(b, m.Seq)
-		b = appendString(b, m.Addr)
-		b = appendMembers(b, m.Piggyback)
-	case SwimAck:
-		b = append(b, kindSwimAck)
-		b = appendVarint(b, m.Seq)
-		b = appendNode(b, m.Acker)
-		b = appendMembers(b, m.Piggyback)
-	case SwimPingReq:
-		b = append(b, kindSwimPingReq)
-		b = appendVarint(b, m.Seq)
-		b = appendNode(b, m.Target)
-		b = appendMembers(b, m.Piggyback)
-	case SwimLeave:
-		b = append(b, kindSwimLeave)
-		b = appendNode(b, m.Node)
-		b = appendInt(b, m.Inc)
-	case JoinRequest:
-		b = append(b, kindJoinRequest)
-		b = appendNode(b, m.Node)
-		b = appendString(b, m.Addr)
-	case JoinReply:
-		b = append(b, kindJoinReply)
-		b = appendMembers(b, m.Members)
-	case SnapshotRequest:
-		b = append(b, kindSnapshotRequest)
-	case SnapshotManifest:
-		b = append(b, kindSnapshotManifest)
-		b = appendUvarint(b, uint64(len(m.Files)))
-		for _, f := range m.Files {
-			b = appendFile(b, f)
-		}
-	case SnapshotFileRequest:
-		b = append(b, kindSnapshotFileRequest)
-		b = appendFile(b, m.File)
-		b = appendInt(b, m.Offset)
-	case SnapshotFileChunk:
-		b = append(b, kindSnapshotFileChunk)
-		b = appendFile(b, m.File)
-		b = appendVector(b, m.VV)
-		b = appendCountMap(b, m.Base, st)
-		b = appendFloat(b, m.PrefixMeta)
-		b = appendInt(b, m.Offset)
-		b = appendInt(b, m.End)
-		b = appendUpdates(b, m.Updates)
-	case FSWrite:
-		b = append(b, kindFSWrite)
-		b = appendFile(b, m.File)
-		b = appendVarint(b, m.Token)
-		b = appendString(b, m.Op)
-		b = appendBytes(b, m.Data)
-		b = appendFloat(b, m.Meta)
-	case FSWriteAck:
-		b = append(b, kindFSWriteAck)
-		b = appendFile(b, m.File)
-		b = appendVarint(b, m.Token)
-		b = appendString(b, m.Key)
-	case FSRead:
-		b = append(b, kindFSRead)
-		b = appendFile(b, m.File)
-		b = appendVarint(b, m.Token)
-	case FSReadReply:
-		b = append(b, kindFSReadReply)
-		b = appendFile(b, m.File)
-		b = appendVarint(b, m.Token)
-		b = appendUpdates(b, m.Updates)
-		b = appendFloat(b, m.Level)
-	case nil:
-		return b, errors.New("wire: encode: nil message")
-	default:
-		return b, fmt.Errorf("wire: encode: unknown message type %T", e.Msg)
-	}
-	return b, nil
-}
-
-// ---- decoding ----
-
-// Minimum encoded sizes per element, used to bound slice preallocation
-// against the remaining input: a hostile length prefix can then inflate
-// memory by at most sizeof(elem)/minimum, not arbitrarily.
-const (
-	minUpdateBytes = 16
-	minCandBytes   = 10
-	minMemberBytes = 4
-	minDigestBytes = 8
-	minEntryBytes  = 5
-	minPairBytes   = 2
-)
-
-// reader is a bounds-checked sequential decoder. The first failure
-// latches err; subsequent reads return zero values, so decode functions
-// can run straight-line and check err once.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(msg string) {
-	if r.err == nil {
-		r.err = errors.New(msg)
-	}
-}
-
-func (r *reader) rem() int { return len(r.b) - r.off }
-
-func (r *reader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.b) {
-		r.fail("truncated frame")
-		return 0
-	}
-	c := r.b[r.off]
-	r.off++
-	return c
-}
-
-func (r *reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("bad varint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *reader) int() int { return int(r.varint()) }
-
-func (r *reader) float() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.rem() < 8 {
-		r.fail("truncated float")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *reader) bool() bool { return r.u8() != 0 }
-
-// length reads a count prefix for a sequence whose elements each occupy
-// at least min encoded bytes, rejecting counts the remaining input
-// cannot possibly satisfy.
-func (r *reader) length(min int) int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if min < 1 {
-		min = 1
-	}
-	if n > uint64(r.rem()/min) {
-		r.fail("length prefix exceeds frame")
-		return 0
-	}
-	return int(n)
-}
-
-// blob reads a length-prefixed byte slice, copying it out of the frame
-// buffer (pooled read buffers must never be aliased by decoded
-// messages). Zero length decodes as nil, matching the encoder.
-func (r *reader) blob() []byte {
-	n := r.length(1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, r.b[r.off:r.off+n])
-	r.off += n
-	return out
-}
-
-func (r *reader) str() string {
-	n := r.length(1)
-	if r.err != nil || n == 0 {
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
-}
-
-func (r *reader) node() id.NodeID { return id.NodeID(r.varint()) }
-func (r *reader) file() id.FileID { return id.FileID(r.str()) }
-
-func (r *reader) tc() tracing.Context {
-	return tracing.Context{Trace: r.uvarint(), Span: r.uvarint()}
-}
-
-func (r *reader) triple() vv.Triple {
-	return vv.Triple{Numerical: r.float(), Order: r.float(), Staleness: r.float()}
-}
-
-func (r *reader) stamps() []vv.Stamp {
-	n := r.length(1)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]vv.Stamp, n)
-	prev := int64(0)
-	for i := range out {
-		d := r.varint()
-		if i == 0 {
-			prev = d
-		} else {
-			prev += d
-		}
-		out[i] = vv.Stamp(prev)
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-func (r *reader) vector() *vv.Vector {
-	present := r.u8()
-	if r.err != nil || present == 0 {
-		return nil
-	}
-	v := vv.New()
-	v.Meta = r.float()
-	v.Err = r.triple()
-	n := r.length(minEntryBytes)
-	v.Grow(n)
-	for i := 0; i < n && r.err == nil; i++ {
-		node := r.node()
-		e := vv.Entry{Count: r.int(), Base: r.int(), Watermark: vv.Stamp(r.varint())}
-		e.Stamps = r.stamps()
-		if r.err != nil {
-			break
-		}
-		if e.Count < 0 || e.Base < 0 || e.Count != e.Base+len(e.Stamps) {
-			r.fail("vector entry violates count invariant")
-			break
-		}
-		v.AppendEntry(node, e)
-	}
-	if r.err != nil {
-		return nil
-	}
-	// An honest encoder sends writers ascending, so this only checks; a
-	// hostile frame's out-of-order or repeated writers are sorted once
-	// (the last duplicate wins), never inserted one by one.
-	v.SortEntries()
-	return v
-}
-
-func (r *reader) countMap() map[id.NodeID]int {
-	present := r.u8()
-	if r.err != nil || present == 0 {
-		return nil
-	}
-	n := r.length(minPairBytes)
-	if r.err != nil {
-		return nil
-	}
-	m := make(map[id.NodeID]int, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		node := r.node()
-		m[node] = r.int()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return m
-}
-
-func (r *reader) update() Update {
-	return Update{
-		File:   r.file(),
-		Writer: r.node(),
-		Seq:    r.int(),
-		At:     vv.Stamp(r.varint()),
-		Meta:   r.float(),
-		Op:     r.str(),
-		Data:   r.blob(),
-		TC:     r.tc(),
-	}
+	c := coder{mode: encoding, b: b}
+	c.update(&u)
+	return c.b
 }
 
 // DecodeUpdate decodes exactly one AppendUpdate encoding. Like Decode,
 // the result shares no memory with b.
 func DecodeUpdate(b []byte) (Update, error) {
-	r := reader{b: b}
-	u := r.update()
-	if r.err == nil && r.off != len(b) {
-		r.fail("trailing bytes")
+	c := coder{mode: decoding, b: b}
+	var u Update
+	c.update(&u)
+	if c.err == nil && c.off != len(b) {
+		c.fail("trailing bytes")
 	}
-	if r.err != nil {
-		return Update{}, fmt.Errorf("wire: decode update: %w", r.err)
+	if c.err != nil {
+		return Update{}, fmt.Errorf("wire: decode update: %w", c.err)
 	}
 	return u, nil
 }
 
-func (r *reader) updates() []Update {
-	n := r.length(minUpdateBytes)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]Update, n)
-	for i := range out {
-		out[i] = r.update()
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-func (r *reader) candidates() []Candidate {
-	n := r.length(minCandBytes)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]Candidate, n)
-	for i := range out {
-		out[i] = Candidate{Node: r.node(), Temp: r.float(), Epoch: r.int()}
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-func (r *reader) members() []MemberRecord {
-	n := r.length(minMemberBytes)
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]MemberRecord, n)
-	for i := range out {
-		out[i] = MemberRecord{Node: r.node(), Addr: r.str(), Status: MemberStatus(r.u8()), Inc: r.int()}
-	}
-	if r.err != nil {
-		return nil
-	}
-	return out
-}
-
-func (r *reader) digest() GossipDigest {
-	return GossipDigest{
-		File:   r.file(),
-		Origin: r.node(),
-		Round:  r.int(),
-		TTL:    r.int(),
-		VV:     r.vector(),
-		Stable: r.countMap(),
-		TC:     r.tc(),
-	}
-}
-
-func decodeMsg(r *reader, kind byte) Message {
-	switch kind {
-	case kindDetectRequest:
-		return DetectRequest{File: r.file(), Token: r.varint(), VV: r.vector(), TC: r.tc()}
-	case kindDetectReply:
-		return DetectReply{File: r.file(), Token: r.varint(), VV: r.vector(), TC: r.tc()}
-	case kindGossipDigest:
-		return r.digest()
-	case kindDigestBatch:
-		n := r.length(minDigestBytes)
-		if r.err != nil {
-			return nil
-		}
-		ds := make([]GossipDigest, n)
-		for i := range ds {
-			ds[i] = r.digest()
-		}
-		return DigestBatch{Digests: ds}
-	case kindGossipReport:
-		return GossipReport{File: r.file(), Origin: r.node(), Reporter: r.node(),
-			Round: r.int(), VV: r.vector(), TC: r.tc()}
-	case kindRansubCollect:
-		return RansubCollect{File: r.file(), Epoch: r.int(), Sample: r.candidates()}
-	case kindRansubDistribute:
-		return RansubDistribute{File: r.file(), Epoch: r.int(), Sample: r.candidates()}
-	case kindCallForAttention:
-		return CallForAttention{File: r.file(), Initiator: r.node(), Token: r.varint(), TC: r.tc()}
-	case kindCFAAck:
-		return CFAAck{File: r.file(), Token: r.varint(), OK: r.bool()}
-	case kindCFACancel:
-		return CFACancel{File: r.file(), Token: r.varint()}
-	case kindCollectRequest:
-		return CollectRequest{File: r.file(), Token: r.varint(), VV: r.vector(), TC: r.tc()}
-	case kindCollectReply:
-		return CollectReply{File: r.file(), Token: r.varint(), VV: r.vector(),
-			Updates: r.updates(), TC: r.tc()}
-	case kindInform:
-		return Inform{File: r.file(), Token: r.varint(), Winner: r.node(), VV: r.vector(),
-			Updates: r.updates(), TC: r.tc()}
-	case kindInformAck:
-		return InformAck{File: r.file(), Token: r.varint()}
-	case kindAntiEntropyRequest:
-		return AntiEntropyRequest{File: r.file(), VV: r.vector()}
-	case kindAntiEntropyReply:
-		return AntiEntropyReply{File: r.file(), VV: r.vector(), Updates: r.updates()}
-	case kindStrongWrite:
-		return StrongWrite{File: r.file(), Update: r.update()}
-	case kindStrongReplicate:
-		return StrongReplicate{File: r.file(), Update: r.update(), Commit: r.int()}
-	case kindStrongAck:
-		return StrongAck{File: r.file(), Commit: r.int()}
-	case kindStrongCommitted:
-		return StrongCommitted{File: r.file(), Update: r.update()}
-	case kindSwimPing:
-		return SwimPing{Seq: r.varint(), Addr: r.str(), Piggyback: r.members()}
-	case kindSwimAck:
-		return SwimAck{Seq: r.varint(), Acker: r.node(), Piggyback: r.members()}
-	case kindSwimPingReq:
-		return SwimPingReq{Seq: r.varint(), Target: r.node(), Piggyback: r.members()}
-	case kindSwimLeave:
-		return SwimLeave{Node: r.node(), Inc: r.int()}
-	case kindJoinRequest:
-		return JoinRequest{Node: r.node(), Addr: r.str()}
-	case kindJoinReply:
-		return JoinReply{Members: r.members()}
-	case kindSnapshotRequest:
-		return SnapshotRequest{}
-	case kindSnapshotManifest:
-		n := r.length(1)
-		if r.err != nil {
-			return nil
-		}
-		var fs []id.FileID
-		if n > 0 {
-			fs = make([]id.FileID, n)
-			for i := range fs {
-				fs[i] = r.file()
-			}
-		}
-		return SnapshotManifest{Files: fs}
-	case kindSnapshotFileRequest:
-		return SnapshotFileRequest{File: r.file(), Offset: r.int()}
-	case kindSnapshotFileChunk:
-		return SnapshotFileChunk{File: r.file(), VV: r.vector(), Base: r.countMap(),
-			PrefixMeta: r.float(), Offset: r.int(), End: r.int(), Updates: r.updates()}
-	case kindFSWrite:
-		return FSWrite{File: r.file(), Token: r.varint(), Op: r.str(), Data: r.blob(), Meta: r.float()}
-	case kindFSWriteAck:
-		return FSWriteAck{File: r.file(), Token: r.varint(), Key: r.str()}
-	case kindFSRead:
-		return FSRead{File: r.file(), Token: r.varint()}
-	case kindFSReadReply:
-		return FSReadReply{File: r.file(), Token: r.varint(), Updates: r.updates(), Level: r.float()}
-	}
-	r.fail(fmt.Sprintf("unknown message kind %d", kind))
-	return nil
-}
-
-// ---- sizing ----
-
 // Measure returns the envelope's wire kind code, in [1, NumKinds), and its
 // encoded size in bytes — len of what AppendTo would append — without
-// encoding it: a walk of the same field lists that adds up lengths,
-// writes nothing and sorts no map (a count map's size does not depend on
-// its order). FuzzSizeMatchesEncoding holds it to the encoder. A counter
-// indexes an array by the code instead of hashing the Kind string. An
-// envelope the codec cannot encode (a nil or unknown message) has code 0
-// and is charged a nominal 64 bytes rather than failing a send.
+// encoding it: the sizing walk of the same field lists writes nothing and
+// sorts no map (a count map's size does not depend on its order).
+// FuzzSizeMatchesEncoding holds it to the encoder. A counter indexes an
+// array by the code instead of hashing the Kind string. An envelope the
+// codec cannot encode (a nil or unknown message) has code 0 and is
+// charged a nominal 64 bytes rather than failing a send.
 func Measure(e Envelope) (code, size int) {
-	kind, n := sizeMsg(e.Msg)
-	if kind == kindInvalid {
+	c := coder{mode: sizing}
+	c.envelope(&e)
+	if c.err != nil {
 		return 0, 64
 	}
-	// magic, version, From, To, kind, payload
-	return int(kind), 2 + nodeLen(e.From) + nodeLen(e.To) + 1 + n
+	return int(c.code), c.n
 }
 
 // Size returns the envelope's encoded size in bytes (see Measure).
@@ -968,6 +295,584 @@ func NewSizer() *Sizer { return &Sizer{} }
 // Size returns the encoded size in bytes of the envelope (see Size).
 func (*Sizer) Size(e Envelope) int { return Size(e) }
 
+// ---- the field lists ----
+
+// envelope walks the frame header, then the message's kind byte and
+// fields. Decoding picks the message to fill in by the kind byte. The
+// walk is total over the message set in wire.go: a nil or unknown message
+// is an error, never a panic.
+func (c *coder) envelope(e *Envelope) {
+	magic, version := codecMagic, codecVersion
+	c.u8(&magic)
+	c.u8(&version)
+	if magic != codecMagic || version != codecVersion {
+		c.fail("bad frame magic/version")
+	}
+	c.varints((*int64)(&e.From), (*int64)(&e.To))
+	if c.mode == decoding {
+		k := c.readByte()
+		if int(k) >= NumKinds || blank[k] == nil {
+			c.fail(fmt.Sprintf("unknown message kind %d", k))
+			return
+		}
+		e.Msg = blank[k]
+	}
+	switch m := e.Msg.(type) {
+	case DetectRequest:
+		c.kind(kindDetectRequest)
+		c.file(&m.File)
+		c.varint(&m.Token)
+		c.vector(&m.VV)
+		c.tc(&m.TC)
+		done(c, e, m)
+	case DetectReply:
+		c.kind(kindDetectReply)
+		c.file(&m.File)
+		c.varint(&m.Token)
+		c.vector(&m.VV)
+		c.tc(&m.TC)
+		done(c, e, m)
+	case GossipDigest:
+		c.kind(kindGossipDigest)
+		c.digest(&m)
+		done(c, e, m)
+	case DigestBatch:
+		c.kind(kindDigestBatch)
+		seq(c, &m.Digests, minDigestBytes)
+		for i := range m.Digests {
+			c.digest(&m.Digests[i])
+		}
+		done(c, e, m)
+	case GossipReport:
+		c.kind(kindGossipReport)
+		c.file(&m.File)
+		c.node(&m.Origin)
+		c.node(&m.Reporter)
+		c.int(&m.Round)
+		c.vector(&m.VV)
+		c.tc(&m.TC)
+		done(c, e, m)
+	case RansubCollect:
+		c.kind(kindRansubCollect)
+		c.file(&m.File)
+		c.int(&m.Epoch)
+		c.candidates(&m.Sample)
+		done(c, e, m)
+	case RansubDistribute:
+		c.kind(kindRansubDistribute)
+		c.file(&m.File)
+		c.int(&m.Epoch)
+		c.candidates(&m.Sample)
+		done(c, e, m)
+	case CallForAttention:
+		c.kind(kindCallForAttention)
+		c.file(&m.File)
+		c.node(&m.Initiator)
+		c.varint(&m.Token)
+		c.tc(&m.TC)
+		done(c, e, m)
+	case CFAAck:
+		c.kind(kindCFAAck)
+		c.file(&m.File)
+		c.varint(&m.Token)
+		c.bool(&m.OK)
+		done(c, e, m)
+	case CFACancel:
+		c.kind(kindCFACancel)
+		c.file(&m.File)
+		c.varint(&m.Token)
+		done(c, e, m)
+	case CollectRequest:
+		c.kind(kindCollectRequest)
+		c.file(&m.File)
+		c.varint(&m.Token)
+		c.vector(&m.VV)
+		c.tc(&m.TC)
+		done(c, e, m)
+	case CollectReply:
+		c.kind(kindCollectReply)
+		c.file(&m.File)
+		c.varint(&m.Token)
+		c.vector(&m.VV)
+		c.updates(&m.Updates)
+		c.tc(&m.TC)
+		done(c, e, m)
+	case Inform:
+		c.kind(kindInform)
+		c.file(&m.File)
+		c.varint(&m.Token)
+		c.node(&m.Winner)
+		c.vector(&m.VV)
+		c.updates(&m.Updates)
+		c.tc(&m.TC)
+		done(c, e, m)
+	case InformAck:
+		c.kind(kindInformAck)
+		c.file(&m.File)
+		c.varint(&m.Token)
+		done(c, e, m)
+	case AntiEntropyRequest:
+		c.kind(kindAntiEntropyRequest)
+		c.file(&m.File)
+		c.vector(&m.VV)
+		done(c, e, m)
+	case AntiEntropyReply:
+		c.kind(kindAntiEntropyReply)
+		c.file(&m.File)
+		c.vector(&m.VV)
+		c.updates(&m.Updates)
+		done(c, e, m)
+	case StrongWrite:
+		c.kind(kindStrongWrite)
+		c.file(&m.File)
+		c.update(&m.Update)
+		done(c, e, m)
+	case StrongReplicate:
+		c.kind(kindStrongReplicate)
+		c.file(&m.File)
+		c.update(&m.Update)
+		c.int(&m.Commit)
+		done(c, e, m)
+	case StrongAck:
+		c.kind(kindStrongAck)
+		c.file(&m.File)
+		c.int(&m.Commit)
+		done(c, e, m)
+	case StrongCommitted:
+		c.kind(kindStrongCommitted)
+		c.file(&m.File)
+		c.update(&m.Update)
+		done(c, e, m)
+	case SwimPing:
+		c.kind(kindSwimPing)
+		c.varint(&m.Seq)
+		c.str(&m.Addr)
+		c.members(&m.Piggyback)
+		done(c, e, m)
+	case SwimAck:
+		c.kind(kindSwimAck)
+		c.varint(&m.Seq)
+		c.node(&m.Acker)
+		c.members(&m.Piggyback)
+		done(c, e, m)
+	case SwimPingReq:
+		c.kind(kindSwimPingReq)
+		c.varint(&m.Seq)
+		c.node(&m.Target)
+		c.members(&m.Piggyback)
+		done(c, e, m)
+	case SwimLeave:
+		c.kind(kindSwimLeave)
+		c.node(&m.Node)
+		c.int(&m.Inc)
+		done(c, e, m)
+	case JoinRequest:
+		c.kind(kindJoinRequest)
+		c.node(&m.Node)
+		c.str(&m.Addr)
+		done(c, e, m)
+	case JoinReply:
+		c.kind(kindJoinReply)
+		c.members(&m.Members)
+		done(c, e, m)
+	case SnapshotRequest:
+		c.kind(kindSnapshotRequest)
+		done(c, e, m)
+	case SnapshotManifest:
+		c.kind(kindSnapshotManifest)
+		seq(c, &m.Files, 1)
+		for i := range m.Files {
+			c.file(&m.Files[i])
+		}
+		done(c, e, m)
+	case SnapshotFileRequest:
+		c.kind(kindSnapshotFileRequest)
+		c.file(&m.File)
+		c.int(&m.Offset)
+		done(c, e, m)
+	case SnapshotFileChunk:
+		c.kind(kindSnapshotFileChunk)
+		c.file(&m.File)
+		c.vector(&m.VV)
+		c.countMap(&m.Base)
+		c.float(&m.PrefixMeta)
+		c.int(&m.Offset)
+		c.int(&m.End)
+		c.updates(&m.Updates)
+		done(c, e, m)
+	case FSWrite:
+		c.kind(kindFSWrite)
+		c.file(&m.File)
+		c.varint(&m.Token)
+		c.str(&m.Op)
+		c.blob(&m.Data)
+		c.float(&m.Meta)
+		done(c, e, m)
+	case FSWriteAck:
+		c.kind(kindFSWriteAck)
+		c.file(&m.File)
+		c.varint(&m.Token)
+		c.str(&m.Key)
+		done(c, e, m)
+	case FSRead:
+		c.kind(kindFSRead)
+		c.file(&m.File)
+		c.varint(&m.Token)
+		done(c, e, m)
+	case FSReadReply:
+		c.kind(kindFSReadReply)
+		c.file(&m.File)
+		c.varint(&m.Token)
+		c.updates(&m.Updates)
+		c.float(&m.Level)
+		done(c, e, m)
+	case nil:
+		c.fail("nil message")
+	default:
+		c.err = fmt.Errorf("unknown message type %T", e.Msg)
+	}
+}
+
+// done ends a message's walk. Only decoding stores (and so boxes) the
+// message it filled in; encoding and sizing walked a copy and box nothing.
+func done[T Message](c *coder, e *Envelope, m T) {
+	if c.mode == decoding {
+		e.Msg = m
+	}
+}
+
+// update is the one field list for an update.
+func (c *coder) update(u *Update) {
+	c.file(&u.File)
+	c.node(&u.Writer)
+	c.int(&u.Seq)
+	c.stamp(&u.At)
+	c.float(&u.Meta)
+	c.str(&u.Op)
+	c.blob(&u.Data)
+	c.tc(&u.TC)
+}
+
+func (c *coder) digest(d *GossipDigest) {
+	c.file(&d.File)
+	c.node(&d.Origin)
+	c.int(&d.Round)
+	c.int(&d.TTL)
+	c.vector(&d.VV)
+	c.countMap(&d.Stable)
+	c.tc(&d.TC)
+}
+
+func (c *coder) updates(us *[]Update) {
+	seq(c, us, minUpdateBytes)
+	for i := range *us {
+		c.update(&(*us)[i])
+	}
+}
+
+func (c *coder) candidates(cs *[]Candidate) {
+	seq(c, cs, minCandBytes)
+	for i := range *cs {
+		x := &(*cs)[i]
+		c.node(&x.Node)
+		c.float(&x.Temp)
+		c.int(&x.Epoch)
+	}
+}
+
+func (c *coder) members(ms *[]MemberRecord) {
+	seq(c, ms, minMemberBytes)
+	for i := range *ms {
+		m := &(*ms)[i]
+		c.node(&m.Node)
+		c.str(&m.Addr)
+		c.u8((*byte)(&m.Status))
+		c.int(&m.Inc)
+	}
+}
+
+// tc codes a trace context: Trace, then Span, as uvarints.
+func (c *coder) tc(tc *tracing.Context) { c.uvarints(&tc.Trace, &tc.Span) }
+
+// vector codes an optional version vector, a per-mode atom: a presence
+// byte, then Meta and Err as fixed floats and the entries.
+func (c *coder) vector(p **vv.Vector) {
+	switch c.mode {
+	case encoding:
+		c.b = appendVector(c.b, *p)
+	case sizing:
+		c.n += vectorLen(*p)
+	default:
+		*p = c.readVector()
+	}
+}
+
+// countMap codes an optional writer-to-count map: a presence byte, then
+// the pairs, a per-mode atom.
+func (c *coder) countMap(p *map[id.NodeID]int) {
+	present := *p != nil
+	c.bool(&present)
+	if !present {
+		return
+	}
+	switch c.mode {
+	case encoding:
+		c.appendCountMap(*p)
+	case sizing:
+		c.n += countMapLen(*p)
+	default:
+		*p = c.readCountMap()
+	}
+}
+
+// ---- the coder and its field coders ----
+
+type mode uint8
+
+const (
+	encoding mode = iota
+	sizing
+	decoding
+)
+
+// coder walks field lists. A field coder appends its field (encoding),
+// counts its bytes (sizing) or reads it from the frame into the field
+// (decoding); only decoding writes through the field pointer, so encoding
+// and sizing are read-only on the message, which other goroutines may be
+// encoding at the same time. A decoding failure latches err; reads after
+// it return zero values, so the walk runs straight through and the caller
+// checks err once.
+type coder struct {
+	mode mode
+	b    []byte       // encoding: the bytes so far; decoding: the frame
+	off  int          // decoding: the next byte to read
+	n    int          // sizing: the bytes counted so far
+	code byte         // the kind code of the message walked
+	err  error        // the first failure
+	keys *[]id.NodeID // encoding an envelope: scratch for sorting a count map's keys
+}
+
+// kind codes a message's kind byte. Decoding has read it already, to
+// pick the message it walks.
+func (c *coder) kind(k byte) {
+	c.code = k
+	switch c.mode {
+	case encoding:
+		c.b = append(c.b, k)
+	case sizing:
+		c.n++
+	}
+}
+
+func (c *coder) u8(p *byte) {
+	switch c.mode {
+	case encoding:
+		c.b = append(c.b, *p)
+	case sizing:
+		c.n++
+	default:
+		*p = c.readByte()
+	}
+}
+
+func (c *coder) bool(p *bool) {
+	switch c.mode {
+	case encoding:
+		if *p {
+			c.b = append(c.b, 1)
+		} else {
+			c.b = append(c.b, 0)
+		}
+	case sizing:
+		c.n++
+	default:
+		*p = c.readByte() != 0
+	}
+}
+
+// uvarints codes two unsigned integers as varints, in one call.
+func (c *coder) uvarints(p, q *uint64) {
+	switch c.mode {
+	case encoding:
+		c.b = binary.AppendUvarint(binary.AppendUvarint(c.b, *p), *q)
+	case sizing:
+		c.n += uvarintLen(*p) + uvarintLen(*q)
+	default:
+		*p = c.readUvarint()
+		*q = c.readUvarint()
+	}
+}
+
+// varints codes two signed integers as varints, in one call.
+func (c *coder) varints(p, q *int64) {
+	switch c.mode {
+	case encoding:
+		c.b = binary.AppendVarint(binary.AppendVarint(c.b, *p), *q)
+	case sizing:
+		c.n += varintLen(*p) + varintLen(*q)
+	default:
+		*p = c.readVarint()
+		*q = c.readVarint()
+	}
+}
+
+// varint codes a signed integer as binary.AppendVarint's zig-zag varint.
+func (c *coder) varint(p *int64) {
+	switch c.mode {
+	case encoding:
+		c.b = binary.AppendVarint(c.b, *p)
+	case sizing:
+		c.n += varintLen(*p)
+	default:
+		*p = c.readVarint()
+	}
+}
+
+func (c *coder) int(p *int) {
+	switch c.mode {
+	case encoding:
+		c.b = binary.AppendVarint(c.b, int64(*p))
+	case sizing:
+		c.n += varintLen(int64(*p))
+	default:
+		*p = int(c.readVarint())
+	}
+}
+
+func (c *coder) node(p *id.NodeID) { c.varint((*int64)(p)) }
+func (c *coder) stamp(p *vv.Stamp) { c.varint((*int64)(p)) }
+
+// float codes a float64 as its 8 IEEE-754 bytes, little-endian.
+func (c *coder) float(p *float64) {
+	switch c.mode {
+	case encoding:
+		c.b = binary.LittleEndian.AppendUint64(c.b, math.Float64bits(*p))
+	case sizing:
+		c.n += 8
+	default:
+		*p = c.readFloat()
+	}
+}
+
+func (c *coder) str(p *string) {
+	switch c.mode {
+	case encoding:
+		c.b = binary.AppendUvarint(c.b, uint64(len(*p)))
+		c.b = append(c.b, *p...)
+	case sizing:
+		c.n += uvarintLen(uint64(len(*p))) + len(*p)
+	default:
+		*p = string(c.run())
+	}
+}
+
+func (c *coder) file(p *id.FileID) { c.str((*string)(p)) }
+
+// blob codes a byte slice. Decoding copies it out of the frame (pooled
+// read buffers must never be aliased by decoded messages); zero length
+// decodes as nil.
+func (c *coder) blob(p *[]byte) {
+	switch c.mode {
+	case encoding:
+		c.b = binary.AppendUvarint(c.b, uint64(len(*p)))
+		c.b = append(c.b, *p...)
+	case sizing:
+		c.n += uvarintLen(uint64(len(*p))) + len(*p)
+	default:
+		if r := c.run(); r != nil {
+			*p = make([]byte, len(r))
+			copy(*p, r)
+		}
+	}
+}
+
+// seq codes a sequence's length prefix. Decoding replaces *p with that
+// many zero elements for the caller's loop to fill in (nil for none),
+// bounding the count by the input left: each element encodes in at least
+// min bytes.
+func seq[T any](c *coder, p *[]T, min int) {
+	switch c.mode {
+	case encoding:
+		c.b = binary.AppendUvarint(c.b, uint64(len(*p)))
+	case sizing:
+		c.n += uvarintLen(uint64(len(*p)))
+	default:
+		*p = nil
+		if n := c.length(min); n > 0 {
+			*p = make([]T, n)
+		}
+	}
+}
+
+// Minimum encoded sizes per element, used to bound slice preallocation
+// against the remaining input: a hostile length prefix can then inflate
+// memory by at most sizeof(elem)/minimum, not arbitrarily.
+const (
+	minUpdateBytes = 16
+	minCandBytes   = 10
+	minMemberBytes = 4
+	minDigestBytes = 8
+	minEntryBytes  = 5
+	minPairBytes   = 2
+)
+
+// ---- per-mode atoms: encoding ----
+
+func appendFloat(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+func appendVector(b []byte, v *vv.Vector) []byte {
+	if v == nil {
+		return append(b, 0)
+	}
+	b = appendFloat(append(b, 1), v.Meta)
+	b = appendFloat(b, v.Err.Numerical)
+	b = appendFloat(b, v.Err.Order)
+	b = appendFloat(b, v.Err.Staleness)
+	// Entries yields writers in ascending order: the canonical order.
+	b = binary.AppendUvarint(b, uint64(v.Len()))
+	for w, e := range v.Entries {
+		b = binary.AppendVarint(b, int64(w))
+		b = binary.AppendVarint(b, int64(e.Count))
+		b = binary.AppendVarint(b, int64(e.Base))
+		b = binary.AppendVarint(b, int64(e.Watermark))
+		b = appendStamps(b, e.Stamps)
+	}
+	return b
+}
+
+func appendStamps(b []byte, stamps []vv.Stamp) []byte {
+	// vv invariant: stamp windows are non-decreasing, so deltas are
+	// small non-negative numbers; zigzag varints keep hostile or buggy
+	// inputs lossless anyway.
+	b = binary.AppendUvarint(b, uint64(len(stamps)))
+	prev := int64(0)
+	for _, s := range stamps {
+		b = binary.AppendVarint(b, int64(s)-prev)
+		prev = int64(s)
+	}
+	return b
+}
+
+// appendCountMap appends a count map's pairs in ascending key order.
+func (c *coder) appendCountMap(m map[id.NodeID]int) {
+	keys := (*c.keys)[:0]
+	for n := range m {
+		keys = append(keys, n)
+	}
+	slices.Sort(keys)
+	*c.keys = keys
+	b := binary.AppendUvarint(c.b, uint64(len(keys)))
+	for _, n := range keys {
+		b = binary.AppendVarint(b, int64(n))
+		b = binary.AppendVarint(b, int64(m[n]))
+	}
+	c.b = b
+}
+
+// ---- per-mode atoms: sizing ----
+
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // varintLen is the length of binary.AppendVarint's zig-zag encoding.
@@ -979,174 +884,173 @@ func varintLen(x int64) int {
 	return uvarintLen(ux)
 }
 
-func intLen(x int) int { return varintLen(int64(x)) }
-
-func stringLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-
-func bytesLen(p []byte) int { return uvarintLen(uint64(len(p))) + len(p) }
-
-func nodeLen(n id.NodeID) int { return varintLen(int64(n)) }
-
-func fileLen(f id.FileID) int { return stringLen(string(f)) }
-
-func tcLen(tc tracing.Context) int { return uvarintLen(tc.Trace) + uvarintLen(tc.Span) }
-
-const (
-	floatLen  = 8
-	tripleLen = 3 * floatLen
-)
-
-func stampsLen(stamps []vv.Stamp) int {
-	n := uvarintLen(uint64(len(stamps)))
-	prev := int64(0)
-	for i, s := range stamps {
-		if i == 0 {
-			n += varintLen(int64(s))
-		} else {
-			n += varintLen(int64(s) - prev)
-		}
-		prev = int64(s)
-	}
-	return n
-}
-
 func vectorLen(v *vv.Vector) int {
 	if v == nil {
 		return 1
 	}
-	n := 1 + floatLen + tripleLen + uvarintLen(uint64(v.Len()))
+	n := 1 + 4*8 + uvarintLen(uint64(v.Len()))
 	for w, e := range v.Entries {
-		n += nodeLen(w) + intLen(e.Count) + intLen(e.Base) + varintLen(int64(e.Watermark)) + stampsLen(e.Stamps)
+		n += varintLen(int64(w)) + varintLen(int64(e.Count)) + varintLen(int64(e.Base)) +
+			varintLen(int64(e.Watermark)) + uvarintLen(uint64(len(e.Stamps)))
+		prev := int64(0)
+		for _, s := range e.Stamps {
+			n += varintLen(int64(s) - prev)
+			prev = int64(s)
+		}
 	}
 	return n
 }
 
+// countMapLen sizes a count map's pairs in map order: the size does not
+// depend on it.
 func countMapLen(m map[id.NodeID]int) int {
-	if m == nil {
-		return 1
-	}
-	n := 1 + uvarintLen(uint64(len(m)))
+	n := uvarintLen(uint64(len(m)))
 	for w, c := range m {
-		n += nodeLen(w) + intLen(c)
+		n += varintLen(int64(w)) + varintLen(int64(c))
 	}
 	return n
 }
 
-func updateLen(u Update) int {
-	return fileLen(u.File) + nodeLen(u.Writer) + intLen(u.Seq) + varintLen(int64(u.At)) +
-		floatLen + stringLen(u.Op) + bytesLen(u.Data) + tcLen(u.TC)
-}
+// ---- per-mode atoms: decoding ----
 
-func updatesLen(us []Update) int {
-	n := uvarintLen(uint64(len(us)))
-	for _, u := range us {
-		n += updateLen(u)
+func (c *coder) fail(msg string) {
+	if c.err == nil {
+		c.err = errors.New(msg)
 	}
-	return n
 }
 
-func candidatesLen(cs []Candidate) int {
-	n := uvarintLen(uint64(len(cs)))
-	for _, c := range cs {
-		n += nodeLen(c.Node) + floatLen + intLen(c.Epoch)
+func (c *coder) readByte() byte {
+	if c.err != nil {
+		return 0
 	}
-	return n
-}
-
-func membersLen(ms []MemberRecord) int {
-	n := uvarintLen(uint64(len(ms)))
-	for _, m := range ms {
-		n += nodeLen(m.Node) + stringLen(m.Addr) + 1 + intLen(m.Inc)
+	if c.off >= len(c.b) {
+		c.fail("truncated frame")
+		return 0
 	}
-	return n
+	x := c.b[c.off]
+	c.off++
+	return x
 }
 
-func digestLen(d GossipDigest) int {
-	return fileLen(d.File) + nodeLen(d.Origin) + intLen(d.Round) + intLen(d.TTL) +
-		vectorLen(d.VV) + countMapLen(d.Stable) + tcLen(d.TC)
+func (c *coder) readUvarint() uint64 {
+	if c.err != nil {
+		return 0
+	}
+	x, n := binary.Uvarint(c.b[c.off:])
+	if n <= 0 {
+		c.fail("bad uvarint")
+		return 0
+	}
+	c.off += n
+	return x
 }
 
-// sizeMsg returns the kind byte appendEnvelope writes for msg and the
-// length of the payload after it, field for field; the kind is
-// kindInvalid for a message it rejects.
-func sizeMsg(msg Message) (kind byte, n int) {
-	switch m := msg.(type) {
-	case DetectRequest:
-		return kindDetectRequest, fileLen(m.File) + varintLen(m.Token) + vectorLen(m.VV) + tcLen(m.TC)
-	case DetectReply:
-		return kindDetectReply, fileLen(m.File) + varintLen(m.Token) + vectorLen(m.VV) + tcLen(m.TC)
-	case GossipDigest:
-		return kindGossipDigest, digestLen(m)
-	case DigestBatch:
-		n = uvarintLen(uint64(len(m.Digests)))
-		for _, d := range m.Digests {
-			n += digestLen(d)
+func (c *coder) readVarint() int64 {
+	if c.err != nil {
+		return 0
+	}
+	x, n := binary.Varint(c.b[c.off:])
+	if n <= 0 {
+		c.fail("bad varint")
+		return 0
+	}
+	c.off += n
+	return x
+}
+
+func (c *coder) readFloat() float64 {
+	if c.err != nil {
+		return 0
+	}
+	if len(c.b)-c.off < 8 {
+		c.fail("truncated float")
+		return 0
+	}
+	x := math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off:]))
+	c.off += 8
+	return x
+}
+
+// length reads a count prefix for a sequence whose elements each occupy
+// at least min encoded bytes, rejecting counts the remaining input
+// cannot possibly satisfy.
+func (c *coder) length(min int) int {
+	n := c.readUvarint()
+	if c.err != nil {
+		return 0
+	}
+	if n > uint64((len(c.b)-c.off)/max(min, 1)) {
+		c.fail("length prefix exceeds frame")
+		return 0
+	}
+	return int(n)
+}
+
+// run reads a length-prefixed byte run, returning it in place (nil when
+// empty); callers copy it out before keeping it.
+func (c *coder) run() []byte {
+	n := c.length(1)
+	if n == 0 {
+		return nil
+	}
+	r := c.b[c.off : c.off+n]
+	c.off += n
+	return r
+}
+
+// readVector reads a vector, checking each entry against the vv count
+// invariant.
+func (c *coder) readVector() *vv.Vector {
+	if c.readByte() == 0 {
+		return nil
+	}
+	v := vv.New()
+	v.Meta = c.readFloat()
+	v.Err = vv.Triple{Numerical: c.readFloat(), Order: c.readFloat(), Staleness: c.readFloat()}
+	n := c.length(minEntryBytes)
+	v.Grow(n)
+	for i := 0; i < n && c.err == nil; i++ {
+		w := id.NodeID(c.readVarint())
+		e := vv.Entry{Count: int(c.readVarint()), Base: int(c.readVarint()), Watermark: vv.Stamp(c.readVarint())}
+		e.Stamps = c.readStamps()
+		if c.err == nil && (e.Count < 0 || e.Base < 0 || e.Count != e.Base+len(e.Stamps)) {
+			c.fail("vector entry violates count invariant")
 		}
-		return kindDigestBatch, n
-	case GossipReport:
-		return kindGossipReport, fileLen(m.File) + nodeLen(m.Origin) + nodeLen(m.Reporter) + intLen(m.Round) + vectorLen(m.VV) + tcLen(m.TC)
-	case RansubCollect:
-		return kindRansubCollect, fileLen(m.File) + intLen(m.Epoch) + candidatesLen(m.Sample)
-	case RansubDistribute:
-		return kindRansubDistribute, fileLen(m.File) + intLen(m.Epoch) + candidatesLen(m.Sample)
-	case CallForAttention:
-		return kindCallForAttention, fileLen(m.File) + nodeLen(m.Initiator) + varintLen(m.Token) + tcLen(m.TC)
-	case CFAAck:
-		return kindCFAAck, fileLen(m.File) + varintLen(m.Token) + 1
-	case CFACancel:
-		return kindCFACancel, fileLen(m.File) + varintLen(m.Token)
-	case CollectRequest:
-		return kindCollectRequest, fileLen(m.File) + varintLen(m.Token) + vectorLen(m.VV) + tcLen(m.TC)
-	case CollectReply:
-		return kindCollectReply, fileLen(m.File) + varintLen(m.Token) + vectorLen(m.VV) + updatesLen(m.Updates) + tcLen(m.TC)
-	case Inform:
-		return kindInform, fileLen(m.File) + varintLen(m.Token) + nodeLen(m.Winner) + vectorLen(m.VV) + updatesLen(m.Updates) + tcLen(m.TC)
-	case InformAck:
-		return kindInformAck, fileLen(m.File) + varintLen(m.Token)
-	case AntiEntropyRequest:
-		return kindAntiEntropyRequest, fileLen(m.File) + vectorLen(m.VV)
-	case AntiEntropyReply:
-		return kindAntiEntropyReply, fileLen(m.File) + vectorLen(m.VV) + updatesLen(m.Updates)
-	case StrongWrite:
-		return kindStrongWrite, fileLen(m.File) + updateLen(m.Update)
-	case StrongReplicate:
-		return kindStrongReplicate, fileLen(m.File) + updateLen(m.Update) + intLen(m.Commit)
-	case StrongAck:
-		return kindStrongAck, fileLen(m.File) + intLen(m.Commit)
-	case StrongCommitted:
-		return kindStrongCommitted, fileLen(m.File) + updateLen(m.Update)
-	case SwimPing:
-		return kindSwimPing, varintLen(m.Seq) + stringLen(m.Addr) + membersLen(m.Piggyback)
-	case SwimAck:
-		return kindSwimAck, varintLen(m.Seq) + nodeLen(m.Acker) + membersLen(m.Piggyback)
-	case SwimPingReq:
-		return kindSwimPingReq, varintLen(m.Seq) + nodeLen(m.Target) + membersLen(m.Piggyback)
-	case SwimLeave:
-		return kindSwimLeave, nodeLen(m.Node) + intLen(m.Inc)
-	case JoinRequest:
-		return kindJoinRequest, nodeLen(m.Node) + stringLen(m.Addr)
-	case JoinReply:
-		return kindJoinReply, membersLen(m.Members)
-	case SnapshotRequest:
-		return kindSnapshotRequest, 0
-	case SnapshotManifest:
-		n = uvarintLen(uint64(len(m.Files)))
-		for _, file := range m.Files {
-			n += fileLen(file)
+		if c.err != nil {
+			return nil
 		}
-		return kindSnapshotManifest, n
-	case SnapshotFileRequest:
-		return kindSnapshotFileRequest, fileLen(m.File) + intLen(m.Offset)
-	case SnapshotFileChunk:
-		return kindSnapshotFileChunk, fileLen(m.File) + vectorLen(m.VV) + countMapLen(m.Base) + floatLen + intLen(m.Offset) + intLen(m.End) + updatesLen(m.Updates)
-	case FSWrite:
-		return kindFSWrite, fileLen(m.File) + varintLen(m.Token) + stringLen(m.Op) + bytesLen(m.Data) + floatLen
-	case FSWriteAck:
-		return kindFSWriteAck, fileLen(m.File) + varintLen(m.Token) + stringLen(m.Key)
-	case FSRead:
-		return kindFSRead, fileLen(m.File) + varintLen(m.Token)
-	case FSReadReply:
-		return kindFSReadReply, fileLen(m.File) + varintLen(m.Token) + updatesLen(m.Updates) + floatLen
+		v.AppendEntry(w, e)
 	}
-	return kindInvalid, 0
+	// An honest encoder sends writers ascending, so this only checks; a
+	// hostile frame's out-of-order or repeated writers are sorted once
+	// (the last duplicate wins), never inserted one by one.
+	v.SortEntries()
+	return v
+}
+
+func (c *coder) readStamps() []vv.Stamp {
+	n := c.length(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]vv.Stamp, n)
+	prev := int64(0)
+	for i := range out {
+		prev += c.readVarint()
+		out[i] = vv.Stamp(prev)
+	}
+	return out
+}
+
+func (c *coder) readCountMap() map[id.NodeID]int {
+	n := c.length(minPairBytes)
+	if c.err != nil {
+		return nil
+	}
+	m := make(map[id.NodeID]int, n)
+	for i := 0; i < n && c.err == nil; i++ {
+		w := id.NodeID(c.readVarint())
+		m[w] = int(c.readVarint())
+	}
+	return m
 }

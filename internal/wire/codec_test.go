@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -48,8 +50,8 @@ func TestSizeMatchesEncoding(t *testing.T) {
 			if size != len(frame) {
 				t.Fatalf("%T from %d: Measure size = %d, encoding is %d bytes", m, from, size, len(frame))
 			}
-			if code != int(frame[3+nodeLen(from)]) {
-				t.Fatalf("%T: Measure code = %d, encoding's kind byte is %d", m, code, frame[3+nodeLen(from)])
+			if code != int(frame[3+varintLen(int64(from))]) {
+				t.Fatalf("%T: Measure code = %d, encoding's kind byte is %d", m, code, frame[3+varintLen(int64(from))])
 			}
 		}
 	}
@@ -205,13 +207,13 @@ func TestDecodeRejectsTruncation(t *testing.T) {
 func TestDecodeRejectsHostileLengths(t *testing.T) {
 	// Hand-build a frame claiming 2^40 updates in a CollectReply.
 	b := []byte{codecMagic, codecVersion}
-	b = appendVarint(b, 1)          // From
-	b = appendVarint(b, 2)          // To
-	b = append(b, kindCollectReply) // kind
-	b = appendString(b, "f")        // File
-	b = appendVarint(b, 7)          // Token
-	b = append(b, 0)                // nil VV
-	b = appendUvarint(b, 1<<40)     // updates length
+	b = binary.AppendVarint(b, 1)      // From
+	b = binary.AppendVarint(b, 2)      // To
+	b = append(b, kindCollectReply)    // kind
+	b = append(b, 1, 'f')              // File
+	b = binary.AppendVarint(b, 7)      // Token
+	b = append(b, 0)                   // nil VV
+	b = binary.AppendUvarint(b, 1<<40) // updates length
 	if _, err := Decode(b); err == nil {
 		t.Fatal("hostile length prefix accepted")
 	}
@@ -221,23 +223,21 @@ func TestDecodeRejectsHostileLengths(t *testing.T) {
 // stamp window disagree violate the vv invariant and must not decode.
 func TestDecodeRejectsInvalidVectorEntry(t *testing.T) {
 	b := []byte{codecMagic, codecVersion}
-	b = appendVarint(b, 1)
-	b = appendVarint(b, 2)
+	b = binary.AppendVarint(b, 1)
+	b = binary.AppendVarint(b, 2)
 	b = append(b, kindDetectRequest)
-	b = appendString(b, "f")
-	b = appendVarint(b, 1) // Token
-	b = append(b, 1)       // VV present
-	b = appendFloat(b, 0)  // Meta
-	b = appendTriple(b, vv.Triple{})
-	b = appendUvarint(b, 1) // one entry
-	b = appendVarint(b, 1)  // writer
-	b = appendVarint(b, 5)  // Count = 5
-	b = appendVarint(b, 0)  // Base = 0
-	b = appendVarint(b, 0)  // Watermark
-	b = appendUvarint(b, 1) // ...but only 1 stamp
-	b = appendVarint(b, 9)
-	b = appendUvarint(b, 0) // TC
-	b = appendUvarint(b, 0)
+	b = append(b, 1, 'f')
+	b = binary.AppendVarint(b, 1)  // Token
+	b = vectorHeader(b, 0)         // VV present, Meta, Err
+	b = binary.AppendUvarint(b, 1) // one entry
+	b = binary.AppendVarint(b, 1)  // writer
+	b = binary.AppendVarint(b, 5)  // Count = 5
+	b = binary.AppendVarint(b, 0)  // Base = 0
+	b = binary.AppendVarint(b, 0)  // Watermark
+	b = binary.AppendUvarint(b, 1) // ...but only 1 stamp
+	b = binary.AppendVarint(b, 9)
+	b = binary.AppendUvarint(b, 0) // TC
+	b = binary.AppendUvarint(b, 0)
 	if _, err := Decode(b); err == nil {
 		t.Fatal("count-invariant-violating vector accepted")
 	}
@@ -254,15 +254,14 @@ func TestCountsVectorDecodesWithoutStamps(t *testing.T) {
 		v.Tick(id.NodeID(i%writers+1), vv.Stamp(i+1)*1e6, float64(i))
 	}
 	decode := func(b []byte) *vv.Vector {
-		r := reader{b: b}
-		out := r.vector()
-		if r.err != nil || r.off != len(b) {
-			t.Fatalf("decode: err %v, %d of %d bytes", r.err, r.off, len(b))
+		out, err := decodeVector(b)
+		if err != nil {
+			t.Fatal(err)
 		}
 		return out
 	}
-	counts := appendVector(nil, v.Counts())
-	whole := appendVector(nil, v)
+	counts := encodeVector(v.Counts())
+	whole := encodeVector(v)
 	if got := decode(counts); !reflect.DeepEqual(got, v.Counts()) {
 		t.Fatalf("counts vector changed in the round trip:\n in: %v\nout: %v", v.Counts(), got)
 	}
@@ -340,24 +339,22 @@ func TestDecodeUnsortedWriters(t *testing.T) {
 		stamps []vv.Stamp
 	}
 	frame := func(es ...entry) []byte {
-		b := appendFloat([]byte{1}, 7)
-		b = appendTriple(b, vv.Triple{})
-		b = appendUvarint(b, uint64(len(es)))
+		b := vectorHeader(nil, 7)
+		b = binary.AppendUvarint(b, uint64(len(es)))
 		for _, e := range es {
-			b = appendNode(b, e.w)
-			b = appendInt(b, len(e.stamps)) // count
-			b = appendInt(b, 0)             // base
-			b = appendVarint(b, 0)          // watermark
+			b = binary.AppendVarint(b, int64(e.w))
+			b = binary.AppendVarint(b, int64(len(e.stamps))) // count
+			b = binary.AppendVarint(b, 0)                    // base
+			b = binary.AppendVarint(b, 0)                    // watermark
 			b = appendStamps(b, e.stamps)
 		}
 		return b
 	}
 	in := frame(entry{5, []vv.Stamp{50}}, entry{2, []vv.Stamp{20, 21}}, entry{9, []vv.Stamp{90}},
 		entry{-3, []vv.Stamp{30}}, entry{2, []vv.Stamp{22}}, entry{1, []vv.Stamp{10}})
-	r := reader{b: in}
-	got := r.vector()
-	if r.err != nil || r.off != len(in) {
-		t.Fatalf("decode: err %v, %d of %d bytes", r.err, r.off, len(in))
+	got, err := decodeVector(in)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
@@ -367,7 +364,7 @@ func TestDecodeUnsortedWriters(t *testing.T) {
 	}
 	want := frame(entry{-3, []vv.Stamp{30}}, entry{1, []vv.Stamp{10}}, entry{2, []vv.Stamp{22}},
 		entry{5, []vv.Stamp{50}}, entry{9, []vv.Stamp{90}})
-	if out := appendVector(nil, got); !reflect.DeepEqual(out, want) {
+	if out := encodeVector(got); !reflect.DeepEqual(out, want) {
 		t.Fatalf("re-encoded as %x, want ascending %x", out, want)
 	}
 }
@@ -380,22 +377,20 @@ func TestDecodeUnsortedWriters(t *testing.T) {
 // decoder sorts the entries once.
 func TestDecodeDescendingWritersIsNotQuadratic(t *testing.T) {
 	const n = 200_000
-	b := appendFloat([]byte{1}, 0)
-	b = appendTriple(b, vv.Triple{})
-	b = appendUvarint(b, n)
+	b := vectorHeader(nil, 0)
+	b = binary.AppendUvarint(b, n)
 	for w := n; w > 0; w-- {
-		b = appendNode(b, id.NodeID(w))
-		b = appendInt(b, 0)    // count
-		b = appendInt(b, 0)    // base
-		b = appendVarint(b, 0) // watermark
+		b = binary.AppendVarint(b, int64(w))
+		b = binary.AppendVarint(b, 0) // count
+		b = binary.AppendVarint(b, 0) // base
+		b = binary.AppendVarint(b, 0) // watermark
 		b = appendStamps(b, nil)
 	}
 	start := time.Now()
-	r := reader{b: b}
-	got := r.vector()
+	got, err := decodeVector(b)
 	took := time.Since(start)
-	if r.err != nil || r.off != len(b) {
-		t.Fatalf("decode: err %v, %d of %d bytes", r.err, r.off, len(b))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got.Len() != n {
 		t.Fatalf("decoded %d writers, want %d", got.Len(), n)
@@ -407,4 +402,29 @@ func TestDecodeDescendingWritersIsNotQuadratic(t *testing.T) {
 		t.Fatalf("decoding %d descending writers took %v", n, took)
 	}
 	t.Logf("decoded %d descending writers in %v", n, took)
+}
+
+// vectorHeader appends a present vector's presence byte, Meta and a zero
+// Err: what precedes its entries.
+func vectorHeader(b []byte, meta float64) []byte {
+	b = binary.LittleEndian.AppendUint64(append(b, 1), math.Float64bits(meta))
+	return append(b, make([]byte, 3*8)...)
+}
+
+// encodeVector returns a vector's encoding as a message field.
+func encodeVector(v *vv.Vector) []byte {
+	c := coder{mode: encoding}
+	c.vector(&v)
+	return c.b
+}
+
+// decodeVector decodes exactly one vector field.
+func decodeVector(b []byte) (*vv.Vector, error) {
+	c := coder{mode: decoding, b: b}
+	var v *vv.Vector
+	c.vector(&v)
+	if c.err == nil && c.off != len(b) {
+		c.fail("trailing bytes")
+	}
+	return v, c.err
 }
