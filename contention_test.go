@@ -10,36 +10,59 @@ package idea_test
 // the throughput graph.
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
+
+	"idea"
+	"idea/internal/env"
+	"idea/internal/id"
+	"idea/internal/telemetry"
 )
 
 // TestShardQueueWaitBoundedUnderBurst drives a 4-shard node with 8
 // concurrent writers bursting 64 files through the live transport and
-// asserts the core.queue_wait p99 stays far below the backpressure
-// horizon. The bound is deliberately loose (250 ms against a typical
-// p99 of well under 10 ms) so it only trips on real contention
-// regressions, not on a noisy CI neighbour.
+// bounds the core.queue_wait p99 in units of the burst's own per-write
+// service time: the mean wall time a write spends in its handler,
+// measured in the same run. That makes the bound a queue depth. A
+// saturating burst keeps each bounded shard queue full, so a write waits
+// for its shard's running batch and the queue ahead of it: about
+// 2·ShardQueue = 2048 service times (1900–2500 measured on 2 vCPUs, with
+// and without -race). A cross-shard serializer (a shared hot lock) makes
+// each write also wait out the other shards' writes, about 4× that
+// (9000–10200 measured with every dispatch behind one node-wide mutex),
+// and an unsampled per-event observation or a runner that cannot keep up
+// stretches the wait the same way, while the handler's own time stays
+// put. A wall-clock bound measured the machine as much as the runtime:
+// under -race on 2 vCPUs a healthy burst's waits run to hundreds of ms.
 func TestShardQueueWaitBoundedUnderBurst(t *testing.T) {
 	const (
 		shards       = 4
 		files        = 64
 		writers      = 8
 		opsPerWriter = 4_000
+		// maxWaitServices bounds the p99 in service times: twice a
+		// healthy burst's two queues' worth.
+		maxWaitServices = 4 * 1024
 	)
 	ln := newBurstNode(t, shards)
 	defer ln.Close()
 	n := ln.N
-	opsPerSec := burstWrites(t, ln, files, writers, opsPerWriter)
-	t.Logf("burst: %.0f ops/sec over %d shards", opsPerSec, shards)
+	opsPerSec, service := timedBurst(ln, files, writers, opsPerWriter)
 
 	snap := n.Metrics().Snapshot()
 	qw, ok := snap.Histograms["core.queue_wait"]
 	if !ok || qw.Count == 0 {
 		t.Fatal("core.queue_wait recorded nothing — sampling must still observe under load")
 	}
-	if p99 := time.Duration(qw.P99 * float64(time.Second)); p99 > 250*time.Millisecond {
-		t.Fatalf("queue-wait p99 = %v (max %v): a shard executor is not keeping up", p99, qw.Max)
+	p99 := time.Duration(qw.P99 * float64(time.Second))
+	waits := float64(p99) / float64(service)
+	t.Logf("burst: %.0f ops/sec over %d shards; service %v per write; queue-wait p99 %v = %.0f service times (max %v)",
+		opsPerSec, shards, service, p99, waits, time.Duration(qw.Max*float64(time.Second)))
+	if waits > maxWaitServices {
+		t.Fatalf("queue-wait p99 = %v, %.0f service times of %v (max %d): a shard executor is not keeping up",
+			p99, waits, service, maxWaitServices)
 	}
 
 	// The sampled depth gauges must settle to zero once the burst is
@@ -61,4 +84,40 @@ func TestShardQueueWaitBoundedUnderBurst(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// timedBurst is burstWrites that also times each write inside its
+// handler: it returns the burst's ops/sec and the mean service time of a
+// write. The time accumulates on a striped counter, like completions, so
+// measuring adds no shared hot word.
+func timedBurst(ln *idea.LiveNode, files, writers, opsPerWriter int) (float64, time.Duration) {
+	fileIDs := make([]id.FileID, files)
+	for i := range fileIDs {
+		fileIDs[i] = id.FileID(fmt.Sprintf("bench-%03d", i))
+	}
+	payload := []byte("parallel-writer-payload")
+	var issuers sync.WaitGroup
+	var done, busy telemetry.Counter
+	total := int64(writers * opsPerWriter)
+	start := time.Now()
+	for w := 0; w < writers; w++ {
+		issuers.Add(1)
+		go func(w int) {
+			defer issuers.Done()
+			for i := 0; i < opsPerWriter; i++ {
+				f := fileIDs[(i*writers+w)%len(fileIDs)]
+				ln.InjectFile(f, func(e env.Env) {
+					t0 := time.Now()
+					ln.N.Write(e, f, "bench", payload, 0)
+					busy.Add(int64(time.Since(t0)))
+					done.Inc()
+				})
+			}
+		}(w)
+	}
+	issuers.Wait()
+	for done.Value() < total {
+		time.Sleep(50 * time.Microsecond)
+	}
+	return float64(total) / time.Since(start).Seconds(), time.Duration(busy.Value() / total)
 }

@@ -2,7 +2,9 @@ package gossip
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -92,10 +94,11 @@ func (rig *roundRig) feed(round int) {
 
 // TestRoundAllocations pins a gossip round whose frontier did not move. A
 // round allocates only what it ships, since a sent message is never
-// mutated: per file, the digest's counts vector (2 allocations) and its
-// rollback-floor map (up to 4 for 12 writers); per peer, the batch slice
-// as it grows and the message's interface box. Keeping the advertised
-// vectors, the permutations and the frontier scratch costs nothing.
+// mutated: per file, the digest's counts vector (2 allocations); per peer,
+// the batch slice as it grows and the message's interface box. A floor
+// that did not move ships last round's map again, and keeping the
+// advertised vectors, the permutations and the frontier scratch costs
+// nothing.
 func TestRoundAllocations(t *testing.T) {
 	rig := newRoundRig(t)
 	round := 1
@@ -104,9 +107,41 @@ func TestRoundAllocations(t *testing.T) {
 		rig.feed(round)
 		rig.a.Timer(rig.e, timerRound, nil)
 	})
-	const perFile, perPeer = 6, 3
+	const perFile, perPeer = 2, 3
 	if limit := float64(perFile*rigFiles + perPeer*(rigNodes-1)); allocs > limit {
 		t.Fatalf("a round with an unmoved frontier = %v allocs, want at most %v", allocs, limit)
+	}
+}
+
+// TestMovedFloorShipsNewMap: a digest ships the same rollback-floor map
+// while the floor holds still, and a fresh one once a count moves; the map
+// shipped before is left as it was, since receivers keep it.
+func TestMovedFloorShipsNewMap(t *testing.T) {
+	a := New(Config{}, 1, nil, nil, nil)
+	sv := vv.New()
+	sv.Tick(1, 1e9, 0)
+	sv.Tick(2, 2e9, 0)
+	first := a.floorOf("f", sv)
+	if again := a.floorOf("f", sv.Clone()); reflect.ValueOf(again).Pointer() != reflect.ValueOf(first).Pointer() {
+		t.Fatal("an unmoved floor shipped a new map")
+	}
+	sv.Tick(2, 3e9, 0)
+	moved := a.floorOf("f", sv)
+	if reflect.ValueOf(moved).Pointer() == reflect.ValueOf(first).Pointer() {
+		t.Fatal("a moved floor shipped the old map")
+	}
+	if want := map[id.NodeID]int{1: 1, 2: 1}; !maps.Equal(first, want) {
+		t.Fatalf("the map shipped first became %v, want %v", first, want)
+	}
+	if want := map[id.NodeID]int{1: 1, 2: 2}; !maps.Equal(moved, want) {
+		t.Fatalf("moved floor shipped %v, want %v", moved, want)
+	}
+	sv.Tick(3, 4e9, 0) // a new writer moves the floor too
+	if grown := a.floorOf("f", sv); len(grown) != 3 || len(moved) != 2 {
+		t.Fatalf("a new writer shipped %v and left the last map %v", grown, moved)
+	}
+	if empty := a.floorOf("g", vv.New()); empty == nil {
+		t.Fatal("an empty floor shipped as no floor")
 	}
 }
 

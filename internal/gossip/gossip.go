@@ -162,6 +162,9 @@ type Agent struct {
 	// an unchanged frontier does not re-trigger compaction every round.
 	lastFrontier map[id.FileID]map[id.NodeID]int
 	onFrontier   FrontierFunc
+	// floors holds, per file, the rollback-floor map this node's digests
+	// last shipped; see floorOf.
+	floors map[id.FileID]map[id.NodeID]int
 	// frontier is learnFrontiers' per-file scratch map.
 	frontier map[id.NodeID]int
 
@@ -210,6 +213,7 @@ func New(cfg Config, self id.NodeID, peers []id.NodeID, state State, sink Report
 		seen:         make(map[digestKey]struct{}),
 		heard:        make(map[id.FileID]map[id.NodeID]*originView),
 		lastFrontier: make(map[id.FileID]map[id.NodeID]int),
+		floors:       make(map[id.FileID]map[id.NodeID]int),
 		frontier:     make(map[id.NodeID]int),
 	}
 }
@@ -309,7 +313,7 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 			}
 			if ss, ok := a.state.(StableState); ok {
 				if sv := ss.StableVector(f); sv != nil {
-					d.Stable = countsOf(sv, make(map[id.NodeID]int, sv.Len()))
+					d.Stable = a.floorOf(f, sv)
 				}
 			}
 			if a.traceOf != nil {
@@ -357,6 +361,27 @@ func (a *Agent) permute(e env.Env, n int) []int {
 		m[j] = i
 	}
 	a.perm = m
+	return m
+}
+
+// floorOf returns file's rollback floor sv as the counts map its digest
+// ships: the map shipped last time when no count moved, else a fresh one.
+// A shipped map is never mutated, since receivers keep it (noteCounts).
+func (a *Agent) floorOf(file id.FileID, sv *vv.Vector) map[id.NodeID]int {
+	if last := a.floors[file]; last != nil && len(last) == sv.Len() {
+		same := true
+		for w, e := range sv.Entries {
+			if c, ok := last[w]; !ok || c != e.Count {
+				same = false
+				break
+			}
+		}
+		if same {
+			return last
+		}
+	}
+	m := countsOf(sv, make(map[id.NodeID]int, sv.Len()))
+	a.floors[file] = m
 	return m
 }
 

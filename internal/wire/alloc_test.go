@@ -24,3 +24,27 @@ func TestEncodeFrameAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeAllocatesOnce holds Encode to one allocation: the sizing walk
+// runs first, so the fresh buffer is made at its exact size and never
+// regrows.
+func TestEncodeAllocatesOnce(t *testing.T) {
+	for _, e := range []Envelope{
+		{From: 1, To: 2, Msg: DetectRequest{File: "f", Token: 1, VV: sampleVector()}},
+		benchUpdateEnvelope(),
+		benchDigestBatchEnvelope(),
+	} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			b, err := Encode(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(b) != cap(b) {
+				t.Fatalf("%T: encoding is %d bytes in a %d-byte buffer", e.Msg, len(b), cap(b))
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%T: Encode = %v allocs/op, want 1", e.Msg, allocs)
+		}
+	}
+}
