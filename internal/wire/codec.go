@@ -607,17 +607,12 @@ func (c *coder) vector(p **vv.Vector) {
 	}
 }
 
-// countMap codes an optional writer-to-count map: a presence byte, then
-// the pairs, a per-mode atom.
+// countMap codes an optional writer-to-count map, a per-mode atom: a
+// presence byte, then the pairs in ascending writer order.
 func (c *coder) countMap(p *map[id.NodeID]int) {
-	present := *p != nil
-	c.bool(&present)
-	if !present {
-		return
-	}
 	switch c.mode {
 	case encoding:
-		c.appendCountMap(*p)
+		c.b = appendCountMap(c.b, *p, c.keys)
 	case sizing:
 		c.n += countMapLen(*p)
 	default:
@@ -855,20 +850,23 @@ func appendStamps(b []byte, stamps []vv.Stamp) []byte {
 	return b
 }
 
-// appendCountMap appends a count map's pairs in ascending key order.
-func (c *coder) appendCountMap(m map[id.NodeID]int) {
-	keys := (*c.keys)[:0]
+// appendCountMap sorts m's keys in scratch, which it keeps for reuse.
+func appendCountMap(b []byte, m map[id.NodeID]int, scratch *[]id.NodeID) []byte {
+	if m == nil {
+		return append(b, 0)
+	}
+	keys := (*scratch)[:0]
 	for n := range m {
 		keys = append(keys, n)
 	}
 	slices.Sort(keys)
-	*c.keys = keys
-	b := binary.AppendUvarint(c.b, uint64(len(keys)))
+	*scratch = keys
+	b = binary.AppendUvarint(append(b, 1), uint64(len(keys)))
 	for _, n := range keys {
 		b = binary.AppendVarint(b, int64(n))
 		b = binary.AppendVarint(b, int64(m[n]))
 	}
-	c.b = b
+	return b
 }
 
 // ---- per-mode atoms: sizing ----
@@ -901,10 +899,13 @@ func vectorLen(v *vv.Vector) int {
 	return n
 }
 
-// countMapLen sizes a count map's pairs in map order: the size does not
-// depend on it.
+// countMapLen sizes a count map in map order: the size does not depend
+// on it.
 func countMapLen(m map[id.NodeID]int) int {
-	n := uvarintLen(uint64(len(m)))
+	if m == nil {
+		return 1
+	}
+	n := 1 + uvarintLen(uint64(len(m)))
 	for w, c := range m {
 		n += varintLen(int64(w)) + varintLen(int64(c))
 	}
@@ -1043,6 +1044,9 @@ func (c *coder) readStamps() []vv.Stamp {
 }
 
 func (c *coder) readCountMap() map[id.NodeID]int {
+	if c.readByte() == 0 {
+		return nil
+	}
 	n := c.length(minPairBytes)
 	if c.err != nil {
 		return nil
