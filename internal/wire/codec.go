@@ -1,5 +1,5 @@
 // Hand-rolled binary codec for the wire envelope. Each message kind's
-// fields are listed once, in the switch of (*coder).message, and a coder
+// fields are listed once, in the switch of (*coder).envelope, and a coder
 // walks that list in one of three modes:
 //
 //   - encoding appends the fields to a buffer: the caller's (AppendTo) or
@@ -15,22 +15,24 @@
 // A field coder such as c.file(&m.File) takes a pointer to the field and
 // reads it (encoding, sizing) or sets it (decoding), so adding a field to
 // a message is one line in its list (plus a codecVersion bump). Where the
-// modes really differ the switch sits around a whole per-mode atom
-// instead of each field: a vector's entries, a count map's pairs, and the
-// decoder's bounds-checked reads.
+// modes really differ, or a field's per-field switch would cost too much,
+// the switch sits around a whole per-mode atom instead: a version vector
+// (its stamps delta-coded), a count map (sorted only when encoding), and
+// the decoder's bounds-checked reads.
 //
 // Wire format (all multi-byte integers are varints unless noted):
 //
 //	magic (1B) | version (1B) | From | To | kind (1B) | payload
 //
-// A payload's fields follow its field list. Vectors ship Meta and Err as
-// fixed 8-byte floats, then the entries sorted by writer ID (Go's map
-// iteration order must never reach the wire: the internal/invariants
-// determinism rule); per-entry stamps are delta-encoded, exploiting the vv
-// invariant that stamp windows are non-decreasing. Maps
-// (GossipDigest.Stable, SnapshotFileChunk.Base) are likewise sorted by
-// key. Strings, byte slices and sequences are length-prefixed. A frame
-// must be consumed exactly: trailing bytes are a decode error.
+// A payload's fields follow its field list. A vector ships a presence
+// byte, Meta and Err as fixed 8-byte floats, then its entries in
+// ascending writer order; per-entry stamps are delta-encoded, exploiting
+// the vv invariant that stamp windows are non-decreasing. A count map
+// (GossipDigest.Stable, SnapshotFileChunk.Base) ships a presence byte and
+// its pairs sorted by key: Go's map iteration order must never reach the
+// wire (the internal/invariants determinism rule). Strings, byte slices
+// and sequences are length-prefixed. A frame must be consumed exactly:
+// trailing bytes are a decode error.
 package wire
 
 import (
@@ -308,7 +310,8 @@ func (c *coder) envelope(e *Envelope) {
 	if magic != codecMagic || version != codecVersion {
 		c.fail("bad frame magic/version")
 	}
-	c.varints((*int64)(&e.From), (*int64)(&e.To))
+	c.node(&e.From)
+	c.node(&e.To)
 	if c.mode == decoding {
 		k := c.readByte()
 		if int(k) >= NumKinds || blank[k] == nil {
@@ -698,19 +701,6 @@ func (c *coder) uvarints(p, q *uint64) {
 	}
 }
 
-// varints codes two signed integers as varints, in one call.
-func (c *coder) varints(p, q *int64) {
-	switch c.mode {
-	case encoding:
-		c.b = binary.AppendVarint(binary.AppendVarint(c.b, *p), *q)
-	case sizing:
-		c.n += varintLen(*p) + varintLen(*q)
-	default:
-		*p = c.readVarint()
-		*q = c.readVarint()
-	}
-}
-
 // varint codes a signed integer as binary.AppendVarint's zig-zag varint.
 func (c *coder) varint(p *int64) {
 	switch c.mode {
@@ -886,7 +876,7 @@ func vectorLen(v *vv.Vector) int {
 	if v == nil {
 		return 1
 	}
-	n := 1 + 4*8 + uvarintLen(uint64(v.Len()))
+	n := 1 + 4*8 + uvarintLen(uint64(v.Len())) // presence, Meta, Err, count
 	for w, e := range v.Entries {
 		n += varintLen(int64(w)) + varintLen(int64(e.Count)) + varintLen(int64(e.Base)) +
 			varintLen(int64(e.Watermark)) + uvarintLen(uint64(len(e.Stamps)))
