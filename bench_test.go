@@ -55,18 +55,19 @@ func newBurstNode(tb testing.TB, shards int, mut ...func(*core.Options)) *idea.L
 }
 
 // burstWrites issues the write burst against an already running node and
-// returns steady ops/sec. Completion is tracked with a striped telemetry
-// counter instead of a WaitGroup: a shared wg counter would put one
-// contended atomic back on every op and measure the harness, not the
-// runtime.
-func burstWrites(_ testing.TB, ln *idea.LiveNode, files, writers, opsPerWriter int) float64 {
+// returns steady ops/sec and a write's mean service time, the wall time
+// it spends in its handler. Completion and service time are tracked with
+// striped telemetry counters instead of a WaitGroup: a shared wg counter
+// would put one contended atomic back on every op and measure the
+// harness, not the runtime.
+func burstWrites(ln *idea.LiveNode, files, writers, opsPerWriter int) (float64, time.Duration) {
 	fileIDs := make([]id.FileID, files)
 	for i := range fileIDs {
 		fileIDs[i] = id.FileID(fmt.Sprintf("bench-%03d", i))
 	}
 	payload := []byte("parallel-writer-payload")
 	var issuers sync.WaitGroup
-	var done telemetry.Counter
+	var done, busy telemetry.Counter
 	total := int64(writers * opsPerWriter)
 	start := time.Now()
 	for w := 0; w < writers; w++ {
@@ -76,7 +77,9 @@ func burstWrites(_ testing.TB, ln *idea.LiveNode, files, writers, opsPerWriter i
 			for i := 0; i < opsPerWriter; i++ {
 				f := fileIDs[(i*writers+w)%len(fileIDs)]
 				ln.InjectFile(f, func(e env.Env) {
+					t0 := time.Now()
 					ln.N.Write(e, f, "bench", payload, 0)
+					busy.Add(int64(time.Since(t0)))
 					done.Inc()
 				})
 			}
@@ -86,7 +89,7 @@ func burstWrites(_ testing.TB, ln *idea.LiveNode, files, writers, opsPerWriter i
 	for done.Value() < total {
 		time.Sleep(50 * time.Microsecond)
 	}
-	return float64(total) / time.Since(start).Seconds()
+	return float64(total) / time.Since(start).Seconds(), time.Duration(busy.Value() / total)
 }
 
 // BenchmarkParallelWrite drives the multi-file parallel-writer scenario
@@ -108,7 +111,7 @@ func BenchmarkParallelWrite(b *testing.B) {
 			defer ln.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				burstWrites(b, ln, files, writers, opsPerWriter)
+				burstWrites(ln, files, writers, opsPerWriter)
 			}
 			b.ReportMetric(float64(b.N*writers*opsPerWriter)/b.Elapsed().Seconds(), "ops/s")
 		}
