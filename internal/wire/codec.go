@@ -304,21 +304,14 @@ func (*Sizer) Size(e Envelope) int { return Size(e) }
 // walk is total over the message set in wire.go: a nil or unknown message
 // is an error, never a panic.
 func (c *coder) envelope(e *Envelope) {
-	magic, version := codecMagic, codecVersion
-	c.u8(&magic)
-	c.u8(&version)
-	if magic != codecMagic || version != codecVersion {
-		c.fail("bad frame magic/version")
-	}
-	c.node(&e.From)
-	c.node(&e.To)
+	c.header(e)
 	if c.mode == decoding {
 		k := c.readByte()
 		if int(k) >= NumKinds || blank[k] == nil {
 			c.fail(fmt.Sprintf("unknown message kind %d", k))
 			return
 		}
-		e.Msg = blank[k]
+		c.code, e.Msg = k, blank[k]
 	}
 	switch m := e.Msg.(type) {
 	case DetectRequest:
@@ -327,25 +320,25 @@ func (c *coder) envelope(e *Envelope) {
 		c.varint(&m.Token)
 		c.vector(&m.VV)
 		c.tc(&m.TC)
-		done(c, e, m)
+		done(c, e, &m)
 	case DetectReply:
 		c.kind(kindDetectReply)
 		c.file(&m.File)
 		c.varint(&m.Token)
 		c.vector(&m.VV)
 		c.tc(&m.TC)
-		done(c, e, m)
+		done(c, e, &m)
 	case GossipDigest:
 		c.kind(kindGossipDigest)
 		c.digest(&m)
-		done(c, e, m)
+		done(c, e, &m)
 	case DigestBatch:
 		c.kind(kindDigestBatch)
 		seq(c, &m.Digests, minDigestBytes)
 		for i := range m.Digests {
 			c.digest(&m.Digests[i])
 		}
-		done(c, e, m)
+		done(c, e, &m)
 	case GossipReport:
 		c.kind(kindGossipReport)
 		c.file(&m.File)
@@ -354,44 +347,44 @@ func (c *coder) envelope(e *Envelope) {
 		c.int(&m.Round)
 		c.vector(&m.VV)
 		c.tc(&m.TC)
-		done(c, e, m)
+		done(c, e, &m)
 	case RansubCollect:
 		c.kind(kindRansubCollect)
 		c.file(&m.File)
 		c.int(&m.Epoch)
 		c.candidates(&m.Sample)
-		done(c, e, m)
+		done(c, e, &m)
 	case RansubDistribute:
 		c.kind(kindRansubDistribute)
 		c.file(&m.File)
 		c.int(&m.Epoch)
 		c.candidates(&m.Sample)
-		done(c, e, m)
+		done(c, e, &m)
 	case CallForAttention:
 		c.kind(kindCallForAttention)
 		c.file(&m.File)
 		c.node(&m.Initiator)
 		c.varint(&m.Token)
 		c.tc(&m.TC)
-		done(c, e, m)
+		done(c, e, &m)
 	case CFAAck:
 		c.kind(kindCFAAck)
 		c.file(&m.File)
 		c.varint(&m.Token)
 		c.bool(&m.OK)
-		done(c, e, m)
+		done(c, e, &m)
 	case CFACancel:
 		c.kind(kindCFACancel)
 		c.file(&m.File)
 		c.varint(&m.Token)
-		done(c, e, m)
+		done(c, e, &m)
 	case CollectRequest:
 		c.kind(kindCollectRequest)
 		c.file(&m.File)
 		c.varint(&m.Token)
 		c.vector(&m.VV)
 		c.tc(&m.TC)
-		done(c, e, m)
+		done(c, e, &m)
 	case CollectReply:
 		c.kind(kindCollectReply)
 		c.file(&m.File)
@@ -399,7 +392,7 @@ func (c *coder) envelope(e *Envelope) {
 		c.vector(&m.VV)
 		c.updates(&m.Updates)
 		c.tc(&m.TC)
-		done(c, e, m)
+		done(c, e, &m)
 	case Inform:
 		c.kind(kindInform)
 		c.file(&m.File)
@@ -408,91 +401,91 @@ func (c *coder) envelope(e *Envelope) {
 		c.vector(&m.VV)
 		c.updates(&m.Updates)
 		c.tc(&m.TC)
-		done(c, e, m)
+		done(c, e, &m)
 	case InformAck:
 		c.kind(kindInformAck)
 		c.file(&m.File)
 		c.varint(&m.Token)
-		done(c, e, m)
+		done(c, e, &m)
 	case AntiEntropyRequest:
 		c.kind(kindAntiEntropyRequest)
 		c.file(&m.File)
 		c.vector(&m.VV)
-		done(c, e, m)
+		done(c, e, &m)
 	case AntiEntropyReply:
 		c.kind(kindAntiEntropyReply)
 		c.file(&m.File)
 		c.vector(&m.VV)
 		c.updates(&m.Updates)
-		done(c, e, m)
+		done(c, e, &m)
 	case StrongWrite:
 		c.kind(kindStrongWrite)
 		c.file(&m.File)
 		c.update(&m.Update)
-		done(c, e, m)
+		done(c, e, &m)
 	case StrongReplicate:
 		c.kind(kindStrongReplicate)
 		c.file(&m.File)
 		c.update(&m.Update)
 		c.int(&m.Commit)
-		done(c, e, m)
+		done(c, e, &m)
 	case StrongAck:
 		c.kind(kindStrongAck)
 		c.file(&m.File)
 		c.int(&m.Commit)
-		done(c, e, m)
+		done(c, e, &m)
 	case StrongCommitted:
 		c.kind(kindStrongCommitted)
 		c.file(&m.File)
 		c.update(&m.Update)
-		done(c, e, m)
+		done(c, e, &m)
 	case SwimPing:
 		c.kind(kindSwimPing)
 		c.varint(&m.Seq)
 		c.str(&m.Addr)
 		c.members(&m.Piggyback)
-		done(c, e, m)
+		done(c, e, &m)
 	case SwimAck:
 		c.kind(kindSwimAck)
 		c.varint(&m.Seq)
 		c.node(&m.Acker)
 		c.members(&m.Piggyback)
-		done(c, e, m)
+		done(c, e, &m)
 	case SwimPingReq:
 		c.kind(kindSwimPingReq)
 		c.varint(&m.Seq)
 		c.node(&m.Target)
 		c.members(&m.Piggyback)
-		done(c, e, m)
+		done(c, e, &m)
 	case SwimLeave:
 		c.kind(kindSwimLeave)
 		c.node(&m.Node)
 		c.int(&m.Inc)
-		done(c, e, m)
+		done(c, e, &m)
 	case JoinRequest:
 		c.kind(kindJoinRequest)
 		c.node(&m.Node)
 		c.str(&m.Addr)
-		done(c, e, m)
+		done(c, e, &m)
 	case JoinReply:
 		c.kind(kindJoinReply)
 		c.members(&m.Members)
-		done(c, e, m)
+		done(c, e, &m)
 	case SnapshotRequest:
 		c.kind(kindSnapshotRequest)
-		done(c, e, m)
+		done(c, e, &m)
 	case SnapshotManifest:
 		c.kind(kindSnapshotManifest)
 		seq(c, &m.Files, 1)
 		for i := range m.Files {
 			c.file(&m.Files[i])
 		}
-		done(c, e, m)
+		done(c, e, &m)
 	case SnapshotFileRequest:
 		c.kind(kindSnapshotFileRequest)
 		c.file(&m.File)
 		c.int(&m.Offset)
-		done(c, e, m)
+		done(c, e, &m)
 	case SnapshotFileChunk:
 		c.kind(kindSnapshotFileChunk)
 		c.file(&m.File)
@@ -502,7 +495,7 @@ func (c *coder) envelope(e *Envelope) {
 		c.int(&m.Offset)
 		c.int(&m.End)
 		c.updates(&m.Updates)
-		done(c, e, m)
+		done(c, e, &m)
 	case FSWrite:
 		c.kind(kindFSWrite)
 		c.file(&m.File)
@@ -510,25 +503,25 @@ func (c *coder) envelope(e *Envelope) {
 		c.str(&m.Op)
 		c.blob(&m.Data)
 		c.float(&m.Meta)
-		done(c, e, m)
+		done(c, e, &m)
 	case FSWriteAck:
 		c.kind(kindFSWriteAck)
 		c.file(&m.File)
 		c.varint(&m.Token)
 		c.str(&m.Key)
-		done(c, e, m)
+		done(c, e, &m)
 	case FSRead:
 		c.kind(kindFSRead)
 		c.file(&m.File)
 		c.varint(&m.Token)
-		done(c, e, m)
+		done(c, e, &m)
 	case FSReadReply:
 		c.kind(kindFSReadReply)
 		c.file(&m.File)
 		c.varint(&m.Token)
 		c.updates(&m.Updates)
 		c.float(&m.Level)
-		done(c, e, m)
+		done(c, e, &m)
 	case nil:
 		c.fail("nil message")
 	default:
@@ -538,29 +531,69 @@ func (c *coder) envelope(e *Envelope) {
 
 // done ends a message's walk. Only decoding stores (and so boxes) the
 // message it filled in; encoding and sizing walked a copy and box nothing.
-func done[T Message](c *coder, e *Envelope, m T) {
+func done[T Message](c *coder, e *Envelope, m *T) {
 	if c.mode == decoding {
-		e.Msg = m
+		e.Msg = *m
 	}
 }
 
-// update is the one field list for an update.
-func (c *coder) update(u *Update) {
-	c.file(&u.File)
-	c.node(&u.Writer)
-	c.int(&u.Seq)
-	c.stamp(&u.At)
-	c.float(&u.Meta)
-	c.str(&u.Op)
-	c.blob(&u.Data)
-	c.tc(&u.TC)
+// header codes the frame header, a per-mode atom: magic, version, From
+// and To.
+func (c *coder) header(e *Envelope) {
+	switch c.mode {
+	case encoding:
+		c.b = binary.AppendVarint(binary.AppendVarint(append(c.b, codecMagic, codecVersion), int64(e.From)), int64(e.To))
+	case sizing:
+		c.n += 2 + varintLen(int64(e.From)) + varintLen(int64(e.To))
+	default:
+		if c.readByte() != codecMagic || c.readByte() != codecVersion {
+			c.fail("bad frame magic/version")
+		}
+		c.node(&e.From)
+		c.node(&e.To)
+	}
 }
 
+// update codes an update, a per-mode atom: it is the journal's record and
+// the bulk of every resolution frame, and a call per field costs more than
+// its fields. The decoding branch is the field list the other two follow.
+func (c *coder) update(u *Update) {
+	switch c.mode {
+	case encoding:
+		b := binary.AppendVarint(appendRun(c.b, u.File), int64(u.Writer))
+		b = binary.AppendVarint(binary.AppendVarint(b, int64(u.Seq)), int64(u.At))
+		b = appendRun(appendRun(appendFloat(b, u.Meta), u.Op), u.Data)
+		c.b = binary.AppendUvarint(binary.AppendUvarint(b, u.TC.Trace), u.TC.Span)
+	case sizing:
+		c.n += runLen(u.File) + varintLen(int64(u.Writer)) + varintLen(int64(u.Seq)) + varintLen(int64(u.At)) +
+			8 + runLen(u.Op) + runLen(u.Data) + uvarintLen(u.TC.Trace) + uvarintLen(u.TC.Span)
+	default:
+		c.file(&u.File)
+		c.node(&u.Writer)
+		c.int(&u.Seq)
+		c.varint((*int64)(&u.At))
+		c.float(&u.Meta)
+		c.str(&u.Op)
+		c.blob(&u.Data)
+		c.tc(&u.TC)
+	}
+}
+
+// digest codes a gossip digest, the bulk of the simulator's traffic. Its
+// scalar head is a per-mode atom, like an update.
 func (c *coder) digest(d *GossipDigest) {
-	c.file(&d.File)
-	c.node(&d.Origin)
-	c.int(&d.Round)
-	c.int(&d.TTL)
+	switch c.mode {
+	case encoding:
+		b := binary.AppendVarint(appendRun(c.b, d.File), int64(d.Origin))
+		c.b = binary.AppendVarint(binary.AppendVarint(b, int64(d.Round)), int64(d.TTL))
+	case sizing:
+		c.n += runLen(d.File) + varintLen(int64(d.Origin)) + varintLen(int64(d.Round)) + varintLen(int64(d.TTL))
+	default:
+		c.file(&d.File)
+		c.node(&d.Origin)
+		c.int(&d.Round)
+		c.int(&d.TTL)
+	}
 	c.vector(&d.VV)
 	c.countMap(&d.Stable)
 	c.tc(&d.TC)
@@ -595,7 +628,16 @@ func (c *coder) members(ms *[]MemberRecord) {
 }
 
 // tc codes a trace context: Trace, then Span, as uvarints.
-func (c *coder) tc(tc *tracing.Context) { c.uvarints(&tc.Trace, &tc.Span) }
+func (c *coder) tc(tc *tracing.Context) {
+	switch c.mode {
+	case encoding:
+		c.b = binary.AppendUvarint(binary.AppendUvarint(c.b, tc.Trace), tc.Span)
+	case sizing:
+		c.n += uvarintLen(tc.Trace) + uvarintLen(tc.Span)
+	default:
+		tc.Trace, tc.Span = c.readUvarint(), c.readUvarint()
+	}
+}
 
 // vector codes an optional version vector, a per-mode atom: a presence
 // byte, then Meta and Err as fixed floats and the entries.
@@ -651,15 +693,19 @@ type coder struct {
 }
 
 // kind codes a message's kind byte. Decoding has read it already, to
-// pick the message it walks.
+// pick the message it walks, and checks that blank picked this case.
 func (c *coder) kind(k byte) {
-	c.code = k
 	switch c.mode {
 	case encoding:
 		c.b = append(c.b, k)
 	case sizing:
 		c.n++
+	default:
+		if k != c.code {
+			c.fail("kind table mismatch")
+		}
 	}
+	c.code = k
 }
 
 func (c *coder) u8(p *byte) {
@@ -688,19 +734,6 @@ func (c *coder) bool(p *bool) {
 	}
 }
 
-// uvarints codes two unsigned integers as varints, in one call.
-func (c *coder) uvarints(p, q *uint64) {
-	switch c.mode {
-	case encoding:
-		c.b = binary.AppendUvarint(binary.AppendUvarint(c.b, *p), *q)
-	case sizing:
-		c.n += uvarintLen(*p) + uvarintLen(*q)
-	default:
-		*p = c.readUvarint()
-		*q = c.readUvarint()
-	}
-}
-
 // varint codes a signed integer as binary.AppendVarint's zig-zag varint.
 func (c *coder) varint(p *int64) {
 	switch c.mode {
@@ -725,7 +758,6 @@ func (c *coder) int(p *int) {
 }
 
 func (c *coder) node(p *id.NodeID) { c.varint((*int64)(p)) }
-func (c *coder) stamp(p *vv.Stamp) { c.varint((*int64)(p)) }
 
 // float codes a float64 as its 8 IEEE-754 bytes, little-endian.
 func (c *coder) float(p *float64) {
@@ -742,10 +774,9 @@ func (c *coder) float(p *float64) {
 func (c *coder) str(p *string) {
 	switch c.mode {
 	case encoding:
-		c.b = binary.AppendUvarint(c.b, uint64(len(*p)))
-		c.b = append(c.b, *p...)
+		c.b = appendRun(c.b, *p)
 	case sizing:
-		c.n += uvarintLen(uint64(len(*p))) + len(*p)
+		c.n += runLen(*p)
 	default:
 		*p = string(c.run())
 	}
@@ -759,10 +790,9 @@ func (c *coder) file(p *id.FileID) { c.str((*string)(p)) }
 func (c *coder) blob(p *[]byte) {
 	switch c.mode {
 	case encoding:
-		c.b = binary.AppendUvarint(c.b, uint64(len(*p)))
-		c.b = append(c.b, *p...)
+		c.b = appendRun(c.b, *p)
 	case sizing:
-		c.n += uvarintLen(uint64(len(*p))) + len(*p)
+		c.n += runLen(*p)
 	default:
 		if r := c.run(); r != nil {
 			*p = make([]byte, len(r))
@@ -805,6 +835,11 @@ const (
 
 func appendFloat(b []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// appendRun appends a length-prefixed string or byte slice.
+func appendRun[T ~string | ~[]byte](b []byte, s T) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 func appendVector(b []byte, v *vv.Vector) []byte {
@@ -864,13 +899,9 @@ func appendCountMap(b []byte, m map[id.NodeID]int, scratch *[]id.NodeID) []byte 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // varintLen is the length of binary.AppendVarint's zig-zag encoding.
-func varintLen(x int64) int {
-	ux := uint64(x) << 1
-	if x < 0 {
-		ux = ^ux
-	}
-	return uvarintLen(ux)
-}
+func varintLen(x int64) int { return (bits.Len64(uint64(x^x>>63)) + 7) / 7 }
+
+func runLen[T ~string | ~[]byte](s T) int { return uvarintLen(uint64(len(s))) + len(s) }
 
 func vectorLen(v *vv.Vector) int {
 	if v == nil {

@@ -66,6 +66,24 @@ func TestSizeMatchesEncoding(t *testing.T) {
 	}
 }
 
+// TestKindTableMatchesCases holds blank, the kind-to-message table
+// decoding starts from, to the kind byte each message's case codes: a
+// message found under kind k must code as k and decode as its own type.
+func TestKindTableMatchesCases(t *testing.T) {
+	for k, m := range blank {
+		if m == nil {
+			continue
+		}
+		if code, _ := Measure(Envelope{Msg: m}); code != k {
+			t.Fatalf("blank[%d] is a %T, which codes as kind %d", k, m, code)
+		}
+		frame, _ := Encode(Envelope{Msg: m})
+		if got, err := Decode(frame); err != nil || reflect.TypeOf(got.Msg) != reflect.TypeOf(m) {
+			t.Fatalf("kind %d: %T decoded as %T, %v", k, m, got.Msg, err)
+		}
+	}
+}
+
 // TestDecodeDoesNotAliasInput scribbles over the input frame after
 // decoding and requires the decoded message to be unaffected — the
 // contract that lets the transport pool and reuse read buffers.
