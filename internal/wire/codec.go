@@ -15,10 +15,14 @@
 // A field coder such as c.file(&m.File) takes a pointer to the field and
 // reads it (encoding, sizing) or sets it (decoding), so adding a field to
 // a message is one line in its list (plus a codecVersion bump). Where the
-// modes really differ, or a field's per-field switch would cost too much,
-// the switch sits around a whole per-mode atom instead: a version vector
-// (its stamps delta-coded), a count map (sorted only when encoding), and
-// the decoder's bounds-checked reads.
+// modes really differ, or a call per field would cost more than the
+// fields, the mode switch sits around a whole per-mode atom instead: a
+// version vector (its stamps delta-coded), a count map (sorted only when
+// encoding), a trace context, the frame header, an update, the scalar
+// head of a gossip digest, and the decoder's bounds-checked reads. An
+// atom's decoding branch is its field list; its encoding and sizing
+// branches follow that order in one expression each, and the byte pins
+// and FuzzSizeMatchesEncoding hold the three to each other.
 //
 // Wire format (all multi-byte integers are varints unless noted):
 //
@@ -549,8 +553,7 @@ func (c *coder) header(e *Envelope) {
 		if c.readByte() != codecMagic || c.readByte() != codecVersion {
 			c.fail("bad frame magic/version")
 		}
-		c.node(&e.From)
-		c.node(&e.To)
+		e.From, e.To = id.NodeID(c.readVarint()), id.NodeID(c.readVarint())
 	}
 }
 
@@ -579,24 +582,27 @@ func (c *coder) update(u *Update) {
 	}
 }
 
-// digest codes a gossip digest, the bulk of the simulator's traffic. Its
-// scalar head is a per-mode atom, like an update.
+// digest codes a gossip digest, the bulk of the simulator's traffic: a
+// per-mode atom, like an update.
 func (c *coder) digest(d *GossipDigest) {
 	switch c.mode {
 	case encoding:
 		b := binary.AppendVarint(appendRun(c.b, d.File), int64(d.Origin))
-		c.b = binary.AppendVarint(binary.AppendVarint(b, int64(d.Round)), int64(d.TTL))
+		b = binary.AppendVarint(binary.AppendVarint(b, int64(d.Round)), int64(d.TTL))
+		b = appendCountMap(appendVector(b, d.VV), d.Stable, c.keys)
+		c.b = binary.AppendUvarint(binary.AppendUvarint(b, d.TC.Trace), d.TC.Span)
 	case sizing:
-		c.n += runLen(d.File) + varintLen(int64(d.Origin)) + varintLen(int64(d.Round)) + varintLen(int64(d.TTL))
+		c.n += runLen(d.File) + varintLen(int64(d.Origin)) + varintLen(int64(d.Round)) + varintLen(int64(d.TTL)) +
+			vectorLen(d.VV) + countMapLen(d.Stable) + uvarintLen(d.TC.Trace) + uvarintLen(d.TC.Span)
 	default:
 		c.file(&d.File)
 		c.node(&d.Origin)
 		c.int(&d.Round)
 		c.int(&d.TTL)
+		c.vector(&d.VV)
+		c.countMap(&d.Stable)
+		c.tc(&d.TC)
 	}
-	c.vector(&d.VV)
-	c.countMap(&d.Stable)
-	c.tc(&d.TC)
 }
 
 func (c *coder) updates(us *[]Update) {
@@ -995,13 +1001,15 @@ func (c *coder) readFloat() float64 {
 
 // length reads a count prefix for a sequence whose elements each occupy
 // at least min encoded bytes, rejecting counts the remaining input
-// cannot possibly satisfy.
+// cannot possibly satisfy. It multiplies rather than divides: n is at
+// most the input left and min at most minUpdateBytes, so n*min cannot
+// overflow for any frame that fits in memory.
 func (c *coder) length(min int) int {
 	n := c.readUvarint()
 	if c.err != nil {
 		return 0
 	}
-	if n > uint64((len(c.b)-c.off)/max(min, 1)) {
+	if left := uint64(len(c.b) - c.off); n > left || n*uint64(max(min, 1)) > left {
 		c.fail("length prefix exceeds frame")
 		return 0
 	}
