@@ -18,11 +18,11 @@
 // modes really differ, or a call per field would cost more than the
 // fields, the mode switch sits around a whole per-mode atom instead: a
 // version vector (its stamps delta-coded), a count map (sorted only when
-// encoding), a trace context, the frame header, an update, the scalar
-// head of a gossip digest, and the decoder's bounds-checked reads. An
-// atom's decoding branch is its field list; its encoding and sizing
-// branches follow that order in one expression each, and the byte pins
-// and FuzzSizeMatchesEncoding hold the three to each other.
+// encoding), a trace context, the frame header, an update, a gossip
+// digest, and the decoder's bounds-checked reads. An atom's decoding
+// branch is its field list; its encoding and sizing branches follow that
+// order in one expression each, and the byte pins and
+// FuzzSizeMatchesEncoding hold the three to each other.
 //
 // Wire format (all multi-byte integers are varints unless noted):
 //
