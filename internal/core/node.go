@@ -158,6 +158,9 @@ const walSync = 500 * time.Millisecond
 
 // fileState is the controller state IDEA keeps per shared file.
 type fileState struct {
+	// rep is the file's replica once the shard has opened it (see
+	// replica); nil until then.
+	rep       *store.Replica
 	mode      Mode
 	hint      float64 // L1, the user's pre-declared tolerance (§4.6)
 	learned   float64 // learned desired level from complaints (L1 + Δ…)
@@ -589,6 +592,25 @@ func (sh *coreShard) file(f id.FileID) *fileState {
 	return fs
 }
 
+// replica returns the file's replica, opening it on first use. The store
+// never replaces or drops a replica, so the one kept here stays current
+// and later calls skip the store's map.
+func (fs *fileState) replica(st *store.Store, f id.FileID) *store.Replica {
+	if fs.rep == nil {
+		fs.rep = st.Open(f)
+	}
+	return fs.rep
+}
+
+// desired is the level IDEA keeps the file above: the maximum of the user
+// hint and any learned level.
+func (fs *fileState) desired() float64 {
+	if fs.learned > fs.hint {
+		return fs.learned
+	}
+	return fs.hint
+}
+
 // file returns the controller state of f in its owning shard. Callers
 // outside message handlers must already be executing in f's domain (see
 // the env package comment).
@@ -741,14 +763,15 @@ func (n *Node) Write(e env.Env, file id.FileID, op string, data []byte, meta flo
 func (n *Node) WriteTracked(e env.Env, file id.FileID, op string, data []byte, meta float64) (wire.Update, int64) {
 	// Sampling decision first: a sampled write mints the trace the whole
 	// lifecycle joins (inject → log append → detect → gossip → resolve).
-	tc := n.tr.StartWrite(e.Now(), file, 0)
-	u := n.st.Open(file).WriteLocalTraced(e.Stamp(), op, data, meta, tc)
-	tc = n.tr.Event(e.Now(), tc, tracing.EvWAL, file, id.Nil, int64(u.Seq))
+	tc := n.tr.StartWrite(e, file, 0)
+	sh := n.shardOf(file)
+	u := sh.file(file).replica(n.st, file).WriteLocalTraced(e.Stamp(), op, data, meta, tc)
+	tc = n.tr.Event(e, tc, tracing.EvWAL, file, id.Nil, int64(u.Seq))
 	n.met.writes.Inc()
 	if n.ran != nil {
 		n.ran.RecordUpdate(file)
 	}
-	token := n.shardOf(file).det.DetectTraced(e, file, tc)
+	token := sh.det.DetectTraced(e, file, tc)
 	return u, token
 }
 
@@ -798,13 +821,7 @@ func (n *Node) Level(file id.FileID) float64 { return n.file(file).last }
 
 // DesiredLevel returns the level IDEA currently tries to keep file above:
 // the maximum of the user hint and any learned level.
-func (n *Node) DesiredLevel(file id.FileID) float64 {
-	fs := n.file(file)
-	if fs.learned > fs.hint {
-		return fs.learned
-	}
-	return fs.hint
-}
+func (n *Node) DesiredLevel(file id.FileID) float64 { return n.file(file).desired() }
 
 // ---- Controller logic (Fig. 3 decision diamond + §4.6) ----
 
@@ -815,8 +832,8 @@ func (sh *coreShard) handleDetectResult(e env.Env, res detect.Result) {
 	if f := n.onLevel.get(); f != nil {
 		f(e, res.File, res)
 	}
-	desired := n.DesiredLevel(res.File)
-	n.health.RecordLevel(e.Now(), res.File, res.Level, desired)
+	desired := fs.desired()
+	n.health.RecordLevel(res.At, res.File, res.Level, desired)
 	switch fs.mode {
 	case HintBased, OnDemand:
 		// Resolve only when the level drops below what the user wants
@@ -835,12 +852,11 @@ func (sh *coreShard) handleDetectResult(e env.Env, res detect.Result) {
 	// roll these operations back if it contradicts the verdict
 	// (§4.4.2). This applies to "all clear" verdicts too — those are
 	// exactly the ones a bottom-layer-only conflict falsifies.
-	sh.checkpoint(res.File, res.Token)
+	sh.checkpoint(fs, res.File, res.Token)
 }
 
-func (sh *coreShard) checkpoint(file id.FileID, token int64) {
-	fs := sh.file(file)
-	rep := sh.n.st.Open(file)
+func (sh *coreShard) checkpoint(fs *fileState, file id.FileID, token int64) {
+	rep := fs.replica(sh.n.st, file)
 	if fs.hasCP {
 		rep.DropCheckpoint(fs.cpToken)
 	}
@@ -857,8 +873,8 @@ func (sh *coreShard) handleDiscrepancy(e env.Env, file id.FileID, top, bottom fl
 	n.health.Recorder().Record(e.Now(), health.FKAlert, file, rep.Reporter, int64(bottom*1000), "")
 	// Roll back only when the corrected level is unacceptable for the
 	// user's (learned) preference.
-	if !n.opts.DisableRollback && fs.hasCP && bottom < n.DesiredLevel(file) {
-		if undone, err := n.st.Open(file).Rollback(fs.cpToken); err == nil {
+	if !n.opts.DisableRollback && fs.hasCP && bottom < fs.desired() {
+		if undone, err := fs.replica(n.st, file).Rollback(fs.cpToken); err == nil {
 			fs.hasCP = false
 			a.RolledBack = true
 			a.Undone = len(undone)
@@ -880,11 +896,10 @@ func (sh *coreShard) handleApplied(e env.Env, file id.FileID, winner id.NodeID) 
 	fs.last = 1
 	n.met.resolved.Inc()
 	n.health.Recorder().Record(e.Now(), health.FKResolved, file, winner, 0, "")
-	n.health.RecordLevel(e.Now(), file, 1, n.DesiredLevel(file))
+	n.health.RecordLevel(e.Now(), file, 1, fs.desired())
 	sh.det.NoteResolved(file)
-	rep := n.st.Open(file)
 	if fs.hasCP {
-		rep.DropCheckpoint(fs.cpToken)
+		fs.replica(n.st, file).DropCheckpoint(fs.cpToken)
 		fs.hasCP = false
 	}
 	if f := n.onResolved.get(); f != nil {

@@ -70,6 +70,9 @@ type Result struct {
 	Replies int
 	// Elapsed is the detection delay as observed by the writer.
 	Elapsed time.Duration
+	// At is the writer's clock at the verdict; a result observer records
+	// with it instead of reading the clock again.
+	At time.Time
 	// TC is the causal trace context of the verdict (zero when the
 	// triggering write was unsampled); the owner threads it into the
 	// resolution it requests.
@@ -109,7 +112,8 @@ func TimerFile(key string, data any) (id.FileID, bool) {
 }
 
 type probe struct {
-	file id.FileID
+	token int64
+	file  id.FileID
 	// vv is the writer's vector when the probe started: the side of every
 	// comparison the writer holds itself, and the floor the peers trim
 	// their replies above.
@@ -120,7 +124,6 @@ type probe struct {
 	triple  vv.Triple
 	ref     id.NodeID
 	started time.Time
-	done    bool
 	tc      tracing.Context
 }
 
@@ -231,22 +234,27 @@ func (d *Detector) DetectTraced(e env.Env, file id.FileID, tc tracing.Context) i
 	d.nextToken++
 	token := d.nextToken
 	d.met.probes.Inc()
+	now := e.Now()
 	peers := overlay.TopPeers(d.mem, file, d.self)
-	p := &probe{
+	p := probe{
+		token:   token,
 		file:    file,
 		expect:  len(peers),
 		worst:   1,
-		started: e.Now(),
-		tc:      d.tr.Event(e.Now(), tc, tracing.EvDetectStart, file, id.Nil, token),
+		started: now,
+		tc:      d.tr.Event(e, tc, tracing.EvDetectStart, file, id.Nil, token),
 	}
-	d.inflight[token] = p
 	if p.expect == 0 {
-		d.finalize(e, token)
+		// Nothing to wait for: the probe finishes here and never reaches
+		// the heap or the in-flight table.
+		d.finish(e, &p, now)
 		return token
 	}
 	// The snapshot shares the replica's windows (Clone is O(writers)); the
 	// peers need only its counts.
 	p.vv = d.st.Open(file).LiveVector().Clone()
+	live := p
+	d.inflight[token] = &live
 	counts := p.vv.Counts()
 	for _, peer := range peers {
 		e.Send(peer, wire.DetectRequest{File: file, Token: token, VV: counts, TC: p.tc})
@@ -260,7 +268,7 @@ func (d *Detector) DetectTraced(e env.Env, file id.FileID, tc tracing.Context) i
 // The reply shares the replica's stamp windows, read in place.
 func (d *Detector) HandleRequest(e env.Env, from id.NodeID, m wire.DetectRequest) {
 	d.met.peerRequests.Inc()
-	tc := d.tr.Event(e.Now(), m.TC, tracing.EvDetectPeer, m.File, from, m.Token)
+	tc := d.tr.Event(e, m.TC, tracing.EvDetectPeer, m.File, from, m.Token)
 	lv := d.st.Open(m.File).LiveVector()
 	e.Send(from, wire.DetectReply{File: m.File, Token: m.Token, VV: lv.Above(m.VV), TC: tc})
 }
@@ -273,10 +281,10 @@ func (d *Detector) HandleRequest(e env.Env, from id.NodeID, m wire.DetectRequest
 // consistent state chosen from the two.
 func (d *Detector) HandleReply(e env.Env, from id.NodeID, m wire.DetectReply) {
 	p, ok := d.inflight[m.Token]
-	if !ok || p.done {
+	if !ok {
 		return
 	}
-	d.tr.Event(e.Now(), m.TC, tracing.EvDetectReply, m.File, from, m.Token)
+	d.tr.Event(e, m.TC, tracing.EvDetectReply, m.File, from, m.Token)
 	p.replies++
 	if vv.Compare(p.vv, m.VV) != vv.Equal {
 		if refID, triple, level := d.score(p.vv, from, m.VV); level < p.worst {
@@ -284,7 +292,8 @@ func (d *Detector) HandleReply(e env.Env, from id.NodeID, m wire.DetectReply) {
 		}
 	}
 	if p.replies >= p.expect {
-		d.finalize(e, m.Token)
+		delete(d.inflight, m.Token)
+		d.finish(e, p, e.Now())
 	}
 }
 
@@ -304,28 +313,29 @@ func (d *Detector) Timer(e env.Env, key string, data any) bool {
 		return false
 	}
 	if td, ok := data.(timeoutData); ok {
-		if p, live := d.inflight[td.token]; live && !p.done {
+		if p, live := d.inflight[td.token]; live {
 			d.met.timeouts.Inc()
-			d.finalize(e, td.token)
+			delete(d.inflight, td.token)
+			d.finish(e, p, e.Now())
 		}
 	}
 	return true
 }
 
-func (d *Detector) finalize(e env.Env, token int64) {
-	p := d.inflight[token]
-	p.done = true
-	delete(d.inflight, token)
+// finish delivers p's verdict as of now; the caller has already taken p out
+// of the in-flight table, if it was ever in it.
+func (d *Detector) finish(e env.Env, p *probe, now time.Time) {
 	res := Result{
-		Token:   token,
+		Token:   p.token,
 		File:    p.file,
 		OK:      p.worst >= 1,
 		Level:   p.worst,
 		Triple:  p.triple,
 		Ref:     p.ref,
 		Replies: p.replies,
-		Elapsed: e.Now().Sub(p.started),
-		TC:      d.tr.Event(e.Now(), p.tc, tracing.EvDetectVerdict, p.file, id.Nil, int64(p.worst*1000)),
+		Elapsed: now.Sub(p.started),
+		At:      now,
+		TC:      d.tr.Event(e, p.tc, tracing.EvDetectVerdict, p.file, id.Nil, int64(p.worst*1000)),
 	}
 	d.Detections++
 	d.met.roundTrip.ObserveDuration(res.Elapsed)
@@ -352,7 +362,7 @@ func (d *Detector) NoteResolved(file id.FileID) { d.topVerdict[file] = 1 }
 // can alert the user and roll back.
 func (d *Detector) HandleGossipReport(e env.Env, rep wire.GossipReport, advertised *vv.Vector) {
 	_, _, level := d.score(advertised, rep.Reporter, rep.VV)
-	d.tr.Event(e.Now(), rep.TC, tracing.EvReportRecv, rep.File, rep.Reporter, int64(level*1000))
+	d.tr.Event(e, rep.TC, tracing.EvReportRecv, rep.File, rep.Reporter, int64(level*1000))
 	top := d.TopVerdict(rep.File)
 	if level >= top-discrepancyEps {
 		return // sufficiently close (e.g. 78% vs 80%): keep silent

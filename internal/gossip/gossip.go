@@ -318,7 +318,7 @@ func (a *Agent) Timer(e env.Env, key string, _ any) bool {
 			}
 			if a.traceOf != nil {
 				if tc := a.traceOf(f); tc.Sampled() {
-					d.TC = a.tr.Event(e.Now(), tc, tracing.EvDigestOut, f, id.Nil, int64(a.round))
+					d.TC = a.tr.Event(e, tc, tracing.EvDigestOut, f, id.Nil, int64(a.round))
 				}
 			}
 			a.batch(e, d)
@@ -517,7 +517,7 @@ func (a *Agent) HandleDigest(e env.Env, from id.NodeID, d wire.GossipDigest) {
 	if d.Origin != a.self && d.VV != nil {
 		a.noteCounts(d.File, d.Origin, d)
 	}
-	tc := a.tr.Event(e.Now(), d.TC, tracing.EvDigestRecv, d.File, from, int64(d.TTL))
+	tc := a.tr.Event(e, d.TC, tracing.EvDigestRecv, d.File, from, int64(d.TTL))
 	if local := a.state.LocalVector(d.File); local != nil && d.Origin != a.self {
 		if vv.Compare(local, d.VV) == vv.Concurrent {
 			a.ConflictsFound++
@@ -528,7 +528,7 @@ func (a *Agent) HandleDigest(e env.Env, from id.NodeID, d wire.GossipDigest) {
 				Reporter: a.self,
 				Round:    d.Round,
 				VV:       local.Above(d.VV),
-				TC:       a.tr.Event(e.Now(), tc, tracing.EvReportOut, d.File, d.Origin, int64(d.Round)),
+				TC:       a.tr.Event(e, tc, tracing.EvReportOut, d.File, d.Origin, int64(d.Round)),
 			})
 		}
 	}

@@ -11,8 +11,11 @@
 package overlay
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"idea/internal/id"
 	"idea/internal/ransub"
@@ -29,10 +32,28 @@ type Membership interface {
 }
 
 // TopPeers returns m's top layer for file excluding self — the set a
-// detection or resolution round must contact.
+// detection or resolution round must contact — in a fresh slice, or nil
+// when the layer holds nobody but self. A Static view lends its layer
+// instead of copying it, so there the result is the only copy, and a lone
+// writer's costs none.
 func TopPeers(m Membership, file id.FileID, self id.NodeID) []id.NodeID {
-	var out []id.NodeID
-	for _, n := range m.Top(file) {
+	var top []id.NodeID
+	if s, ok := m.(*Static); ok {
+		top = s.layers.Load().top[file]
+	} else {
+		top = m.Top(file)
+	}
+	peers := 0
+	for _, n := range top {
+		if n != self {
+			peers++
+		}
+	}
+	if peers == 0 {
+		return nil
+	}
+	out := make([]id.NodeID, 0, peers)
+	for _, n := range top {
 		if n != self {
 			out = append(out, n)
 		}
@@ -51,55 +72,58 @@ func BottomPeers(m Membership, self id.NodeID) []id.NodeID {
 	return out
 }
 
-// Static is a fixed membership view. Reads may come from any shard of a
-// sharded node while SetTop re-pins a layer, so the top map sits behind a
-// read/write lock.
+// Static is a fixed membership view. Reads come from every shard of a
+// sharded node, on every write, while SetTop may re-pin a layer, so the
+// layers sit behind an atomic pointer that SetTop replaces copy-on-write:
+// a read takes no lock, and nothing it loaded ever changes.
 type Static struct {
+	mu     sync.Mutex // serializes SetTop's copy-and-swap
+	layers atomic.Pointer[staticLayers]
+}
+
+// staticLayers is one immutable version of a Static view.
+type staticLayers struct {
 	all []id.NodeID
-	mu  sync.RWMutex
 	top map[id.FileID][]id.NodeID
 }
 
 // NewStatic builds a static view. Both the node list and each top layer
 // are copied and sorted.
 func NewStatic(all []id.NodeID, top map[id.FileID][]id.NodeID) *Static {
-	s := &Static{
+	l := &staticLayers{
 		all: sortedCopy(all),
 		top: make(map[id.FileID][]id.NodeID, len(top)),
 	}
 	for f, ns := range top {
-		s.top[f] = sortedCopy(ns)
+		l.top[f] = sortedCopy(ns)
 	}
+	s := &Static{}
+	s.layers.Store(l)
 	return s
 }
 
-// SetTop replaces file's top layer.
+// SetTop replaces file's top layer. It copies the file-to-layer map, so it
+// costs O(files); layers are re-pinned rarely and read on every write.
 func (s *Static) SetTop(file id.FileID, top []id.NodeID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.top[file] = sortedCopy(top)
+	old := s.layers.Load()
+	l := &staticLayers{all: old.all, top: maps.Clone(old.top)}
+	l.top[file] = sortedCopy(top)
+	s.layers.Store(l)
 }
 
 // All implements Membership.
-func (s *Static) All() []id.NodeID { return append([]id.NodeID(nil), s.all...) }
+func (s *Static) All() []id.NodeID { return append([]id.NodeID(nil), s.layers.Load().all...) }
 
 // Top implements Membership.
 func (s *Static) Top(file id.FileID) []id.NodeID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]id.NodeID(nil), s.top[file]...)
+	return append([]id.NodeID(nil), s.layers.Load().top[file]...)
 }
 
 // IsTop implements Membership.
 func (s *Static) IsTop(file id.FileID, n id.NodeID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, t := range s.top[file] {
-		if t == n {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.layers.Load().top[file], n)
 }
 
 // Dynamic derives the top layer from a RanSub agent's temperature

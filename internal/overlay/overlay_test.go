@@ -1,6 +1,9 @@
 package overlay
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 
 	"idea/internal/id"
@@ -95,5 +98,67 @@ func TestPerFileIndependence(t *testing.T) {
 	})
 	if s.IsTop(board, 3) || s.IsTop("orders", 1) {
 		t.Fatal("top layers interfere across files")
+	}
+}
+
+// TestTopPeersRacesSetTop re-pins a layer while readers call TopPeers and
+// IsTop (run it under -race): every read sees one whole version of the
+// layer. It also pins what a read costs: TopPeers copies a Static layer
+// once, and a lone writer's, which holds nobody else, not at all.
+func TestTopPeersRacesSetTop(t *testing.T) {
+	wide, narrow := []id.NodeID{1, 2, 3}, []id.NodeID{1, 4}
+	s := NewStatic(all, map[id.FileID][]id.NodeID{board: wide, "solo": {1}})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				s.SetTop(board, narrow)
+			} else {
+				s.SetTop(board, wide)
+			}
+		}
+	}()
+	read := func() string {
+		for i := 0; i < 2000; i++ {
+			ps := TopPeers(s, board, 1)
+			if !slices.Equal(ps, wide[1:]) && !slices.Equal(ps, narrow[1:]) {
+				return fmt.Sprintf("TopPeers = %v: not one version of the layer", ps)
+			}
+			if !s.IsTop(board, 1) || s.IsTop(board, 5) {
+				return "IsTop answers wrong during SetTop"
+			}
+		}
+		return ""
+	}
+	const readers = 2
+	errs := make(chan string, readers)
+	for r := 0; r < readers; r++ {
+		go func() { errs <- read() }()
+	}
+	var failed string
+	for r := 0; r < readers; r++ {
+		if msg := <-errs; msg != "" {
+			failed = msg
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if failed != "" {
+		t.Fatal(failed)
+	}
+
+	if n := testing.AllocsPerRun(100, func() { TopPeers(s, "solo", 1) }); n != 0 {
+		t.Fatalf("a lone writer's TopPeers allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { TopPeers(s, board, 1) }); n != 1 {
+		t.Fatalf("TopPeers allocates %v times, want 1", n)
 	}
 }

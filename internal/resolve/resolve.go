@@ -356,7 +356,7 @@ func (r *Resolver) start(e env.Env, file id.FileID, active bool, tc tracing.Cont
 		vecs:    make(map[id.NodeID]*vv.Vector),
 		pool:    make(map[wire.UpdateID]wire.Update),
 		p1start: e.Now(),
-		tc:      r.tr.Event(e.Now(), tc, tracing.EvResolveStart, file, id.Nil, activeArg),
+		tc:      r.tr.Event(e, tc, tracing.EvResolveStart, file, id.Nil, activeArg),
 	}
 	r.sessions[token] = s
 	r.engaged[file] = token
@@ -389,7 +389,7 @@ func (r *Resolver) traceApplies(e env.Env, rep *store.Replica, updates []wire.Up
 	v := rep.LiveVector()
 	for _, u := range updates {
 		if u.TC.Sampled() && u.Seq > v.Count(u.Writer) {
-			r.tr.Event(e.Now(), u.TC, tracing.EvApply, file, u.Writer, int64(u.Seq))
+			r.tr.Event(e, u.TC, tracing.EvApply, file, u.Writer, int64(u.Seq))
 		}
 	}
 }
@@ -513,7 +513,7 @@ func (r *Resolver) finish(e env.Env, s *session) {
 	r.traceApplies(e, local, localMissing, s.file)
 	local.AdoptImage(winVec, localMissing, r.invalidates())
 	p2 := e.Now().Sub(s.p2start)
-	r.tr.Event(e.Now(), s.tc, tracing.EvVerdict, s.file, winner, int64(len(s.members)))
+	r.tr.Event(e, s.tc, tracing.EvVerdict, s.file, winner, int64(len(s.members)))
 
 	delete(r.sessions, s.token)
 	if r.engaged[s.file] == s.token {
@@ -715,7 +715,7 @@ func (r *Resolver) HandleCFA(e env.Env, from id.NodeID, m wire.CallForAttention)
 		e.Send(from, wire.CFAAck{File: m.File, Token: m.Token, OK: false})
 		return
 	}
-	r.tr.Event(e.Now(), m.TC, tracing.EvResolveCFA, m.File, from, m.Token)
+	r.tr.Event(e, m.TC, tracing.EvResolveCFA, m.File, from, m.Token)
 	r.engaged[m.File] = m.Token
 	if st, ok := r.retries[m.File]; ok {
 		st.want = false // someone else is on it
@@ -775,7 +775,7 @@ func (r *Resolver) HandleCollectRequest(e env.Env, from id.NodeID, m wire.Collec
 	} else {
 		missing = rep.Log()
 	}
-	tc := r.tr.Event(e.Now(), m.TC, tracing.EvCollect, m.File, from, m.Token)
+	tc := r.tr.Event(e, m.TC, tracing.EvCollect, m.File, from, m.Token)
 	e.Send(from, wire.CollectReply{File: m.File, Token: m.Token, VV: rep.Counts(), Updates: missing, TC: tc})
 }
 
@@ -783,7 +783,7 @@ func (r *Resolver) HandleCollectRequest(e env.Env, from id.NodeID, m wire.Collec
 func (r *Resolver) HandleInform(e env.Env, from id.NodeID, m wire.Inform) {
 	r.met.informs.Inc()
 	rep := r.st.Open(m.File)
-	r.tr.Event(e.Now(), m.TC, tracing.EvInform, m.File, from, m.Token)
+	r.tr.Event(e, m.TC, tracing.EvInform, m.File, from, m.Token)
 	r.traceApplies(e, rep, m.Updates, m.File)
 	rep.AdoptImage(m.VV, m.Updates, r.invalidates())
 	if r.engaged[m.File] == m.Token {

@@ -413,11 +413,9 @@ func (r *Replica) apply(u wire.Update) {
 	r.log = append(r.log, u)
 	wi := r.writer(u.Writer)
 	wi.pos = append(wi.pos, int64(r.logBase+len(r.log)-1))
-	// Only the ticked writer's window can change, so the gauge delta is
-	// O(1) — apply is the hottest path in the store.
-	before := len(r.vec.Entry(u.Writer).Stamps)
-	r.vec.Tick(u.Writer, u.At, u.Meta)
-	r.met.windowStamps.Add(int64(len(r.vec.Entry(u.Writer).Stamps) - before))
+	// Only the ticked writer's window can change, and Tick reports by how
+	// much — apply is the hottest path in the store.
+	r.met.windowStamps.Add(int64(r.vec.Tick(u.Writer, u.At, u.Meta)))
 	r.met.logEntries.Add(1)
 	r.met.applied.Inc()
 	if r.journal != nil {

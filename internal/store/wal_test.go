@@ -584,6 +584,32 @@ func BenchmarkWALAppend(b *testing.B) {
 	}
 }
 
+func BenchmarkWALAppendParallel(b *testing.B) {
+	// Appends from every goroutine at once, alternating between two files,
+	// each goroutine its own writer: the two shards of a node journaling
+	// their applies into the one WAL they share.
+	w, err := OpenWAL(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer w.Close()
+	w.SetGroupCommit(8)
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		g := next.Add(1)
+		u := wire.Update{File: id.FileID(fmt.Sprintf("file-%d", g%2)), Writer: id.NodeID(g), At: sec(1), Meta: 1.5, Op: "write", Data: make([]byte, 64)}
+		for pb.Next() {
+			u.Seq++
+			if err := w.AppendUpdate(u); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
 func BenchmarkWALAppendManyFiles(b *testing.B) {
 	// A load spread over 64 files, round-robin: the shared commit group
 	// fills by size long before any one file holds 8 records.

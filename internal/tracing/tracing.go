@@ -8,13 +8,16 @@
 //
 //   - Near-zero cost when unsampled. The unsampled path is a nil check
 //     plus a zero check on the context — no atomics, no allocation, no
-//     time lookup. Protocol code therefore instruments unconditionally.
+//     time lookup: callers hand over their Clock, and it is read only when
+//     an event is recorded. Protocol code therefore instruments
+//     unconditionally.
 //   - Deterministic under simnet virtual time. Sampling is a per-node
 //     write counter (never env.Rand — a stray Rand draw would shift every
 //     subsequent random choice and change the event schedule), trace and
 //     span IDs derive from the node ID plus a sequence, and event
-//     timestamps are passed in by the caller from env.Now(). Two runs of
-//     the same seeded cluster produce byte-identical journal dumps.
+//     timestamps are read from the caller's env (virtual time under
+//     simnet). Two runs of the same seeded cluster produce byte-identical
+//     journal dumps.
 //   - Concurrency-safe on the live runtime. Span events arrive from every
 //     shard executor; the journal stripes its rings over cacheline-padded
 //     cells with per-P stripe affinity, the same idiom the telemetry
@@ -121,6 +124,10 @@ func stripe() int {
 	return s
 }
 
+// Clock is the time source an event is stamped from; protocol code passes
+// its env.Env. A tracer reads it only when it records an event.
+type Clock interface{ Now() time.Time }
+
 // Journal is a node's striped span-event ring buffer. Sampled events
 // take a stripe mutex (only ~1% of ops at production sampling, and
 // contention is already spread across stripes).
@@ -206,7 +213,7 @@ func (t *Tracer) SampleEvery() int64 {
 // StartWrite makes the sampling decision for one write and, when the
 // write is sampled, mints a fresh trace and records the inject event.
 // The returned context is zero for unsampled writes.
-func (t *Tracer) StartWrite(at time.Time, file id.FileID, arg int64) Context {
+func (t *Tracer) StartWrite(c Clock, file id.FileID, arg int64) Context {
 	if t == nil {
 		return Context{}
 	}
@@ -215,20 +222,20 @@ func (t *Tracer) StartWrite(at time.Time, file id.FileID, arg int64) Context {
 	}
 	tid := t.salt<<20 | (t.traces.Add(1) & (1<<20 - 1))
 	ctx := Context{Trace: tid}
-	return t.Event(at, ctx, EvInject, file, id.Nil, arg)
+	return t.Event(c, ctx, EvInject, file, id.Nil, arg)
 }
 
 // Event records one span event caused by ctx and returns the context to
 // propagate onward (same trace, the new event's span as parent). On a
 // nil tracer or an unsampled context it records nothing and returns ctx
-// unchanged — the no-op path every unsampled op takes.
-func (t *Tracer) Event(at time.Time, ctx Context, name string, file id.FileID, peer id.NodeID, arg int64) Context {
+// unchanged without reading c — the no-op path every unsampled op takes.
+func (t *Tracer) Event(c Clock, ctx Context, name string, file id.FileID, peer id.NodeID, arg int64) Context {
 	if t == nil || ctx.Trace == 0 {
 		return ctx
 	}
 	span := t.salt ^ t.spans.Add(1)
 	t.j.Append(stripe(), Event{
-		At:     at.UnixNano(),
+		At:     c.Now().UnixNano(),
 		Trace:  ctx.Trace,
 		Span:   span,
 		Parent: ctx.Span,

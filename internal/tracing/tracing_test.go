@@ -6,17 +6,36 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"idea/internal/env"
 )
 
 func at(s int) time.Time { return time.Unix(int64(s), 0) }
 
+// fixed is a Clock that always reads the same instant.
+type fixed time.Time
+
+func (f fixed) Now() time.Time { return time.Time(f) }
+
+// countingEnv is a node env whose clock counts its readings; the other
+// env methods are never called.
+type countingEnv struct {
+	env.Env
+	reads int
+}
+
+func (c *countingEnv) Now() time.Time {
+	c.reads++
+	return at(c.reads)
+}
+
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	ctx := tr.StartWrite(at(1), "f", 0)
+	ctx := tr.StartWrite(fixed(at(1)), "f", 0)
 	if ctx.Sampled() {
 		t.Fatalf("nil tracer sampled a write")
 	}
-	if got := tr.Event(at(2), ctx, EvWAL, "f", 0, 0); got != ctx {
+	if got := tr.Event(fixed(at(2)), ctx, EvWAL, "f", 0, 0); got != ctx {
 		t.Fatalf("nil tracer changed context: %+v", got)
 	}
 	if tr.Journal() != nil || tr.Journal().Events() != nil {
@@ -31,7 +50,7 @@ func TestSamplingEveryN(t *testing.T) {
 	tr := New(3, Config{SampleEvery: 4})
 	sampled := 0
 	for i := 0; i < 40; i++ {
-		if tr.StartWrite(at(i), "f", int64(i)).Sampled() {
+		if tr.StartWrite(fixed(at(i)), "f", int64(i)).Sampled() {
 			sampled++
 		}
 	}
@@ -51,8 +70,8 @@ func TestSamplingEveryN(t *testing.T) {
 
 func TestEventPropagatesParent(t *testing.T) {
 	tr := New(5, Config{SampleEvery: 1})
-	root := tr.StartWrite(at(1), "board", 42)
-	child := tr.Event(at(2), root, EvWAL, "board", 0, 7)
+	root := tr.StartWrite(fixed(at(1)), "board", 42)
+	child := tr.Event(fixed(at(2)), root, EvWAL, "board", 0, 7)
 	if child.Trace != root.Trace {
 		t.Fatalf("trace id changed across event: %d vs %d", child.Trace, root.Trace)
 	}
@@ -78,8 +97,8 @@ func TestDeterministicIDs(t *testing.T) {
 	run := func() []Event {
 		tr := New(9, Config{SampleEvery: 2})
 		for i := 0; i < 10; i++ {
-			ctx := tr.StartWrite(at(i), "f", int64(i))
-			tr.Event(at(i), ctx, EvWAL, "f", 0, int64(i))
+			ctx := tr.StartWrite(fixed(at(i)), "f", int64(i))
+			tr.Event(fixed(at(i)), ctx, EvWAL, "f", 0, int64(i))
 		}
 		return tr.Journal().Events()
 	}
@@ -97,7 +116,7 @@ func TestDeterministicIDs(t *testing.T) {
 func TestRingOverwriteCountsDrops(t *testing.T) {
 	tr := New(2, Config{SampleEvery: 1, BufferPerStripe: 2})
 	for i := 0; i < 100; i++ {
-		tr.StartWrite(at(i), "f", int64(i))
+		tr.StartWrite(fixed(at(i)), "f", int64(i))
 	}
 	evs := tr.Journal().Events()
 	if len(evs) > 2*journalStripes {
@@ -117,8 +136,8 @@ func TestConcurrentRecording(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				ctx := tr.StartWrite(at(i), "f", int64(i))
-				tr.Event(at(i), ctx, EvApply, "f", 3, int64(i))
+				ctx := tr.StartWrite(fixed(at(i)), "f", int64(i))
+				tr.Event(fixed(at(i)), ctx, EvApply, "f", 3, int64(i))
 			}
 		}()
 	}
@@ -136,10 +155,10 @@ func TestConcurrentRecording(t *testing.T) {
 
 func TestHTTPHandlerFilters(t *testing.T) {
 	tr := New(4, Config{SampleEvery: 1})
-	ca := tr.StartWrite(at(1), "alpha", 0)
-	tr.Event(at(2), ca, EvWAL, "alpha", 0, 0)
-	cb := tr.StartWrite(at(3), "beta", 0)
-	tr.Event(at(4), cb, EvWAL, "beta", 0, 0)
+	ca := tr.StartWrite(fixed(at(1)), "alpha", 0)
+	tr.Event(fixed(at(2)), ca, EvWAL, "alpha", 0, 0)
+	cb := tr.StartWrite(fixed(at(3)), "beta", 0)
+	tr.Event(fixed(at(4)), cb, EvWAL, "beta", 0, 0)
 
 	get := func(url string) Dump {
 		t.Helper()
@@ -196,19 +215,45 @@ func strconvUint(v uint64) string {
 	return string(b)
 }
 
+// TestUnsampledEventReadsNoClock pins that tracing reads the caller's clock
+// only when it records: never for a nil tracer or an unsampled context,
+// once per recorded event.
+func TestUnsampledEventReadsNoClock(t *testing.T) {
+	c := &countingEnv{}
+	var e env.Env = c
+	var off *Tracer
+	off.StartWrite(e, "f", 0)
+	off.Event(e, Context{Trace: 1}, EvWAL, "f", 0, 0)
+	tr := New(1, Config{SampleEvery: 2})
+	tr.StartWrite(e, "f", 0) // write 1 of every 2: unsampled
+	tr.Event(e, Context{}, EvWAL, "f", 0, 0)
+	if c.reads != 0 {
+		t.Fatalf("unsampled path read the clock %d times, want 0", c.reads)
+	}
+	ctx := tr.StartWrite(e, "f", 0) // write 2: sampled, records inject
+	tr.Event(e, ctx, EvWAL, "f", 0, 0)
+	if evs := tr.Journal().Events(); c.reads != len(evs) || len(evs) != 2 {
+		t.Fatalf("clock read %d times for %d recorded events, want 2 and 2", c.reads, len(evs))
+	}
+}
+
+// The benchmarks pass the clock as protocol code does: an env.Env value
+// converted to a Clock at the call.
 func BenchmarkUnsampledWrite(b *testing.B) {
 	tr := New(1, Config{SampleEvery: 1 << 30})
+	var e env.Env = &countingEnv{}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.StartWrite(time.Time{}, "f", 0)
+		tr.StartWrite(e, "f", 0)
 	}
 }
 
 func BenchmarkUnsampledEvent(b *testing.B) {
 	tr := New(1, Config{SampleEvery: 100})
+	var e env.Env = &countingEnv{}
 	b.ReportAllocs()
 	var ctx Context
 	for i := 0; i < b.N; i++ {
-		tr.Event(time.Time{}, ctx, EvApply, "f", 0, 0)
+		tr.Event(e, ctx, EvApply, "f", 0, 0)
 	}
 }

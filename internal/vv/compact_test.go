@@ -169,9 +169,13 @@ func TestTruncateWriter(t *testing.T) {
 
 func TestWindowStampsAndCompactedCount(t *testing.T) {
 	v := NewWindowed(4)
+	ticked := 0 // what Tick reports the windows gained, compactions included
 	for i := 0; i < 10; i++ {
-		v.Tick(nodeA, sec(float64(i+1)), 0)
-		v.Tick(nodeB, sec(float64(i+1)), 0)
+		ticked += v.Tick(nodeA, sec(float64(i+1)), 0)
+		ticked += v.Tick(nodeB, sec(float64(i+1)), 0)
+	}
+	if got := v.WindowStamps(); got != ticked {
+		t.Fatalf("WindowStamps = %d, Tick deltas sum to %d", got, ticked)
 	}
 	v.Compact(4)
 	if got := v.WindowStamps(); got != 8 {

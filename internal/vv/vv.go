@@ -462,8 +462,10 @@ func (v *Vector) TotalCount() int {
 // Tick records one update by writer w at time at with resulting metadata
 // value meta. It is the only mutation a write performs on the vector.
 // Once the writer's stamp window overflows to twice the configured size
-// it is compacted back down, keeping Tick amortized O(1).
-func (v *Vector) Tick(w id.NodeID, at Stamp, meta float64) {
+// it is compacted back down, keeping Tick amortized O(1). It returns how
+// many stamps the writer's window gained (negative when the tick
+// compacted it): the change in WindowStamps.
+func (v *Vector) Tick(w id.NodeID, at Stamp, meta float64) int {
 	i, ok := v.find(w)
 	if !ok {
 		v.entries = slices.Insert(v.entries, i, slot{w: w})
@@ -474,12 +476,14 @@ func (v *Vector) Tick(w id.NodeID, at Stamp, meta float64) {
 		// its clock steps backwards (skew correction).
 		at = last
 	}
+	before := len(e.Stamps)
 	e.Count++
 	e.Stamps = append(e.Stamps, at)
 	if win := v.Window(); win > 0 && len(e.Stamps) >= 2*win {
 		*e = e.compact(win)
 	}
 	v.Meta = meta
+	return len(e.Stamps) - before
 }
 
 // Compact shrinks every entry to at most window recent stamps (0 means
