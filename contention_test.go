@@ -29,15 +29,42 @@ import (
 // stretches the wait the same way, while the handler's own time stays
 // put. A wall-clock bound measured the machine as much as the runtime:
 // under -race on 2 vCPUs a healthy burst's waits run to hundreds of ms.
+//
+// Those faults stretch every burst's waits. The OS descheduling one
+// shard's runner for tens of milliseconds, which happens while other test
+// binaries build and run beside this one, stretches one burst's: the p99
+// of a burst's ~500 sampled waits is its fifth-longest, and a stalled
+// runner's full queue holds about 16 sampled events. So the test bounds
+// the lowest p99 of up to maxBursts bursts, each on a fresh node, and
+// passes at the first burst within the bound.
 func TestShardQueueWaitBoundedUnderBurst(t *testing.T) {
+	const (
+		// maxWaitServices bounds the p99 in service times: twice a
+		// healthy burst's two queues' worth.
+		maxWaitServices = 4 * 1024
+		maxBursts       = 5
+	)
+	for burst := 1; ; burst++ {
+		waits := queueWaitBurst(t)
+		if waits <= maxWaitServices {
+			return
+		}
+		if burst == maxBursts {
+			t.Fatalf("queue-wait p99 above %d service times in all %d bursts: a shard executor is not keeping up",
+				maxWaitServices, maxBursts)
+		}
+	}
+}
+
+// queueWaitBurst runs one write burst on a fresh 4-shard node and returns
+// its core.queue_wait p99 in service times, after checking that the
+// sampled queue telemetry recorded and settled.
+func queueWaitBurst(t *testing.T) float64 {
 	const (
 		shards       = 4
 		files        = 64
 		writers      = 8
 		opsPerWriter = 4_000
-		// maxWaitServices bounds the p99 in service times: twice a
-		// healthy burst's two queues' worth.
-		maxWaitServices = 4 * 1024
 	)
 	ln := newBurstNode(t, shards)
 	defer ln.Close()
@@ -53,10 +80,6 @@ func TestShardQueueWaitBoundedUnderBurst(t *testing.T) {
 	waits := float64(p99) / float64(service)
 	t.Logf("burst: %.0f ops/sec over %d shards; service %v per write; queue-wait p99 %v = %.0f service times (max %v)",
 		opsPerSec, shards, service, p99, waits, time.Duration(qw.Max*float64(time.Second)))
-	if waits > maxWaitServices {
-		t.Fatalf("queue-wait p99 = %v, %.0f service times of %v (max %d): a shard executor is not keeping up",
-			p99, waits, service, maxWaitServices)
-	}
 
 	// The sampled depth gauges must settle to zero once the burst is
 	// drained — a frozen nonzero depth means the settle path regressed.
@@ -70,7 +93,7 @@ func TestShardQueueWaitBoundedUnderBurst(t *testing.T) {
 			}
 		}
 		if settled {
-			break
+			return waits
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("shard queue depth gauges never settled to 0: %v", snap.Gauges)

@@ -42,20 +42,18 @@ func writeNode(top int) *Node {
 	return NewNode(1, Options{Membership: mem, All: all, DisableRansub: true})
 }
 
-// TestLoneWriteCost pins what a lone writer's write costs besides the
-// update itself: it reads the clock at most twice (the update's stamp and
-// the probe's one instant, reused for its verdict) and, once the replica
-// exists, allocates nothing but the replica's amortized growth.
+// TestLoneWriteCost pins how often a lone writer's write reads the clock:
+// at most twice, the update's stamp and the probe's one instant, reused
+// for its verdict. TestLoneWriteAllocs (alloc_test.go) pins its
+// allocations.
 func TestLoneWriteCost(t *testing.T) {
-	n := writeNode(1)
+	n, e, data := loneWriter()
 	verdicts := 0
 	n.SetOnLevel(func(_ env.Env, _ id.FileID, res detect.Result) {
 		if res.OK {
 			verdicts++
 		}
 	})
-	e := &clockEnv{Env: stubEnv{id: 1}}
-	data := make([]byte, 256)
 	n.WriteTracked(e, "f", "w", data, 0) // opens the replica
 	e.reads = 0
 	n.WriteTracked(e, "f", "w", data, 0)
@@ -65,12 +63,12 @@ func TestLoneWriteCost(t *testing.T) {
 	if verdicts != 2 || len(e.timers) != 0 {
 		t.Fatalf("%d immediate verdicts and %d timers for 2 lone writes, want 2 and 0", verdicts, len(e.timers))
 	}
-	if raceDetector {
-		return // sync.Pool drops Puts at random under the race detector
-	}
-	if allocs := testing.AllocsPerRun(2000, func() { n.WriteTracked(e, "f", "w", data, 0) }); allocs != 0 {
-		t.Errorf("a lone write allocates %v times, want 0", allocs)
-	}
+}
+
+// loneWriter returns a lone writer of file f, a counting env and a
+// payload to write.
+func loneWriter() (*Node, *clockEnv, []byte) {
+	return writeNode(1), &clockEnv{Env: stubEnv{id: 1}}, make([]byte, 256)
 }
 
 // BenchmarkWriteTracked times one WriteTracked call, verdict included, on

@@ -22,6 +22,8 @@ import (
 )
 
 // Membership answers layer queries for one node's view of the system.
+// The slices All and Top return are read-only: an implementation may lend
+// its own storage.
 type Membership interface {
 	// All returns every node in the system (the bottom layer), sorted.
 	All() []id.NodeID
@@ -33,16 +35,9 @@ type Membership interface {
 
 // TopPeers returns m's top layer for file excluding self — the set a
 // detection or resolution round must contact — in a fresh slice, or nil
-// when the layer holds nobody but self. A Static view lends its layer
-// instead of copying it, so there the result is the only copy, and a lone
-// writer's costs none.
+// when the layer holds nobody but self, so a lone writer's costs nothing.
 func TopPeers(m Membership, file id.FileID, self id.NodeID) []id.NodeID {
-	var top []id.NodeID
-	if s, ok := m.(*Static); ok {
-		top = s.layers.Load().top[file]
-	} else {
-		top = m.Top(file)
-	}
+	top := m.Top(file)
 	peers := 0
 	for _, n := range top {
 		if n != self {
@@ -113,13 +108,12 @@ func (s *Static) SetTop(file id.FileID, top []id.NodeID) {
 	s.layers.Store(l)
 }
 
-// All implements Membership.
-func (s *Static) All() []id.NodeID { return append([]id.NodeID(nil), s.layers.Load().all...) }
+// All implements Membership. It lends the view's own immutable slice.
+func (s *Static) All() []id.NodeID { return s.layers.Load().all }
 
-// Top implements Membership.
-func (s *Static) Top(file id.FileID) []id.NodeID {
-	return append([]id.NodeID(nil), s.layers.Load().top[file]...)
-}
+// Top implements Membership. It lends the view's own immutable layer:
+// SetTop replaces a layer, never writes into one.
+func (s *Static) Top(file id.FileID) []id.NodeID { return s.layers.Load().top[file] }
 
 // IsTop implements Membership.
 func (s *Static) IsTop(file id.FileID, n id.NodeID) bool {

@@ -59,9 +59,8 @@ import (
 // tail-loss window (which anti-entropy re-ships) for an order of
 // magnitude fewer journal syscalls. SyncAll and Close always write first.
 //
-// The WAL is safe for concurrent use. An append encodes and checksums its
-// record into scratch of its own first, and holds the buffer lock only to
-// copy it into the group; a full group is handed to the write lock
+// The WAL is safe for concurrent use. An append holds the buffer lock
+// only to encode its record; a full group is handed to the write lock
 // before the buffer lock is released, so groups reach the file in journal
 // order while appends fill the next one, and a SyncAll sweep never holds
 // up an append while the disk syncs.
@@ -308,18 +307,11 @@ func (w *WAL) AttachMetrics(reg *telemetry.Registry) {
 	w.errMu.Unlock()
 }
 
-// recordScratch holds the buffers appends encode their records into
-// before they take the WAL's lock.
-var recordScratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// append encodes one record, copies it into the open commit group and
-// writes the group out once it is full.
+// append encodes one record into the open commit group and writes the
+// group out once it is full.
 func (w *WAL) append(file id.FileID, kind byte, u wire.Update, keep int) error {
-	rec := recordScratch.Get().(*[]byte)
-	*rec = appendRecord((*rec)[:0], kind, file, u, keep)
-	defer recordScratch.Put(rec)
 	w.mu.Lock()
-	w.buf = append(w.buf, *rec...)
+	w.buf = appendRecord(w.buf, kind, file, u, keep)
 	n := w.group[file] + 1
 	if n < int(w.groupCommit.Load()) && len(w.buf) < groupBytes {
 		w.group[file] = n
