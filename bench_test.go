@@ -13,6 +13,7 @@ package idea_test
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,7 +23,6 @@ import (
 	"idea/internal/env"
 	"idea/internal/health"
 	"idea/internal/id"
-	"idea/internal/telemetry"
 	"idea/internal/tracing"
 	"idea/internal/vv"
 	"idea/internal/wire"
@@ -56,10 +56,11 @@ func newBurstNode(tb testing.TB, shards int, mut ...func(*core.Options)) *idea.L
 
 // burstWrites issues the write burst against an already running node and
 // returns steady ops/sec and a write's mean service time, the wall time
-// it spends in its handler. Completion and service time are tracked with
-// striped telemetry counters instead of a WaitGroup: a shared wg counter
-// would put one contended atomic back on every op and measure the
-// harness, not the runtime.
+// it spends in its handler. Completion and service time are tallied per
+// file in cacheline-padded slots instead of a WaitGroup or one shared
+// counter: a file's handlers all run on its shard, so each slot has one
+// writer, and no contended atomic lands on every op to measure the
+// harness instead of the runtime.
 func burstWrites(ln *idea.LiveNode, files, writers, opsPerWriter int) (float64, time.Duration) {
 	fileIDs := make([]id.FileID, files)
 	for i := range fileIDs {
@@ -67,7 +68,7 @@ func burstWrites(ln *idea.LiveNode, files, writers, opsPerWriter int) (float64, 
 	}
 	payload := []byte("parallel-writer-payload")
 	var issuers sync.WaitGroup
-	var done, busy telemetry.Counter
+	tallies := make([]burstTally, files)
 	total := int64(writers * opsPerWriter)
 	start := time.Now()
 	for w := 0; w < writers; w++ {
@@ -75,21 +76,43 @@ func burstWrites(ln *idea.LiveNode, files, writers, opsPerWriter int) (float64, 
 		go func(w int) {
 			defer issuers.Done()
 			for i := 0; i < opsPerWriter; i++ {
-				f := fileIDs[(i*writers+w)%len(fileIDs)]
+				fi := (i*writers + w) % len(fileIDs)
+				f, tally := fileIDs[fi], &tallies[fi]
 				ln.InjectFile(f, func(e env.Env) {
 					t0 := time.Now()
 					ln.N.Write(e, f, "bench", payload, 0)
-					busy.Add(int64(time.Since(t0)))
-					done.Inc()
+					tally.busy += int64(time.Since(t0))
+					tally.done.Add(1)
 				})
 			}
 		}(w)
 	}
 	issuers.Wait()
-	for done.Value() < total {
+	for {
+		var done int64
+		for i := range tallies {
+			done += tallies[i].done.Load()
+		}
+		if done >= total {
+			break
+		}
 		time.Sleep(50 * time.Microsecond)
 	}
-	return float64(total) / time.Since(start).Seconds(), time.Duration(busy.Value() / total)
+	var busy int64
+	for i := range tallies {
+		busy += tallies[i].busy
+	}
+	return float64(total) / time.Since(start).Seconds(), time.Duration(busy / total)
+}
+
+// burstTally is one file's share of a burst, padded to a cache line so
+// that shards tallying neighbouring files do not share one. busy is
+// written before done is incremented, so a reader that has loaded the
+// final done reads the final busy.
+type burstTally struct {
+	done atomic.Int64
+	busy int64
+	_    [48]byte
 }
 
 // BenchmarkParallelWrite drives the multi-file parallel-writer scenario

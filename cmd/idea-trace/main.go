@@ -94,7 +94,7 @@ func main() {
 	}
 	fmt.Printf("%d node journal(s), %d trace(s)", len(dumps), len(kept))
 	if dropped > 0 {
-		fmt.Printf(" (%d events overwritten before export — raise BufferPerStripe or lower sampling)", dropped)
+		fmt.Printf(" (%d events overwritten before export — raise tracing.Config.Buffer or lower sampling)", dropped)
 	}
 	fmt.Println()
 	for _, tl := range kept {

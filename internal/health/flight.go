@@ -1,7 +1,7 @@
 package health
 
 // The flight recorder is the unsampled complement of the sampled span
-// journal (internal/tracing): a bounded, lock-striped ring of recent
+// journal (internal/tracing): a bounded ring of recent
 // protocol/system events, a few words each, recorded unconditionally.
 // The tracer answers "why was THIS write slow" for the 1% it sampled;
 // the recorder answers "what was the node doing just before it went
@@ -12,7 +12,6 @@ package health
 // recorded: the ring must stay off the hot path.
 
 import (
-	"sync/atomic"
 	"time"
 
 	"idea/internal/id"
@@ -52,16 +51,17 @@ type FlightEvent struct {
 	Note string    `json:"note,omitempty"`
 }
 
+// The recorder's two ring classes and the default capacity of each.
 const (
-	flightStripes    = 8
-	classStripes     = flightStripes / 2
-	defaultPerStripe = 512
+	rareClass       = 0
+	chattyClass     = 1
+	defaultPerClass = 2048
 )
 
 // chattyKind reports whether a kind arrives orders of magnitude more
 // often than lifecycle events under load: every discrepancy alert and
 // resolution adoption, on every file, on the detection cadence. Chatty
-// kinds get their own stripe class so a busy resolver only ever evicts
+// kinds get their own ring class so a busy resolver only ever evicts
 // its own history — never the rare lifecycle tail (member transitions,
 // joins, WAL errors, link churn) a post-mortem needs most.
 func chattyKind(kind string) bool {
@@ -69,25 +69,19 @@ func chattyKind(kind string) bool {
 }
 
 // Recorder is a node's always-on flight ring. Safe for concurrent use
-// and on a nil receiver. Stripes are assigned round-robin within each
-// kind class — unlike the per-P pool idiom of the hot-path journals,
-// flight events are rare enough that an atomic counter costs nothing,
-// always uses the class's full capacity, and picks stripes
-// deterministically under simnet's single-threaded scheduler.
+// and on a nil receiver.
 type Recorder struct {
-	rareNext   atomic.Uint64
-	chattyNext atomic.Uint64
-	ring       *telemetry.Ring[FlightEvent]
+	ring *telemetry.Ring[FlightEvent]
 }
 
-// NewRecorder returns a recorder with the given per-stripe capacity
-// (default 512 — 4096 events per node before overwrite, split evenly
+// NewRecorder returns a recorder keeping perClass events of each class
+// (default 2048: 4096 events per node before overwrite, split evenly
 // between chatty protocol outcomes and rare lifecycle events).
-func NewRecorder(perStripe int) *Recorder {
-	if perStripe <= 0 {
-		perStripe = defaultPerStripe
+func NewRecorder(perClass int) *Recorder {
+	if perClass <= 0 {
+		perClass = defaultPerClass
 	}
-	return &Recorder{ring: telemetry.NewRing(flightStripes, perStripe,
+	return &Recorder{ring: telemetry.NewRing(2, perClass,
 		func(ev *FlightEvent) *uint64 { return &ev.Seq })}
 }
 
@@ -97,13 +91,11 @@ func (r *Recorder) Record(at time.Time, kind string, file id.FileID, node id.Nod
 	if r == nil {
 		return
 	}
-	var idx int
+	class := rareClass
 	if chattyKind(kind) {
-		idx = classStripes + int(r.chattyNext.Add(1)%classStripes)
-	} else {
-		idx = int(r.rareNext.Add(1) % classStripes)
+		class = chattyClass
 	}
-	r.ring.Append(idx, FlightEvent{
+	r.ring.Append(class, FlightEvent{
 		At:   at.UnixNano(),
 		Kind: kind,
 		File: file,

@@ -32,14 +32,14 @@ func TestFlightRecorderOrderAndContent(t *testing.T) {
 }
 
 func TestFlightRecorderBounded(t *testing.T) {
-	const perStripe = 8
-	r := NewRecorder(perStripe)
-	for i := 0; i < 10*flightStripes*perStripe; i++ {
+	const perClass = 8
+	r := NewRecorder(perClass)
+	for i := 0; i < 10*perClass; i++ {
 		r.Record(time.Unix(int64(i), 0), FKMemberAlive, "", 1, int64(i), "")
 	}
 	evs := r.Events()
-	if len(evs) > flightStripes*perStripe {
-		t.Fatalf("retained %d events, cap is %d", len(evs), flightStripes*perStripe)
+	if len(evs) > perClass {
+		t.Fatalf("retained %d events, the class's capacity is %d", len(evs), perClass)
 	}
 	if r.Dropped() == 0 {
 		t.Fatal("dropped = 0 after overrunning the ring")
@@ -51,19 +51,19 @@ func TestFlightRecorderBounded(t *testing.T) {
 			maxSeq = ev.Seq
 		}
 	}
-	if want := uint64(10 * flightStripes * perStripe); maxSeq != want {
+	if want := uint64(10 * perClass); maxSeq != want {
 		t.Fatalf("newest retained seq = %d, want %d", maxSeq, want)
 	}
 }
 
 func TestFlightRecorderChattyFloodSparesLifecycle(t *testing.T) {
-	const perStripe = 8
-	r := NewRecorder(perStripe)
+	const perClass = 8
+	r := NewRecorder(perClass)
 	r.Record(time.Unix(1, 0), FKNodeStart, "", 1, 0, "")
 	r.Record(time.Unix(2, 0), FKMemberDead, "", 4, 0, "")
 	// A resolver storm: orders of magnitude more adoptions and alerts
 	// than the ring holds. They may only evict each other.
-	for i := 0; i < 100*flightStripes*perStripe; i++ {
+	for i := 0; i < 100*2*perClass; i++ {
 		kind := FKResolved
 		if i%2 == 0 {
 			kind = FKAlert

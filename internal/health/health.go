@@ -412,7 +412,7 @@ func NewEngine(self id.NodeID, cfg Config, reg *telemetry.Registry) *Engine {
 	en := &Engine{
 		self:     self,
 		cfg:      cfg,
-		rec:      NewRecorder(defaultPerStripe),
+		rec:      NewRecorder(defaultPerClass),
 		fsync:    reg.Histogram("store.wal_fsync_ms"),
 		verdictG: reg.Gauge("health.verdict"),
 		activeG:  reg.Gauge("health.active_anomalies"),

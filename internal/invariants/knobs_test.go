@@ -14,7 +14,7 @@ import (
 // struct must have a caller; a value nobody picks is a constant.
 //
 // Kept too, but with callers outside tests so the guard passes them:
-// health.Config.History and FsyncSpikeMs and tracing.Config.BufferPerStripe
+// health.Config.History and FsyncSpikeMs and tracing.Config.Buffer
 // (plans need values other than the default); core.Options.DisableRansub,
 // All and DisableRollback (the benchmark sets them, until it builds its
 // clusters through internal/cluster and runs with rollback on).

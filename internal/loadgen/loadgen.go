@@ -282,9 +282,9 @@ func (rec *recorder) report(elapsed time.Duration) *Report {
 	return rep
 }
 
-// secondsToDuration rounds to the nearest nanosecond: a histogram sum is
-// striped, so its last bit depends on which stripes the observations hit,
-// and truncation would turn that into a whole nanosecond in a report.
+// secondsToDuration rounds to the nearest nanosecond: a histogram keeps
+// seconds as float64s, whose sums and interpolations are off by an ulp or
+// so, and truncation would turn a value a hair under n ns into n-1 ns.
 func secondsToDuration(s float64) time.Duration {
 	return time.Duration(math.Round(s * float64(time.Second)))
 }

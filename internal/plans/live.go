@@ -105,7 +105,7 @@ func RunLive(p Plan, seed int64, duration time.Duration, out string) (*Timeline,
 		TopLayers: make(map[id.FileID][]id.NodeID, len(files)),
 		Shards:    p.Topology.Shards,
 		Hook: func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
-			o.Tracing = tracing.Config{SampleEvery: p.Topology.TraceSampleEvery, BufferPerStripe: 8192}
+			o.Tracing = tracing.Config{SampleEvery: p.Topology.TraceSampleEvery, Buffer: 65536}
 			o.Health = health.Config{
 				Interval:              p.Topology.HealthEvery.D(),
 				ConvergenceStallAfter: p.Topology.StallAfter.D(),

@@ -85,7 +85,7 @@ func runTracedCluster(t *testing.T, seed int64, shards int, tc tracing.Config) (
 // seed twice: both the event schedule and every node's span journal must
 // be byte-identical.
 func TestTracedScheduleDeterministic(t *testing.T) {
-	cfg := tracing.Config{SampleEvery: 2, BufferPerStripe: 4096}
+	cfg := tracing.Config{SampleEvery: 2, Buffer: 32768}
 	s1, j1 := runTracedCluster(t, 42, 4, cfg)
 	s2, j2 := runTracedCluster(t, 42, 4, cfg)
 	if len(s1) == 0 {
@@ -128,7 +128,7 @@ func TestTracingDoesNotPerturbSchedule(t *testing.T) {
 // inject and wal.append on the writer, detect events on peers, resolve
 // events from the demanded session, and apply on a remote replica.
 func TestTracedChainCoversProtocolLayers(t *testing.T) {
-	_, journals := runTracedCluster(t, 7, 4, tracing.Config{SampleEvery: 1, BufferPerStripe: 8192})
+	_, journals := runTracedCluster(t, 7, 4, tracing.Config{SampleEvery: 1, Buffer: 65536})
 	for _, ev := range []string{
 		tracing.EvInject, tracing.EvWAL, tracing.EvDetectStart, tracing.EvDetectPeer,
 		tracing.EvDetectReply, tracing.EvDetectVerdict, tracing.EvResolveStart,

@@ -7,15 +7,11 @@
 // use — the live transport records from several goroutines while the
 // admin endpoint snapshots.
 //
-// Hot-path writes are striped: a counter, gauge, or histogram spreads its
-// accumulation over several cacheline-padded cells, and each writer picks
-// a cell with per-P affinity (a sync.Pool round-robin). Shard executors
-// on different cores therefore do not serialize on — or bounce — a single
-// cache line per event, which is what flattened the sharded runtime's
-// write throughput before striping. Reads (Value, Quantile, Snapshot)
-// merge the cells; they are slightly more expensive and remain exact for
-// counters and gauges, while histogram min/max/sum merge across cells
-// with the same semantics as before.
+// Each counter and gauge is one atomic cell padded to a 64-byte cache
+// line, and each histogram one bucket array plus one scalar block, so a
+// write is one atomic add (a histogram's sum, min and max CAS loops
+// besides) and a read loads what was written, in the order it was
+// written: a histogram's sum follows observation order exactly.
 package telemetry
 
 import (
@@ -27,45 +23,16 @@ import (
 	"time"
 )
 
-// stripes is the number of padded cells each hot metric spreads its
-// writes across. Eight covers the shard counts the runtime actually uses
-// (one per CPU, small machines) without bloating the many registries the
-// emulator creates; it must be a power of two.
-const (
-	stripes    = 8
-	stripeMask = stripes - 1
-)
-
-// cell is one cacheline-padded accumulator. 64-byte alignment padding
-// keeps neighbouring cells out of each other's cache line so striped
-// writers never false-share.
+// cell is one cacheline-padded accumulator: the padding keeps a hot
+// counter out of its heap neighbours' cache line.
 type cell struct {
 	v atomic.Int64
 	_ [56]byte
 }
 
-// stripePool hands out stripe indices with per-P affinity: sync.Pool
-// keeps freed values in per-P caches, so a goroutine running on one core
-// keeps drawing the same index while goroutines on other cores draw
-// others. The fallback New round-robins so cold starts still spread.
-var (
-	stripeNext atomic.Int64
-	stripePool = sync.Pool{New: func() any {
-		s := int(stripeNext.Add(1)) & stripeMask
-		return &s
-	}}
-)
-
-func stripe() int {
-	p := stripePool.Get().(*int)
-	s := *p
-	stripePool.Put(p)
-	return s
-}
-
 // Counter is a monotonically increasing event count.
 type Counter struct {
-	cells [stripes]cell
+	c cell
 }
 
 // Inc adds one. Safe on a nil receiver (no-op).
@@ -76,7 +43,7 @@ func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.cells[stripe()].v.Add(n)
+	c.c.v.Add(n)
 }
 
 // Value returns the current count; zero on a nil receiver.
@@ -84,19 +51,13 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var sum int64
-	for i := range c.cells {
-		sum += c.cells[i].v.Load()
-	}
-	return sum
+	return c.c.v.Load()
 }
 
-// Gauge is a point-in-time level (queue depth, log length, …). Delta
-// maintenance (Add) stripes like a counter; Set writes an absolute level.
-// A gauge should be maintained by Set or by Add, not a concurrent mix:
-// Set rebases every cell, so a racing Add's delta may be absorbed.
+// Gauge is a point-in-time level (queue depth, log length, …), moved by
+// Add or written absolutely by Set.
 type Gauge struct {
-	cells [stripes]cell
+	c cell
 }
 
 // Set stores v. Safe on a nil receiver (no-op).
@@ -104,10 +65,7 @@ func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
 	}
-	g.cells[0].v.Store(v)
-	for i := 1; i < stripes; i++ {
-		g.cells[i].v.Store(0)
-	}
+	g.c.v.Store(v)
 }
 
 // Add moves the gauge by n. Safe on a nil receiver (no-op).
@@ -115,7 +73,7 @@ func (g *Gauge) Add(n int64) {
 	if g == nil {
 		return
 	}
-	g.cells[stripe()].v.Add(n)
+	g.c.v.Add(n)
 }
 
 // Value returns the current level; zero on a nil receiver.
@@ -123,11 +81,7 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	var sum int64
-	for i := range g.cells {
-		sum += g.cells[i].v.Load()
-	}
-	return sum
+	return g.c.v.Load()
 }
 
 // Histogram accumulates observations into fixed exponential buckets.
@@ -136,21 +90,13 @@ func (g *Gauge) Value() int64 {
 // within the containing bucket, which is accurate to the bucket growth
 // factor (~1.3x here) — plenty for p50/p95/p99 reporting.
 type Histogram struct {
-	bounds []float64 // upper bounds, ascending; len(cell counts) == len(bounds)+1
-	cells  []histCell
-}
-
-// histCell is one stripe of a histogram: its own bucket array and scalar
-// accumulators, padded to exactly 64 bytes (24-byte slice header + four
-// 8-byte scalars + 8 pad) so adjacent stripes in the cells array never
-// share a cache line; the bucket arrays are separate allocations.
-type histCell struct {
-	counts []atomic.Int64
+	bounds []float64      // upper bounds, ascending
+	counts []atomic.Int64 // len(bounds)+1 buckets, the last one unbounded
 	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits accumulated via CAS
 	min    atomic.Uint64 // float64 bits
 	max    atomic.Uint64 // float64 bits
-	_      [8]byte
+	_      [48]byte      // pads the struct to 128 bytes, two whole cache lines
 }
 
 // DefaultLatencyBounds covers 50µs .. ~80s with ~1.3x growth — wide
@@ -171,14 +117,10 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 	h := &Histogram{
 		bounds: append([]float64(nil), bounds...),
-		cells:  make([]histCell, stripes),
+		counts: make([]atomic.Int64, len(bounds)+1),
 	}
-	for i := range h.cells {
-		c := &h.cells[i]
-		c.counts = make([]atomic.Int64, len(bounds)+1)
-		c.min.Store(math.Float64bits(math.Inf(1)))
-		c.max.Store(math.Float64bits(math.Inf(-1)))
-	}
+	h.min.Store(math.Float64bits(math.Inf(1)))
+	h.max.Store(math.Float64bits(math.Inf(-1)))
 	return h
 }
 
@@ -187,51 +129,32 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	c := &h.cells[stripe()]
-	i := sort.SearchFloat64s(h.bounds, v)
-	c.counts[i].Add(1)
-	c.count.Add(1)
+	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
+	h.count.Add(1)
 	for {
-		old := c.sum.Load()
+		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
-		if c.sum.CompareAndSwap(old, next) {
+		if h.sum.CompareAndSwap(old, next) {
 			break
 		}
 	}
 	for {
-		old := c.min.Load()
-		if v >= math.Float64frombits(old) || c.min.CompareAndSwap(old, math.Float64bits(v)) {
+		old := h.min.Load()
+		if v >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(v)) {
 			break
 		}
 	}
 	for {
-		old := c.max.Load()
-		if v <= math.Float64frombits(old) || c.max.CompareAndSwap(old, math.Float64bits(v)) {
+		old := h.max.Load()
+		if v <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
 			break
 		}
 	}
 }
 
-// minValue/maxValue merge the per-cell extremes.
-func (h *Histogram) minValue() float64 {
-	m := math.Inf(1)
-	for i := range h.cells {
-		if v := math.Float64frombits(h.cells[i].min.Load()); v < m {
-			m = v
-		}
-	}
-	return m
-}
+func (h *Histogram) minValue() float64 { return math.Float64frombits(h.min.Load()) }
 
-func (h *Histogram) maxValue() float64 {
-	m := math.Inf(-1)
-	for i := range h.cells {
-		if v := math.Float64frombits(h.cells[i].max.Load()); v > m {
-			m = v
-		}
-	}
-	return m
-}
+func (h *Histogram) maxValue() float64 { return math.Float64frombits(h.max.Load()) }
 
 // ObserveDuration records d in seconds. Safe on a nil receiver (no-op).
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
@@ -241,11 +164,7 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	var n int64
-	for i := range h.cells {
-		n += h.cells[i].count.Load()
-	}
-	return n
+	return h.count.Load()
 }
 
 // CountAbove returns how many observations landed in buckets entirely
@@ -258,13 +177,9 @@ func (h *Histogram) CountAbove(bound float64) int64 {
 	if h == nil {
 		return 0
 	}
-	from := sort.SearchFloat64s(h.bounds, bound) + 1
 	var n int64
-	for i := range h.cells {
-		c := &h.cells[i]
-		for j := from; j < len(c.counts); j++ {
-			n += c.counts[j].Load()
-		}
+	for i := sort.SearchFloat64s(h.bounds, bound) + 1; i < len(h.counts); i++ {
+		n += h.counts[i].Load()
 	}
 	return n
 }
@@ -274,11 +189,7 @@ func (h *Histogram) Sum() float64 {
 	if h == nil {
 		return 0
 	}
-	var s float64
-	for i := range h.cells {
-		s += math.Float64frombits(h.cells[i].sum.Load())
-	}
-	return s
+	return math.Float64frombits(h.sum.Load())
 }
 
 // Mean returns Sum/Count, or zero with no observations.
@@ -308,10 +219,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	rank := q * float64(total)
 	var cum float64
 	for i := 0; i <= len(h.bounds); i++ {
-		var n float64
-		for ci := range h.cells {
-			n += float64(h.cells[ci].counts[i].Load())
-		}
+		n := float64(h.counts[i].Load())
 		if n == 0 {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -132,6 +133,27 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	h.Observe(100)
 	if got := h.Quantile(0.5); got != 100 {
 		t.Fatalf("overflow quantile = %v, want 100", got)
+	}
+}
+
+// TestHistogramSumFollowsObservationOrder: float addition does not
+// associate, so a sum is only reproducible if it is accumulated in the
+// order the values were observed. A garbage collection between
+// observations must not change which total a histogram reports.
+func TestHistogramSumFollowsObservationOrder(t *testing.T) {
+	vals := []float64{1e16, 1, 1, 1, 1}
+	h := NewHistogram(nil)
+	var want float64
+	for i, v := range vals {
+		h.Observe(v)
+		want += v
+		if i == 0 {
+			runtime.GC()
+			runtime.GC()
+		}
+	}
+	if got := h.Sum(); got != want {
+		t.Fatalf("Sum() = %v, want %v (the sum in observation order)", got, want)
 	}
 }
 

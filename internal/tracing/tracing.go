@@ -1,6 +1,6 @@
 // Package tracing is the causal tracing layer: sampled per-op trace
 // contexts minted at write inject, carried inside wire messages, and
-// recorded as span events in a striped ring-buffer journal on every node
+// recorded as span events in a bounded ring-buffer journal on every node
 // the op touches. Tracing answers "why did THIS write take 900ms to
 // become visible on n3", not "what was the p95".
 //
@@ -19,14 +19,11 @@
 //     simnet). Two runs of the same seeded cluster produce byte-identical
 //     journal dumps.
 //   - Concurrency-safe on the live runtime. Span events arrive from every
-//     shard executor; the journal stripes its rings over cacheline-padded
-//     cells with per-P stripe affinity, the same idiom the telemetry
-//     registry uses for hot counters, so executors on different cores do
-//     not bounce a single cache line per event.
+//     shard executor and append under the journal's one mutex, which only
+//     sampled events take (about 1% of ops at production sampling).
 package tracing
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -92,45 +89,21 @@ type Config struct {
 	// SampleEvery samples one write in every N: 1 traces everything,
 	// 100 is the canonical 1% production setting, 0 disables tracing.
 	SampleEvery int
-	// BufferPerStripe is the ring capacity of each journal stripe
-	// (default 1024, i.e. 8192 events per node before overwrite).
-	BufferPerStripe int
+	// Buffer is the journal's capacity: the events a node retains before
+	// the oldest is overwritten (default 8192).
+	Buffer int
 }
 
 // Enabled reports whether the config turns tracing on.
 func (c Config) Enabled() bool { return c.SampleEvery > 0 }
 
-const (
-	journalStripes   = 8
-	journalMask      = journalStripes - 1
-	defaultPerStripe = 1024
-)
-
-// stripePool hands out stripe indices with per-P affinity, mirroring the
-// telemetry registry: a goroutine keeps drawing the stripe cached on its
-// core, so concurrent recorders spread instead of serializing.
-var (
-	stripeNext atomic.Int64
-	stripePool = sync.Pool{New: func() any {
-		s := int(stripeNext.Add(1)) & journalMask
-		return &s
-	}}
-)
-
-func stripe() int {
-	p := stripePool.Get().(*int)
-	s := *p
-	stripePool.Put(p)
-	return s
-}
+const defaultBuffer = 8192
 
 // Clock is the time source an event is stamped from; protocol code passes
 // its env.Env. A tracer reads it only when it records an event.
 type Clock interface{ Now() time.Time }
 
-// Journal is a node's striped span-event ring buffer. Sampled events
-// take a stripe mutex (only ~1% of ops at production sampling, and
-// contention is already spread across stripes).
+// Journal is a node's span-event ring buffer, a Ring of one class.
 type Journal = telemetry.Ring[Event]
 
 // Tracer is a node's handle into the tracing layer: it owns the sampling
@@ -153,15 +126,15 @@ func New(node id.NodeID, cfg Config) *Tracer {
 	if !cfg.Enabled() {
 		return nil
 	}
-	perStripe := cfg.BufferPerStripe
-	if perStripe <= 0 {
-		perStripe = defaultPerStripe
+	buffer := cfg.Buffer
+	if buffer <= 0 {
+		buffer = defaultBuffer
 	}
 	return &Tracer{
 		node:  node,
 		salt:  nodeSalt(node),
 		every: int64(cfg.SampleEvery),
-		j:     telemetry.NewRing(journalStripes, perStripe, func(ev *Event) *uint64 { return &ev.Seq }),
+		j:     telemetry.NewRing(1, buffer, func(ev *Event) *uint64 { return &ev.Seq }),
 	}
 }
 
@@ -234,7 +207,7 @@ func (t *Tracer) Event(c Clock, ctx Context, name string, file id.FileID, peer i
 		return ctx
 	}
 	span := t.salt ^ t.spans.Add(1)
-	t.j.Append(stripe(), Event{
+	t.j.Append(0, Event{
 		At:     c.Now().UnixNano(),
 		Trace:  ctx.Trace,
 		Span:   span,

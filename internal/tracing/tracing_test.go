@@ -114,21 +114,45 @@ func TestDeterministicIDs(t *testing.T) {
 }
 
 func TestRingOverwriteCountsDrops(t *testing.T) {
-	tr := New(2, Config{SampleEvery: 1, BufferPerStripe: 2})
+	const capacity = 2
+	tr := New(2, Config{SampleEvery: 1, Buffer: capacity})
 	for i := 0; i < 100; i++ {
 		tr.StartWrite(fixed(at(i)), "f", int64(i))
 	}
 	evs := tr.Journal().Events()
-	if len(evs) > 2*journalStripes {
-		t.Fatalf("ring retained %d events with capacity %d", len(evs), 2*journalStripes)
+	if len(evs) > capacity {
+		t.Fatalf("ring retained %d events with capacity %d", len(evs), capacity)
 	}
 	if tr.Journal().Dropped() == 0 {
 		t.Fatalf("overwrites not counted")
 	}
 }
 
+// TestJournalKeepsItsCapacityFromOneGoroutine: a journal sized for Buffer
+// events retains Buffer events however many goroutines record into it;
+// one goroutine, the simnet case, must not see a fraction of it.
+func TestJournalKeepsItsCapacityFromOneGoroutine(t *testing.T) {
+	const capacity, writes = 32, 100
+	tr := New(2, Config{SampleEvery: 1, Buffer: capacity})
+	for i := 0; i < writes; i++ {
+		tr.StartWrite(fixed(at(i)), "f", int64(i))
+	}
+	evs := tr.Journal().Events()
+	if len(evs) != capacity {
+		t.Fatalf("journal retained %d events, want its capacity %d", len(evs), capacity)
+	}
+	for i, ev := range evs {
+		if want := int64(writes - capacity + i); ev.Arg != want {
+			t.Fatalf("event %d is write %d, want %d (the newest %d)", i, ev.Arg, want, capacity)
+		}
+	}
+	if got := tr.Journal().Dropped(); got != writes-capacity {
+		t.Fatalf("Dropped() = %d, want %d", got, writes-capacity)
+	}
+}
+
 func TestConcurrentRecording(t *testing.T) {
-	tr := New(11, Config{SampleEvery: 1, BufferPerStripe: 8192})
+	tr := New(11, Config{SampleEvery: 1, Buffer: 65536})
 	var wg sync.WaitGroup
 	const goroutines, per = 8, 500
 	for g := 0; g < goroutines; g++ {

@@ -5,6 +5,13 @@ package transport_test
 // node. Run under -race (CI does) this is the regression net for the
 // cross-shard synchronization contract: store striping, membership and
 // ransub locking, atomic hooks, and per-shard queue routing.
+//
+// The cluster resolves conflicts with MergeAll, which adopts the union of
+// every replica's updates, so by design no node loses a write it made:
+// a node that holds fewer of its own writes than it issued lost one to a
+// race. (Under the default HighestID policy a conflict invalidates the
+// losers' updates, so a count of a node's own writes would prove
+// nothing.)
 
 import (
 	"fmt"
@@ -16,6 +23,7 @@ import (
 	"idea/internal/core"
 	"idea/internal/env"
 	"idea/internal/id"
+	"idea/internal/resolve"
 )
 
 func TestShardedClusterStress(t *testing.T) {
@@ -33,7 +41,13 @@ func TestShardedClusterStress(t *testing.T) {
 		tops[files[i]] = nodeIDs
 	}
 
-	lb, err := cluster.NewLoopback(cluster.Topology{Nodes: nodeIDs, TopLayers: tops, Shards: shards})
+	lb, err := cluster.NewLoopback(cluster.Topology{
+		Nodes: nodeIDs, TopLayers: tops, Shards: shards,
+		Hook: func(_ id.NodeID, o *core.Options) func(*core.Node) env.Handler {
+			o.Resolve.Policy = resolve.MergeAll
+			return nil
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,45 +104,56 @@ func TestShardedClusterStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	// held counts a node's updates, reading each file in its own domain:
-	// resolution may still be applying to it.
-	held := func(nid id.NodeID) int {
+	// ownHeld counts the distinct updates a node holds that it wrote
+	// itself, reading each file in its own domain: resolution may still
+	// be applying to it.
+	ownHeld := func(nid id.NodeID) int {
 		var mu sync.Mutex
 		var reads sync.WaitGroup
-		total := 0
+		type write struct {
+			file id.FileID
+			seq  int
+		}
+		own := make(map[write]bool)
 		for _, f := range files {
 			reads.Add(1)
 			trans[nid].InjectFile(f, func(env.Env) {
 				defer reads.Done()
-				n := len(cores[nid].Read(f))
+				log := cores[nid].Read(f)
 				mu.Lock()
-				total += n
-				mu.Unlock()
+				defer mu.Unlock()
+				for _, u := range log {
+					if u.Writer == nid {
+						own[write{f, u.Seq}] = true
+					}
+				}
 			})
 		}
 		reads.Wait()
-		return total
+		return len(own)
 	}
 
 	// Let in-flight detection round-trips and remote applies settle,
-	// then verify no write was lost locally and the sharded queues saw
-	// real traffic.
+	// then verify no node lost a write of its own and the sharded queues
+	// saw real traffic.
+	want := writers * ops
 	deadline := time.Now().Add(5 * time.Second)
 	for _, nid := range nodeIDs {
 		for {
-			total := held(nid)
-			if total >= writers*ops || time.Now().After(deadline) {
-				if got, want := total, writers*ops; got < want {
-					t.Fatalf("node %v holds %d updates, want >= %d (own writes)", nid, got, want)
-				}
+			got := ownHeld(nid)
+			if got == want {
 				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("node %v holds %d of its own %d writes (rollbacks %d)",
+					nid, got, want, cores[nid].RollbacksTotal())
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
 	snap := cores[1].Metrics().Snapshot()
-	if snap.Counters["core.writes_total"] != int64(writers*ops) {
-		t.Fatalf("node 1 writes_total = %d, want %d", snap.Counters["core.writes_total"], writers*ops)
+	if snap.Counters["core.writes_total"] != int64(want) {
+		t.Fatalf("node 1 writes_total = %d, want %d", snap.Counters["core.writes_total"], want)
 	}
 	if h, ok := snap.Histograms["core.queue_wait"]; !ok || h.Count == 0 {
 		t.Fatal("core.queue_wait histogram never observed a dequeue")
